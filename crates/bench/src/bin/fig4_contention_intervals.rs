@@ -8,7 +8,7 @@
 //! go.
 
 use haxconn_core::interval::{contention_intervals, Interval};
-use haxconn_soc::{orin_agx, simulate, Job, LayerCost, PuKind, PuSpec, WorkItem};
+use haxconn_soc::{orin_agx, replay, DesWork, LayerCost, PuKind, PuSpec, WorkItem};
 
 fn item(pu: usize, time_ms: f64, demand: f64) -> WorkItem {
     WorkItem {
@@ -32,32 +32,22 @@ fn main() {
 
     // Five layers, three DNNs, three accelerators (Fig. 4's L11..L13, L21,
     // L31 layout).
-    let jobs = vec![
-        Job {
-            name: "DNN1".into(),
-            items: vec![item(0, 2.0, 120.0), item(0, 3.0, 90.0), item(0, 1.5, 60.0)],
-        },
-        Job {
-            name: "DNN2".into(),
-            items: vec![item(1, 4.5, 70.0)],
-        },
-        Job {
-            name: "DNN3".into(),
-            items: vec![item(2, 3.5, 38.0)],
-        },
-    ];
-    let result = simulate(&platform, &jobs, &[]);
+    let names = ["DNN1", "DNN2", "DNN3"];
+    let mut work = DesWork::new();
+    work.push_chain([item(0, 2.0, 120.0), item(0, 3.0, 90.0), item(0, 1.5, 60.0)]);
+    work.push_chain([item(1, 4.5, 70.0)]);
+    work.push_chain([item(2, 3.5, 38.0)]);
+    let result = replay(&platform, &work, 1);
+    let records = result.by_task();
 
     println!("Fig. 4: contention intervals on a 3-accelerator SoC\n");
     let mut all: Vec<(String, usize, Interval)> = Vec::new();
-    for (j, job) in jobs.iter().enumerate() {
-        for (i, t) in result.items[j].iter().enumerate() {
-            all.push((
-                format!("L{}{}", i + 1, j + 1),
-                job.items[i].pu,
-                Interval::new(t.start_ms, t.end_ms),
-            ));
-        }
+    for r in &records {
+        all.push((
+            format!("L{}{}", r.item + 1, r.task + 1),
+            r.pu,
+            Interval::new(r.start_ms, r.end_ms),
+        ));
     }
     for (name, pu, iv) in &all {
         let others: Vec<Interval> = all
@@ -95,17 +85,16 @@ fn main() {
         );
     }
     println!("\nper-layer realized slowdowns (black vs colored regions of Fig. 4):");
-    for (j, job) in jobs.iter().enumerate() {
-        for (i, t) in result.items[j].iter().enumerate() {
-            println!(
-                "  {} layer {}: standalone {:.2} ms -> {:.2} ms (x{:.2})",
-                job.name,
-                i + 1,
-                job.items[i].cost.time_ms,
-                t.end_ms - t.start_ms,
-                t.slowdown
-            );
-        }
+    for r in &records {
+        let cost = &work.item(r).cost;
+        println!(
+            "  {} layer {}: standalone {:.2} ms -> {:.2} ms (x{:.2})",
+            names[r.task],
+            r.item + 1,
+            cost.time_ms,
+            r.end_ms - r.start_ms,
+            r.slowdown(cost)
+        );
     }
     println!(
         "\nmakespan {:.2} ms, EMC mean {:.1} GB/s (peak {:.1})",

@@ -1,22 +1,18 @@
 //! Fleet-evaluation scaling bench and perf-trajectory gate.
 //!
-//! The claim under test (PR 5, tightened by PR 7): replaying schedules on
-//! the single-threaded DES executor makes batched fleet evaluation
-//! dramatically cheaper than the thread-per-DNN executor, stays
-//! bit-deterministic — and, after PR 7, runs **allocation-free** in the
-//! steady state.
+//! The claim under test: batched fleet evaluation on the single-threaded
+//! contention replay stays bit-deterministic and runs **allocation-free**
+//! in the steady state.
 //!
 //! The bench builds ≥200 (workload, assignment, iterations) scenarios —
 //! several model pairs, each with every baseline assignment plus seeded
-//! random valid assignments — and evaluates the whole fleet three ways:
+//! random valid assignments — and evaluates the whole fleet two ways:
 //!
-//! 1. DES batch at full worker count (best wall of [`DES_RUNS`] timed
-//!    passes after a full warmup pass; every pass must produce
-//!    byte-identical reports — that is the determinism contract),
-//! 2. DES batch at one worker (reports must match the full-width run
-//!    bit-for-bit: worker count must not influence results),
-//! 3. thread-per-DNN batch (the seed path, kept behind
-//!    `ExecMode::Threaded`).
+//! 1. batch at full worker count (best wall of [`DES_RUNS`] timed passes
+//!    after a full warmup pass; every pass must produce byte-identical
+//!    reports — that is the determinism contract),
+//! 2. batch at one worker (reports must match the full-width run
+//!    bit-for-bit: worker count must not influence results).
 //!
 //! When built with `--features alloc-truth` the counting global allocator
 //! is live and two further claims are machine-checked:
@@ -32,8 +28,7 @@
 //!   the pre-PR-7 baseline of `BASELINE_SCENARIOS_PER_SEC` (the seed's
 //!   report-collecting batch on the same scenario set).
 //!
-//! Gates: ≥200 scenarios, all DES report sets bit-identical, DES batch
-//! ≥3× faster wall-clock than the threaded batch, plus (under
+//! Gates: ≥200 scenarios, all report sets bit-identical, plus (under
 //! `alloc-truth`) the three allocation/uplift gates above. The measurement
 //! is written to `BENCH_runtime.json` at the repo root; any gate failure
 //! exits non-zero.
@@ -48,8 +43,8 @@ use haxconn_core::problem::{DnnTask, SchedulerConfig, Workload};
 use haxconn_dnn::Model;
 use haxconn_profiler::NetworkProfile;
 use haxconn_runtime::{
-    evaluate_fleet, ExecMode, ExecutionReport, FleetArena, FleetEvaluator, FleetOptions,
-    FleetReport, FleetScenario,
+    evaluate_fleet, ExecutionReport, FleetArena, FleetEvaluator, FleetOptions, FleetReport,
+    FleetScenario,
 };
 use haxconn_soc::{orin_agx, PuId};
 use haxconn_solver::{solve_with, SolveOptions, Workspace};
@@ -142,8 +137,7 @@ fn bit_identical(a: &ExecutionReport, b: &ExecutionReport) -> bool {
             .all(|(x, y)| x.to_bits() == y.to_bits())
         && a.records.len() == b.records.len()
         && a.records.iter().zip(b.records.iter()).all(|(x, y)| {
-            x.token == y.token
-                && x.pu == y.pu
+            (x.token, x.task, x.item, x.pu) == (y.token, y.task, y.item, y.pu)
                 && x.start_ms.to_bits() == y.start_ms.to_bits()
                 && x.end_ms.to_bits() == y.end_ms.to_bits()
         })
@@ -159,15 +153,13 @@ fn fleets_identical(a: &FleetReport, b: &FleetReport) -> bool {
 
 #[derive(Serialize)]
 struct FleetRun {
-    mode: String,
     workers: usize,
     wall_ms: f64,
     scenarios_per_sec: f64,
 }
 
-fn run_of(mode: &str, fleet: &FleetReport) -> FleetRun {
+fn run_of(fleet: &FleetReport) -> FleetRun {
     FleetRun {
-        mode: mode.to_string(),
         workers: fleet.workers,
         wall_ms: fleet.wall_ms,
         scenarios_per_sec: fleet.throughput_per_sec(),
@@ -227,9 +219,6 @@ struct Report {
     des: FleetRun,
     des_repeat: FleetRun,
     des_single_worker: FleetRun,
-    threaded: FleetRun,
-    /// threaded wall / best DES wall.
-    speedup_wall: f64,
     /// Pre-PR-7 full-width DES throughput on the calibration machine.
     baseline_scenarios_per_sec: f64,
     /// `alloc_truth.des_steady.scenarios_per_sec /
@@ -377,32 +366,13 @@ fn main() {
         })
         .collect();
 
-    let des_opts = FleetOptions {
-        mode: ExecMode::Des,
-        threads: None,
-    };
+    let des_opts = FleetOptions { threads: None };
+    let single_opts = FleetOptions { threads: Some(1) };
 
     // Warmup: one *full* pass per path (first-touch of every workload's
-    // profile tables, thread pool spin-up, allocator steady state). The
-    // threaded path warms on a slice — it is ~60× slower and only has to
-    // lose by 3×, not be measured precisely.
+    // profile tables, thread pool spin-up, allocator steady state).
     let _ = evaluate_fleet(&platform, &scenarios, des_opts);
-    let _ = evaluate_fleet(
-        &platform,
-        &scenarios,
-        FleetOptions {
-            mode: ExecMode::Des,
-            threads: Some(1),
-        },
-    );
-    let _ = evaluate_fleet(
-        &platform,
-        &scenarios[..4],
-        FleetOptions {
-            mode: ExecMode::Threaded,
-            threads: None,
-        },
-    );
+    let _ = evaluate_fleet(&platform, &scenarios, single_opts);
 
     // Best-of-N full-width DES passes. Every pass must agree bit-for-bit;
     // the two fastest become `des` / `des_repeat`.
@@ -415,30 +385,10 @@ fn main() {
     let des_a = des_runs.remove(0);
 
     let des_one = (0..DES_RUNS / 5 + 1)
-        .map(|_| {
-            evaluate_fleet(
-                &platform,
-                &scenarios,
-                FleetOptions {
-                    mode: ExecMode::Des,
-                    threads: Some(1),
-                },
-            )
-        })
+        .map(|_| evaluate_fleet(&platform, &scenarios, single_opts))
         .min_by(|a, b| a.wall_ms.total_cmp(&b.wall_ms))
         .expect("at least one single-worker pass");
     identical = identical && fleets_identical(&des_a, &des_one);
-    let threaded = evaluate_fleet(
-        &platform,
-        &scenarios,
-        FleetOptions {
-            mode: ExecMode::Threaded,
-            threads: None,
-        },
-    );
-
-    let des_wall = des_a.wall_ms;
-    let speedup = threaded.wall_ms / des_wall;
 
     let (des_steady, per_scenario, arena_identical) =
         measure_des_steady(&platform, &scenarios, &des_a);
@@ -461,11 +411,9 @@ fn main() {
             .iter()
             .map(|pair| pair.iter().map(|m| m.name().to_string()).collect())
             .collect(),
-        des: run_of("des", &des_a),
-        des_repeat: run_of("des", &des_b),
-        des_single_worker: run_of("des", &des_one),
-        threaded: run_of("threaded", &threaded),
-        speedup_wall: speedup,
+        des: run_of(&des_a),
+        des_repeat: run_of(&des_b),
+        des_single_worker: run_of(&des_one),
         baseline_scenarios_per_sec: BASELINE_SCENARIOS_PER_SEC,
         uplift_vs_baseline: uplift,
         reports_bit_identical: identical,
@@ -489,11 +437,7 @@ fn main() {
         failed = true;
     }
     if !identical {
-        eprintln!("FAIL: DES fleet reports are not bit-identical across runs/worker counts");
-        failed = true;
-    }
-    if speedup < 3.0 {
-        eprintln!("FAIL: DES batch speedup {speedup:.2}x < 3x target over the threaded batch");
+        eprintln!("FAIL: fleet reports are not bit-identical across runs/worker counts");
         failed = true;
     }
     if !arena_identical {

@@ -7,10 +7,10 @@
 //! makespan with the solver running vs without (paper: <= 2%).
 
 use haxconn_bench::profile;
-use haxconn_core::measure::to_jobs;
+use haxconn_core::measure::staged;
 use haxconn_core::problem::{DnnTask, Workload};
 use haxconn_dnn::Model;
-use haxconn_soc::{orin_agx, simulate, Job, LayerCost, WorkItem};
+use haxconn_soc::{orin_agx, replay, LayerCost, ReplayRun, WorkItem};
 
 fn main() {
     let platform = orin_agx().with_cpu();
@@ -61,35 +61,31 @@ fn main() {
                 .collect::<Vec<_>>(),
             vec![platform.gpu(); workload.tasks[1].num_groups()],
         ];
-        let (jobs, deps) = to_jobs(&workload, &assignment);
-        let base_run = simulate(&platform, &jobs, &deps);
+        let work = staged(&workload, &assignment);
+        let base_run = replay(&platform, &work, 1);
         let base = base_run.makespan_ms;
 
         // Add the solver: a CPU-resident job issuing a steady trickle of
         // shared-memory traffic for the whole run (branch & bound touching
         // its search frontier).
-        let mut with_solver = jobs.clone();
+        let mut with_solver = work.clone();
         let solver_bw = platform.pu(cpu).max_bw_gbps; // ~4% of EMC peak
-        with_solver.push(Job {
-            name: "z3-solver".into(),
-            items: vec![WorkItem {
-                pu: cpu,
-                cost: LayerCost::pure_memory(base * 1.2, solver_bw * base * 1.2 * 1e6),
-            }],
-        });
-        let contended = simulate(&platform, &with_solver, &deps);
+        with_solver.push_chain([WorkItem {
+            pu: cpu,
+            cost: LayerCost::pure_memory(base * 1.2, solver_bw * base * 1.2 * 1e6),
+        }]);
+        let contended = replay(&platform, &with_solver, 1);
         // Overhead = extra *execution* stretch of the DNN work items (pure
         // contention; excludes queue-ordering shifts of GPU-fallback
         // groups, which are noise of the concurrent setup, not solver
         // interference).
-        let stretch = |run: &haxconn_soc::RunResult| -> f64 {
+        let stretch = |run: &ReplayRun| -> f64 {
             let mut weighted = 0.0;
             let mut weight = 0.0;
-            for (j, job) in jobs.iter().enumerate() {
-                for (t, item) in run.items[j].iter().zip(job.items.iter()) {
-                    weighted += t.slowdown * item.cost.time_ms;
-                    weight += item.cost.time_ms;
-                }
+            for r in run.by_task().iter().filter(|r| r.task < work.num_tasks()) {
+                let cost = &work.item(r).cost;
+                weighted += r.slowdown(cost) * cost.time_ms;
+                weight += cost.time_ms;
             }
             weighted / weight
         };

@@ -14,9 +14,11 @@
 //!
 //! Every schedule the stack emits (solver winners and baselines alike) is
 //! run through the invariant validator; a single violation or divergence
-//! fails the run. Solver winners are additionally replayed on the DES
-//! executor twice (must be bit-identical — the determinism contract) and
-//! cross-checked against the sequential simulator (≤ 15 % relative). Small workloads keep exhaustive enumeration cheap, so
+//! fails the run. Solver winners are additionally executed twice (must be
+//! bit-identical — the determinism contract) and measured, and the
+//! measured makespan must be the executed makespan's exact bits: both are
+//! views of the one contention replay. Small workloads keep exhaustive
+//! enumeration cheap, so
 //! hundreds of scenarios complete in seconds in release builds — CI runs
 //! 500 on a fixed seed.
 
@@ -30,7 +32,7 @@ use haxconn_core::{
 };
 use haxconn_dnn::Model;
 use haxconn_profiler::NetworkProfile;
-use haxconn_runtime::{execute_with, ExecMode};
+use haxconn_runtime::execute;
 use haxconn_soc::{orin_agx, snapdragon_865, xavier_agx, Platform};
 use haxconn_solver::{
     brute_force, solve, solve_parallel_with, solve_portfolio, Exactness, ParallelOptions,
@@ -110,8 +112,8 @@ pub struct FuzzReport {
     pub scenarios: usize,
     /// Schedules/timelines run through the validator.
     pub schedules_validated: usize,
-    /// Schedules replayed on the DES executor and cross-checked against
-    /// the sequential simulator (determinism + agreement).
+    /// Schedules executed twice and measured once: repeat runs and
+    /// `measure` must agree with `execute` bit-for-bit.
     pub executions_checked: usize,
     /// Portfolio incumbents validated against the encoding (large-instance
     /// mode).
@@ -133,7 +135,7 @@ impl fmt::Display for FuzzReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "fuzz: {} scenarios, {} schedules validated, {} executions checked, {} incumbents validated, {} divergences, {} violations",
+            "fuzz: {} scenarios, {} schedules validated, {} executions checked (measure == execute bit-for-bit), {} incumbents validated, {} divergences, {} violations",
             self.scenarios,
             self.schedules_validated,
             self.executions_checked,
@@ -358,10 +360,10 @@ pub fn run(config: &FuzzConfig) -> FuzzReport {
                 report.violations.push((scenario, v));
             }
 
-            // --- DES replay: must be bit-deterministic and agree with the
-            // sequential simulator. ---------------------------------------
-            let a = execute_with(&platform, &workload, &schedule.assignment, ExecMode::Des);
-            let b = execute_with(&platform, &workload, &schedule.assignment, ExecMode::Des);
+            // --- Replay: bit-deterministic, and `measure` is the same
+            // bits as `execute`. -----------------------------------------
+            let a = execute(&platform, &workload, &schedule.assignment);
+            let b = execute(&platform, &workload, &schedule.assignment);
             let bit_identical = a.makespan_ms.to_bits() == b.makespan_ms.to_bits()
                 && a.task_latency_ms.len() == b.task_latency_ms.len()
                 && a.task_latency_ms
@@ -371,7 +373,7 @@ pub fn run(config: &FuzzConfig) -> FuzzReport {
             if !bit_identical {
                 diverge(
                     format!(
-                        "DES executor nondeterministic: makespan {} vs {}",
+                        "replay nondeterministic: makespan {} vs {}",
                         a.makespan_ms, b.makespan_ms
                     ),
                     &mut report,
@@ -379,12 +381,11 @@ pub fn run(config: &FuzzConfig) -> FuzzReport {
             }
             let measured =
                 haxconn_core::measure::measure(&platform, &workload, &schedule.assignment);
-            let rel = (a.makespan_ms - measured.latency_ms).abs() / measured.latency_ms.max(1e-9);
-            if rel > 0.15 {
+            if measured.latency_ms.to_bits() != a.makespan_ms.to_bits() {
                 diverge(
                     format!(
-                        "DES makespan {:.4} ms disagrees with simulator {:.4} ms (rel {:.3})",
-                        a.makespan_ms, measured.latency_ms, rel
+                        "measure() makespan {:e} ms is not execute()'s {:e} ms",
+                        measured.latency_ms, a.makespan_ms
                     ),
                     &mut report,
                 );

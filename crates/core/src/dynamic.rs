@@ -21,7 +21,7 @@ use crate::scheduler::{objective_cost, Schedule, ScheduleOrigin};
 use crate::timeline::TimelineEvaluator;
 use haxconn_contention::ContentionModel;
 use haxconn_soc::{Platform, PuId};
-use haxconn_solver::{solve_parallel, SolveOptions};
+use haxconn_solver::{solve, solve_parallel, SolveOptions};
 use std::time::Duration;
 
 /// One recorded incumbent improvement.
@@ -42,7 +42,9 @@ pub struct Incumbent {
 /// but it makes `schedule_at` checkpoints nondeterministic across runs and
 /// machines. Tests, the arrival-trace fuzzer, and the determinism gates use
 /// [`IncumbentClock::Virtual`], which stamps the k-th improvement at
-/// `k * tick` of virtual time so replays are bit-identical.
+/// `k * tick` of virtual time so replays are bit-identical; a virtual
+/// clock also routes the solve through the sequential B&B, whose incumbent
+/// *sequence* (not only its timestamps) is independent of thread timing.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum IncumbentClock {
     /// Use the solver's wall-clock offsets (default; nondeterministic).
@@ -90,7 +92,10 @@ impl DHaxConn {
 
     /// Like [`DHaxConn::run`], but with an injectable incumbent clock so
     /// deterministic callers (tests, fuzzers, trace replays) get
-    /// bit-identical `schedule_at` checkpoints.
+    /// bit-identical `schedule_at` checkpoints. [`IncumbentClock::Solver`]
+    /// solves on the parallel solver; [`IncumbentClock::Virtual`] is a
+    /// request for determinism and solves sequentially, since the parallel
+    /// solver's intermediate incumbents follow thread timing.
     pub fn run_with(
         platform: &Platform,
         workload: &Workload,
@@ -124,7 +129,9 @@ impl DHaxConn {
         // the naive cost so only genuine improvements surface. The
         // parallel solver delivers callbacks on this thread, serialized
         // through a channel: costs strictly decrease and timestamps are
-        // monotone, exactly like the sequential solver's trace.
+        // monotone, exactly like the sequential solver's trace — but which
+        // intermediate incumbents surface depends on thread timing, so a
+        // virtual clock solves sequentially.
         let relaxed = SchedulerConfig {
             epsilon_ms: None,
             ..config
@@ -135,26 +142,27 @@ impl DHaxConn {
             let trace_ref = &mut trace;
             let enc_ref = &enc;
             let mut seen = 0u32;
-            solve_parallel(
-                &enc,
-                SolveOptions {
-                    node_budget: config.node_budget,
-                    initial_upper_bound: Some(initial.cost),
-                    on_incumbent: Some(Box::new(move |a, c, at| {
-                        seen += 1;
-                        let at = match clock {
-                            IncumbentClock::Solver => at,
-                            IncumbentClock::Virtual { tick } => tick * seen,
-                        };
-                        trace_ref.push(Incumbent {
-                            assignment: enc_ref.to_rows(a),
-                            cost: c,
-                            at,
-                        });
-                    })),
-                    ..Default::default()
-                },
-            )
+            let opts = SolveOptions {
+                node_budget: config.node_budget,
+                initial_upper_bound: Some(initial.cost),
+                on_incumbent: Some(Box::new(move |a, c, at| {
+                    seen += 1;
+                    let at = match clock {
+                        IncumbentClock::Solver => at,
+                        IncumbentClock::Virtual { tick } => tick * seen,
+                    };
+                    trace_ref.push(Incumbent {
+                        assignment: enc_ref.to_rows(a),
+                        cost: c,
+                        at,
+                    });
+                })),
+                ..Default::default()
+            };
+            match clock {
+                IncumbentClock::Solver => solve_parallel(&enc, opts),
+                IncumbentClock::Virtual { .. } => solve(&enc, opts),
+            }
         };
         if haxconn_telemetry::enabled() {
             use haxconn_telemetry as t;

@@ -4,7 +4,7 @@
 //! a terminal-friendly version of the paper's Fig. 1 timelines. Used by the
 //! CLI (`schedule --gantt`) and handy in tests and examples.
 
-use crate::measure::{to_jobs, Measurement};
+use crate::measure::{staged, Measurement};
 use crate::problem::Workload;
 use haxconn_soc::{Platform, PuId};
 
@@ -30,24 +30,22 @@ pub fn render_gantt(
     width: usize,
 ) -> String {
     assert!(width >= 20, "gantt needs at least 20 columns");
-    let (jobs, _) = to_jobs(workload, assignment);
+    let work = staged(workload, assignment);
     let horizon = measurement.latency_ms.max(1e-9);
     let scale = |t: f64| ((t / horizon) * (width as f64 - 1.0)).round() as usize;
 
     let mut tracks: Vec<Vec<Bar>> = vec![Vec::new(); platform.pus.len()];
-    for (j, job) in jobs.iter().enumerate() {
-        let label = (b'A' + (j % 26) as u8) as char;
-        for (item, timing) in job.items.iter().zip(measurement.raw.items[j].iter()) {
-            tracks[item.pu].push(Bar {
-                start_ms: timing.start_ms,
-                end_ms: timing.end_ms,
-                label: if item.cost.compute_ms == 0.0 {
-                    '-'
-                } else {
-                    label
-                },
-            });
-        }
+    for r in measurement.raw.by_task() {
+        let item = work.item(&r);
+        tracks[item.pu].push(Bar {
+            start_ms: r.start_ms,
+            end_ms: r.end_ms,
+            label: if item.cost.compute_ms == 0.0 {
+                '-'
+            } else {
+                (b'A' + (r.task % 26) as u8) as char
+            },
+        });
     }
 
     let mut out = String::new();
@@ -81,9 +79,9 @@ pub fn render_gantt(
         pad = width - 1
     ));
     // Legend.
-    for (j, job) in jobs.iter().enumerate() {
+    for (j, task) in workload.tasks.iter().enumerate() {
         let label = (b'A' + (j % 26) as u8) as char;
-        out.push_str(&format!("  {label} = {}\n", job.name));
+        out.push_str(&format!("  {label} = {}\n", task.name));
     }
     out
 }

@@ -77,7 +77,7 @@ pub use engine::{
 };
 pub use error::{parse_model, parse_objective, parse_platform, HaxError};
 pub use gantt::render_gantt;
-pub use measure::{measure, DesWork, Measurement};
+pub use measure::{aggregate_fps, measure, stage, Measurement};
 pub use problem::{DnnTask, Objective, SchedulerConfig, Workload};
 pub use scenario::{generate_instance, generate_instance_on, GeneratedInstance, Scenario};
 pub use scheduler::{HaxConn, Schedule, ScheduleOrigin, Transition};

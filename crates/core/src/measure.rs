@@ -1,14 +1,19 @@
-//! Ground-truth measurement: run a schedule on the simulated SoC.
+//! Ground-truth measurement: replay a schedule on the simulated SoC.
 //!
-//! The timeline evaluator *predicts*; this module *measures*, by converting
-//! a scheduled workload into simulator jobs (including explicit transition
-//! work items that flush/reformat boundary tensors) and running them under
-//! the SoC's real EMC arbitration. All numbers reported by the experiment
-//! binaries come from here — exactly as the paper reports wall-clock
-//! measurements, not model predictions.
+//! The timeline evaluator *predicts*; this module *measures*, by staging a
+//! scheduled workload as replay chains (including explicit transition work
+//! items that flush/reformat boundary tensors) and running them through the
+//! SoC's contention replay ([`haxconn_soc::replay`]) under its real EMC
+//! arbitration. All numbers reported by the experiment binaries come from
+//! here — exactly as the paper reports wall-clock measurements, not model
+//! predictions. The runtime's `execute` and fleet evaluation are views over
+//! the same replay, so a measured makespan is the same bits whichever
+//! subsystem asks.
 
 use crate::problem::{DnnTask, Workload};
-use haxconn_soc::{simulate, Dep, Job, LayerCost, Platform, PuId, RunResult, WorkItem};
+use haxconn_soc::{
+    flush_telemetry, DesWork, LayerCost, Platform, PuId, ReplayRun, Replayer, WorkItem,
+};
 
 /// Paper-style metrics of one measured run.
 #[derive(Debug, Clone)]
@@ -19,7 +24,7 @@ pub struct Measurement {
     pub latency_ms: f64,
     /// Aggregate throughput in frames per second: each task contributes
     /// `1000 / completion` (the paper's FPS column is `1000 / latency` per
-    /// processed image).
+    /// processed image); see [`aggregate_fps`].
     pub fps: f64,
     /// Mean EMC traffic, GB/s.
     pub emc_mean_gbps: f64,
@@ -27,8 +32,19 @@ pub struct Measurement {
     pub pu_busy_ms: Vec<f64>,
     /// Per-task mean execution slowdown vs standalone (Fig. 6's metric).
     pub task_slowdown: Vec<f64>,
-    /// Raw simulator output.
-    pub raw: RunResult,
+    /// Raw replay output: per-item records, the EMC step series and peak.
+    pub raw: ReplayRun,
+}
+
+/// Aggregate single-shot FPS: each task contributes `1000 / latency`.
+/// Degenerate latencies (zero-cost tasks, non-finite values) are skipped so
+/// the aggregate stays finite instead of blowing up to `inf`.
+pub fn aggregate_fps(task_latency_ms: &[f64]) -> f64 {
+    task_latency_ms
+        .iter()
+        .filter(|l| l.is_finite() && **l > 0.0)
+        .map(|l| 1000.0 / *l)
+        .sum()
 }
 
 /// A transition work item: pure memory traffic at the PU's reformat
@@ -40,11 +56,13 @@ fn transition_item(pu: PuId, time_ms: f64, bytes: f64) -> WorkItem {
     }
 }
 
-/// Appends one task's work items — grouped layers plus explicit
-/// flush/reformat transition items — to `items`, given its PU row. The
-/// single source of item order for [`to_jobs`] and [`DesWork::fill`]; the
-/// two paths stay bit-identical because they run this exact code.
-fn push_task_items(task: &DnnTask, row: &[PuId], items: &mut Vec<WorkItem>) {
+/// Stages one task's work items — grouped layers plus explicit
+/// flush/reformat transition items — given its PU row.
+///
+/// Inter-accelerator transitions become explicit flush (`tau OUT`, old PU)
+/// and reformat (`tau IN`, new PU) items, as the TensorRT
+/// `MarkOutput`/`addInput` pair does on real hardware.
+fn push_task_items(task: &DnnTask, row: &[PuId], work: &mut DesWork) {
     let profile = &task.profile;
     for g in 0..profile.len() {
         let pu = row[g];
@@ -52,178 +70,71 @@ fn push_task_items(task: &DnnTask, row: &[PuId], items: &mut Vec<WorkItem>) {
         if g > 0 && row[g - 1] != pu {
             let bytes = profile.grouped.groups[g - 1].boundary_bytes as f64;
             // Flush out of the previous PU...
-            items.push(transition_item(
+            work.push_item(transition_item(
                 row[g - 1],
                 profile.groups[g - 1].tr_out_ms[row[g - 1]],
                 bytes,
             ));
             // ...then reformat into this one.
-            items.push(transition_item(
+            work.push_item(transition_item(
                 pu,
                 profile.groups[g - 1].tr_in_ms[pu],
                 bytes,
             ));
         }
-        items.push(WorkItem { pu, cost });
+        work.push_item(WorkItem { pu, cost });
     }
 }
 
-/// Converts a scheduled workload into simulator jobs + cross-job deps.
-///
-/// Each task becomes one job; inter-accelerator transitions become explicit
-/// flush (`tau OUT`, old PU) and reformat (`tau IN`, new PU) items, as the
-/// TensorRT `MarkOutput`/`addInput` pair does on real hardware.
-pub fn to_jobs(workload: &Workload, assignment: &[Vec<PuId>]) -> (Vec<Job>, Vec<Dep>) {
-    let mut jobs = Vec::with_capacity(workload.tasks.len());
-    // first/last item index per task, to wire streaming deps.
-    let mut last_item = Vec::with_capacity(workload.tasks.len());
+/// Restages `workload` under `assignment` into `work` (cleared first, its
+/// buffers reused): one chain per task, gated by the task's upstream
+/// streaming dependencies in `workload.deps` order.
+pub fn stage(work: &mut DesWork, workload: &Workload, assignment: &[Vec<PuId>]) {
+    work.clear();
     for (t, task) in workload.tasks.iter().enumerate() {
-        let mut items: Vec<WorkItem> = Vec::new();
-        push_task_items(task, &assignment[t], &mut items);
-        last_item.push(items.len() - 1);
-        jobs.push(Job {
-            name: workload.tasks[t].name.clone(),
-            items,
-        });
-    }
-    let deps = workload
-        .deps
-        .iter()
-        .map(|d| Dep {
-            from: (d.from, last_item[d.from]),
-            to: (d.to, 0),
-        })
-        .collect();
-    (jobs, deps)
-}
-
-/// Converts a scheduled workload into simulator jobs plus, per task, the
-/// upstream task indices whose completion gates its first item — the shared
-/// input of the runtime executors (threaded and DES) and the fleet
-/// evaluator, so every execution path derives its work items and streaming
-/// dependencies from one place.
-pub fn to_jobs_with_upstream(
-    workload: &Workload,
-    assignment: &[Vec<PuId>],
-) -> (Vec<Job>, Vec<Dep>, Vec<Vec<usize>>) {
-    let (jobs, deps) = to_jobs(workload, assignment);
-    let upstream = (0..workload.tasks.len())
-        .map(|t| workload.upstream(t))
-        .collect();
-    (jobs, deps, upstream)
-}
-
-/// Flat, reusable staging of a scheduled workload's executable work —
-/// the allocation-free counterpart of [`to_jobs_with_upstream`] for the
-/// DES executor's hot path.
-///
-/// Layout is struct-of-arrays: every task's [`WorkItem`]s live
-/// concatenated in one buffer addressed by per-task ranges, and likewise
-/// for upstream task indices. No `Job` structs, no per-task `Vec`s, no
-/// cloned name `String`s. [`DesWork::fill`] clears and refills the
-/// buffers in place, so a staging reused across a fleet of scenarios
-/// stops allocating once the buffers reach the largest scenario's size.
-///
-/// Item order per task and upstream order per task are bit-identical to
-/// [`to_jobs_with_upstream`] (same builder code, same dep scan order) —
-/// a property the test suite checks — so the DES replay produces the
-/// same reports whichever staging the caller uses.
-#[derive(Debug, Default, Clone)]
-pub struct DesWork {
-    items: Vec<WorkItem>,
-    item_ranges: Vec<(u32, u32)>,
-    upstream: Vec<u32>,
-    upstream_ranges: Vec<(u32, u32)>,
-}
-
-impl DesWork {
-    /// Empty staging; buffers grow on first [`DesWork::fill`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of staged tasks.
-    pub fn num_tasks(&self) -> usize {
-        self.item_ranges.len()
-    }
-
-    /// Total staged work items across all tasks.
-    pub fn total_items(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Work items of task `t`, in execution order.
-    pub fn items_of(&self, t: usize) -> &[WorkItem] {
-        let (a, b) = self.item_ranges[t];
-        &self.items[a as usize..b as usize]
-    }
-
-    /// Tasks whose completion gates task `t`'s first item.
-    pub fn upstream_of(&self, t: usize) -> &[u32] {
-        let (a, b) = self.upstream_ranges[t];
-        &self.upstream[a as usize..b as usize]
-    }
-
-    /// Restages `workload` under `assignment`, reusing the buffers.
-    pub fn fill(&mut self, workload: &Workload, assignment: &[Vec<PuId>]) {
-        self.items.clear();
-        self.item_ranges.clear();
-        self.upstream.clear();
-        self.upstream_ranges.clear();
-        for (t, task) in workload.tasks.iter().enumerate() {
-            let start = self.items.len() as u32;
-            push_task_items(task, &assignment[t], &mut self.items);
-            self.item_ranges.push((start, self.items.len() as u32));
-            let up_start = self.upstream.len() as u32;
-            // Same scan `Workload::upstream` performs, minus its Vec.
-            self.upstream.extend(
-                workload
-                    .deps
-                    .iter()
-                    .filter(|d| d.to == t)
-                    .map(|d| d.from as u32),
-            );
-            self.upstream_ranges
-                .push((up_start, self.upstream.len() as u32));
-        }
+        push_task_items(task, &assignment[t], work);
+        // Same scan `Workload::upstream` performs, minus its Vec.
+        work.end_chain(workload.deps.iter().filter(|d| d.to == t).map(|d| d.from));
     }
 }
 
-/// Measures `assignment` on the platform's ground-truth simulator.
+/// The staged replay input of `assignment`.
+pub fn staged(workload: &Workload, assignment: &[Vec<PuId>]) -> DesWork {
+    let mut work = DesWork::new();
+    stage(&mut work, workload, assignment);
+    work
+}
+
+/// Measures `assignment` by replaying one frame per task on the platform's
+/// contention replay, and flushes the run's `replay.*` telemetry.
 pub fn measure(platform: &Platform, workload: &Workload, assignment: &[Vec<PuId>]) -> Measurement {
-    let (jobs, deps) = to_jobs(workload, assignment);
-    let raw = simulate(platform, &jobs, &deps);
-    let task_latency_ms = raw.job_end_ms.clone();
-    let latency_ms = raw.makespan_ms;
-    let fps: f64 = task_latency_ms.iter().map(|&t| 1000.0 / t).sum();
+    let work = staged(workload, assignment);
+    let mut replayer = Replayer::new();
+    let run = replayer.run(platform, &work, 1);
+    flush_telemetry(platform, &run);
+    let raw = run.to_run();
     // Per-task slowdown: measured busy duration over standalone time,
-    // averaged across executed items (transition items excluded by
-    // weighting with standalone time > launch floor).
-    let task_slowdown = raw
-        .items
-        .iter()
-        .zip(jobs.iter())
-        .map(|(timings, job)| {
-            let mut weighted = 0.0;
-            let mut weight = 0.0;
-            for (timing, item) in timings.iter().zip(job.items.iter()) {
-                if item.cost.compute_ms == 0.0 {
-                    continue; // transition item
-                }
-                weighted += timing.slowdown * item.cost.time_ms;
-                weight += item.cost.time_ms;
+    // averaged across executed items in chain order, weighted by
+    // standalone time (transition items excluded).
+    let mut task_slowdown = Vec::with_capacity(work.num_tasks());
+    let by_task = raw.by_task();
+    for chain in by_task.chunk_by(|a, b| a.task == b.task) {
+        let mut weighted = 0.0;
+        let mut weight = 0.0;
+        for r in chain {
+            let cost = &work.item(r).cost;
+            if cost.compute_ms == 0.0 {
+                continue; // transition item
             }
-            if weight > 0.0 {
-                weighted / weight
-            } else {
-                1.0
-            }
-        })
-        .collect();
+            weighted += r.slowdown(cost) * cost.time_ms;
+            weight += cost.time_ms;
+        }
+        task_slowdown.push(if weight > 0.0 { weighted / weight } else { 1.0 });
+    }
     Measurement {
-        task_latency_ms,
-        latency_ms,
-        fps,
+        task_latency_ms: raw.task_latency_ms.clone(),
+        latency_ms: raw.makespan_ms,
+        fps: aggregate_fps(&raw.task_latency_ms),
         emc_mean_gbps: raw.emc_mean_gbps,
         pu_busy_ms: raw.pu_busy_ms.clone(),
         task_slowdown,
@@ -276,8 +187,10 @@ mod tests {
                 a[0][g] = p.dsa();
             }
         }
-        let (jobs, _) = to_jobs(&w, &a);
-        assert!(jobs[0].items.len() > n, "flush/reformat items inserted");
+        assert!(
+            staged(&w, &a).items_of(0).len() > n,
+            "flush/reformat items inserted"
+        );
         let m = measure(&p, &w, &a);
         assert!(m.latency_ms > 0.0);
     }
@@ -304,44 +217,31 @@ mod tests {
     }
 
     #[test]
-    fn des_work_matches_jobs_staging() {
-        let (p, w) = workload(&[Model::ResNet50, Model::GoogleNet]);
-        let mut a = all_on(&w, p.gpu());
-        // Force transitions in task 0 so flush/reformat items are staged.
-        let n = w.tasks[0].num_groups();
-        #[allow(clippy::needless_range_loop)]
-        for g in n / 2..n {
-            if w.tasks[0].profile.groups[g].cost[p.dsa()].is_some() {
-                a[0][g] = p.dsa();
-            }
-        }
-        let (jobs, _, upstream) = to_jobs_with_upstream(&w, &a);
-        let mut work = DesWork::new();
-        work.fill(&w, &a);
-        assert_eq!(work.num_tasks(), jobs.len());
-        assert_eq!(
-            work.total_items(),
-            jobs.iter().map(|j| j.items.len()).sum::<usize>()
-        );
-        for (t, job) in jobs.iter().enumerate() {
-            let staged = work.items_of(t);
-            assert_eq!(staged.len(), job.items.len());
-            for (s, j) in staged.iter().zip(job.items.iter()) {
-                assert_eq!(s.pu, j.pu);
-                assert_eq!(s.cost.time_ms.to_bits(), j.cost.time_ms.to_bits());
-                assert_eq!(s.cost.demand_gbps.to_bits(), j.cost.demand_gbps.to_bits());
-            }
-            let ups: Vec<usize> = work.upstream_of(t).iter().map(|&u| u as usize).collect();
-            assert_eq!(ups, upstream[t]);
-        }
-        // Refill with a different scenario reuses the buffers in place.
-        let b = all_on(&w, p.gpu());
-        work.fill(&w, &b);
-        let (jobs_b, _, _) = to_jobs_with_upstream(&w, &b);
-        assert_eq!(
-            work.total_items(),
-            jobs_b.iter().map(|j| j.items.len()).sum::<usize>()
-        );
+    fn staging_reuses_buffers_and_wires_upstream() {
+        let p = orin_agx();
+        let tasks = vec![
+            DnnTask::new("a", NetworkProfile::profile(&p, Model::ResNet18, 6)),
+            DnnTask::new("b", NetworkProfile::profile(&p, Model::GoogleNet, 6)),
+        ];
+        let w = Workload::pipeline(tasks);
+        let mut work = staged(&w, &all_on(&w, p.gpu()));
+        assert_eq!(work.num_tasks(), 2);
+        assert_eq!(work.total_items(), 12, "no transitions on one PU");
+        assert!(work.upstream_of(0).is_empty());
+        assert_eq!(work.upstream_of(1), &[0]);
+        // Restaging a different assignment reuses the buffers in place.
+        let g = (1..6)
+            .find(|&g| w.tasks[0].profile.groups[g].cost[p.dsa()].is_some())
+            .expect("a DLA-capable group");
+        let mut split = all_on(&w, p.gpu());
+        split[0][g] = p.dsa();
+        stage(&mut work, &w, &split);
+        let back = if g + 1 < 6 { 2 } else { 0 };
+        assert_eq!(work.total_items(), 14 + back, "flush + reformat inserted");
+        // Flush on the old PU, then reformat on the new one, then the group.
+        assert_eq!(work.items_of(0)[g].pu, p.gpu());
+        assert_eq!(work.items_of(0)[g + 1].pu, p.dsa());
+        assert_eq!(work.items_of(0)[g + 2].pu, p.dsa());
     }
 
     #[test]
@@ -355,6 +255,9 @@ mod tests {
         let a = all_on(&w, p.gpu());
         let m = measure(&p, &w, &a);
         let t0 = w.tasks[0].profile.standalone_ms(p.gpu()).unwrap();
-        assert!(m.raw.items[1][0].start_ms >= t0 - 1e-6);
+        let first_b = m.raw.by_task().into_iter().find(|r| r.task == 1).unwrap();
+        assert_eq!(first_b.item, 0);
+        assert!(first_b.start_ms >= t0 - 1e-6);
+        assert_eq!(first_b.start_ms, m.task_latency_ms[0]);
     }
 }

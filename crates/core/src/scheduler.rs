@@ -6,7 +6,7 @@ use crate::error::HaxError;
 use crate::problem::{Objective, SchedulerConfig, Workload};
 use crate::timeline::{PredictedTimeline, TimelineEvaluator};
 use haxconn_contention::ContentionModel;
-use haxconn_soc::{Platform, PuId, PuKind};
+use haxconn_soc::{DesWork, Platform, PuId, PuKind, Replayer};
 use haxconn_solver::{
     solve, solve_parallel, solve_portfolio, Assignment, CostModel, PortfolioOptions, SolveOptions,
     Symmetric,
@@ -239,7 +239,8 @@ impl HaxConn {
 impl HaxConn {
     /// Like [`HaxConn::schedule`], but *validates* the winning candidate:
     /// the solver's schedule and every baseline are each executed once on
-    /// the target (here: the SoC simulator) and the measured best wins.
+    /// the target (here: the SoC's contention replay) and the measured best
+    /// wins.
     ///
     /// This is how the paper's never-worse-than-baseline guarantee holds in
     /// deployment: candidate schedules are cheap to try (one inference
@@ -264,11 +265,15 @@ impl HaxConn {
         config: SchedulerConfig,
     ) -> Result<Schedule, HaxError> {
         let mut winner = Self::try_schedule(platform, workload, model, config)?;
-        let measured_cost = |assignment: &Vec<Vec<PuId>>| -> f64 {
-            let m = crate::measure::measure(platform, workload, assignment);
+        // One pooled replay scores every candidate.
+        let mut work = DesWork::new();
+        let mut replayer = Replayer::new();
+        let mut measured_cost = |assignment: &Vec<Vec<PuId>>| -> f64 {
+            crate::measure::stage(&mut work, workload, assignment);
+            let run = replayer.run(platform, &work, 1);
             match config.objective {
-                Objective::MinMaxLatency => m.latency_ms,
-                Objective::MaxThroughput => -m.fps,
+                Objective::MinMaxLatency => run.makespan_ms,
+                Objective::MaxThroughput => -crate::measure::aggregate_fps(run.task_latency_ms),
             }
         };
         let mut best_cost = measured_cost(&winner.assignment);

@@ -6,7 +6,7 @@
 //! event. Loading the JSON into Perfetto gives exactly the Fig. 1 / Fig. 4
 //! style visualizations of the paper.
 
-use crate::measure::{to_jobs, Measurement};
+use crate::measure::{staged, Measurement};
 use crate::problem::Workload;
 use haxconn_soc::{Platform, PuId};
 use serde::Serialize;
@@ -93,7 +93,7 @@ pub fn chrome_trace_json(
     assignment: &[Vec<PuId>],
     measurement: &Measurement,
 ) -> String {
-    let (jobs, _) = to_jobs(workload, assignment);
+    let work = staged(workload, assignment);
     let mut parts: Vec<String> = Vec::new();
 
     for (pu_id, pu) in platform.pus.iter().enumerate() {
@@ -107,15 +107,18 @@ pub fn chrome_trace_json(
         parts.push(serde_json::to_string(&ev).expect("serialize metadata"));
     }
 
-    for (j, job) in jobs.iter().enumerate() {
+    let records = measurement.raw.by_task();
+    for chain in records.chunk_by(|a, b| a.task == b.task) {
+        let task_name = &workload.tasks[chain[0].task].name;
         let mut group_idx = 0usize;
-        for (item, timing) in job.items.iter().zip(measurement.raw.items[j].iter()) {
+        for r in chain {
+            let item = work.item(r);
             // Transition items are pure memory movers (no compute phase).
             let is_transition = item.cost.compute_ms == 0.0;
             let (name, cat) = if is_transition {
-                (format!("{} transition", job.name), "transition".to_string())
+                (format!("{task_name} transition"), "transition".to_string())
             } else {
-                let n = format!("{} g{group_idx}", job.name);
+                let n = format!("{task_name} g{group_idx}");
                 group_idx += 1;
                 (n, "group".to_string())
             };
@@ -123,12 +126,12 @@ pub fn chrome_trace_json(
                 name,
                 cat,
                 ph: "X",
-                ts: timing.start_ms * 1e3,
-                dur: (timing.end_ms - timing.start_ms) * 1e3,
+                ts: r.start_ms * 1e3,
+                dur: (r.end_ms - r.start_ms) * 1e3,
                 pid: 1,
                 tid: item.pu as u32,
                 args: TraceArgs {
-                    slowdown: timing.slowdown,
+                    slowdown: r.slowdown(&item.cost),
                     demand_gbps: item.cost.demand_gbps,
                 },
             };
@@ -137,7 +140,7 @@ pub fn chrome_trace_json(
     }
 
     // EMC bandwidth as a counter track: one sample per re-arbitration
-    // point of the fluid simulation, so Perfetto draws the contention
+    // point of the fluid replay, so Perfetto draws the contention
     // profile directly under the Gantt tracks.
     for &(t_ms, gbps) in &measurement.raw.emc_series {
         push_counter(&mut parts, "EMC bandwidth (GB/s)", t_ms * 1e3, gbps);

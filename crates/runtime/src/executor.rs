@@ -1,39 +1,20 @@
-//! Schedule execution: deterministic DES replay by default, with the
-//! thread-per-DNN arbiter path kept behind [`ExecMode`] for differential
-//! testing.
+//! Schedule execution: [`ExecutionReport`]s as views over the SoC's
+//! contention replay ([`haxconn_soc::replay`]).
 
-use crate::arbiter::{Arbiter, ItemRecord};
-use crate::des_exec::{self, RawRun};
-use haxconn_core::measure::to_jobs_with_upstream;
+use haxconn_core::measure::{aggregate_fps, stage};
 use haxconn_core::problem::Workload;
-use haxconn_soc::{Platform, PuId};
-use std::sync::Arc;
-use std::thread;
+use haxconn_soc::{flush_telemetry, DesWork, ItemRecord, Platform, PuId, ReplayView, Replayer};
 
-/// How a schedule is executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Single-threaded virtual-time replay on the `haxconn-des` engine.
-    /// Bit-deterministic: the same schedule always yields a byte-identical
-    /// [`ExecutionReport`]. The default.
-    #[default]
-    Des,
-    /// One real OS thread per DNN task, coordinated through the
-    /// mutex/condvar [`Arbiter`]. Exercises real synchronization; equal
-    /// virtual-time ties resolve in OS scheduling order, so repeated runs
-    /// may differ within the tolerances the tests document.
-    Threaded,
-}
-
-/// Timings observed by the concurrent executor.
+/// Timings observed by the executor.
 #[derive(Debug, Clone)]
 pub struct ExecutionReport {
     /// Completion time of each task, ms (virtual).
     pub task_latency_ms: Vec<f64>,
     /// Completion of the whole workload, ms.
     pub makespan_ms: f64,
-    /// Aggregate FPS (`sum of 1000/latency`), as reported in the paper's
-    /// tables.
+    /// Aggregate FPS: `sum of 1000/latency` for a single shot (as reported
+    /// in the paper's tables), frames per second of virtual time for a
+    /// loop.
     pub fps: f64,
     /// Busy time per PU, ms.
     pub pu_busy_ms: Vec<f64>,
@@ -41,20 +22,23 @@ pub struct ExecutionReport {
     pub emc_mean_gbps: f64,
     /// Number of work items executed (layer groups + transition steps).
     pub items_executed: usize,
-    /// Per-item completion records in completion order (token, PU,
-    /// start/end) — raw material for Gantt charts and traces.
+    /// Per-item completion records in completion order (token, task, item,
+    /// PU, start/end) — raw material for Gantt charts and traces.
     pub records: Vec<ItemRecord>,
 }
 
-/// Aggregate single-shot FPS: each task contributes `1000 / latency`.
-/// Degenerate latencies (zero-cost tasks, non-finite values) are skipped so
-/// the aggregate stays finite instead of blowing up to `inf`.
-pub(crate) fn aggregate_fps(task_latency_ms: &[f64]) -> f64 {
-    task_latency_ms
-        .iter()
-        .filter(|l| l.is_finite() && **l > 0.0)
-        .map(|l| 1000.0 / *l)
-        .sum()
+impl ExecutionReport {
+    fn from_view(v: &ReplayView<'_>, fps: f64) -> Self {
+        ExecutionReport {
+            task_latency_ms: v.task_latency_ms.to_vec(),
+            makespan_ms: v.makespan_ms,
+            fps,
+            pu_busy_ms: v.pu_busy_ms.to_vec(),
+            emc_mean_gbps: v.emc_mean_gbps,
+            items_executed: v.records.len(),
+            records: v.records.to_vec(),
+        }
+    }
 }
 
 /// Steady-state loop FPS: frames completed per second of virtual time.
@@ -66,260 +50,106 @@ pub(crate) fn loop_fps(iterations: usize, tasks: usize, makespan_ms: f64) -> f64
     }
 }
 
-impl RawRun {
-    fn into_report(self, fps: f64) -> ExecutionReport {
-        ExecutionReport {
-            task_latency_ms: self.task_latency_ms,
-            makespan_ms: self.makespan_ms,
-            fps,
-            pu_busy_ms: self.pu_busy_ms,
-            emc_mean_gbps: self.emc_mean_gbps,
-            items_executed: self.items_executed,
-            records: self.records,
-        }
+/// The fleet's FPS convention: `iterations == 1` is the single-shot
+/// setting, anything larger the continuous loop.
+pub(crate) fn scenario_fps(iterations: usize, v: &ReplayView<'_>) -> f64 {
+    if iterations == 1 {
+        aggregate_fps(v.task_latency_ms)
+    } else {
+        loop_fps(iterations, v.task_latency_ms.len(), v.makespan_ms)
     }
 }
 
-/// Upper bound on per-item spans emitted per run; `execute_loop` with
-/// thousands of frames would otherwise dominate flush cost. The overflow is
-/// counted in `runtime.spans_truncated`.
-const MAX_ITEM_SPANS: usize = 512;
+/// A pooled replay plus its input staging: restaging a workload and
+/// replaying it performs no heap allocation once both are warm for the
+/// scenario shape.
+#[derive(Default)]
+pub(crate) struct DesRunner {
+    work: DesWork,
+    replayer: Replayer,
+}
 
-/// Flushes one executor run into the telemetry recorder: run/item counters,
-/// the makespan distribution, aggregate EMC traffic and per-PU occupancy
-/// (busy fraction of the makespan) plus one span per item record (capped at
-/// [`MAX_ITEM_SPANS`]) on a `runtime.items` track.
-pub(crate) fn flush_execution_telemetry(kind: &str, platform: &Platform, report: &ExecutionReport) {
-    if !haxconn_telemetry::enabled() {
-        return;
-    }
-    use haxconn_telemetry as t;
-    t::counter_add("runtime.runs", 1);
-    t::counter_add(kind, 1);
-    t::counter_add("runtime.items", report.items_executed as u64);
-    t::histogram_record("runtime.makespan_ms", report.makespan_ms);
-    t::gauge_set("runtime.emc_mean_gbps", report.emc_mean_gbps);
-    for (pu, &busy) in platform.pus.iter().zip(report.pu_busy_ms.iter()) {
-        let occupancy = if report.makespan_ms > 0.0 {
-            busy / report.makespan_ms
-        } else {
-            0.0
-        };
-        t::gauge_set(&format!("runtime.occupancy.{}", pu.name), occupancy);
-        t::histogram_record("runtime.pu_busy_ms", busy);
-    }
-    // Item records become spans relative to the flush instant so they line
-    // up as one contiguous virtual-time window per run.
-    let base = t::clock_ms() - report.makespan_ms;
-    let emit = report.records.len().min(MAX_ITEM_SPANS);
-    for r in &report.records[..emit] {
-        t::span_event(
-            "runtime.items",
-            &platform.pus[r.pu].name,
-            base + r.start_ms,
-            r.end_ms - r.start_ms,
-        );
-    }
-    let truncated = report.records.len() - emit;
-    if truncated > 0 {
-        t::counter_add("runtime.spans_truncated", truncated as u64);
+impl DesRunner {
+    /// Stages `assignment` and replays it for `iterations` frames per task.
+    pub(crate) fn run(
+        &mut self,
+        platform: &Platform,
+        workload: &Workload,
+        assignment: &[Vec<PuId>],
+        iterations: usize,
+    ) -> ReplayView<'_> {
+        stage(&mut self.work, workload, assignment);
+        self.replayer.run(platform, &self.work, iterations)
     }
 }
 
-/// Runs the workload with one real thread per DNN task coordinated in
-/// virtual time. `iterations: None` is the single-shot setting (each task
-/// waits for its upstream tasks to *finish*); `Some(n)` is the continuous
-/// loop (frame k waits for the producers' frame k, then free-runs).
-fn run_threaded(
-    platform: &Platform,
-    workload: &Workload,
-    assignment: &[Vec<PuId>],
-    iterations: Option<usize>,
-) -> RawRun {
-    let (jobs, _, upstream) = to_jobs_with_upstream(workload, assignment);
-    let arbiter = Arc::new(Arbiter::new(platform.clone(), jobs.len()));
-
-    let mut handles = Vec::with_capacity(jobs.len());
-    for (t, job) in jobs.into_iter().enumerate() {
-        let arbiter = Arc::clone(&arbiter);
-        let ups = upstream[t].clone();
-        handles.push(thread::spawn(move || {
-            let mut executed = 0usize;
-            let mut end = 0.0f64;
-            match iterations {
-                None => {
-                    arbiter.wait_for_tasks(&ups);
-                    for item in &job.items {
-                        let (token, _start) = arbiter.start_item(item.pu, item.cost);
-                        end = arbiter.finish_item(token);
-                        executed += 1;
-                    }
-                }
-                Some(n) => {
-                    for frame in 0..n {
-                        arbiter.wait_for_frame(&ups, frame);
-                        for item in &job.items {
-                            let (token, _start) = arbiter.start_item(item.pu, item.cost);
-                            end = arbiter.finish_item(token);
-                            executed += 1;
-                        }
-                        arbiter.frame_finished(t);
-                    }
-                }
-            }
-            arbiter.task_finished(t);
-            (end, executed)
-        }));
-    }
-
-    let mut task_latency_ms = Vec::with_capacity(handles.len());
-    let mut items_executed = 0usize;
-    for h in handles {
-        let (end, n) = h.join().expect("worker thread panicked");
-        task_latency_ms.push(end);
-        items_executed += n;
-    }
-    let arbiter = Arc::try_unwrap(arbiter).ok().expect("all workers joined");
-    let (makespan_ms, pu_busy_ms, emc_mean_gbps, records) = arbiter.into_report();
-    RawRun {
-        task_latency_ms,
-        makespan_ms,
-        pu_busy_ms,
-        emc_mean_gbps,
-        items_executed,
-        records,
-    }
-}
-
-/// Runs one fleet scenario on a caller-owned [`DesRunner`] (so the fleet's
-/// per-worker event-queue allocation is reused) and applies the same FPS
-/// convention as `execute` / `execute_loop`: `iterations == 1` is the
-/// single-shot setting, anything larger the continuous loop.
+/// Runs one fleet scenario on a caller-owned [`DesRunner`] under the fleet's
+/// FPS convention ([`scenario_fps`]).
 pub(crate) fn run_scenario(
-    runner: &mut crate::des_exec::DesRunner,
+    runner: &mut DesRunner,
     platform: &Platform,
     workload: &Workload,
     assignment: &[Vec<PuId>],
     iterations: usize,
-    mode: ExecMode,
 ) -> ExecutionReport {
-    assert!(iterations >= 1);
-    match mode {
-        // The replay itself is allocation-free on a warm runner; the phase
-        // counters attribute the report conversion (the only remaining
-        // per-scenario heap traffic on this path) to `des_replay`.
-        ExecMode::Des => {
-            haxconn_telemetry::alloc::phase(haxconn_telemetry::alloc::PHASE_DES_REPLAY, || {
-                let v = runner.run_view(platform, workload, assignment, iterations);
-                let fps = if iterations == 1 {
-                    aggregate_fps(v.task_latency_ms)
-                } else {
-                    loop_fps(iterations, v.task_latency_ms.len(), v.makespan_ms)
-                };
-                ExecutionReport {
-                    task_latency_ms: v.task_latency_ms.to_vec(),
-                    makespan_ms: v.makespan_ms,
-                    fps,
-                    pu_busy_ms: v.pu_busy_ms.to_vec(),
-                    emc_mean_gbps: v.emc_mean_gbps,
-                    items_executed: v.items_executed,
-                    records: v.records.to_vec(),
-                }
-            })
-        }
-        ExecMode::Threaded => {
-            let frames = if iterations == 1 {
-                None
-            } else {
-                Some(iterations)
-            };
-            let raw = run_threaded(platform, workload, assignment, frames);
-            let fps = if iterations == 1 {
-                aggregate_fps(&raw.task_latency_ms)
-            } else {
-                loop_fps(iterations, raw.task_latency_ms.len(), raw.makespan_ms)
-            };
-            raw.into_report(fps)
-        }
-    }
+    // The replay itself is allocation-free on a warm runner; the phase
+    // counters attribute the report conversion (the only remaining
+    // per-scenario heap traffic on this path) to `des_replay`.
+    haxconn_telemetry::alloc::phase(haxconn_telemetry::alloc::PHASE_DES_REPLAY, || {
+        let v = runner.run(platform, workload, assignment, iterations);
+        ExecutionReport::from_view(&v, scenario_fps(iterations, &v))
+    })
 }
 
-/// Executes `assignment` on `platform` in the default [`ExecMode::Des`].
+/// Replays `iterations` frames on a fresh runner, prices the run with
+/// `fps`, and flushes its `replay.*` telemetry.
+fn execute_frames(
+    platform: &Platform,
+    workload: &Workload,
+    assignment: &[Vec<PuId>],
+    iterations: usize,
+    fps: impl FnOnce(&ReplayView<'_>) -> f64,
+) -> ExecutionReport {
+    let mut runner = DesRunner::default();
+    haxconn_telemetry::alloc::phase(haxconn_telemetry::alloc::PHASE_DES_REPLAY, || {
+        let v = runner.run(platform, workload, assignment, iterations);
+        flush_telemetry(platform, &v);
+        ExecutionReport::from_view(&v, fps(&v))
+    })
+}
+
+/// Executes `assignment` on `platform`: one frame per task.
 ///
 /// The run performs the same flush/reformat transition steps the paper
 /// implements with TensorRT `MarkOutput`/`addInput`, and enforces streaming
 /// dependencies between tasks (the role of the paper's custom TensorRT
-/// plugin).
+/// plugin). Bit-deterministic: the same schedule always yields a
+/// byte-identical report, bit-equal to `haxconn_core::measure`'s.
 pub fn execute(
     platform: &Platform,
     workload: &Workload,
     assignment: &[Vec<PuId>],
 ) -> ExecutionReport {
-    execute_with(platform, workload, assignment, ExecMode::default())
-}
-
-/// [`execute`] with an explicit execution mode.
-pub fn execute_with(
-    platform: &Platform,
-    workload: &Workload,
-    assignment: &[Vec<PuId>],
-    mode: ExecMode,
-) -> ExecutionReport {
-    let raw = match mode {
-        ExecMode::Des => {
-            haxconn_telemetry::alloc::phase(haxconn_telemetry::alloc::PHASE_DES_REPLAY, || {
-                des_exec::run_raw(platform, workload, assignment, 1)
-            })
-        }
-        ExecMode::Threaded => run_threaded(platform, workload, assignment, None),
-    };
-    let fps = aggregate_fps(&raw.task_latency_ms);
-    let report = raw.into_report(fps);
-    flush_execution_telemetry("runtime.runs.single", platform, &report);
-    report
+    execute_frames(platform, workload, assignment, 1, |v| {
+        aggregate_fps(v.task_latency_ms)
+    })
 }
 
 /// Executes `assignment` continuously for `iterations` frames per task —
 /// the autonomous-loop setting of the paper ("workloads running
-/// concurrently and *continuously*") — in the default [`ExecMode::Des`].
-/// Each task re-runs its DNN chain back-to-back; steady-state throughput
-/// emerges from the PU queues.
+/// concurrently and *continuously*"). Each task re-runs its DNN chain
+/// back-to-back, frame k of a consumer waiting for frame k of its
+/// producers; steady-state throughput emerges from the PU queues.
 pub fn execute_loop(
     platform: &Platform,
     workload: &Workload,
     assignment: &[Vec<PuId>],
     iterations: usize,
 ) -> ExecutionReport {
-    execute_loop_with(
-        platform,
-        workload,
-        assignment,
-        iterations,
-        ExecMode::default(),
-    )
-}
-
-/// [`execute_loop`] with an explicit execution mode.
-pub fn execute_loop_with(
-    platform: &Platform,
-    workload: &Workload,
-    assignment: &[Vec<PuId>],
-    iterations: usize,
-    mode: ExecMode,
-) -> ExecutionReport {
     assert!(iterations >= 1);
-    let raw = match mode {
-        ExecMode::Des => {
-            haxconn_telemetry::alloc::phase(haxconn_telemetry::alloc::PHASE_DES_REPLAY, || {
-                des_exec::run_raw(platform, workload, assignment, iterations)
-            })
-        }
-        ExecMode::Threaded => run_threaded(platform, workload, assignment, Some(iterations)),
-    };
-    let fps = loop_fps(iterations, raw.task_latency_ms.len(), raw.makespan_ms);
-    let report = raw.into_report(fps);
-    flush_execution_telemetry("runtime.runs.loop", platform, &report);
-    report
+    execute_frames(platform, workload, assignment, iterations, |v| {
+        loop_fps(iterations, v.task_latency_ms.len(), v.makespan_ms)
+    })
 }
 
 #[cfg(test)]
@@ -343,63 +173,38 @@ mod tests {
         (p, Workload::concurrent(tasks))
     }
 
-    /// Byte-level equality of two reports (bit patterns of every float).
-    fn bit_identical(a: &ExecutionReport, b: &ExecutionReport) -> bool {
-        let f = |x: f64, y: f64| x.to_bits() == y.to_bits();
-        f(a.makespan_ms, b.makespan_ms)
-            && f(a.fps, b.fps)
-            && f(a.emc_mean_gbps, b.emc_mean_gbps)
-            && a.items_executed == b.items_executed
-            && a.task_latency_ms.len() == b.task_latency_ms.len()
-            && a.task_latency_ms
-                .iter()
-                .zip(&b.task_latency_ms)
-                .all(|(x, y)| f(*x, *y))
-            && a.pu_busy_ms
-                .iter()
-                .zip(&b.pu_busy_ms)
-                .all(|(x, y)| f(*x, *y))
-            && a.records.len() == b.records.len()
-            && a.records.iter().zip(&b.records).all(|(x, y)| {
-                x.token == y.token
-                    && x.pu == y.pu
-                    && f(x.start_ms, y.start_ms)
-                    && f(x.end_ms, y.end_ms)
-            })
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `execute` and `measure` are two views of one replay: every shared
+    /// field is the same bits.
+    fn assert_views_agree(p: &Platform, w: &Workload, a: &[Vec<PuId>]) {
+        let run = execute(p, w, a);
+        let m = measure(p, w, a);
+        assert_eq!(run.makespan_ms.to_bits(), m.latency_ms.to_bits());
+        assert_eq!(run.fps.to_bits(), m.fps.to_bits());
+        assert_eq!(run.emc_mean_gbps.to_bits(), m.emc_mean_gbps.to_bits());
+        assert_eq!(bits(&run.task_latency_ms), bits(&m.task_latency_ms));
+        assert_eq!(bits(&run.pu_busy_ms), bits(&m.pu_busy_ms));
+        assert_eq!(run.items_executed, m.raw.records.len());
     }
 
     #[test]
-    fn single_task_matches_simulator_exactly() {
+    fn single_task_matches_measurement_exactly() {
         let (p, w) = setup(&[Model::ResNet50]);
         let a = Baseline::assignment(BaselineKind::GpuOnly, &p, &w);
-        let sim = measure(&p, &w, &a);
-        for mode in [ExecMode::Des, ExecMode::Threaded] {
-            let run = execute_with(&p, &w, &a, mode);
-            assert!(
-                (run.makespan_ms - sim.latency_ms).abs() < 1e-6,
-                "{mode:?} {} vs simulated {}",
-                run.makespan_ms,
-                sim.latency_ms
-            );
-        }
+        assert_views_agree(&p, &w, &a);
     }
 
     #[test]
-    fn split_schedule_agrees_with_simulator() {
+    fn split_schedule_matches_measurement_exactly() {
         let (p, w) = setup(&[Model::GoogleNet, Model::ResNet101]);
-        let a = Baseline::assignment(BaselineKind::NaiveSplit, &p, &w);
-        let sim = measure(&p, &w, &a);
-        let run = execute(&p, &w, &a);
         // The naive split pins LRN stem groups of both DNNs to the GPU, so
-        // equal-virtual-time ties at t=0 can resolve in either order; allow
-        // the resulting spread.
-        let rel = (run.makespan_ms - sim.latency_ms).abs() / sim.latency_ms;
-        assert!(
-            rel < 0.20,
-            "executed {} vs simulated {} (rel {rel})",
-            run.makespan_ms,
-            sim.latency_ms
-        );
+        // equal-time ties at t=0 must resolve identically in both views.
+        let a = Baseline::assignment(BaselineKind::NaiveSplit, &p, &w);
+        assert_views_agree(&p, &w, &a);
+        let run = execute(&p, &w, &a);
         assert_eq!(run.pu_busy_ms.len(), p.pus.len());
         assert!(run.pu_busy_ms[p.dsa()] > 0.0);
     }
@@ -413,47 +218,7 @@ mod tests {
         let groups: usize = w.tasks.iter().map(|t| t.num_groups()).sum();
         // Transition items executed in addition to layer groups.
         assert!(run.items_executed >= groups);
-        let sim = measure(&p, &w, &s.assignment);
-        let rel = (run.makespan_ms - sim.latency_ms).abs() / sim.latency_ms;
-        assert!(
-            rel < 0.10,
-            "executed {} vs simulated {} (rel {rel})",
-            run.makespan_ms,
-            sim.latency_ms
-        );
-    }
-
-    #[test]
-    fn des_and_threaded_agree_within_tolerance() {
-        let (p, w) = setup(&[Model::GoogleNet, Model::ResNet101]);
-        let cm = ContentionModel::calibrate(&p);
-        let s = HaxConn::schedule(&p, &w, &cm, SchedulerConfig::default());
-        let des = execute_with(&p, &w, &s.assignment, ExecMode::Des);
-        let thr = execute_with(&p, &w, &s.assignment, ExecMode::Threaded);
-        let rel = (des.makespan_ms - thr.makespan_ms).abs() / thr.makespan_ms;
-        assert!(
-            rel < 0.10,
-            "DES {} vs threaded {} (rel {rel})",
-            des.makespan_ms,
-            thr.makespan_ms
-        );
-        assert_eq!(des.items_executed, thr.items_executed);
-    }
-
-    #[test]
-    fn des_loop_and_threaded_loop_agree_within_tolerance() {
-        let (p, w) = setup(&[Model::GoogleNet, Model::ResNet18]);
-        let a = Baseline::assignment(BaselineKind::NaiveSplit, &p, &w);
-        let des = execute_loop_with(&p, &w, &a, 4, ExecMode::Des);
-        let thr = execute_loop_with(&p, &w, &a, 4, ExecMode::Threaded);
-        let rel = (des.makespan_ms - thr.makespan_ms).abs() / thr.makespan_ms;
-        assert!(
-            rel < 0.20,
-            "DES {} vs threaded {} (rel {rel})",
-            des.makespan_ms,
-            thr.makespan_ms
-        );
-        assert_eq!(des.items_executed, thr.items_executed);
+        assert_views_agree(&p, &w, &s.assignment);
     }
 
     #[test]
@@ -465,41 +230,37 @@ mod tests {
         ];
         let w = Workload::pipeline(tasks);
         let a = Baseline::assignment(BaselineKind::GpuOnly, &p, &w);
-        for mode in [ExecMode::Des, ExecMode::Threaded] {
-            let run = execute_with(&p, &w, &a, mode);
-            let t0 = w.tasks[0].profile.standalone_ms(p.gpu()).unwrap();
-            assert!(run.task_latency_ms[1] >= run.task_latency_ms[0] - 1e-9);
-            assert!(run.task_latency_ms[0] >= t0 - 1e-6);
-        }
+        let run = execute(&p, &w, &a);
+        let t0 = w.tasks[0].profile.standalone_ms(p.gpu()).unwrap();
+        assert!(run.task_latency_ms[1] >= run.task_latency_ms[0]);
+        assert!(run.task_latency_ms[0] >= t0 - 1e-6);
+        // The consumer's first item starts exactly when the producer ends.
+        let first = run.records.iter().find(|r| r.task == 1).unwrap();
+        assert_eq!(first.item, 0);
+        assert_eq!(first.start_ms, run.task_latency_ms[0]);
     }
 
     #[test]
-    fn repeated_runs_consistent_makespan() {
-        // The DES executor is bit-deterministic: repeated runs of the same
-        // schedule are exactly equal, not just within a tolerance.
+    fn repeated_runs_are_bit_identical() {
         let (p, w) = setup(&[Model::GoogleNet, Model::ResNet101]);
         let cm = ContentionModel::calibrate(&p);
         let s = HaxConn::schedule(&p, &w, &cm, SchedulerConfig::default());
         let first = execute(&p, &w, &s.assignment);
         for _ in 0..3 {
             let again = execute(&p, &w, &s.assignment);
-            assert!(bit_identical(&first, &again));
+            assert_eq!(first.makespan_ms.to_bits(), again.makespan_ms.to_bits());
+            assert_eq!(bits(&first.task_latency_ms), bits(&again.task_latency_ms));
+            assert_eq!(bits(&first.pu_busy_ms), bits(&again.pu_busy_ms));
+            assert_eq!(first.records.len(), again.records.len());
+            for (x, y) in first.records.iter().zip(&again.records) {
+                assert_eq!(
+                    (x.token, x.task, x.item, x.pu),
+                    (y.token, y.task, y.item, y.pu)
+                );
+                assert_eq!(x.start_ms.to_bits(), y.start_ms.to_bits());
+                assert_eq!(x.end_ms.to_bits(), y.end_ms.to_bits());
+            }
         }
-    }
-
-    #[test]
-    fn threaded_repeated_runs_consistent_makespan() {
-        // OS scheduling may reorder equal-time ties, but the makespan of a
-        // HaX-CoNN schedule (no deliberate same-PU queuing) is stable.
-        let (p, w) = setup(&[Model::GoogleNet, Model::ResNet101]);
-        let cm = ContentionModel::calibrate(&p);
-        let s = HaxConn::schedule(&p, &w, &cm, SchedulerConfig::default());
-        let runs: Vec<f64> = (0..4)
-            .map(|_| execute_with(&p, &w, &s.assignment, ExecMode::Threaded).makespan_ms)
-            .collect();
-        let min = runs.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = runs.iter().cloned().fold(0.0f64, f64::max);
-        assert!((max - min) / min < 0.05, "{runs:?}");
     }
 
     #[test]
@@ -514,20 +275,18 @@ mod tests {
         ];
         let w = Workload::pipeline(tasks);
         let a = Baseline::assignment(BaselineKind::NaiveSplit, &p, &w);
-        for mode in [ExecMode::Des, ExecMode::Threaded] {
-            let one = execute_loop_with(&p, &w, &a, 1, mode);
-            let many = execute_loop_with(&p, &w, &a, 6, mode);
-            assert!(
-                many.makespan_ms < 6.0 * one.makespan_ms * 0.95,
-                "{mode:?}: no cross-frame overlap: {} vs 6x{}",
-                many.makespan_ms,
-                one.makespan_ms
-            );
-            assert!(many.makespan_ms >= one.makespan_ms);
-            assert_eq!(many.items_executed, 6 * one.items_executed);
-            // Steady-state throughput beats the single-shot throughput.
-            assert!(many.fps > one.fps, "{mode:?}: {} vs {}", many.fps, one.fps);
-        }
+        let one = execute_loop(&p, &w, &a, 1);
+        let many = execute_loop(&p, &w, &a, 6);
+        assert!(
+            many.makespan_ms < 6.0 * one.makespan_ms * 0.95,
+            "no cross-frame overlap: {} vs 6x{}",
+            many.makespan_ms,
+            one.makespan_ms
+        );
+        assert!(many.makespan_ms >= one.makespan_ms);
+        assert_eq!(many.items_executed, 6 * one.items_executed);
+        // Steady-state throughput beats the single-shot throughput.
+        assert!(many.fps > one.fps, "{} vs {}", many.fps, one.fps);
     }
 
     #[test]
@@ -536,25 +295,31 @@ mod tests {
         let a = Baseline::assignment(BaselineKind::NaiveSplit, &p, &w);
         let once = execute_loop(&p, &w, &a, 1);
         let plain = execute(&p, &w, &a);
-        let rel = (once.makespan_ms - plain.makespan_ms).abs() / plain.makespan_ms;
-        assert!(rel < 0.15, "{} vs {}", once.makespan_ms, plain.makespan_ms);
+        assert_eq!(once.makespan_ms.to_bits(), plain.makespan_ms.to_bits());
+        assert_eq!(bits(&once.task_latency_ms), bits(&plain.task_latency_ms));
+        // Only the FPS convention differs: frames per virtual second.
+        assert_eq!(
+            once.fps.to_bits(),
+            loop_fps(1, 2, plain.makespan_ms).to_bits()
+        );
     }
 
     #[test]
     fn records_cover_every_item() {
         let (p, w) = setup(&[Model::GoogleNet, Model::ResNet18]);
         let a = Baseline::assignment(BaselineKind::NaiveSplit, &p, &w);
-        for mode in [ExecMode::Des, ExecMode::Threaded] {
-            let run = execute_with(&p, &w, &a, mode);
-            assert_eq!(run.records.len(), run.items_executed);
-            // Records are in completion order with sane intervals.
-            let mut prev = 0.0;
-            for r in &run.records {
-                assert!(r.end_ms >= r.start_ms);
-                assert!(r.end_ms >= prev - 1e-9, "{mode:?}");
-                prev = r.end_ms;
-                assert!(r.pu < p.pus.len());
-            }
+        let run = execute(&p, &w, &a);
+        assert_eq!(run.records.len(), run.items_executed);
+        // Records are in completion order with sane intervals, and each
+        // (task, item) of the single frame appears exactly once.
+        let mut prev = 0.0;
+        let mut seen = std::collections::HashSet::new();
+        for r in &run.records {
+            assert!(r.end_ms >= r.start_ms);
+            assert!(r.end_ms >= prev);
+            prev = r.end_ms;
+            assert!(r.pu < p.pus.len());
+            assert!(seen.insert((r.task, r.item)));
         }
     }
 
@@ -573,9 +338,8 @@ mod tests {
     fn fps_guard_skips_degenerate_latencies() {
         assert_eq!(aggregate_fps(&[]), 0.0);
         let fps = aggregate_fps(&[0.0, 10.0, f64::INFINITY, f64::NAN]);
-        assert!((fps - 100.0).abs() < 1e-9);
-        assert!(fps.is_finite());
+        assert_eq!(fps, 100.0);
         assert_eq!(loop_fps(5, 2, 0.0), 0.0);
-        assert!((loop_fps(5, 2, 100.0) - 100.0).abs() < 1e-9);
+        assert_eq!(loop_fps(5, 2, 100.0), 100.0);
     }
 }

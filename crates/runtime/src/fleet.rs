@@ -3,18 +3,15 @@
 //!
 //! The paper's evaluation — and D-HaX-CoNN in particular — needs cheap
 //! measurement of many candidate schedules under concurrent execution.
-//! Spawning one OS thread per DNN per candidate (the threaded path) is far
-//! too slow for that; here each pool worker owns a single [`DesRunner`]
-//! whose event-queue allocation is recycled across every scenario it pulls
-//! from the shared cursor. Scenario results are bit-deterministic and
-//! independent of the worker count, so fleet evaluation parallelism never
-//! changes reported numbers.
+//! Each pool worker owns a single [`DesRunner`] (a pooled contention
+//! replay plus its input staging) whose allocations are recycled across
+//! every scenario it pulls from the shared cursor. Scenario results are
+//! bit-deterministic and independent of the worker count, so fleet
+//! evaluation parallelism never changes reported numbers.
 
-use crate::arbiter::ItemRecord;
-use crate::des_exec::{DesRunner, RunView};
-use crate::executor::{aggregate_fps, loop_fps, run_scenario, ExecMode, ExecutionReport};
+use crate::executor::{run_scenario, scenario_fps, DesRunner, ExecutionReport};
 use haxconn_core::problem::Workload;
-use haxconn_soc::{Platform, PuId};
+use haxconn_soc::{ItemRecord, Platform, PuId, ReplayView};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -77,18 +74,14 @@ pub struct FleetScenario<'a> {
 /// Options for [`evaluate_fleet`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FleetOptions {
-    /// How each scenario is executed. [`ExecMode::Des`] (the default) is
-    /// the fast deterministic path; [`ExecMode::Threaded`] exists for
-    /// differential benchmarking.
-    pub mode: ExecMode,
     /// Worker-pool size (`None` = all available CPUs).
     pub threads: Option<usize>,
 }
 
 /// Result of one [`evaluate_fleet`] batch.
 pub struct FleetReport {
-    /// One report per scenario, in input order. In DES mode these are
-    /// bit-identical across repeated batches and worker counts.
+    /// One report per scenario, in input order, bit-identical across
+    /// repeated batches and worker counts.
     pub reports: Vec<ExecutionReport>,
     /// Wall-clock time of the whole batch, ms.
     pub wall_ms: f64,
@@ -176,11 +169,11 @@ impl FleetArena {
         self.record_ranges.clear();
     }
 
-    fn push_view(&mut self, v: &RunView<'_>, fps: f64) {
+    fn push_view(&mut self, v: &ReplayView<'_>, fps: f64) {
         self.makespan_ms.push(v.makespan_ms);
         self.fps.push(fps);
         self.emc_mean_gbps.push(v.emc_mean_gbps);
-        self.items_executed.push(v.items_executed);
+        self.items_executed.push(v.records.len());
         let t0 = self.task_latency.len() as u32;
         self.task_latency.extend_from_slice(v.task_latency_ms);
         self.task_ranges.push((t0, self.task_latency.len() as u32));
@@ -231,8 +224,8 @@ impl FleetArena {
 /// **zero** heap allocations — the property the `runtime_scaling` bench
 /// gates with `allocs_per_scenario_steady == 0` under `alloc-truth`.
 ///
-/// Results are bit-identical to [`evaluate_fleet`]'s DES path (same replay
-/// code, same FPS convention); use that for parallel throughput, this for
+/// Results are bit-identical to [`evaluate_fleet`]'s (same replay code,
+/// same FPS convention); use that for parallel throughput, this for
 /// allocation-proof inner loops.
 #[derive(Default)]
 pub struct FleetEvaluator {
@@ -258,13 +251,8 @@ impl FleetEvaluator {
             assert!(sc.iterations >= 1);
             let v = self
                 .runner
-                .run_view(platform, sc.workload, &sc.assignment, sc.iterations);
-            let fps = if sc.iterations == 1 {
-                aggregate_fps(v.task_latency_ms)
-            } else {
-                loop_fps(sc.iterations, v.task_latency_ms.len(), v.makespan_ms)
-            };
-            arena.push_view(&v, fps);
+                .run(platform, sc.workload, &sc.assignment, sc.iterations);
+            arena.push_view(&v, scenario_fps(sc.iterations, &v));
         }
         if haxconn_telemetry::enabled() {
             use haxconn_telemetry as t;
@@ -292,6 +280,27 @@ pub fn evaluate_fleet(
     })
 }
 
+/// Runs one scenario on a worker's runner and records its per-scenario
+/// telemetry (wall time, makespan, a scenario counter).
+fn run_recorded(
+    runner: &mut DesRunner,
+    platform: &Platform,
+    sc: &FleetScenario,
+) -> ExecutionReport {
+    let t0 = Instant::now();
+    let report = run_scenario(runner, platform, sc.workload, &sc.assignment, sc.iterations);
+    if haxconn_telemetry::enabled() {
+        use haxconn_telemetry as t;
+        t::counter_add("runtime.fleet.scenarios", 1);
+        t::histogram_record(
+            "runtime.fleet.scenario_wall_ms",
+            t0.elapsed().as_secs_f64() * 1e3,
+        );
+        t::histogram_record("runtime.fleet.makespan_ms", report.makespan_ms);
+    }
+    report
+}
+
 fn evaluate_fleet_inner(
     platform: &Platform,
     scenarios: &[FleetScenario],
@@ -303,85 +312,39 @@ fn evaluate_fleet_inner(
         .unwrap_or_else(available_threads)
         .max(1)
         .min(scenarios.len().max(1));
-    if workers == 1 {
+    let reports: Vec<ExecutionReport> = if workers == 1 {
         // Single-worker fast path: run inline on the calling thread. No
         // scoped spawn, no per-slot mutexes, no index cursor — on
         // single-CPU hosts (where `available_threads() == 1` makes this
         // the *default* path) that overhead is pure loss. Results are
         // bit-identical to the pooled path: same runner recycling, same
         // scenario order.
-        let mut runner = DesRunner::new();
-        let mut reports: Vec<ExecutionReport> = Vec::with_capacity(scenarios.len());
-        for sc in scenarios {
-            let t0 = Instant::now();
-            let report = run_scenario(
-                &mut runner,
-                platform,
-                sc.workload,
-                &sc.assignment,
-                sc.iterations,
-                opts.mode,
-            );
-            if haxconn_telemetry::enabled() {
-                use haxconn_telemetry as t;
-                t::counter_add("runtime.fleet.scenarios", 1);
-                t::histogram_record(
-                    "runtime.fleet.scenario_wall_ms",
-                    t0.elapsed().as_secs_f64() * 1e3,
-                );
-                t::histogram_record("runtime.fleet.makespan_ms", report.makespan_ms);
+        let mut runner = DesRunner::default();
+        scenarios
+            .iter()
+            .map(|sc| run_recorded(&mut runner, platform, sc))
+            .collect()
+    } else {
+        let cursor = AtomicUsize::new(0);
+        let slots: Vec<Mutex<Option<ExecutionReport>>> =
+            scenarios.iter().map(|_| Mutex::new(None)).collect();
+        let worker_ids: Vec<usize> = (0..workers).collect();
+        par_map_with(&worker_ids, workers, |_| {
+            let mut runner = DesRunner::default();
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= scenarios.len() {
+                    break;
+                }
+                let report = run_recorded(&mut runner, platform, &scenarios[i]);
+                *slots[i].lock().expect("slot lock") = Some(report);
             }
-            reports.push(report);
-        }
-        let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-        if haxconn_telemetry::enabled() {
-            use haxconn_telemetry as t;
-            t::counter_add("runtime.fleet.batches", 1);
-            t::histogram_record("runtime.fleet.batch_wall_ms", wall_ms);
-        }
-        return FleetReport {
-            reports,
-            wall_ms,
-            workers,
-        };
-    }
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<ExecutionReport>>> =
-        scenarios.iter().map(|_| Mutex::new(None)).collect();
-    let worker_ids: Vec<usize> = (0..workers).collect();
-    par_map_with(&worker_ids, workers, |_| {
-        let mut runner = DesRunner::new();
-        loop {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= scenarios.len() {
-                break;
-            }
-            let sc = &scenarios[i];
-            let t0 = Instant::now();
-            let report = run_scenario(
-                &mut runner,
-                platform,
-                sc.workload,
-                &sc.assignment,
-                sc.iterations,
-                opts.mode,
-            );
-            if haxconn_telemetry::enabled() {
-                use haxconn_telemetry as t;
-                t::counter_add("runtime.fleet.scenarios", 1);
-                t::histogram_record(
-                    "runtime.fleet.scenario_wall_ms",
-                    t0.elapsed().as_secs_f64() * 1e3,
-                );
-                t::histogram_record("runtime.fleet.makespan_ms", report.makespan_ms);
-            }
-            *slots[i].lock().expect("slot lock") = Some(report);
-        }
-    });
-    let reports: Vec<ExecutionReport> = slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("slot lock").expect("slot filled"))
-        .collect();
+        });
+        slots
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("slot lock").expect("slot filled"))
+            .collect()
+    };
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
     if haxconn_telemetry::enabled() {
         use haxconn_telemetry as t;
@@ -528,48 +491,11 @@ mod tests {
                 iterations: 1 + i % 3,
             })
             .collect();
-        let one = evaluate_fleet(
-            &p,
-            &scenarios,
-            FleetOptions {
-                threads: Some(1),
-                ..Default::default()
-            },
-        );
-        let four = evaluate_fleet(
-            &p,
-            &scenarios,
-            FleetOptions {
-                threads: Some(4),
-                ..Default::default()
-            },
-        );
+        let one = evaluate_fleet(&p, &scenarios, FleetOptions { threads: Some(1) });
+        let four = evaluate_fleet(&p, &scenarios, FleetOptions { threads: Some(4) });
         for (r1, r4) in one.reports.iter().zip(&four.reports) {
             assert_eq!(r1.makespan_ms.to_bits(), r4.makespan_ms.to_bits());
             assert_eq!(r1.items_executed, r4.items_executed);
         }
-    }
-
-    #[test]
-    fn threaded_mode_runs_every_scenario() {
-        let (p, w) = setup();
-        let a = Baseline::assignment(BaselineKind::GpuOnly, &p, &w);
-        let scenarios: Vec<FleetScenario> = (0..3)
-            .map(|_| FleetScenario {
-                workload: &w,
-                assignment: a.clone(),
-                iterations: 1,
-            })
-            .collect();
-        let fleet = evaluate_fleet(
-            &p,
-            &scenarios,
-            FleetOptions {
-                mode: ExecMode::Threaded,
-                threads: Some(2),
-            },
-        );
-        assert_eq!(fleet.reports.len(), 3);
-        assert!(fleet.reports.iter().all(|r| r.makespan_ms > 0.0));
     }
 }

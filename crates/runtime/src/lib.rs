@@ -1,47 +1,35 @@
 #![warn(missing_docs)]
 
-//! Concurrent schedule executor.
+//! Schedule execution and fleet evaluation.
 //!
 //! The paper executes schedules with one TensorRT context per DNN and a
 //! custom plugin that synchronizes concurrently running DNNs through
 //! inter-process shared-memory primitives. This crate reproduces that
-//! concurrency structure in two interchangeable ways, selected by
-//! [`executor::ExecMode`]:
+//! concurrency structure — per-PU FIFO occupancy, EMC bandwidth grants
+//! stretching the active set, transition flush/reformat steps, frame-k
+//! streaming dependencies — through the SoC's single-threaded contention
+//! replay ([`haxconn_soc::replay`]), the same engine behind
+//! `haxconn_core::measure`. Every report is **bit-deterministic**: the
+//! same schedule always produces a byte-identical [`ExecutionReport`].
 //!
-//! * **DES replay** (the default): [`des_exec`] replays the same per-item
-//!   semantics — per-PU FIFO occupancy, EMC bandwidth grants stretching the
-//!   active set, transition flush/reformat steps, frame-k streaming
-//!   dependencies — as discrete events on the `haxconn-des` engine.
-//!   Single-threaded, allocation-light, and **bit-deterministic**: the
-//!   same schedule always produces a byte-identical report.
-//! * **Threaded**: one worker **thread per DNN task** coordinated by the
-//!   [`arbiter::Arbiter`] — a `parking_lot` mutex + condvar providing
-//!   per-accelerator mutual exclusion (FIFO), streaming dependencies, and
-//!   virtual time advanced at quiescence. Exercises real synchronization;
-//!   equal-time ties resolve in OS scheduling order.
-//!
-//! Both paths share the fluid contention arithmetic (`arbiter::fluid_step`)
-//! and produce an [`executor::ExecutionReport`] whose timings agree with
-//! the sequential simulator (`haxconn_core::measure`) up to equal-time
-//! tie-breaking.
-//!
-//! On top of the DES path, [`fleet::evaluate_fleet`] fans batches of
-//! (workload, assignment, iterations) scenarios across a [`par_map`] worker
-//! pool with one reusable DES runner per worker — the fast measurement
-//! backend for fleet-scale schedule evaluation.
+//! * [`execute`] / [`execute_loop`] run one schedule, single-shot or as a
+//!   continuous frame loop.
+//! * [`fleet::evaluate_fleet`] fans batches of (workload, assignment,
+//!   iterations) scenarios across a [`par_map`] worker pool with one
+//!   reusable replay per worker — the fast measurement backend for
+//!   fleet-scale schedule evaluation — and [`FleetEvaluator`] is its
+//!   allocation-free single-threaded form.
+//! * [`stream`] checks whether a schedule keeps up with a fixed-rate
+//!   camera stream.
 
-pub mod arbiter;
-pub mod des_exec;
 pub mod executor;
 pub mod fleet;
 pub mod stream;
 
-pub use arbiter::Arbiter;
-pub use executor::{
-    execute, execute_loop, execute_loop_with, execute_with, ExecMode, ExecutionReport,
-};
+pub use executor::{execute, execute_loop, ExecutionReport};
 pub use fleet::{
     evaluate_fleet, par_map, par_map_with, FleetArena, FleetEvaluator, FleetOptions, FleetReport,
     FleetScenario, FleetView,
 };
+pub use haxconn_soc::ItemRecord;
 pub use stream::{simulate_stream, try_simulate_stream, StreamConfig, StreamReport};

@@ -18,23 +18,23 @@
 //!   truth* contention behaviour that the PCCS-style model in
 //!   `haxconn-contention` approximates (deliberately imperfectly, so that
 //!   model error exists just as on real hardware).
-//! * **Concurrent execution** ([`concurrent`]) — an event-driven simulation
+//! * **Concurrent execution** ([`replay`]) — the contention replay: chains
 //!   of work items racing on different PUs under EMC arbitration, with
-//!   per-PU FIFO serialization and cross-job dependencies. Used both as the
-//!   measurement substrate for profiling and as the "hardware" that
-//!   schedules ultimately execute on.
+//!   per-PU FIFO serialization and frame-level dependencies between
+//!   chains, as discrete events on the `haxconn-des` engine. It is the one
+//!   ground truth behind every measured number: `measure()`, the runtime's
+//!   `execute`, and fleet evaluation are views over it.
 //!
 //! Platform models calibrated against Table 4 of the paper live in
 //! [`platform`].
 
-pub mod concurrent;
 pub mod cost;
 pub mod emc;
 pub mod platform;
 pub mod power;
 pub mod pu;
+pub mod replay;
 
-pub use concurrent::{simulate, Dep, ItemTiming, Job, RunResult, WorkItem};
 pub use cost::LayerCost;
 pub use emc::{EmcSpec, GrantScratch};
 pub use platform::{
@@ -42,3 +42,6 @@ pub use platform::{
 };
 pub use power::{EnergyReport, PowerModel, PowerSpec};
 pub use pu::{PuId, PuKind, PuSpec};
+pub use replay::{
+    flush_telemetry, replay, DesWork, ItemRecord, ReplayRun, ReplayView, Replayer, WorkItem,
+};

@@ -47,10 +47,11 @@ fn main() -> Result<(), HaxError> {
         );
     }
 
-    // 4. Execute the schedule with the concurrent (thread-per-DNN) runtime.
+    // 4. Execute the schedule on the runtime (the same contention replay
+    //    as `measure`, reported per executed item).
     let run = session.execute()?;
     println!(
-        "\nthreaded execution: {:.2} ms makespan, EMC mean {:.1} GB/s, {} items",
+        "\nexecution: {:.2} ms makespan, EMC mean {:.1} GB/s, {} items",
         run.makespan_ms, run.emc_mean_gbps, run.items_executed
     );
     Ok(())

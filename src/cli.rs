@@ -110,7 +110,7 @@ pub enum Command {
         file: String,
     },
     /// `haxconn fleet --platform P --models A,B[,C] [--count N]
-    /// [--iterations K] [--seed S] [--threads T] [--threaded]`
+    /// [--iterations K] [--seed S] [--threads T]`
     Fleet {
         /// Target platform.
         platform: PlatformId,
@@ -125,8 +125,6 @@ pub enum Command {
         seed: u64,
         /// Worker-pool size (`None` = all CPUs).
         threads: Option<usize>,
-        /// Use the thread-per-DNN executor instead of the DES replay.
-        threaded: bool,
     },
     /// `haxconn solve --seed S [--tasks N] [--groups G] [--portfolio]
     /// [--lns-workers K] [--budget NODES] [--symmetry]` — crack a
@@ -491,7 +489,6 @@ pub fn parse(args: &[String]) -> Result<Command, HaxError> {
                 ),
                 None => None,
             };
-            let threaded = a.take_switch("--threaded");
             if count == 0 {
                 return Err(cli_err("--count must be at least 1"));
             }
@@ -505,7 +502,6 @@ pub fn parse(args: &[String]) -> Result<Command, HaxError> {
                 iterations,
                 seed,
                 threads,
-                threaded,
             }
         }
         "solve" => {
@@ -719,7 +715,7 @@ USAGE:
   haxconn stream    --platform <P> --models <A,B> --fps <F> [--buffers N]
   haxconn telemetry --file <FILE.json>
   haxconn fleet     --platform <P> --models <A,B[,C]> [--count N] [--iterations K]
-                    [--seed S] [--threads T] [--threaded]
+                    [--seed S] [--threads T]
   haxconn solve     [--seed S] [--tasks N] [--groups G] [--portfolio]
                     [--lns-workers K] [--budget NODES] [--symmetry]
   haxconn check     --platform <P> --models <A,B[,C]> [--objective O] [--pipeline]
@@ -1275,7 +1271,6 @@ per-frame service {:.2} ms vs period {:.2} ms",
             iterations,
             seed,
             threads,
-            threaded,
         } => {
             let p = platform.platform();
             let contention = ContentionModel::calibrate(&p);
@@ -1333,22 +1328,14 @@ per-frame service {:.2} ms vs period {:.2} ms",
                     iterations,
                 })
                 .collect();
-            let opts = haxconn_runtime::FleetOptions {
-                mode: if threaded {
-                    haxconn_runtime::ExecMode::Threaded
-                } else {
-                    haxconn_runtime::ExecMode::Des
-                },
-                threads,
-            };
+            let opts = haxconn_runtime::FleetOptions { threads };
             let fleet = haxconn_runtime::evaluate_fleet(&p, &scenarios, opts);
             writeln!(
                 out,
-                "fleet: {} scenarios x {} iteration(s) on {} ({} mode, {} workers)",
+                "fleet: {} scenarios x {} iteration(s) on {} ({} workers)",
                 fleet.reports.len(),
                 iterations,
                 p.name,
-                if threaded { "threaded" } else { "des" },
                 fleet.workers
             )?;
             writeln!(
@@ -2185,12 +2172,9 @@ mod tests {
                 iterations: 1,
                 seed: 7,
                 threads: None,
-                threaded: false,
             }
         );
-        let c = parsed(
-            "fleet --platform xavier --models VGG19,AlexNet --iterations 3 --threads 2 --threaded",
-        );
+        let c = parsed("fleet --platform xavier --models VGG19,AlexNet --iterations 3 --threads 2");
         assert_eq!(
             c,
             Command::Fleet {
@@ -2200,8 +2184,12 @@ mod tests {
                 iterations: 3,
                 seed: 42,
                 threads: Some(2),
-                threaded: true,
             }
+        );
+        // Unknown switches are rejected, not silently ignored.
+        assert!(
+            parse_err("fleet --platform orin --models GoogleNet,ResNet18 --threaded")
+                .contains("--threaded")
         );
         assert!(
             parse_err("fleet --platform orin --models GoogleNet,ResNet18 --count 0")
@@ -2222,7 +2210,6 @@ mod tests {
             iterations: 1,
             seed: 42,
             threads: Some(2),
-            threaded: false,
         })
         .expect("fleet runs");
         assert!(out.contains("fleet: 10 scenarios"), "{out}");

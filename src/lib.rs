@@ -83,8 +83,8 @@ pub mod prelude {
     pub use haxconn_dnn::{Model, Network, TensorShape};
     pub use haxconn_profiler::NetworkProfile;
     pub use haxconn_runtime::{
-        evaluate_fleet, execute, execute_loop, execute_loop_with, execute_with, ExecMode,
-        ExecutionReport, FleetOptions, FleetReport, FleetScenario,
+        evaluate_fleet, execute, execute_loop, ExecutionReport, FleetOptions, FleetReport,
+        FleetScenario,
     };
     pub use haxconn_soc::{
         orin_agx, snapdragon_865, xavier_agx, Platform, PlatformId, PuId, PuKind,

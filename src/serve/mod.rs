@@ -13,10 +13,9 @@
 //!   connections cost one fd each, never a parked thread; idle
 //!   connections past [`ServeOptions::idle_timeout`] are evicted.
 //! * [`ServeMode::Blocking`] — the classic accept-thread +
-//!   worker-per-connection shape, kept for differential testing
-//!   (mirroring `ExecMode::{Des,Threaded}`): a bounded accept queue
-//!   answers `503` when full, and each worker owns one connection's
-//!   keep-alive stream until close or idle timeout.
+//!   worker-per-connection shape, kept for differential testing: a
+//!   bounded accept queue answers `503` when full, and each worker owns
+//!   one connection's keep-alive stream until close or idle timeout.
 //!
 //! Both modes route through the same [`Engine`] (sharded schedule
 //! cache, request coalescing, admission control, degraded fallback)

@@ -366,7 +366,7 @@ impl ScheduledSession {
         haxconn_core::validate::check_assignment(&self.platform, &self.workload, assignment)
     }
 
-    /// Measures the schedule on the ground-truth SoC simulator.
+    /// Measures the schedule on the SoC's contention replay.
     pub fn measure(&self) -> Result<Measurement, HaxError> {
         self.check_assignment()?;
         Ok(measure(
@@ -376,8 +376,8 @@ impl ScheduledSession {
         ))
     }
 
-    /// Executes the schedule with the concurrent runtime (deterministic
-    /// DES replay by default — see [`haxconn_runtime::ExecMode`]).
+    /// Executes the schedule on the runtime: the same contention replay
+    /// as [`Self::measure`], reported as an [`ExecutionReport`].
     pub fn execute(&self) -> Result<ExecutionReport, HaxError> {
         self.check_assignment()?;
         Ok(execute(
@@ -388,7 +388,7 @@ impl ScheduledSession {
     }
 
     /// Executes many candidate assignments of this session's workload in
-    /// one batch on the deterministic DES fleet evaluator and returns one
+    /// one batch on the deterministic fleet evaluator and returns one
     /// [`ExecutionReport`] per candidate, in input order.
     ///
     /// Every candidate is validated up front (shape and PU support), so a

@@ -1,5 +1,5 @@
 //! Integration tests spanning the whole stack: profile → schedule →
-//! simulate → execute concurrently.
+//! measure → execute concurrently.
 
 use haxconn::prelude::*;
 
@@ -20,7 +20,7 @@ fn workload(platform: &Platform, models: &[Model], groups: usize) -> Workload {
 
 /// The headline property: on every platform, for a representative set of
 /// DNN pairs, the validated HaX-CoNN schedule is never worse than any
-/// baseline, measured on the ground-truth simulator.
+/// baseline, measured on the ground-truth contention replay.
 #[test]
 fn never_worse_than_baselines_across_platforms() {
     let pairs = [
@@ -71,27 +71,27 @@ fn favorable_pairs_show_real_gains() {
     assert!(!s.transitions(&w).is_empty());
 }
 
-/// The threaded runtime (real threads + virtual-time arbiter) agrees with
-/// the sequential ground-truth simulator on the full pipeline.
+/// The runtime's execution and the measurement are two views of one
+/// contention replay: on the full pipeline they agree bit-for-bit.
 #[test]
-fn threaded_execution_agrees_with_simulator() {
+fn execution_agrees_with_measurement_bit_for_bit() {
     let platform = orin_agx();
     let contention = ContentionModel::calibrate(&platform);
     let w = workload(&platform, &[Model::GoogleNet, Model::ResNet101], 8);
     let s = HaxConn::schedule_validated(&platform, &w, &contention, SchedulerConfig::default());
-    let sim = measure(&platform, &w, &s.assignment);
+    let m = measure(&platform, &w, &s.assignment);
     let run = execute(&platform, &w, &s.assignment);
-    let rel = (run.makespan_ms - sim.latency_ms).abs() / sim.latency_ms;
-    assert!(
-        rel < 0.10,
-        "threaded {:.3} vs simulated {:.3}",
-        run.makespan_ms,
-        sim.latency_ms
-    );
+    assert_eq!(run.makespan_ms.to_bits(), m.latency_ms.to_bits());
+    assert_eq!(run.fps.to_bits(), m.fps.to_bits());
+    assert_eq!(run.emc_mean_gbps.to_bits(), m.emc_mean_gbps.to_bits());
+    for (a, b) in run.task_latency_ms.iter().zip(&m.task_latency_ms) {
+        assert_eq!(a.to_bits(), b.to_bits());
+    }
+    assert_eq!(run.records.len(), m.raw.records.len());
 }
 
 /// Prediction quality: the contention-interval timeline tracks the
-/// simulator within a reasonable error band for collaborative schedules.
+/// measurement within a reasonable error band for collaborative schedules.
 #[test]
 fn prediction_tracks_measurement() {
     let platform = orin_agx();
@@ -143,8 +143,11 @@ fn pipeline_unroll_with_ties() {
     assert_eq!(s.assignment[1], s.assignment[3]);
     // Dependencies hold in the measurement.
     let m = measure(&platform, &w, &s.assignment);
-    assert!(m.raw.items[1][0].start_ms >= m.raw.items[0].last().unwrap().end_ms - 1e-9);
-    assert!(m.raw.items[3][0].start_ms >= m.raw.items[2].last().unwrap().end_ms - 1e-9);
+    let chains = m.raw.by_task();
+    let first = |t: usize| chains.iter().find(|r| r.task == t).unwrap().start_ms;
+    let last = |t: usize| chains.iter().rfind(|r| r.task == t).unwrap().end_ms;
+    assert!(first(1) >= last(0));
+    assert!(first(3) >= last(2));
 }
 
 /// The dynamic scheduler converges to (at least) the static optimum and its

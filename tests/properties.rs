@@ -7,7 +7,7 @@
 //! failures trivially reproducible.
 
 use haxconn::prelude::*;
-use haxconn::soc::{simulate, Job, LayerCost, WorkItem};
+use haxconn::soc::{replay, DesWork, LayerCost, WorkItem};
 
 /// Deterministic xorshift64* generator for property sampling.
 struct Rng(u64);
@@ -64,32 +64,23 @@ fn make_item(platform: &Platform, rng: &mut Rng) -> WorkItem {
     WorkItem { pu, cost }
 }
 
-/// Simulator sanity for arbitrary job sets: makespan bounds, work
-/// conservation, non-negative slowdowns, EMC within capacity.
+/// Contention-replay sanity for arbitrary chain sets: makespan bounds, work
+/// conservation, slowdowns of at least 1, EMC within capacity.
 #[test]
 fn simulator_invariants() {
     let platform = orin_agx();
     for case in 0..48u64 {
         let mut rng = Rng::new(case);
-        let jobs: Vec<Job> = (0..rng.usize(1, 4))
-            .map(|i| Job {
-                name: format!("j{i}"),
-                items: (0..rng.usize(1, 5))
-                    .map(|_| make_item(&platform, &mut rng))
-                    .collect(),
-            })
-            .collect();
-        let total_standalone: f64 = jobs
-            .iter()
-            .flat_map(|j| j.items.iter())
-            .map(|i| i.cost.time_ms)
-            .sum();
-        let longest_chain: f64 = jobs
-            .iter()
-            .map(|j| j.items.iter().map(|i| i.cost.time_ms).sum::<f64>())
-            .fold(0.0, f64::max);
+        let mut work = DesWork::new();
+        for _ in 0..rng.usize(1, 4) {
+            let len = rng.usize(1, 5);
+            work.push_chain((0..len).map(|_| make_item(&platform, &mut rng)));
+        }
+        let chain_ms = |t: usize| work.items_of(t).iter().map(|i| i.cost.time_ms).sum::<f64>();
+        let total_standalone: f64 = (0..work.num_tasks()).map(chain_ms).sum();
+        let longest_chain: f64 = (0..work.num_tasks()).map(chain_ms).fold(0.0, f64::max);
 
-        let r = simulate(&platform, &jobs, &[]);
+        let r = replay(&platform, &work, 1);
 
         // Makespan at least the longest chain, at most everything
         // serialized with the worst-case contention stretch.
@@ -98,16 +89,13 @@ fn simulator_invariants() {
             r.makespan_ms <= total_standalone * 10.0 + 1e-9,
             "case {case}"
         );
-        // Slowdowns never below 1 (within float noise).
-        for job in &r.items {
-            for t in job {
-                assert!(
-                    t.slowdown >= 1.0 - 1e-6,
-                    "case {case}: slowdown {}",
-                    t.slowdown
-                );
-                assert!(t.end_ms >= t.start_ms, "case {case}");
-            }
+        // Every item ran once; slowdowns never below 1 (within float
+        // noise).
+        assert_eq!(r.records.len(), work.total_items(), "case {case}");
+        for rec in &r.records {
+            let slowdown = rec.slowdown(&work.item(rec).cost);
+            assert!(slowdown >= 1.0 - 1e-6, "case {case}: slowdown {slowdown}");
+            assert!(rec.end_ms >= rec.start_ms, "case {case}");
         }
         // EMC peak bounded by achievable capacity.
         assert!(

@@ -54,7 +54,13 @@ fn telemetry_end_to_end() {
     assert!(counter("scheduler.schedules") >= 1, "{:?}", snap.counters);
     assert!(counter("solver.solves") >= 1);
     assert!(counter("solver.nodes") > 0);
-    assert!(counter("sim.runs") >= 1);
+    assert!(counter("replay.runs") >= 1);
+    assert!(counter("replay.items") > 0);
+    assert!(
+        !snap.counters.keys().any(|k| k.starts_with("sim.")),
+        "one telemetry family per measured run: {:?}",
+        snap.counters
+    );
     assert!(snap.series.contains_key("soc.emc_bandwidth_gbps"));
     assert!(snap.histograms.contains_key("solver.solve_ms"));
     assert!(!snap.spans.is_empty(), "scheduler/solver spans expected");
@@ -133,7 +139,7 @@ fn telemetry_end_to_end() {
     assert_eq!(doc, doc2);
     assert!(text.contains("\"schema\": 1"));
     assert!(text.contains("solver.solves"));
-    assert!(text.contains("sim.makespan_ms"));
+    assert!(text.contains("replay.makespan_ms"));
 
     // --- 4. The `telemetry` summary subcommand renders the snapshot. ---
     let summary = cli::run(Command::Telemetry { file: path_s }).expect("summary runs");
