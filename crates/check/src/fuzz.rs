@@ -40,6 +40,7 @@ use haxconn_solver::{
 };
 use rustc_hash::FxHashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Deterministic xorshift64* generator — the same offline idiom the
 /// property tests use (no external `rand`).
@@ -167,7 +168,7 @@ const MODELS: &[Model] = &[
 /// fuzzer memoizes them — profiling dominates scenario cost otherwise.
 struct ScenarioFactory {
     platforms: Vec<(Platform, ContentionModel)>,
-    profiles: FxHashMap<(usize, Model, usize), NetworkProfile>,
+    profiles: FxHashMap<(usize, Model, usize), Arc<NetworkProfile>>,
 }
 
 impl ScenarioFactory {
@@ -185,12 +186,13 @@ impl ScenarioFactory {
         }
     }
 
-    fn profile(&mut self, platform_idx: usize, model: Model, groups: usize) -> NetworkProfile {
+    fn profile(&mut self, platform_idx: usize, model: Model, groups: usize) -> Arc<NetworkProfile> {
         let platform = &self.platforms[platform_idx].0;
-        self.profiles
-            .entry((platform_idx, model, groups))
-            .or_insert_with(|| NetworkProfile::profile(platform, model, groups))
-            .clone()
+        Arc::clone(
+            self.profiles
+                .entry((platform_idx, model, groups))
+                .or_insert_with(|| Arc::new(NetworkProfile::profile(platform, model, groups))),
+        )
     }
 }
 
@@ -570,7 +572,7 @@ pub fn run_large(seed: u64, instances: usize, node_budget: u64) -> FuzzReport {
 pub fn run_arrival(seed: u64, traces: usize, events_per_trace: usize) -> FuzzReport {
     let platform = orin_agx();
     let cm = ContentionModel::calibrate(&platform);
-    let mut profiles: FxHashMap<(Model, usize), NetworkProfile> = FxHashMap::default();
+    let mut profiles: FxHashMap<(Model, usize), Arc<NetworkProfile>> = FxHashMap::default();
     let mut report = FuzzReport::default();
 
     for i in 0..traces {
@@ -654,10 +656,9 @@ pub fn run_arrival(seed: u64, traces: usize, events_per_trace: usize) -> FuzzRep
                     known = false;
                     break;
                 };
-                let profile = profiles
-                    .entry((model, groups))
-                    .or_insert_with(|| NetworkProfile::profile(&platform, model, groups))
-                    .clone();
+                let profile = Arc::clone(profiles.entry((model, groups)).or_insert_with(|| {
+                    Arc::new(NetworkProfile::profile(&platform, model, groups))
+                }));
                 tasks.push(DnnTask::new(name.clone(), profile));
             }
             if !known {

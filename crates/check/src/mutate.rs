@@ -4,10 +4,12 @@
 //! and returns a copy corrupted in exactly one invariant class. The
 //! mutation test suite feeds these to the validator and asserts the
 //! matching class is reported — proving every check actually fires, not
-//! just that valid inputs pass. The originals are never modified.
+//! just that valid inputs pass. The originals are never modified:
+//! profiles are shared, so a mutation copies one through `Arc::make_mut`.
 
 use haxconn_core::{Schedule, Workload};
 use haxconn_soc::Platform;
+use std::sync::Arc;
 
 /// Breaks **precedence**: makes a task's second group start before its
 /// first group ends (and end before it starts, for good measure).
@@ -61,7 +63,7 @@ pub fn overlap_pu(schedule: &Schedule) -> Schedule {
 /// (group 0 ends one layer early without group 1 starting earlier).
 pub fn break_contiguity(workload: &Workload) -> Workload {
     let mut w = workload.clone();
-    let groups = &mut w.tasks[0].profile.grouped.groups;
+    let groups = &mut Arc::make_mut(&mut w.tasks[0].profile).grouped.groups;
     assert!(
         groups[0].end > groups[0].start,
         "first group needs >= 2 layers to shrink"

@@ -47,6 +47,7 @@ use haxconn_solver::{
 };
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Priority / SLA class of a tenant.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -453,7 +454,7 @@ struct Sim<'a> {
     contention: &'a ContentionModel,
     options: ReplayOptions,
     trace: &'a ArrivalTrace,
-    profiles: FxHashMap<(Model, usize), NetworkProfile>,
+    profiles: FxHashMap<(Model, usize), Arc<NetworkProfile>>,
     cache: ScheduleCache,
     active: Vec<Tenant>,
     departed: Vec<Departed>,
@@ -464,12 +465,13 @@ struct Sim<'a> {
 }
 
 impl<'a> Sim<'a> {
-    fn profile(&mut self, model: Model, groups: usize) -> NetworkProfile {
+    fn profile(&mut self, model: Model, groups: usize) -> Arc<NetworkProfile> {
         let platform = self.platform;
-        self.profiles
-            .entry((model, groups))
-            .or_insert_with(|| NetworkProfile::profile(platform, model, groups))
-            .clone()
+        Arc::clone(
+            self.profiles
+                .entry((model, groups))
+                .or_insert_with(|| Arc::new(NetworkProfile::profile(platform, model, groups))),
+        )
     }
 
     /// Accrues per-tenant accounting for `[last_switch, now)` under the

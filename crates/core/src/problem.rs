@@ -3,22 +3,25 @@
 use crate::error::HaxError;
 use haxconn_profiler::NetworkProfile;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One DNN inference task to schedule (an *instance* — the same network may
 /// appear several times, as in the paper's Scenario 1).
 #[derive(Debug, Clone)]
 pub struct DnnTask {
-    /// Offline profile of the network on the target platform.
-    pub profile: NetworkProfile,
+    /// Offline profile of the network on the target platform, shared
+    /// with every other task of the same network. Mutate through
+    /// `Arc::make_mut`, which copies a shared profile first.
+    pub profile: Arc<NetworkProfile>,
     /// Instance label, e.g. `"GoogleNet#0"`.
     pub name: String,
 }
 
 impl DnnTask {
     /// Creates a task from a profile.
-    pub fn new(name: impl Into<String>, profile: NetworkProfile) -> Self {
+    pub fn new(name: impl Into<String>, profile: impl Into<Arc<NetworkProfile>>) -> Self {
         DnnTask {
-            profile,
+            profile: profile.into(),
             name: name.into(),
         }
     }

@@ -14,6 +14,7 @@ use crate::problem::{DnnTask, Objective, SchedulerConfig, Workload};
 use haxconn_dnn::Model;
 use haxconn_profiler::NetworkProfile;
 use haxconn_soc::{orin_agx_dual_dla, Platform};
+use std::sync::Arc;
 
 /// One of the paper's evaluation scenarios, with the models involved.
 #[derive(Debug, Clone)]
@@ -78,7 +79,7 @@ impl Scenario {
     /// Builds the workload on `platform`, profiling each distinct model
     /// once with `groups` layer groups.
     pub fn workload(&self, platform: &Platform, groups: usize) -> Workload {
-        let profile = |m: Model| NetworkProfile::profile(platform, m, groups);
+        let profile = |m: Model| Arc::new(NetworkProfile::profile(platform, m, groups));
         match self {
             Scenario::SameDnnInstances { model, instances } => {
                 assert!(*instances >= 2, "scenario 1 needs at least two instances");
@@ -199,14 +200,15 @@ pub fn generate_instance_on(
         Model::DenseNet121,
     ];
     let mut state = (seed ^ 0x9E37_79B9_7F4A_7C15) | 1;
-    let mut profiles: Vec<Option<NetworkProfile>> = vec![None; POOL.len()];
+    let mut profiles: Vec<Option<Arc<NetworkProfile>>> = vec![None; POOL.len()];
     let mut counts = [0usize; POOL.len()];
     let mut tasks = Vec::with_capacity(num_tasks);
     for _ in 0..num_tasks {
         let m = (gen_next(&mut state) % POOL.len() as u64) as usize;
-        let profile = profiles[m]
-            .get_or_insert_with(|| NetworkProfile::profile(&platform, POOL[m], groups))
-            .clone();
+        let profile =
+            Arc::clone(profiles[m].get_or_insert_with(|| {
+                Arc::new(NetworkProfile::profile(&platform, POOL[m], groups))
+            }));
         tasks.push(DnnTask::new(
             format!("{}#{}", POOL[m].name(), counts[m]),
             profile,

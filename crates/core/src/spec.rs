@@ -190,16 +190,17 @@ impl WorkloadSpec {
 
     /// Resolves the spec into a platform model and a profiled workload.
     /// Canonicalizes first, so any accepted spelling resolves to the
-    /// same problem.
+    /// same problem. Profiles come from the process-wide memo
+    /// ([`NetworkProfile::of`]), so each is built once per process.
     pub fn resolve(&self) -> Result<(Platform, Workload), HaxError> {
         let c = self.canonicalize()?;
-        let platform = parse_platform(&c.platform)?.platform();
+        let id = parse_platform(&c.platform)?;
         let mut tasks = Vec::with_capacity(c.tasks.len());
         for t in &c.tasks {
             let model = parse_model(&t.model)?;
             tasks.push(DnnTask::new(
                 model.name(),
-                NetworkProfile::profile(&platform, model, t.groups),
+                NetworkProfile::of(id, model, t.groups),
             ));
         }
         let mut workload = Workload::concurrent(tasks);
@@ -211,7 +212,7 @@ impl WorkloadSpec {
                 workload = workload.try_with_tie(t, *r)?;
             }
         }
-        Ok((platform, workload))
+        Ok((id.platform(), workload))
     }
 }
 
@@ -321,5 +322,24 @@ mod tests {
             .tie(1, 0);
         let (_, w) = tied.resolve().unwrap();
         assert_eq!(w.ties[1], Some(0));
+    }
+
+    #[test]
+    fn mutating_a_resolved_workload_leaves_the_memo_pristine() {
+        use std::sync::Arc;
+        let (_, mut w) = spec().resolve().unwrap();
+        let shared = Arc::clone(&w.tasks[0].profile);
+        let pristine = serde_json::to_string(&*shared).unwrap();
+        let p = Arc::make_mut(&mut w.tasks[0].profile);
+        p.groups[0].tr_out_ms[0] += 1.0;
+        p.grouped.groups[0].end -= 1;
+        assert!(!Arc::ptr_eq(&w.tasks[0].profile, &shared), "copy on write");
+
+        let (_, again) = spec().resolve().unwrap();
+        assert!(Arc::ptr_eq(&again.tasks[0].profile, &shared));
+        assert_eq!(
+            serde_json::to_string(&*again.tasks[0].profile).unwrap(),
+            pristine
+        );
     }
 }

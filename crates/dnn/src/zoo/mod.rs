@@ -16,6 +16,7 @@ mod vgg;
 
 use crate::graph::Network;
 use serde::{Deserialize, Serialize};
+use std::sync::{Arc, OnceLock};
 
 /// Every network in the evaluation set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -53,7 +54,7 @@ pub enum Model {
 
 impl Model {
     /// All models, in the order used by the paper's tables.
-    pub fn all() -> &'static [Model] {
+    pub const fn all() -> &'static [Model] {
         use Model::*;
         &[
             AlexNet,
@@ -118,9 +119,13 @@ impl Model {
             .find(|m| m.name().eq_ignore_ascii_case(name))
     }
 
-    /// Builds the network graph for this model.
-    pub fn network(&self) -> Network {
-        build(*self)
+    /// The network graph for this model. Each graph is built once per
+    /// process and shared: profiles of every group count hold this same
+    /// graph instead of a copy.
+    pub fn network(&self) -> Arc<Network> {
+        static NETWORKS: [OnceLock<Arc<Network>>; Model::all().len()] =
+            [const { OnceLock::new() }; Model::all().len()];
+        Arc::clone(NETWORKS[*self as usize].get_or_init(|| Arc::new(build(*self))))
     }
 }
 

@@ -17,6 +17,7 @@
 
 use haxconn_dnn::{Model, Network};
 use serde::{Deserialize, Serialize};
+use std::sync::{Arc, OnceLock};
 
 /// A contiguous run of layers `[start, end]` (inclusive) forming one atomic
 /// assignment unit.
@@ -48,8 +49,9 @@ impl LayerGroup {
 pub struct GroupedNetwork {
     /// The model this grouping belongs to.
     pub model: Model,
-    /// The underlying graph.
-    pub network: Network,
+    /// The underlying graph, shared with every other grouping of the
+    /// same model (see [`Model::network`]).
+    pub network: Arc<Network>,
     /// Consecutive, exhaustive groups.
     pub groups: Vec<LayerGroup>,
 }
@@ -120,6 +122,15 @@ pub fn valid_cuts(network: &Network) -> Vec<usize> {
         cuts.push(i);
     }
     cuts
+}
+
+/// The most groups [`partition`] can give `model`: one per valid cut,
+/// plus one. Any larger `max_groups` partitions identically. Computed
+/// once per model per process.
+pub fn max_groups(model: Model) -> usize {
+    static MAX: [OnceLock<usize>; Model::all().len()] =
+        [const { OnceLock::new() }; Model::all().len()];
+    *MAX[model as usize].get_or_init(|| valid_cuts(&model.network()).len() + 1)
 }
 
 /// Partitions the network into at most `max_groups` groups at valid cuts,

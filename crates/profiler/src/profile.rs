@@ -1,10 +1,12 @@
 //! Per-group performance, transition, and memory-throughput profiles.
 
 use crate::blackbox::BlackBoxEstimator;
-use crate::grouping::GroupedNetwork;
+use crate::grouping::{max_groups, GroupedNetwork};
 use haxconn_dnn::Model;
-use haxconn_soc::{LayerCost, Platform, PuId, PuKind};
+use haxconn_soc::{LayerCost, Platform, PlatformId, PuId, PuKind};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Characterization of one layer group on one platform.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -120,6 +122,32 @@ impl NetworkProfile {
             groups,
             platform_name: platform.name.clone(),
         }
+    }
+
+    /// The profile of `model` on the built-in platform `id` with at most
+    /// `groups` groups, profiled at most once per process.
+    ///
+    /// The memo is keyed on the *effective* group count,
+    /// `groups.min(max_groups(model))`: [`partition`] gives identical
+    /// groups above it, so the key space is finite whatever `groups` a
+    /// caller sends, and no eviction is needed. Each miss counts on
+    /// `profiler.profiles`.
+    ///
+    /// [`partition`]: crate::grouping::partition
+    pub fn of(id: PlatformId, model: Model, groups: usize) -> Arc<NetworkProfile> {
+        type Memo = Mutex<HashMap<(PlatformId, Model, usize), Arc<NetworkProfile>>>;
+        static MEMO: OnceLock<Memo> = OnceLock::new();
+        let memo = MEMO.get_or_init(Memo::default);
+        let key = (id, model, groups.min(max_groups(model)));
+        let lock = || memo.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(profile) = lock().get(&key) {
+            return Arc::clone(profile);
+        }
+        // Profile outside the lock; racing builders produce identical
+        // profiles and the first insert wins.
+        haxconn_telemetry::counter_add("profiler.profiles", 1);
+        let profile = Arc::new(NetworkProfile::profile(&id.platform(), model, key.2));
+        Arc::clone(lock().entry(key).or_insert(profile))
     }
 
     /// Number of groups.
@@ -287,6 +315,31 @@ mod tests {
                 let dsa_util = g.emc_util_pct[p.dsa()];
                 assert!(dsa_util > 0.0 && dsa_util <= 100.0);
             }
+        }
+    }
+
+    /// The only test in this binary that touches the memo, so its key is
+    /// untouched when the threads race for it.
+    #[test]
+    fn racing_first_touches_share_one_profile() {
+        let (id, model, groups) = (PlatformId::XavierAgx, Model::InceptionV4, 7);
+        let start = std::sync::Barrier::new(8);
+        let profiles: Vec<Arc<NetworkProfile>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        NetworkProfile::of(id, model, groups)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let fresh = NetworkProfile::profile(&id.platform(), model, groups);
+        let fresh_json = serde_json::to_string(&fresh).unwrap();
+        for p in &profiles {
+            assert!(Arc::ptr_eq(p, &profiles[0]), "the first insert must win");
+            assert_eq!(serde_json::to_string(&**p).unwrap(), fresh_json);
         }
     }
 

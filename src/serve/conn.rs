@@ -258,31 +258,34 @@ mod tests {
         // must stop early with bytes retained.
         let big = "x".repeat(512 * 1024);
         conn.enqueue_response(200, &big, true);
+        let expected = conn.write_buf.len();
         let done = conn.flush().expect("flush");
         assert!(!done, "flush must hit EWOULDBLOCK against a 4k buffer");
         assert!(conn.has_pending_write());
         assert_ne!(conn.wanted_interest() & super::super::sys::EPOLLOUT, 0);
 
-        // Drain client-side while re-flushing until everything lands.
+        // Drain client-side while re-flushing until every queued byte
+        // has arrived, or the deadline passes.
         let mut received = Vec::new();
         client.set_nonblocking(true).expect("nonblocking");
         let mut chunk = [0u8; 65536];
-        for _ in 0..10_000 {
-            match client.read(&mut chunk) {
-                Ok(n) => received.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-                Err(e) => panic!("client read: {e}"),
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while received.len() < expected {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "only {} of {expected} bytes arrived",
+                received.len()
+            );
+            if conn.has_pending_write() {
+                conn.flush().expect("flush");
             }
-            if conn.flush().expect("flush") && !conn.has_pending_write() {
-                // One final drain for bytes still in the kernel.
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                while let Ok(n) = client.read(&mut chunk) {
-                    if n == 0 {
-                        break;
-                    }
-                    received.extend_from_slice(&chunk[..n]);
+            match client.read(&mut chunk) {
+                Ok(0) => panic!("server closed a keep-alive connection"),
+                Ok(n) => received.extend_from_slice(&chunk[..n]),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    std::thread::sleep(std::time::Duration::from_millis(1))
                 }
-                break;
+                Err(e) => panic!("client read: {e}"),
             }
         }
         let text = String::from_utf8(received).expect("utf8");
