@@ -198,8 +198,7 @@ pub struct BatchResponse {
 pub struct ServerStatsWire {
     /// Connections accepted.
     pub connections: u64,
-    /// Connections currently open (reactor: registered in epoll;
-    /// blocking: actively held by a worker).
+    /// Connections currently open (registered with the reactor).
     pub open_connections: u64,
     /// HTTP requests parsed.
     pub requests: u64,
@@ -209,9 +208,8 @@ pub struct ServerStatsWire {
     pub http_4xx: u64,
     /// 5xx responses sent (503s included).
     pub http_5xx: u64,
-    /// Connections answered 503 straight from the accept loop because
-    /// the worker queue was full / the connection cap was reached
-    /// (backpressure).
+    /// Connections answered 503 straight from the accept edge because
+    /// the connection cap was reached (backpressure).
     pub accept_queue_rejections: u64,
     /// Keep-alive connections evicted after the idle timeout.
     pub idle_closed: u64,

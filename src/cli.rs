@@ -173,23 +173,16 @@ pub enum Command {
         /// Chain the models as a streaming pipeline.
         pipeline: bool,
     },
-    /// `haxconn serve [--addr A] [--mode reactor|blocking] [--workers N]
-    /// [--queue-depth Q] [--max-conns C] [--idle-timeout-ms MS]
-    /// [--cache-capacity C] [--max-solves S] [--max-pending P]
-    /// [--no-degrade] [--no-telemetry]` — the scheduling-as-a-service
-    /// daemon (see the `serve` module).
+    /// `haxconn serve [--addr A] [--workers N] [--max-conns C]
+    /// [--idle-timeout-ms MS] [--cache-capacity C] [--max-solves S]
+    /// [--max-pending P] [--no-degrade] [--no-telemetry]` — the
+    /// scheduling-as-a-service daemon (see the `serve` module).
     Serve {
         /// Bind address (`host:port`; port 0 picks an ephemeral port).
         addr: String,
-        /// Connection multiplexing: epoll reactor (default) or the
-        /// blocking thread-per-connection fallback.
-        mode: crate::serve::ServeMode,
-        /// Worker threads (`None` = one per core, capped at 8).
+        /// Solve-pool threads (`None` = one per core, capped at 8).
         workers: Option<usize>,
-        /// Blocking mode: accepted connections allowed to queue for a
-        /// worker.
-        queue_depth: usize,
-        /// Reactor mode: open-connection cap before accept-edge 503s.
+        /// Open-connection cap before accept-edge 503s.
         max_conns: usize,
         /// Idle keep-alive connections are evicted after this long.
         idle_timeout_ms: u64,
@@ -625,16 +618,6 @@ pub fn parse(args: &[String]) -> Result<Command, HaxError> {
                 ),
                 None => None,
             };
-            let mode = match a.take_value("--mode")? {
-                Some(v) => crate::serve::ServeMode::parse(v).map_err(cli_err)?,
-                None => crate::serve::ServeMode::Reactor,
-            };
-            let queue_depth = match a.take_value("--queue-depth")? {
-                Some(v) => v
-                    .parse()
-                    .map_err(|_| cli_err(format!("bad --queue-depth '{v}'")))?,
-                None => 128,
-            };
             let max_conns = match a.take_value("--max-conns")? {
                 Some(v) => v
                     .parse()
@@ -676,9 +659,7 @@ pub fn parse(args: &[String]) -> Result<Command, HaxError> {
             }
             Command::Serve {
                 addr,
-                mode,
                 workers,
-                queue_depth,
                 max_conns,
                 idle_timeout_ms,
                 cache_capacity,
@@ -720,10 +701,9 @@ USAGE:
                     [--lns-workers K] [--budget NODES] [--symmetry]
   haxconn check     --platform <P> --models <A,B[,C]> [--objective O] [--pipeline]
   haxconn check     --fuzz <N> [--seed S] [--fuzz-large M] [--fuzz-arrival T]
-  haxconn serve     [--addr HOST:PORT] [--mode reactor|blocking] [--workers N]
-                    [--queue-depth Q] [--max-conns C] [--idle-timeout-ms MS]
-                    [--cache-capacity C] [--max-solves S] [--max-pending P]
-                    [--no-degrade] [--no-telemetry]
+  haxconn serve     [--addr HOST:PORT] [--workers N] [--max-conns C]
+                    [--idle-timeout-ms MS] [--cache-capacity C] [--max-solves S]
+                    [--max-pending P] [--no-degrade] [--no-telemetry]
 ";
 
 /// Switches the process-global memory recorder on (installing it on first
@@ -1455,9 +1435,7 @@ per-frame service {:.2} ms vs period {:.2} ms",
         }
         Command::Serve {
             addr,
-            mode,
             workers,
-            queue_depth,
             max_conns,
             idle_timeout_ms,
             cache_capacity,
@@ -1468,8 +1446,6 @@ per-frame service {:.2} ms vs period {:.2} ms",
         } => {
             let mut options = crate::serve::ServeOptions {
                 addr,
-                mode,
-                queue_depth,
                 max_conns,
                 idle_timeout: std::time::Duration::from_millis(idle_timeout_ms.max(1)),
                 enable_telemetry: !no_telemetry,
@@ -1488,14 +1464,7 @@ per-frame service {:.2} ms vs period {:.2} ms",
             let handle = crate::serve::serve(options)?;
             // Foreground daemon: announce the bound address on stdout
             // (tests and scripts parse it), then serve until killed.
-            println!(
-                "haxconn serve: listening on http://{} ({} mode)",
-                handle.addr(),
-                match handle.mode() {
-                    crate::serve::ServeMode::Reactor => "reactor",
-                    crate::serve::ServeMode::Blocking => "blocking",
-                }
-            );
+            println!("haxconn serve: listening on http://{}", handle.addr());
             println!(
                 "endpoints: POST /v1/schedule  POST /v1/batch  GET /v1/telemetry  GET /v1/health"
             );
@@ -2224,9 +2193,7 @@ mod tests {
             c,
             Command::Serve {
                 addr: "127.0.0.1:8787".into(),
-                mode: crate::serve::ServeMode::Reactor,
                 workers: None,
-                queue_depth: 128,
                 max_conns: 1024,
                 idle_timeout_ms: 60_000,
                 cache_capacity: 1024,
@@ -2237,7 +2204,7 @@ mod tests {
             }
         );
         let c = parsed(
-            "serve --addr 0.0.0.0:9000 --mode blocking --workers 4 --queue-depth 16 \
+            "serve --addr 0.0.0.0:9000 --workers 4 \
              --max-conns 256 --idle-timeout-ms 5000 --cache-capacity 64 \
              --max-solves 2 --max-pending 8 --no-degrade --no-telemetry",
         );
@@ -2245,9 +2212,7 @@ mod tests {
             c,
             Command::Serve {
                 addr: "0.0.0.0:9000".into(),
-                mode: crate::serve::ServeMode::Blocking,
                 workers: Some(4),
-                queue_depth: 16,
                 max_conns: 256,
                 idle_timeout_ms: 5000,
                 cache_capacity: 64,
@@ -2259,7 +2224,9 @@ mod tests {
         );
         assert!(parse_err("serve --workers 0").contains("--workers"));
         assert!(parse_err("serve --max-solves many").contains("bad --max-solves"));
-        assert!(parse_err("serve --mode epoll").contains("unknown serve mode"));
+        // Unknown flags are rejected, not ignored.
+        assert!(parse_err("serve --mode reactor").contains("unexpected arguments"));
+        assert!(parse_err("serve --queue-depth 8").contains("unexpected arguments"));
         assert!(parse_err("serve --max-conns 0").contains("--max-conns"));
     }
 

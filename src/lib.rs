@@ -55,7 +55,7 @@ pub use haxconn_soc as soc;
 pub use haxconn_solver as solver;
 pub use haxconn_telemetry as telemetry;
 
-pub use serve::{serve, ServeMode, ServeOptions, ServerHandle};
+pub use serve::{serve, ServeOptions, ServerHandle};
 pub use session::{ModelSpec, PlatformSpec, ScheduledSession, Session};
 
 /// The most common imports, in one place.

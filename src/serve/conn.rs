@@ -4,9 +4,9 @@
 //!
 //! * `read_buf` accumulates whatever the kernel has; the incremental
 //!   parser ([`http::parse_request`]) lifts complete requests out of
-//!   it under the same framing rules as the blocking path. A slowloris
-//!   client dribbling one byte at a time just grows this buffer — it
-//!   never blocks the reactor or any other connection.
+//!   it, under the [`http::MAX_HEAD_BYTES`] head cap. A slowloris client
+//!   dribbling one byte at a time just grows this buffer — it never
+//!   blocks the reactor or any other connection.
 //! * `write_buf` holds the not-yet-accepted tail of queued responses.
 //!   A partial write records its position and resumes when `EPOLLOUT`
 //!   fires — a client that never reads its responses stalls only its

@@ -4,27 +4,24 @@
 //! speaks exactly the subset of HTTP/1.1 a JSON API needs:
 //! request-line plus headers plus `Content-Length` bodies, persistent
 //! connections by default (`Connection: close` honored), UTF-8 JSON
-//! payloads, and a hard body-size cap as the first line of defense
-//! against misbehaving clients. No chunked transfer, no TLS, no
-//! pipelining guarantees beyond strict request/response alternation.
+//! payloads, a [`MAX_HEAD_BYTES`] head cap and a hard body-size cap as
+//! the first line of defense against misbehaving clients. No chunked
+//! transfer, no TLS, no pipelining guarantees beyond strict
+//! request/response alternation.
 //!
-//! Two entry points share the same framing rules (the request-line and
-//! header grammar live in one pair of helpers):
-//!
-//! * [`read_request`] — pull parsing off a blocking [`BufRead`] stream
-//!   (the `ServeMode::Blocking` worker loop);
-//! * [`parse_request`] — incremental parsing out of a byte buffer that
-//!   grows as nonblocking reads land (the reactor's per-connection
-//!   state machine). It returns `Ok(None)` until a complete request is
-//!   buffered, so a slowloris client dribbling one byte at a time
-//!   never blocks anyone — its bytes just accumulate.
+//! [`parse_request`] parses incrementally out of a byte buffer that
+//! grows as the reactor's nonblocking reads land. It returns `Ok(None)`
+//! until a complete request is buffered, so a slowloris client
+//! dribbling one byte at a time never blocks anyone — its bytes just
+//! accumulate.
 
-use std::io::{BufRead, Write};
+use std::io::Write;
 
-/// Byte cap on a request head (request line + headers) for the
-/// incremental parser: a client that streams garbage without ever
-/// finishing its headers is cut off as malformed instead of growing
-/// the connection buffer without bound.
+/// Byte cap on a request head (request line + headers, counted from
+/// the start of the buffer): a head past it is malformed whether it is
+/// still streaming in or arrived complete in one read, so a client
+/// can neither grow the connection buffer without bound nor smuggle an
+/// oversized head through in a single write.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 
 /// A parsed request.
@@ -41,22 +38,13 @@ pub struct Request {
     pub keep_alive: bool,
 }
 
-/// Why a request could not be read.
+/// Why a request could not be parsed.
 #[derive(Debug)]
 pub enum HttpReadError {
     /// Protocol violation — respond 400 and close.
     Malformed(String),
     /// Declared body exceeds the cap — respond 413 and close.
     TooLarge(usize),
-    /// Transport-level failure or timeout — close (or retry on idle
-    /// timeouts; see the server loop).
-    Io(std::io::Error),
-}
-
-impl From<std::io::Error> for HttpReadError {
-    fn from(e: std::io::Error) -> Self {
-        HttpReadError::Io(e)
-    }
 }
 
 /// Parses `METHOD TARGET HTTP/1.x` into `(method, target, keep_alive
@@ -118,55 +106,6 @@ fn apply_header(
     Ok(())
 }
 
-/// Reads one request off a blocking stream. `Ok(None)` is a clean
-/// close: EOF before the first byte of a request line.
-pub fn read_request(
-    reader: &mut impl BufRead,
-    max_body_bytes: usize,
-) -> Result<Option<Request>, HttpReadError> {
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Ok(None);
-    }
-    if line.trim_end().is_empty() {
-        // A stray CRLF between pipelined requests is tolerated — once.
-        // A second empty line is a protocol violation.
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Ok(None);
-        }
-        if line.trim_end().is_empty() {
-            return Err(HttpReadError::Malformed("empty request line".into()));
-        }
-    }
-    let (method, target, mut keep_alive) = parse_request_line(line.trim_end())?;
-    let mut content_length = 0usize;
-    loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
-            return Err(HttpReadError::Malformed("EOF inside headers".into()));
-        }
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        apply_header(header, &mut keep_alive, &mut content_length)?;
-    }
-    if content_length > max_body_bytes {
-        return Err(HttpReadError::TooLarge(content_length));
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
-    let body = String::from_utf8(body)
-        .map_err(|_| HttpReadError::Malformed("body is not UTF-8".into()))?;
-    Ok(Some(Request {
-        method,
-        path: target,
-        body,
-        keep_alive,
-    }))
-}
-
 /// Incrementally parses one request out of `buf` (a nonblocking
 /// connection's accumulation buffer). Returns:
 ///
@@ -175,8 +114,10 @@ pub fn read_request(
 /// * `Ok(Some((request, consumed)))` — a complete request, with the
 ///   number of buffer bytes it consumed (drain them before the next
 ///   call);
-/// * `Err(..)` — same taxonomy as [`read_request`], including the
-///   one-stray-CRLF tolerance and the [`MAX_HEAD_BYTES`] head cap.
+/// * `Err(..)` — a framing violation: a bad request line or header, a
+///   second stray empty line before the request line (one is
+///   tolerated), a head over [`MAX_HEAD_BYTES`], or a declared body
+///   over `max_body_bytes`.
 ///
 /// Note the 413 check fires as soon as the head completes — the
 /// oversized body never needs to be buffered.
@@ -184,10 +125,11 @@ pub fn parse_request(
     buf: &[u8],
     max_body_bytes: usize,
 ) -> Result<Option<(Request, usize)>, HttpReadError> {
-    // Line-at-a-time scan. `pos` tracks consumed bytes.
-    let mut pos = 0usize;
+    // A head that fits the cap ends within its first MAX_HEAD_BYTES
+    // bytes, so the line scan never looks further.
+    let scan = &buf[..buf.len().min(MAX_HEAD_BYTES + 1)];
     let next_line = |pos: usize| -> Option<(&str, usize)> {
-        let rest = &buf[pos..];
+        let rest = &scan[pos..];
         let nl = rest.iter().position(|&b| b == b'\n')?;
         let line = &rest[..nl];
         let line = if line.ends_with(b"\r") {
@@ -203,56 +145,44 @@ pub fn parse_request(
         ))
     };
 
-    // Request line, tolerating exactly one stray empty line.
-    let mut stray = 0usize;
-    let (request_line, after_line) = loop {
-        match next_line(pos) {
-            Some(("", next)) => {
-                stray += 1;
-                if stray > 1 {
+    // The request line (after at most one stray empty line), then
+    // headers until the empty line; `head_end` stays `None` while the
+    // head is still open.
+    let mut pos = 0usize;
+    let mut stray = false;
+    let mut request_line = None;
+    let mut content_length = 0usize;
+    let head_end = loop {
+        let Some((line, next)) = next_line(pos) else {
+            break None;
+        };
+        pos = next;
+        match &mut request_line {
+            None if line.is_empty() => {
+                if stray {
                     return Err(HttpReadError::Malformed("empty request line".into()));
                 }
-                pos = next;
+                stray = true;
             }
-            Some((line, next)) => break (line.to_string(), next),
-            None => {
-                if buf.len() - pos > MAX_HEAD_BYTES {
-                    return Err(HttpReadError::Malformed("request head too large".into()));
-                }
-                return Ok(None);
-            }
+            None => request_line = Some(parse_request_line(line)?),
+            Some(_) if line.is_empty() => break Some(pos),
+            Some((_, _, keep_alive)) => apply_header(line, keep_alive, &mut content_length)?,
         }
     };
-    let (method, target, mut keep_alive) = parse_request_line(&request_line)?;
-
-    // Headers until the empty line.
-    let mut content_length = 0usize;
-    pos = after_line;
-    loop {
-        match next_line(pos) {
-            Some((line, next)) => {
-                pos = next;
-                if line.is_empty() {
-                    break;
-                }
-                apply_header(line, &mut keep_alive, &mut content_length)?;
-            }
-            None => {
-                if buf.len() - after_line > MAX_HEAD_BYTES {
-                    return Err(HttpReadError::Malformed("request head too large".into()));
-                }
-                return Ok(None);
-            }
-        }
+    if head_end.unwrap_or(buf.len()) > MAX_HEAD_BYTES {
+        return Err(HttpReadError::Malformed("request head too large".into()));
     }
+    let (Some(head_end), Some((method, target, keep_alive))) = (head_end, request_line) else {
+        return Ok(None);
+    };
     if content_length > max_body_bytes {
         return Err(HttpReadError::TooLarge(content_length));
     }
-    let body_end = pos + content_length;
+    let body_end = head_end + content_length;
     if buf.len() < body_end {
         return Ok(None);
     }
-    let body = String::from_utf8(buf[pos..body_end].to_vec())
+    let body = String::from_utf8(buf[head_end..body_end].to_vec())
         .map_err(|_| HttpReadError::Malformed("body is not UTF-8".into()))?;
     Ok(Some((
         Request {
@@ -282,8 +212,7 @@ pub fn reason(status: u16) -> &'static str {
 
 /// Renders one JSON response onto the wire format. The reactor queues
 /// these bytes into a per-connection write buffer (partial writes
-/// resume where they left off); the blocking path writes them
-/// directly.
+/// resume where they left off).
 pub fn format_response(status: u16, body: &str, keep_alive: bool) -> String {
     let connection = if keep_alive { "keep-alive" } else { "close" };
     format!(
@@ -296,7 +225,8 @@ pub fn format_response(status: u16, body: &str, keep_alive: bool) -> String {
     )
 }
 
-/// Writes one JSON response to a blocking stream.
+/// Writes one JSON response to a blocking stream (the reactor's
+/// accept-edge `503`, sent before the socket is ever registered).
 pub fn write_response(
     writer: &mut impl Write,
     status: u16,
@@ -310,10 +240,9 @@ pub fn write_response(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
     fn parse(raw: &str) -> Result<Option<Request>, HttpReadError> {
-        read_request(&mut BufReader::new(raw.as_bytes()), 1024)
+        parse_request(raw.as_bytes(), 1024).map(|parsed| parsed.map(|(req, _)| req))
     }
 
     #[test]
@@ -333,6 +262,7 @@ mod tests {
             .unwrap()
             .unwrap();
         assert!(!req.keep_alive);
+        // HTTP/1.0 defaults to close.
         let req = parse("GET / HTTP/1.0\r\n\r\n").unwrap().unwrap();
         assert!(!req.keep_alive);
     }
@@ -344,15 +274,15 @@ mod tests {
 
     #[test]
     fn one_stray_crlf_between_requests_is_tolerated() {
-        // The pipelined-client case the comment always promised: one
-        // leading empty line is skipped...
+        // The pipelined-client case: one leading empty line is
+        // skipped...
         let req = parse("\r\nGET /v1/health HTTP/1.1\r\n\r\n")
             .unwrap()
             .unwrap();
         assert_eq!(req.path, "/v1/health");
-        // ...and an EOF after the stray CRLF is still a clean close.
+        // ...a lone stray CRLF is just an incomplete request...
         assert!(parse("\r\n").unwrap().is_none());
-        // Two empty lines stay a protocol violation.
+        // ...and two empty lines stay a protocol violation.
         assert!(matches!(
             parse("\r\n\r\nGET / HTTP/1.1\r\n\r\n"),
             Err(HttpReadError::Malformed(_))
@@ -361,28 +291,27 @@ mod tests {
 
     #[test]
     fn oversized_body_is_rejected_without_reading_it() {
+        // 413 fires off the declared length before any body arrives.
         let e = parse("POST / HTTP/1.1\r\nContent-Length: 99999\r\n\r\n").unwrap_err();
         assert!(matches!(e, HttpReadError::TooLarge(99999)));
     }
 
     #[test]
     fn malformed_requests_are_typed() {
-        assert!(matches!(
-            parse("NOT-HTTP\r\n\r\n"),
-            Err(HttpReadError::Malformed(_))
-        ));
-        assert!(matches!(
-            parse("GET / SPDY/3\r\n\r\n"),
-            Err(HttpReadError::Malformed(_))
-        ));
-        assert!(matches!(
-            parse("POST / HTTP/1.1\r\nContent-Length: nope\r\n\r\n"),
-            Err(HttpReadError::Malformed(_))
-        ));
-        assert!(matches!(
-            parse("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"),
-            Err(HttpReadError::Malformed(_))
-        ));
+        for raw in [
+            "NOT-HTTP\r\n\r\n",
+            // Only HTTP/1.x is spoken.
+            "GET / SPDY/3\r\n\r\n",
+            "GET / HTTP/2.0\r\n\r\n",
+            "POST / HTTP/1.1\r\nContent-Length: nope\r\n\r\n",
+            "POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+            "GET / HTTP/1.1\r\nno colon here\r\n\r\n",
+        ] {
+            assert!(
+                matches!(parse(raw), Err(HttpReadError::Malformed(_))),
+                "{raw:?} must be malformed"
+            );
+        }
     }
 
     #[test]
@@ -400,18 +329,6 @@ mod tests {
         assert!(s.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
         assert!(s.contains("Connection: close\r\n"));
     }
-
-    #[test]
-    fn two_keep_alive_requests_parse_back_to_back() {
-        let raw = "GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n";
-        let mut reader = BufReader::new(raw.as_bytes());
-        let a = read_request(&mut reader, 1024).unwrap().unwrap();
-        let b = read_request(&mut reader, 1024).unwrap().unwrap();
-        assert_eq!((a.path.as_str(), b.path.as_str()), ("/a", "/b"));
-        assert!(read_request(&mut reader, 1024).unwrap().is_none());
-    }
-
-    // ---- incremental parser ----
 
     #[test]
     fn incremental_parse_waits_for_the_full_request() {
@@ -442,34 +359,49 @@ mod tests {
     }
 
     #[test]
-    fn incremental_parse_matches_blocking_framing_rules() {
-        // One stray CRLF tolerated, two rejected — same rule as
-        // read_request.
-        let (req, _) = parse_request(b"\r\nGET /x HTTP/1.1\r\n\r\n", 1024)
-            .unwrap()
-            .unwrap();
-        assert_eq!(req.path, "/x");
-        assert!(matches!(
-            parse_request(b"\r\n\r\nGET /x HTTP/1.1\r\n\r\n", 1024),
-            Err(HttpReadError::Malformed(_))
-        ));
-        // 413 fires off the declared length before any body arrives.
-        assert!(matches!(
-            parse_request(b"POST / HTTP/1.1\r\nContent-Length: 99999\r\n\r\n", 1024),
-            Err(HttpReadError::TooLarge(99999))
-        ));
-        assert!(matches!(
-            parse_request(b"NOT-HTTP\r\n\r\n", 1024),
-            Err(HttpReadError::Malformed(_))
-        ));
-    }
-
-    #[test]
     fn unbounded_heads_are_cut_off() {
         let mut junk = b"GET / HTTP/1.1\r\n".to_vec();
         junk.extend(std::iter::repeat_n(b'x', MAX_HEAD_BYTES + 16));
         assert!(matches!(
             parse_request(&junk, 1024),
+            Err(HttpReadError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn complete_oversized_heads_are_rejected() {
+        let head = |line_pad: usize, header_pad: usize| {
+            format!(
+                "GET /{} HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+                "a".repeat(line_pad),
+                "b".repeat(header_pad)
+            )
+            .into_bytes()
+        };
+        // A complete head far past the cap, arriving in one read.
+        let huge = head(0, 4 * MAX_HEAD_BYTES);
+        assert!(matches!(
+            parse_request(&huge, 1024),
+            Err(HttpReadError::Malformed(_))
+        ));
+        // The request line and the headers share one budget: each
+        // half fits alone, together they do not.
+        let split = head(MAX_HEAD_BYTES * 2 / 3, MAX_HEAD_BYTES * 2 / 3);
+        assert!(matches!(
+            parse_request(&split, 1024),
+            Err(HttpReadError::Malformed(_))
+        ));
+        // Exactly at the cap is still a request, with a body after it.
+        let pad = MAX_HEAD_BYTES - head(0, 0).len();
+        let mut exact = head(0, pad);
+        assert_eq!(exact.len(), MAX_HEAD_BYTES);
+        exact.extend_from_slice(b"trailing body bytes are not head");
+        let (req, consumed) = parse_request(&exact, 1024).unwrap().unwrap();
+        assert_eq!(consumed, MAX_HEAD_BYTES);
+        assert_eq!(req.path, "/");
+        // One byte over is not.
+        assert!(matches!(
+            parse_request(&head(0, pad + 1), 1024),
             Err(HttpReadError::Malformed(_))
         ));
     }

@@ -1,26 +1,20 @@
 //! `haxconn serve` — scheduling as a long-running service.
 //!
 //! A from-scratch HTTP/1.1 server on `std::net` (the build is offline:
-//! no async runtime) with two serving modes behind one wire contract:
+//! no async runtime) built around one nonblocking epoll readiness loop
+//! ([`reactor`]). One reactor thread multiplexes every connection (cap:
+//! [`ServeOptions::max_conns`], enforced with a `503` at the accept
+//! edge), answers cheap requests (health, telemetry, cache-hit
+//! schedules) inline, and dispatches CPU-bound solves to a worker pool
+//! that signals completions back over an `eventfd`. Slow readers, slow
+//! writers, and idle keep-alive connections cost one fd each, never a
+//! parked thread; idle connections past [`ServeOptions::idle_timeout`]
+//! are evicted.
 //!
-//! * [`ServeMode::Reactor`] (default) — a nonblocking epoll readiness
-//!   loop ([`reactor`]): one reactor thread multiplexes every
-//!   connection (cap: [`ServeOptions::max_conns`], enforced with a
-//!   `503` at the accept edge), answers cheap requests (health,
-//!   telemetry, cache-hit schedules) inline, and dispatches CPU-bound
-//!   solves to a worker pool that signals completions back over an
-//!   `eventfd`. Slow readers, slow writers, and idle keep-alive
-//!   connections cost one fd each, never a parked thread; idle
-//!   connections past [`ServeOptions::idle_timeout`] are evicted.
-//! * [`ServeMode::Blocking`] — the classic accept-thread +
-//!   worker-per-connection shape, kept for differential testing: a
-//!   bounded accept queue answers `503` when full, and each worker owns
-//!   one connection's keep-alive stream until close or idle timeout.
-//!
-//! Both modes route through the same [`Engine`] (sharded schedule
-//! cache, request coalescing, admission control, degraded fallback)
-//! and the same `route_fast`/`route_slow` split, so responses are
-//! bit-identical across modes — the server_load bench gates on that.
+//! Requests route through the [`Engine`] (sharded schedule cache,
+//! request coalescing, admission control, degraded fallback) in two
+//! stages: `route_fast` on the reactor thread, `route_slow` on the
+//! solve pool.
 //!
 //! Endpoints (all JSON; see [`crate::api`] for the wire types):
 //!
@@ -48,64 +42,26 @@ use crate::session::Session;
 use haxconn_core::engine::{Engine, EngineOptions};
 use haxconn_core::{HaxError, WorkloadSpec};
 use haxconn_telemetry::SharedHistogram;
-use http::{HttpReadError, Request};
+use http::Request;
 use serde::Serialize;
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// How connections are multiplexed onto threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeMode {
-    /// Nonblocking epoll readiness loop (default): one reactor thread
-    /// owns every connection, CPU-bound solves run on the worker pool.
-    Reactor,
-    /// Thread-per-connection with a bounded accept queue; kept for
-    /// differential testing against the reactor.
-    Blocking,
-}
-
-impl ServeMode {
-    /// Parses the CLI spelling (`reactor` / `blocking`).
-    pub fn parse(s: &str) -> Result<ServeMode, String> {
-        match s {
-            "reactor" => Ok(ServeMode::Reactor),
-            "blocking" => Ok(ServeMode::Blocking),
-            other => Err(format!(
-                "unknown serve mode '{other}' (expected 'reactor' or 'blocking')"
-            )),
-        }
-    }
-}
 
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Bind address; port 0 picks an ephemeral port (tests use this).
     pub addr: String,
-    /// Connection multiplexing strategy.
-    pub mode: ServeMode,
-    /// Worker threads. Reactor mode: the solve pool draining CPU-bound
-    /// requests. Blocking mode: each worker serves one connection at a
-    /// time.
+    /// Solve-pool threads draining CPU-bound requests.
     pub workers: usize,
     /// Hard request-body cap.
     pub max_body_bytes: usize,
-    /// Blocking mode only: accepted connections allowed to wait for a
-    /// free worker; beyond this the accept loop answers 503 directly.
-    pub queue_depth: usize,
-    /// Reactor mode: open connections allowed before the accept edge
-    /// answers 503.
+    /// Open connections allowed before the accept edge answers 503.
     pub max_conns: usize,
-    /// Blocking mode: per-connection socket read timeout — the poll
-    /// granularity for noticing stop/idle (the reactor needs none).
-    pub read_timeout: Duration,
     /// Idle keep-alive connections are closed after this long with no
-    /// request activity (both modes; counted as `serve.idle_closed`).
+    /// request activity (counted as `serve.idle_closed`).
     pub idle_timeout: Duration,
     /// Test knob: shrink each accepted socket's kernel send buffer
     /// (`SO_SNDBUF`) so partial writes are deterministic.
@@ -121,14 +77,11 @@ impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
             addr: "127.0.0.1:0".to_string(),
-            mode: ServeMode::Reactor,
             workers: std::thread::available_parallelism()
                 .map(|n| n.get().min(8))
                 .unwrap_or(4),
             max_body_bytes: 1 << 20,
-            queue_depth: 128,
             max_conns: 1024,
-            read_timeout: Duration::from_millis(500),
             idle_timeout: Duration::from_secs(60),
             send_buffer_bytes: None,
             engine: EngineOptions::default(),
@@ -178,21 +131,17 @@ pub(crate) struct ServerCtx {
     pub(crate) stats: Arc<ServerStats>,
     pub(crate) stop: Arc<AtomicBool>,
     pub(crate) max_body_bytes: usize,
-    pub(crate) read_timeout: Duration,
-    pub(crate) idle_timeout: Duration,
-    pub(crate) send_buffer_bytes: Option<usize>,
     pub(crate) started: Instant,
 }
 
 /// A running server. Dropping the handle stops it.
 pub struct ServerHandle {
     addr: SocketAddr,
-    mode: ServeMode,
     engine: Arc<Engine>,
     stats: Arc<ServerStats>,
     stop: Arc<AtomicBool>,
-    /// Reactor mode: signaled on shutdown to break `epoll_wait`.
-    waker: Option<Arc<sys::EventFd>>,
+    /// Signaled on shutdown to break `epoll_wait`.
+    waker: Arc<sys::EventFd>,
     threads: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -200,11 +149,6 @@ impl ServerHandle {
     /// The bound address (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Which [`ServeMode`] this server runs in.
-    pub fn mode(&self) -> ServeMode {
-        self.mode
     }
 
     /// The shared scheduling engine (tests read its counters).
@@ -231,15 +175,7 @@ impl ServerHandle {
 
     fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        match &self.waker {
-            // Reactor: eventfd readiness breaks epoll_wait.
-            Some(waker) => waker.signal(),
-            // Blocking: wake the accept call with a throwaway
-            // connection.
-            None => {
-                let _ = TcpStream::connect(self.addr);
-            }
-        }
+        self.waker.signal();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -254,8 +190,7 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Boots the server in the configured [`ServeMode`] and returns its
-/// handle.
+/// Boots the reactor and returns the server's handle.
 pub fn serve(options: ServeOptions) -> Result<ServerHandle, HaxError> {
     if options.enable_telemetry {
         // Installs the process-wide memory recorder on first use; a
@@ -277,21 +212,11 @@ pub fn serve(options: ServeOptions) -> Result<ServerHandle, HaxError> {
         stats: Arc::clone(&stats),
         stop: Arc::clone(&stop),
         max_body_bytes: options.max_body_bytes,
-        read_timeout: options.read_timeout,
-        idle_timeout: options.idle_timeout,
-        send_buffer_bytes: options.send_buffer_bytes,
         started: Instant::now(),
     });
-    let (waker, threads) = match options.mode {
-        ServeMode::Reactor => {
-            let (waker, threads) = reactor::spawn(listener, &options, ctx)?;
-            (Some(waker), threads)
-        }
-        ServeMode::Blocking => (None, serve_blocking(listener, &options, ctx)?),
-    };
+    let (waker, threads) = reactor::spawn(listener, &options, ctx)?;
     Ok(ServerHandle {
         addr,
-        mode: options.mode,
         engine,
         stats,
         stop,
@@ -300,74 +225,8 @@ pub fn serve(options: ServeOptions) -> Result<ServerHandle, HaxError> {
     })
 }
 
-/// The accept-thread + worker-pool topology behind
-/// [`ServeMode::Blocking`].
-fn serve_blocking(
-    listener: TcpListener,
-    options: &ServeOptions,
-    ctx: Arc<ServerCtx>,
-) -> Result<Vec<std::thread::JoinHandle<()>>, HaxError> {
-    let (tx, rx): (SyncSender<TcpStream>, Receiver<TcpStream>) =
-        std::sync::mpsc::sync_channel(options.queue_depth.max(1));
-    let rx = Arc::new(Mutex::new(rx));
-
-    let mut threads = Vec::with_capacity(options.workers.max(1) + 1);
-    for i in 0..options.workers.max(1) {
-        let rx = Arc::clone(&rx);
-        let ctx = Arc::clone(&ctx);
-        let worker = std::thread::Builder::new()
-            .name(format!("haxconn-serve-{i}"))
-            .spawn(move || loop {
-                let stream = {
-                    let Ok(guard) = rx.lock() else { return };
-                    guard.recv()
-                };
-                match stream {
-                    Ok(s) => handle_connection(s, &ctx),
-                    // Sender dropped: the accept loop exited.
-                    Err(_) => return,
-                }
-            })
-            .map_err(|e| HaxError::Io(format!("spawn worker: {e}")))?;
-        threads.push(worker);
-    }
-
-    let accept_ctx = Arc::clone(&ctx);
-    let accept_thread = std::thread::Builder::new()
-        .name("haxconn-accept".to_string())
-        .spawn(move || {
-            for stream in listener.incoming() {
-                if accept_ctx.stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                accept_ctx.stats.connections.fetch_add(1, Ordering::Relaxed);
-                haxconn_telemetry::counter_add("serve.connections", 1);
-                match tx.try_send(stream) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(mut stream)) => {
-                        // Explicit backpressure: tell the client to back
-                        // off instead of queuing without bound.
-                        accept_ctx
-                            .stats
-                            .accept_queue_rejections
-                            .fetch_add(1, Ordering::Relaxed);
-                        haxconn_telemetry::counter_add("serve.accept_rejections", 1);
-                        let (status, body) = overloaded_body(&accept_ctx.stats);
-                        let _ = http::write_response(&mut stream, status, &body, false);
-                    }
-                    Err(TrySendError::Disconnected(_)) => break,
-                }
-            }
-            // tx drops here; workers drain the queue and exit.
-        })
-        .map_err(|e| HaxError::Io(format!("spawn accept thread: {e}")))?;
-    threads.push(accept_thread);
-    Ok(threads)
-}
-
-/// The `503 overloaded` answer both modes send straight from the accept
-/// edge.
+/// The `503 overloaded` answer the reactor sends straight from the
+/// accept edge once the connection cap is reached.
 pub(crate) fn overloaded_body(stats: &ServerStats) -> (u16, String) {
     respond(
         stats,
@@ -405,8 +264,7 @@ fn respond_serialized(
     }
 }
 
-/// Response-class + latency accounting for one finished request
-/// (shared by both modes so counters match bit-identical responses).
+/// Response-class + latency accounting for one finished request.
 pub(crate) fn finish_request(stats: &ServerStats, status: u16, started: Instant) {
     let class = match status {
         200..=299 => &stats.http_2xx,
@@ -429,8 +287,8 @@ pub(crate) fn response_keep_alive(status: u16, request_keep_alive: bool) -> bool
     request_keep_alive && status != 500
 }
 
-/// Open-connection gauge bookkeeping (reactor: registered conns;
-/// blocking: conns actively held by a worker).
+/// Open-connection gauge bookkeeping (connections registered with the
+/// reactor).
 pub(crate) fn conn_opened(stats: &ServerStats) {
     let open = stats.open_connections.fetch_add(1, Ordering::Relaxed) + 1;
     haxconn_telemetry::gauge_set("serve.conns.open", open as f64);
@@ -442,84 +300,6 @@ pub(crate) fn conn_closed(stats: &ServerStats) {
         .fetch_sub(1, Ordering::Relaxed)
         .saturating_sub(1);
     haxconn_telemetry::gauge_set("serve.conns.open", open as f64);
-}
-
-fn handle_connection(stream: TcpStream, ctx: &ServerCtx) {
-    conn_opened(&ctx.stats);
-    serve_blocking_connection(stream, ctx);
-    conn_closed(&ctx.stats);
-}
-
-fn serve_blocking_connection(stream: TcpStream, ctx: &ServerCtx) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(ctx.read_timeout));
-    if let Some(bytes) = ctx.send_buffer_bytes {
-        let _ = sys::set_send_buffer(stream.as_raw_fd(), bytes);
-    }
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-    let mut last_activity = Instant::now();
-    loop {
-        if ctx.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        match http::read_request(&mut reader, ctx.max_body_bytes) {
-            Ok(Some(req)) => {
-                let started = Instant::now();
-                ctx.stats.requests.fetch_add(1, Ordering::Relaxed);
-                haxconn_telemetry::counter_add("serve.requests", 1);
-                let (status, body) = route(ctx, &req);
-                finish_request(&ctx.stats, status, started);
-                let keep_alive = response_keep_alive(status, req.keep_alive);
-                if http::write_response(&mut writer, status, &body, keep_alive).is_err()
-                    || !keep_alive
-                {
-                    return;
-                }
-                last_activity = Instant::now();
-            }
-            Ok(None) => return,
-            Err(HttpReadError::Malformed(m)) => {
-                let (status, body) =
-                    respond(&ctx.stats, 400, &ErrorBody::protocol("bad_request", m));
-                finish_request(&ctx.stats, status, Instant::now());
-                let _ = http::write_response(&mut writer, status, &body, false);
-                return;
-            }
-            Err(HttpReadError::TooLarge(n)) => {
-                let (status, body) = respond(
-                    &ctx.stats,
-                    413,
-                    &ErrorBody::protocol(
-                        "payload_too_large",
-                        format!("declared body of {n} bytes exceeds the cap"),
-                    ),
-                );
-                finish_request(&ctx.stats, status, Instant::now());
-                let _ = http::write_response(&mut writer, status, &body, false);
-                return;
-            }
-            Err(HttpReadError::Io(e)) => {
-                // The socket read timeout doubles as the idle poll: on
-                // each expiry, check stop and the idle budget.
-                let idle = matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                );
-                if !idle || ctx.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                if last_activity.elapsed() >= ctx.idle_timeout {
-                    ctx.stats.idle_closed.fetch_add(1, Ordering::Relaxed);
-                    haxconn_telemetry::counter_add("serve.idle_closed", 1);
-                    return;
-                }
-            }
-        }
-    }
 }
 
 /// A request after fast-path routing: either already answered, or
@@ -611,8 +391,7 @@ pub(crate) fn route_fast(ctx: &ServerCtx, req: &Request) -> Routed {
 }
 
 /// Routing stage 2 — the CPU-bound work [`route_fast`] deferred. Runs
-/// on the solve pool in reactor mode, inline on the worker's thread in
-/// blocking mode.
+/// on the solve pool.
 pub(crate) fn route_slow(ctx: &ServerCtx, routed: Routed) -> (u16, String) {
     match routed {
         Routed::Done(status, body) => (status, body),
@@ -622,11 +401,6 @@ pub(crate) fn route_slow(ctx: &ServerCtx, routed: Routed) -> (u16, String) {
         },
         Routed::Batch { body } => handle_batch(ctx, &body),
     }
-}
-
-/// Both routing stages back-to-back — the blocking path.
-fn route(ctx: &ServerCtx, req: &Request) -> (u16, String) {
-    route_slow(ctx, route_fast(ctx, req))
 }
 
 fn error_response(ctx: &ServerCtx, e: &HaxError) -> (u16, String) {
@@ -717,12 +491,5 @@ mod tests {
         );
         assert!(!response_keep_alive(500, true), "internal errors close");
         assert!(!response_keep_alive(200, false));
-    }
-
-    #[test]
-    fn serve_mode_parses_cli_spellings() {
-        assert_eq!(ServeMode::parse("reactor"), Ok(ServeMode::Reactor));
-        assert_eq!(ServeMode::parse("blocking"), Ok(ServeMode::Blocking));
-        assert!(ServeMode::parse("epoll").is_err());
     }
 }

@@ -1,4 +1,4 @@
-//! The epoll readiness reactor behind `ServeMode::Reactor`.
+//! The epoll readiness reactor behind `haxconn serve`.
 //!
 //! One reactor thread owns every connection. It multiplexes them with
 //! level-triggered epoll ([`super::sys`]) and never blocks on any
@@ -327,10 +327,6 @@ impl Reactor {
                                 format!("declared body of {n} bytes exceeds the cap"),
                             ),
                         ),
-                        HttpReadError::Io(_) => {
-                            self.close_conn(idx);
-                            return;
-                        }
                     };
                     finish_request(&self.ctx.stats, status, Instant::now());
                     let conn = self.slots[idx].conn.as_mut().expect("still open");

@@ -10,7 +10,7 @@
 use haxconn::api::{ErrorBody, HealthResponse, ScheduleResponse, SCHEMA_VERSION};
 use haxconn::prelude::*;
 use haxconn::serve::client::Client;
-use haxconn::serve::{serve, ServeMode, ServeOptions};
+use haxconn::serve::{serve, ServeOptions};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
@@ -20,21 +20,6 @@ fn boot(options: ServeOptions) -> haxconn::serve::ServerHandle {
         ..options
     })
     .expect("server boots on an ephemeral port")
-}
-
-/// Both serving modes, for differential coverage: every behavior the
-/// wire contract promises must hold identically on the epoll reactor
-/// and the blocking thread-per-connection fallback.
-const MODES: [ServeMode; 2] = [ServeMode::Reactor, ServeMode::Blocking];
-
-/// Options for `mode` with enough blocking-mode workers that one stuck
-/// connection cannot serialize a whole test on a small CI box.
-fn mode_options(mode: ServeMode) -> ServeOptions {
-    ServeOptions {
-        mode,
-        workers: 4,
-        ..Default::default()
-    }
 }
 
 fn spec() -> WorkloadSpec {
@@ -50,42 +35,45 @@ fn spec_json() -> String {
 #[test]
 fn schedule_endpoint_matches_session_bit_for_bit() {
     // The acceptance gate: HTTP schedules are bit-identical to
-    // Session::schedule for the same WorkloadSpec — in BOTH serving
-    // modes, and the raw response bytes match across modes too.
+    // Session::schedule for the same WorkloadSpec, down to the raw
+    // response bytes.
     let local = Session::from_spec(&spec()).schedule().expect("schedulable");
-    let mut raw_bodies = Vec::new();
-    for mode in MODES {
-        let server = boot(mode_options(mode));
-        let mut client = Client::connect(server.addr()).expect("connects");
-        let (status, body) = client.post("/v1/schedule", &spec_json()).expect("responds");
-        assert_eq!(status, 200, "[{mode:?}] {body}");
-        let resp: ScheduleResponse = serde_json::from_str(&body).expect("schedule response parses");
-        assert_eq!(resp.schema, SCHEMA_VERSION);
-        assert!(!resp.degraded);
-        assert_eq!(resp.origin, "optimal");
+    let server = boot(ServeOptions::default());
+    let mut client = Client::connect(server.addr()).expect("connects");
+    let (status, solved_body) = client.post("/v1/schedule", &spec_json()).expect("responds");
+    assert_eq!(status, 200, "{solved_body}");
+    let resp: ScheduleResponse =
+        serde_json::from_str(&solved_body).expect("schedule response parses");
+    assert_eq!(resp.schema, SCHEMA_VERSION);
+    assert!(!resp.degraded);
+    assert_eq!(resp.origin, "optimal");
 
-        assert_eq!(resp.assignment, local.schedule.assignment, "[{mode:?}]");
-        assert_eq!(resp.cost.to_bits(), local.schedule.cost.to_bits());
-        assert_eq!(
-            resp.makespan_ms.to_bits(),
-            local.schedule.predicted.makespan_ms.to_bits()
-        );
-
-        // Second submit over the same keep-alive connection: cache hit
-        // (served inline on the reactor), still identical.
-        let (status, body) = client.post("/v1/schedule", &spec_json()).expect("responds");
-        assert_eq!(status, 200);
-        let cached: ScheduleResponse = serde_json::from_str(&body).expect("parses");
-        assert!(cached.cached);
-        assert_eq!(cached.assignment, resp.assignment);
-        assert_eq!(cached.cost.to_bits(), resp.cost.to_bits());
-        raw_bodies.push(body);
-        server.stop();
-    }
+    assert_eq!(resp.assignment, local.schedule.assignment);
+    assert_eq!(resp.cost.to_bits(), local.schedule.cost.to_bits());
     assert_eq!(
-        raw_bodies[0], raw_bodies[1],
-        "reactor and blocking responses must be bit-identical"
+        resp.makespan_ms.to_bits(),
+        local.schedule.predicted.makespan_ms.to_bits()
     );
+    // The raw bytes are exactly those values re-serialized: nothing on
+    // the wire rounds a float or adds a field.
+    assert_eq!(
+        serde_json::to_string(&resp).expect("re-serializes"),
+        solved_body
+    );
+
+    // Second submit over the same keep-alive connection: a cache hit
+    // answered inline on the reactor thread instead of the solve pool,
+    // byte-identical apart from the provenance flag.
+    let (status, cached_body) = client.post("/v1/schedule", &spec_json()).expect("responds");
+    assert_eq!(status, 200);
+    let cached: ScheduleResponse = serde_json::from_str(&cached_body).expect("parses");
+    assert!(cached.cached);
+    assert_eq!(
+        cached_body,
+        solved_body.replacen("\"cached\":false", "\"cached\":true", 1),
+        "cache hits must serve the solved bytes"
+    );
+    server.stop();
 }
 
 #[test]
@@ -244,13 +232,7 @@ fn overload_degrades_to_baseline_not_errors() {
 
 #[test]
 fn protocol_and_domain_errors_are_typed() {
-    for mode in MODES {
-        protocol_and_domain_errors_are_typed_in(mode);
-    }
-}
-
-fn protocol_and_domain_errors_are_typed_in(mode: ServeMode) {
-    let server = boot(mode_options(mode));
+    let server = boot(ServeOptions::default());
     let mut client = Client::connect(server.addr()).expect("connects");
 
     let cases: [(&str, &str, Option<&str>, u16, &str); 5] = [
@@ -297,88 +279,103 @@ fn protocol_and_domain_errors_are_typed_in(mode: ServeMode) {
 
 #[test]
 fn oversized_bodies_are_rejected_without_reading() {
-    for mode in MODES {
-        let server = boot(ServeOptions {
-            max_body_bytes: 256,
-            ..mode_options(mode)
-        });
-        let mut client = Client::connect(server.addr()).expect("connects");
-        let huge = format!("{{\"pad\":\"{}\"}}", "x".repeat(1024));
-        client.post("/v1/schedule", &huge).map(|r| r.0).ok();
-        // Re-drive with the header-aware reader to see the close.
-        let mut client = Client::connect(server.addr()).expect("connects");
-        client
-            .send("POST", "/v1/schedule", Some(&huge))
-            .expect("sends");
-        let (status, headers, body) = client.read_reply_with_headers().expect("responds");
-        assert_eq!(status, 413, "[{mode:?}] {body}");
-        let err: ErrorBody = serde_json::from_str(&body).expect("parses");
-        assert_eq!(err.error, "payload_too_large");
-        assert!(
-            headers.iter().any(|h| h == "Connection: close"),
-            "[{mode:?}] a 413 must announce the close: {headers:?}"
-        );
-        server.stop();
-    }
+    let server = boot(ServeOptions {
+        max_body_bytes: 256,
+        ..Default::default()
+    });
+    let mut client = Client::connect(server.addr()).expect("connects");
+    let huge = format!("{{\"pad\":\"{}\"}}", "x".repeat(1024));
+    client.post("/v1/schedule", &huge).map(|r| r.0).ok();
+    // Re-drive with the header-aware reader to see the close.
+    let mut client = Client::connect(server.addr()).expect("connects");
+    client
+        .send("POST", "/v1/schedule", Some(&huge))
+        .expect("sends");
+    let (status, headers, body) = client.read_reply_with_headers().expect("responds");
+    assert_eq!(status, 413, "{body}");
+    let err: ErrorBody = serde_json::from_str(&body).expect("parses");
+    assert_eq!(err.error, "payload_too_large");
+    assert!(
+        headers.iter().any(|h| h == "Connection: close"),
+        "a 413 must announce the close: {headers:?}"
+    );
+    server.stop();
 }
 
 /// Satellite: a single stray CRLF between pipelined requests (a common
 /// client artifact) is tolerated; two empty lines stay malformed.
 #[test]
 fn one_stray_crlf_between_requests_is_tolerated_on_the_wire() {
-    for mode in MODES {
-        let server = boot(mode_options(mode));
-        let mut client = Client::connect(server.addr()).expect("connects");
-        let (status, _) = client.get("/v1/health").expect("responds");
-        assert_eq!(status, 200);
-        // One stray blank line, then a valid request: still served.
-        client.write_raw(b"\r\n").expect("writes");
-        let (status, _) = client.get("/v1/health").expect("responds");
-        assert_eq!(status, 200, "[{mode:?}] one stray CRLF must be skipped");
-        // Two blank lines: malformed, answered 400 and closed.
-        client.write_raw(b"\r\n\r\n").expect("writes");
-        client.send("GET", "/v1/health", None).expect("writes");
-        let (status, headers, body) = client.read_reply_with_headers().expect("responds");
-        assert_eq!(status, 400, "[{mode:?}] {body}");
-        let err: ErrorBody = serde_json::from_str(&body).expect("parses");
-        assert_eq!(err.error, "bad_request");
-        assert!(
-            headers.iter().any(|h| h == "Connection: close"),
-            "[{mode:?}] framing errors must announce the close: {headers:?}"
-        );
-        let eof = client.read_reply();
-        assert!(
-            eof.is_err(),
-            "[{mode:?}] the socket must be closed: {eof:?}"
-        );
-        server.stop();
-    }
+    let server = boot(ServeOptions::default());
+    let mut client = Client::connect(server.addr()).expect("connects");
+    let (status, _) = client.get("/v1/health").expect("responds");
+    assert_eq!(status, 200);
+    // One stray blank line, then a valid request: still served.
+    client.write_raw(b"\r\n").expect("writes");
+    let (status, _) = client.get("/v1/health").expect("responds");
+    assert_eq!(status, 200, "one stray CRLF must be skipped");
+    // Two blank lines: malformed, answered 400 and closed.
+    client.write_raw(b"\r\n\r\n").expect("writes");
+    client.send("GET", "/v1/health", None).expect("writes");
+    let (status, headers, body) = client.read_reply_with_headers().expect("responds");
+    assert_eq!(status, 400, "{body}");
+    let err: ErrorBody = serde_json::from_str(&body).expect("parses");
+    assert_eq!(err.error, "bad_request");
+    assert!(
+        headers.iter().any(|h| h == "Connection: close"),
+        "framing errors must announce the close: {headers:?}"
+    );
+    let eof = client.read_reply();
+    assert!(eof.is_err(), "the socket must be closed: {eof:?}");
+    server.stop();
 }
 
 /// Satellite: error responses on framing failures send
 /// `Connection: close` and the server actually closes the socket.
 #[test]
 fn framing_errors_close_the_connection_and_say_so() {
-    for mode in MODES {
-        let server = boot(mode_options(mode));
-        let mut client = Client::connect(server.addr()).expect("connects");
-        client.write_raw(b"NONSENSE\r\n\r\n").expect("writes");
-        let (status, headers, body) = client.read_reply_with_headers().expect("responds");
-        assert_eq!(status, 400, "[{mode:?}] {body}");
-        let err: ErrorBody = serde_json::from_str(&body).expect("parses");
-        assert_eq!(err.error, "bad_request");
-        assert!(
-            headers.iter().any(|h| h == "Connection: close"),
-            "[{mode:?}] {headers:?}"
-        );
-        let eof = client.read_reply();
-        assert!(eof.is_err(), "[{mode:?}] socket must be closed: {eof:?}");
-        // A fresh connection is unaffected.
-        let mut fresh = Client::connect(server.addr()).expect("connects");
-        let (status, _) = fresh.get("/v1/health").expect("responds");
-        assert_eq!(status, 200);
-        server.stop();
-    }
+    let server = boot(ServeOptions::default());
+    let mut client = Client::connect(server.addr()).expect("connects");
+    client.write_raw(b"NONSENSE\r\n\r\n").expect("writes");
+    let (status, headers, body) = client.read_reply_with_headers().expect("responds");
+    assert_eq!(status, 400, "{body}");
+    let err: ErrorBody = serde_json::from_str(&body).expect("parses");
+    assert_eq!(err.error, "bad_request");
+    assert!(
+        headers.iter().any(|h| h == "Connection: close"),
+        "{headers:?}"
+    );
+    let eof = client.read_reply();
+    assert!(eof.is_err(), "socket must be closed: {eof:?}");
+    // A fresh connection is unaffected.
+    let mut fresh = Client::connect(server.addr()).expect("connects");
+    let (status, _) = fresh.get("/v1/health").expect("responds");
+    assert_eq!(status, 200);
+    server.stop();
+}
+
+/// A complete request head over the 16 KiB cap, arriving in one write,
+/// is refused as malformed rather than parsed.
+#[test]
+fn oversized_complete_heads_are_rejected_in_one_write() {
+    let server = boot(ServeOptions::default());
+    let mut client = Client::connect(server.addr()).expect("connects");
+    let raw = format!(
+        "GET /v1/health HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+        "x".repeat(20 * 1024)
+    );
+    client.write_raw(raw.as_bytes()).expect("writes");
+    let (status, headers, body) = client.read_reply_with_headers().expect("responds");
+    assert_eq!(status, 400, "{body}");
+    let err: ErrorBody = serde_json::from_str(&body).expect("parses");
+    assert_eq!(err.error, "bad_request");
+    assert!(
+        headers.iter().any(|h| h == "Connection: close"),
+        "an oversized head must announce the close: {headers:?}"
+    );
+    let eof = client.read_reply();
+    assert!(eof.is_err(), "socket must be closed: {eof:?}");
+    server.stop();
 }
 
 /// Satellite: a slowloris client dribbling a request byte-at-a-time
@@ -387,42 +384,40 @@ fn framing_errors_close_the_connection_and_say_so() {
 #[test]
 fn slowloris_writer_does_not_stall_other_connections() {
     let local = Session::from_spec(&spec()).schedule().expect("schedulable");
-    for mode in MODES {
-        let server = boot(mode_options(mode));
-        let addr = server.addr();
+    let server = boot(ServeOptions::default());
+    let addr = server.addr();
 
-        // The slow writer: one valid schedule request, one byte at a
-        // time (gaps far below the blocking read timeout).
-        let slow = std::thread::spawn(move || {
-            let mut client = Client::connect(addr).expect("connects");
-            let body = spec_json();
-            let raw = format!(
-                "POST /v1/schedule HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
-                body.len()
-            );
-            for chunk in raw.as_bytes().chunks(1) {
-                client.write_raw(chunk).expect("dribbles");
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            client.read_reply().expect("slow request still completes")
-        });
-
-        // Meanwhile a normal client is served, bit-identically.
-        let mut fast = Client::connect(addr).expect("connects");
-        for _ in 0..10 {
-            let (status, body) = fast.post("/v1/schedule", &spec_json()).expect("responds");
-            assert_eq!(status, 200, "[{mode:?}] {body}");
-            let resp: ScheduleResponse = serde_json::from_str(&body).expect("parses");
-            assert_eq!(resp.assignment, local.schedule.assignment, "[{mode:?}]");
-            assert_eq!(resp.cost.to_bits(), local.schedule.cost.to_bits());
+    // The slow writer: one valid schedule request, one byte at a
+    // time.
+    let slow = std::thread::spawn(move || {
+        let mut client = Client::connect(addr).expect("connects");
+        let body = spec_json();
+        let raw = format!(
+            "POST /v1/schedule HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        for chunk in raw.as_bytes().chunks(1) {
+            client.write_raw(chunk).expect("dribbles");
+            std::thread::sleep(Duration::from_millis(1));
         }
+        client.read_reply().expect("slow request still completes")
+    });
 
-        let (status, body) = slow.join().expect("no panic");
-        assert_eq!(status, 200, "[{mode:?}] {body}");
+    // Meanwhile a normal client is served, bit-identically.
+    let mut fast = Client::connect(addr).expect("connects");
+    for _ in 0..10 {
+        let (status, body) = fast.post("/v1/schedule", &spec_json()).expect("responds");
+        assert_eq!(status, 200, "{body}");
         let resp: ScheduleResponse = serde_json::from_str(&body).expect("parses");
-        assert_eq!(resp.assignment, local.schedule.assignment, "[{mode:?}]");
-        server.stop();
+        assert_eq!(resp.assignment, local.schedule.assignment);
+        assert_eq!(resp.cost.to_bits(), local.schedule.cost.to_bits());
     }
+
+    let (status, body) = slow.join().expect("no panic");
+    assert_eq!(status, 200, "{body}");
+    let resp: ScheduleResponse = serde_json::from_str(&body).expect("parses");
+    assert_eq!(resp.assignment, local.schedule.assignment);
+    server.stop();
 }
 
 /// Satellite: a client that never reads its responses backs its own
@@ -433,82 +428,77 @@ fn slowloris_writer_does_not_stall_other_connections() {
 fn unread_responses_only_stall_their_own_connection() {
     const PIPELINED: usize = 256;
     let local = Session::from_spec(&spec()).schedule().expect("schedulable");
-    for mode in MODES {
-        let server = boot(ServeOptions {
-            send_buffer_bytes: Some(4096),
-            ..mode_options(mode)
-        });
+    let server = boot(ServeOptions {
+        send_buffer_bytes: Some(4096),
+        ..Default::default()
+    });
 
-        // The hoarder pipelines many requests and reads nothing yet.
-        let mut hoarder = Client::connect(server.addr()).expect("connects");
-        let body = spec_json();
-        for _ in 0..PIPELINED {
-            hoarder
-                .send("POST", "/v1/schedule", Some(&body))
-                .expect("pipelines");
-        }
-
-        // Unrelated connections keep completing while the hoarder's
-        // responses pile up server-side.
-        let mut fast = Client::connect(server.addr()).expect("connects");
-        for _ in 0..10 {
-            let (status, body) = fast.post("/v1/schedule", &spec_json()).expect("responds");
-            assert_eq!(status, 200, "[{mode:?}] {body}");
-            let resp: ScheduleResponse = serde_json::from_str(&body).expect("parses");
-            assert_eq!(resp.assignment, local.schedule.assignment, "[{mode:?}]");
-        }
-
-        // Now drain: all pipelined responses arrive, correct and in
-        // order.
-        for i in 0..PIPELINED {
-            let (status, body) = hoarder
-                .read_reply()
-                .unwrap_or_else(|e| panic!("[{mode:?}] response {i}: {e}"));
-            assert_eq!(status, 200, "[{mode:?}] response {i}: {body}");
-            let resp: ScheduleResponse = serde_json::from_str(&body).expect("parses");
-            assert_eq!(resp.assignment, local.schedule.assignment, "[{mode:?}]");
-        }
-        server.stop();
+    // The hoarder pipelines many requests and reads nothing yet.
+    let mut hoarder = Client::connect(server.addr()).expect("connects");
+    let body = spec_json();
+    for _ in 0..PIPELINED {
+        hoarder
+            .send("POST", "/v1/schedule", Some(&body))
+            .expect("pipelines");
     }
+
+    // Unrelated connections keep completing while the hoarder's
+    // responses pile up server-side.
+    let mut fast = Client::connect(server.addr()).expect("connects");
+    for _ in 0..10 {
+        let (status, body) = fast.post("/v1/schedule", &spec_json()).expect("responds");
+        assert_eq!(status, 200, "{body}");
+        let resp: ScheduleResponse = serde_json::from_str(&body).expect("parses");
+        assert_eq!(resp.assignment, local.schedule.assignment);
+    }
+
+    // Now drain: all pipelined responses arrive, correct and in
+    // order.
+    for i in 0..PIPELINED {
+        let (status, body) = hoarder
+            .read_reply()
+            .unwrap_or_else(|e| panic!("response {i}: {e}"));
+        assert_eq!(status, 200, "response {i}: {body}");
+        let resp: ScheduleResponse = serde_json::from_str(&body).expect("parses");
+        assert_eq!(resp.assignment, local.schedule.assignment);
+    }
+    server.stop();
 }
 
 /// Satellite: idle keep-alive connections are evicted after the idle
 /// timeout (and counted), without disturbing fresh connections.
 #[test]
 fn idle_connections_are_evicted_after_the_timeout() {
-    for mode in MODES {
-        let server = boot(ServeOptions {
-            idle_timeout: Duration::from_millis(300),
-            read_timeout: Duration::from_millis(100),
-            ..mode_options(mode)
-        });
-        let mut client = Client::connect(server.addr()).expect("connects");
-        let (status, _) = client.get("/v1/health").expect("responds");
-        assert_eq!(status, 200);
+    let server = boot(ServeOptions {
+        idle_timeout: Duration::from_millis(300),
+        ..Default::default()
+    });
+    let mut client = Client::connect(server.addr()).expect("connects");
+    let (status, _) = client.get("/v1/health").expect("responds");
+    assert_eq!(status, 200);
 
-        // Go idle past the timeout: the server must close on us.
-        client
-            .stream()
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("sets timeout");
-        let eof = client.read_reply();
-        assert!(
-            matches!(&eof, Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof),
-            "[{mode:?}] expected the idle server-side close, got {eof:?}"
-        );
+    // Go idle past the timeout: the server must close on us.
+    client
+        .stream()
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("sets timeout");
+    let eof = client.read_reply();
+    assert!(
+        matches!(&eof, Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof),
+        "expected the idle server-side close, got {eof:?}"
+    );
 
-        // The eviction is counted and fresh connections are served.
-        let mut fresh = Client::connect(server.addr()).expect("connects");
-        let (status, body) = fresh.get("/v1/health").expect("responds");
-        assert_eq!(status, 200);
-        let health: HealthResponse = serde_json::from_str(&body).expect("parses");
-        assert!(
-            health.server.idle_closed >= 1,
-            "[{mode:?}] idle_closed missing: {:?}",
-            health.server
-        );
-        server.stop();
-    }
+    // The eviction is counted and fresh connections are served.
+    let mut fresh = Client::connect(server.addr()).expect("connects");
+    let (status, body) = fresh.get("/v1/health").expect("responds");
+    assert_eq!(status, 200);
+    let health: HealthResponse = serde_json::from_str(&body).expect("parses");
+    assert!(
+        health.server.idle_closed >= 1,
+        "idle_closed missing: {:?}",
+        health.server
+    );
+    server.stop();
 }
 
 /// The reactor's connection cap answers `503 overloaded` at the accept
@@ -517,7 +507,7 @@ fn idle_connections_are_evicted_after_the_timeout() {
 fn reactor_connection_cap_rejects_at_the_accept_edge() {
     let server = boot(ServeOptions {
         max_conns: 2,
-        ..mode_options(ServeMode::Reactor)
+        ..Default::default()
     });
     // Fill the cap with two live connections.
     let mut a = Client::connect(server.addr()).expect("connects");
