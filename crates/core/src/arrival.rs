@@ -269,7 +269,8 @@ pub enum ResolvePolicy {
         window_ms: f64,
     },
     /// Re-solve only when the optimistic headroom of the patched
-    /// schedule — `(patched_cost - root_lower_bound) / |patched_cost|` —
+    /// schedule — `(patched_cost - root_chain_bound) / |patched_cost|`,
+    /// see [`ScheduleEncoding::chain_bound`] —
     /// reaches `min_gain`, or when a latency-critical tenant's slack
     /// stays negative even after throttling.
     UtilityThreshold {
@@ -787,7 +788,7 @@ impl<'a> Sim<'a> {
                         ..self.options.config
                     };
                     let enc = ScheduleEncoding::new(&workload, self.contention, relaxed);
-                    let root = enc.bound(&vec![None; enc.num_vars()]);
+                    let root = enc.chain_bound(&vec![None; enc.num_vars()]);
                     let headroom =
                         (patched_cost - root) / patched_cost.abs().max(f64::MIN_POSITIVE);
                     headroom >= min_gain

@@ -45,7 +45,31 @@ pub struct ScheduleEncoding<'a> {
     /// precomputed topologically in `new()` so `task_lower_bound` is a flat
     /// weighted sum over span sums — no per-call recursion over `deps`.
     closure: Vec<Vec<(usize, f64)>>,
+    /// `var_load[var][pu]`: busy time `var` puts on `pu` — the standalone
+    /// times of its group summed over every task sharing the variable
+    /// (tied copies each run their own instance). `INFINITY` off-domain.
+    var_load: Vec<Vec<f64>>,
+    /// Per variable: the cheapest `var_load` over its domain.
+    var_load_min: Vec<f64>,
+    /// PU ids are `0..n_pus`.
+    n_pus: usize,
+    /// Number of distinct PUs in the union of all domains (the divisor of
+    /// the total-work bound).
+    usable_pus: f64,
+    /// `collide[var]`: `(partner var, pu)` pairs of first groups of tasks
+    /// without upstream dependencies such that both on `pu` violate ε at
+    /// every completion. A self-partner (tied copies share the variable)
+    /// means `var` on `pu` alone suffices. Empty under the relaxed
+    /// formulation.
+    collide: Vec<Vec<(usize, u32)>>,
 }
+
+/// Factor by which [`CostModel::bound`]'s latency lower bounds, and the
+/// ε-collision threshold, are shaded: a relative margin of 1e-9 absorbs
+/// floating-point rounding, since the timeline accumulates group times in
+/// its own order (a few ulps per dispatched group) and an exact sum of the
+/// same times can exceed it by an ulp.
+const SHADE: f64 = 1.0 - 1e-9;
 
 /// Per-worker incremental state for [`ScheduleEncoding`] (the solver's
 /// `CostModel::Scratch`). Maintained by `push`/`pop` under the engine's
@@ -74,6 +98,17 @@ pub struct ScheduleScratch {
     /// Number of representative tasks currently over the transition
     /// budget; `prune_with` is the O(1) check `violations > 0`.
     violations: usize,
+    /// Number of live ε-collisions (pairs of `collide` entries both
+    /// assigned to the colliding PU); any makes the prefix infeasible.
+    collisions: usize,
+    /// Per PU: Σ `var_load` of the variables assigned to it, pinned
+    /// variables included from the root.
+    load: Vec<f64>,
+    /// Σ over variables of (assigned ? `var_load` : `var_load_min`).
+    work: f64,
+    /// `saved_load[var]`: `(load[value], work)` at push time, restored
+    /// verbatim by the matching pop (the `saved_span` discipline).
+    saved_load: Vec<(f64, f64)>,
     /// Timeline evaluation workspace reused across `cost_with` leaves.
     pub(crate) ws: TimelineWorkspace,
 }
@@ -169,6 +204,63 @@ impl<'a> ScheduleEncoding<'a> {
             );
         }
 
+        let var_load: Vec<Vec<f64>> = time_of_var
+            .iter()
+            .map(|rows| {
+                (0..n_pus)
+                    .map(|pu| rows.iter().map(|r| r[pu]).sum())
+                    .collect()
+            })
+            .collect();
+        let var_load_min: Vec<f64> = domains
+            .iter()
+            .zip(&var_load)
+            .map(|(dom, load)| {
+                dom.iter()
+                    .map(|&pu| load[pu as usize])
+                    .fold(f64::INFINITY, f64::min)
+            })
+            .collect();
+        let mut usable = vec![false; n_pus];
+        for &pu in domains.iter().flatten() {
+            usable[pu as usize] = true;
+        }
+        let usable_pus = usable.iter().filter(|&&u| u).count() as f64;
+
+        // ε-collisions (Eq. 9): two tasks without upstream dependencies are
+        // both ready at t = 0, so if their first groups share a PU the one
+        // dispatched second waits at least the other's standalone time
+        // there (slowdown ≥ 1). When the smaller of the two exceeds ε, no
+        // completion is feasible.
+        let mut collide: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n_vars];
+        if let Some(eps) = config.epsilon_ms {
+            let roots: Vec<usize> = (0..n_tasks).filter(|&t| upstream[t].is_empty()).collect();
+            let first_time = |t: usize, pu: u32| {
+                let var = task_spans[t].0;
+                let k = tasks_of_var[var]
+                    .iter()
+                    .position(|&u| u == t)
+                    .expect("spans");
+                time_of_var[var][k][pu as usize]
+            };
+            for (i, &a) in roots.iter().enumerate() {
+                for &b in &roots[i + 1..] {
+                    let (va, vb) = (task_spans[a].0, task_spans[b].0);
+                    for &pu in domains[va].iter().filter(|pu| domains[vb].contains(pu)) {
+                        let wait = first_time(a, pu).min(first_time(b, pu));
+                        if wait * SHADE <= eps {
+                            continue;
+                        }
+                        for (v, partner) in [(va, vb), (vb, va)] {
+                            if !collide[v].contains(&(partner, pu)) {
+                                collide[v].push((partner, pu));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
         ScheduleEncoding {
             workload,
             evaluator,
@@ -181,6 +273,11 @@ impl<'a> ScheduleEncoding<'a> {
             tasks_of_var,
             time_of_var,
             closure,
+            var_load,
+            var_load_min,
+            n_pus,
+            usable_pus,
+            collide,
         }
     }
 
@@ -320,6 +417,70 @@ impl<'a> ScheduleEncoding<'a> {
         delta
     }
 
+    /// Number of `collide` entries of `var = value` whose partner is
+    /// assigned the same PU — the change in live ε-collisions from
+    /// assigning (or, under LIFO, unassigning) `var`.
+    #[inline]
+    fn collision_delta(&self, scratch: &ScheduleScratch, var: usize, value: u32) -> usize {
+        self.collide[var]
+            .iter()
+            .filter(|&&(other, pu)| {
+                pu == value
+                    && (other == var || (scratch.assigned[other] && scratch.vals[other] == value))
+            })
+            .count()
+    }
+
+    /// Whether `partial` assigns some `collide` pair to its colliding PU.
+    fn collides(&self, partial: &PartialAssignment) -> bool {
+        self.collide.iter().enumerate().any(|(var, entries)| {
+            partial[var].is_some_and(|value| {
+                entries
+                    .iter()
+                    .any(|&(other, pu)| pu == value && partial[other] == Some(value))
+            })
+        })
+    }
+
+    /// The objective-space bound implied by per-task latency lower bounds
+    /// `lb(t)`, each scaled by `scale`: their max under `MinMaxLatency`;
+    /// under `MaxThroughput`, cost = -Σ 1/T and T ≥ lb give -Σ 1/lb.
+    #[inline]
+    fn objective_bound(&self, lb: impl Fn(usize) -> f64, scale: f64) -> f64 {
+        let tasks = 0..self.task_spans.len();
+        match self.config.objective {
+            Objective::MinMaxLatency => tasks.map(lb).fold(0.0, f64::max) * scale,
+            Objective::MaxThroughput => -tasks
+                .map(|t| 1000.0 / (lb(t) * scale).max(1e-9))
+                .sum::<f64>(),
+        }
+    }
+
+    /// The full lower bound from its ingredients: under `MinMaxLatency`
+    /// the makespan is at least the longest task chain, the busiest PU's
+    /// `load` (groups on one PU run one at a time, each for at least its
+    /// standalone time) and the total `work` spread over the usable PUs;
+    /// under `MaxThroughput` only the chains apply. Shaded by [`SHADE`].
+    #[inline]
+    fn shaded_bound(&self, lb: impl Fn(usize) -> f64, load: &[f64], work: f64) -> f64 {
+        match self.config.objective {
+            Objective::MinMaxLatency => {
+                let chain = self.objective_bound(lb, 1.0);
+                let busiest = load.iter().cloned().fold(chain, f64::max);
+                busiest.max(work / self.usable_pus) * SHADE
+            }
+            Objective::MaxThroughput => self.objective_bound(lb, SHADE),
+        }
+    }
+
+    /// The critical-chain bound alone: each task's upstream chain of
+    /// cheapest standalone times, unshaded and without the PU-load terms
+    /// of [`CostModel::bound`]. The utility-threshold re-solve policy
+    /// estimates its optimistic headroom from it.
+    pub fn chain_bound(&self, partial: &PartialAssignment) -> f64 {
+        self.objective_bound(|t| self.task_lower_bound(t, partial), 1.0)
+    }
+
     /// The objective value of an evaluated timeline, shared by `cost` and
     /// `cost_with` so both produce bit-identical results.
     #[inline]
@@ -422,21 +583,28 @@ impl CostModel for ScheduleEncoding<'_> {
                 return true;
             }
         }
-        false
+        self.collides(partial)
     }
 
     fn bound(&self, partial: &PartialAssignment) -> f64 {
-        match self.config.objective {
-            Objective::MinMaxLatency => (0..self.task_spans.len())
-                .map(|t| self.task_lower_bound(t, partial))
-                .fold(0.0, f64::max),
-            Objective::MaxThroughput => {
-                // cost = -sum 1/T; T >= lb  =>  -sum 1/T >= -sum 1/lb.
-                -(0..self.task_spans.len())
-                    .map(|t| 1000.0 / self.task_lower_bound(t, partial).max(1e-9))
-                    .sum::<f64>()
+        let mut load = vec![0.0; self.n_pus];
+        let mut work = 0.0;
+        for (var, slot) in partial.iter().enumerate() {
+            let fixed = if self.pinned[var] {
+                Some(self.domains[var][0])
+            } else {
+                *slot
+            };
+            match fixed {
+                Some(pu) => {
+                    let t = self.var_load[var][pu as usize];
+                    load[pu as usize] += t;
+                    work += t;
+                }
+                None => work += self.var_load_min[var],
             }
         }
+        self.shaded_bound(|t| self.task_lower_bound(t, partial), &load, work)
     }
 
     fn cost(&self, assignment: &Assignment) -> Option<f64> {
@@ -456,6 +624,13 @@ impl CostModel for ScheduleEncoding<'_> {
             let (start, len) = self.task_spans[t];
             *slot = self.min_time[start..start + len].iter().sum();
         }
+        // Pinned variables have one possible PU, so their load counts from
+        // the root and `push`/`pop` skip them.
+        let mut load = vec![0.0f64; self.n_pus];
+        for var in (0..n_vars).filter(|&v| self.pinned[v]) {
+            let pu = self.domains[var][0] as usize;
+            load[pu] += self.var_load[var][pu];
+        }
         ScheduleScratch {
             vals: vec![0; n_vars],
             assigned: vec![false; n_vars],
@@ -467,6 +642,10 @@ impl CostModel for ScheduleEncoding<'_> {
                 .collect(),
             trans: vec![0; n_tasks],
             violations: 0,
+            collisions: 0,
+            load,
+            work: self.var_load_min.iter().sum(),
+            saved_load: vec![(0.0, 0.0); n_vars],
             ws: TimelineWorkspace::default(),
         }
     }
@@ -491,6 +670,13 @@ impl CostModel for ScheduleEncoding<'_> {
             scratch.saved_span[var][k] = scratch.span_sum[t];
             scratch.span_sum[t] += self.time_of_var[var][k][value as usize] - self.min_time[var];
         }
+        if !self.pinned[var] {
+            let pu = value as usize;
+            scratch.saved_load[var] = (scratch.load[pu], scratch.work);
+            scratch.load[pu] += self.var_load[var][pu];
+            scratch.work += self.var_load[var][pu] - self.var_load_min[var];
+        }
+        scratch.collisions += self.collision_delta(scratch, var, value);
         scratch.vals[var] = value;
         scratch.assigned[var] = true;
     }
@@ -500,6 +686,12 @@ impl CostModel for ScheduleEncoding<'_> {
         for (k, &t) in self.tasks_of_var[var].iter().enumerate() {
             scratch.span_sum[t] = scratch.saved_span[var][k];
         }
+        if !self.pinned[var] {
+            let (load, work) = scratch.saved_load[var];
+            scratch.load[scratch.vals[var] as usize] = load;
+            scratch.work = work;
+        }
+        scratch.collisions -= self.collision_delta(scratch, var, scratch.vals[var]);
         // LIFO means the neighbour state now matches what the matching
         // push saw, so the recomputed delta is the one that was added.
         let delta = self.transition_delta(scratch, var, scratch.vals[var]);
@@ -516,18 +708,15 @@ impl CostModel for ScheduleEncoding<'_> {
     }
 
     fn prune_with(&self, scratch: &ScheduleScratch, _partial: &PartialAssignment) -> bool {
-        scratch.violations > 0
+        scratch.violations > 0 || scratch.collisions > 0
     }
 
     fn bound_with(&self, scratch: &ScheduleScratch, _partial: &PartialAssignment) -> f64 {
-        match self.config.objective {
-            Objective::MinMaxLatency => (0..self.task_spans.len())
-                .map(|t| self.task_lower_bound_inc(t, scratch))
-                .fold(0.0, f64::max),
-            Objective::MaxThroughput => -(0..self.task_spans.len())
-                .map(|t| 1000.0 / self.task_lower_bound_inc(t, scratch).max(1e-9))
-                .sum::<f64>(),
-        }
+        self.shaded_bound(
+            |t| self.task_lower_bound_inc(t, scratch),
+            &scratch.load,
+            scratch.work,
+        )
     }
 
     fn cost_with(&self, scratch: &mut ScheduleScratch, assignment: &Assignment) -> Option<f64> {
@@ -579,24 +768,46 @@ mod tests {
     }
 
     #[test]
-    fn bound_is_admissible() {
-        let (_p, w, cm) = setup(&[Model::ResNet18, Model::GoogleNet]);
-        let enc = ScheduleEncoding::new(&w, &cm, SchedulerConfig::default());
-        // For a handful of random-ish complete assignments, cost >= bound of
-        // the fully-unassigned partial.
-        let empty: Vec<Option<u32>> = vec![None; enc.num_vars()];
-        let root_bound = enc.bound(&empty);
-        let mut a: Vec<u32> = (0..enc.num_vars()).map(|v| enc.domain(v)[0]).collect();
-        for flip in 0..enc.num_vars() {
-            let d = enc.domain(flip);
-            a[flip] = d[d.len() - 1];
-            if let Some(c) = enc.cost(&a) {
-                assert!(
-                    c >= root_bound - 1e-9,
-                    "cost {c} below root bound {root_bound}"
-                );
-            }
-        }
+    fn bound_counts_every_group_queued_on_one_pu() {
+        // Two GPU-bound ResNet18s: each task's own chain is one
+        // standalone run, but the GPU must run both, so once every
+        // group sits on the GPU the bound is the serialized sum.
+        let (p, w, cm) = setup(&[Model::ResNet18, Model::ResNet18]);
+        let cfg = SchedulerConfig {
+            epsilon_ms: None,
+            ..Default::default()
+        };
+        let enc = ScheduleEncoding::new(&w, &cm, cfg);
+        let gpu: Vec<Option<u32>> = vec![Some(p.gpu() as u32); enc.num_vars()];
+        let standalone = w.tasks[0].profile.standalone_ms(p.gpu()).unwrap();
+        let bound = enc.bound(&gpu);
+        assert!(bound > 1.99 * standalone, "{bound} vs {standalone}");
+        let all: Assignment = gpu.iter().map(|v| v.unwrap()).collect();
+        assert!(bound <= enc.cost(&all).unwrap());
+    }
+
+    #[test]
+    fn colliding_first_groups_prune_under_epsilon_only() {
+        // Both ResNet101s start at t = 0; whichever reaches the GPU second
+        // waits a whole first group, far above ε = 0.35 ms.
+        let (p, w, cm) = setup(&[Model::ResNet101, Model::ResNet101]);
+        let strict = ScheduleEncoding::new(&w, &cm, SchedulerConfig::default());
+        let n = strict.num_vars();
+        let gpu = Some(p.gpu() as u32);
+        let mut partial: Vec<Option<u32>> = vec![None; n];
+        partial[strict.var_of(0, 0)] = gpu;
+        assert!(!strict.prune(&partial), "one first group alone is fine");
+        partial[strict.var_of(1, 0)] = gpu;
+        assert!(strict.prune(&partial));
+        let relaxed = ScheduleEncoding::new(
+            &w,
+            &cm,
+            SchedulerConfig {
+                epsilon_ms: None,
+                ..Default::default()
+            },
+        );
+        assert!(!relaxed.prune(&partial));
     }
 
     #[test]

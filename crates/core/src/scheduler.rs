@@ -163,7 +163,8 @@ impl HaxConn {
         let mut best = found.map(|(a, _)| enc.to_rows(&a));
 
         // 2. Infeasible under ε? Relax Eq. 9 and model queuing instead.
-        if best.is_none() && config.epsilon_ms.is_some() {
+        let relax = best.is_none() && config.epsilon_ms.is_some();
+        if relax {
             let relaxed_cfg = SchedulerConfig {
                 epsilon_ms: None,
                 ..config
@@ -207,6 +208,7 @@ impl HaxConn {
             use haxconn_telemetry as t;
             let ms = schedule_started.elapsed().as_secs_f64() * 1e3;
             t::counter_add("scheduler.schedules", 1);
+            t::counter_add("scheduler.relaxed", u64::from(relax));
             t::counter_add(
                 "scheduler.fallbacks",
                 u64::from(!matches!(origin, ScheduleOrigin::Optimal)),
