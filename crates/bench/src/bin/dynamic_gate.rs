@@ -8,8 +8,11 @@
 //!
 //! 1. **Byte determinism** — two replays with identical options produce
 //!    byte-identical `TenantReport::to_json` output.
-//! 2. **Worker independence** — replays at parallel-solver worker
-//!    counts 1, 2 and 4 are byte-identical to each other.
+//! 2. **Worker independence** — replays at worker counts 1, 2 and 4
+//!    are byte-identical to each other. One worker re-solves every mix
+//!    with the sequential branch & bound; two and four run the parallel
+//!    one on mixes of 12 or more variables, so the gate cross-checks the
+//!    two drivers.
 //! 3. **Zero violations** — every schedule adopted at every re-solve
 //!    point passes the timeline invariant suite.
 //! 4. **Bounded accounting** — Jain fairness in (0, 1], every
@@ -142,7 +145,8 @@ fn main() {
     let two_runs_identical = base_json == again_json;
     assert!(two_runs_identical, "two identical replays diverged");
 
-    // Gate 2: the parallel-solver worker count must not matter.
+    // Gate 2: the worker count (sequential vs parallel B&B) must not
+    // matter.
     let workers_compared = vec![1usize, 2, 4];
     let worker_counts_identical = workers_compared[1..]
         .iter()

@@ -12,9 +12,8 @@
 //!   changes of tenants with priority/SLA classes ([`SlaClass`]) — into
 //!   the event queue,
 //! * a [`ResolvePolicy`] decides at each workload change whether to
-//!   re-run the solver (warm-started from the surviving incumbent, on
-//!   the portfolio path for large joint workloads) or to keep running a
-//!   cheaply *patched* schedule,
+//!   re-run the solver (warm-started from the surviving incumbent) or
+//!   to keep running a cheaply *patched* schedule,
 //! * a contention-aware throttle de-prioritizes best-effort co-runners
 //!   whenever a latency-critical tenant's predicted slack goes negative
 //!   (the memory-centric adaptive throttling move of MoCA),
@@ -23,11 +22,12 @@
 //!   fairness index over normalized throughput.
 //!
 //! Replays are bit-deterministic: virtual time only, seeded generation,
-//! FIFO tie-breaking in the event queue, and solver paths whose results
-//! are independent of thread count (node-budgeted solves are routed to
-//! the sequential solver for exactly this reason). Two replays of the
-//! same trace — on any worker count — produce byte-identical JSON
-//! reports, which the `dynamic-gate` CI job checks on a 10k-event trace.
+//! FIFO tie-breaking in the event queue, and one solver entry whose
+//! results are independent of thread count (it routes node-budgeted
+//! solves to the sequential solver for exactly this reason). Two
+//! replays of the same trace — on any worker count — produce
+//! byte-identical JSON reports, which the `dynamic-gate` CI job checks
+//! on a 10k-event trace.
 
 use crate::cache::ScheduleCache;
 use crate::encoding::ScheduleEncoding;
@@ -41,10 +41,7 @@ use haxconn_des::{Engine, EventQueue, SimModel, SimTime};
 use haxconn_dnn::Model;
 use haxconn_profiler::NetworkProfile;
 use haxconn_soc::{Platform, PuId};
-use haxconn_solver::{
-    solve, solve_parallel_with, solve_portfolio, CostModel, ParallelOptions, PortfolioOptions,
-    SolveOptions,
-};
+use haxconn_solver::{solve_auto, CostModel, SolveOptions};
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -284,9 +281,9 @@ pub enum ResolvePolicy {
 pub struct ReplayOptions {
     /// Re-solve policy.
     pub policy: ResolvePolicy,
-    /// Scheduler configuration for the re-solves. `node_budget` is
-    /// honored but routed to the *sequential* solver (a globally shared
-    /// atomic budget makes parallel results timing-dependent).
+    /// Scheduler configuration for the re-solves. Every re-solve goes
+    /// through `haxconn_solver::solve_auto`, which runs a budgeted solve
+    /// (`node_budget`) on the sequential branch & bound.
     pub config: SchedulerConfig,
     /// Validate every schedule adopted at every re-solve point against
     /// the timeline invariant suite, counting violations in the report.
@@ -296,12 +293,12 @@ pub struct ReplayOptions {
     pub record_resolves: bool,
     /// Extra accounting time after the last event, ms.
     pub tail_ms: f64,
-    /// Joint workloads with at least this many decision variables take
-    /// the portfolio solver path (B&B raced against LNS).
-    pub portfolio_vars: usize,
-    /// Worker threads for the parallel solver path (0 = all cores). The
-    /// replay is bit-identical across worker counts — the determinism
-    /// gate replays the same trace at several values and compares bytes.
+    /// Threads for each re-solve (0 = all cores), passed to
+    /// `haxconn_solver::solve_auto`: 1 keeps every re-solve sequential,
+    /// larger values let mixes of 12 or more variables run the parallel
+    /// branch & bound. The replay is bit-identical across worker counts —
+    /// the determinism gate replays the same trace at several values and
+    /// compares bytes.
     pub workers: usize,
 }
 
@@ -313,7 +310,6 @@ impl Default for ReplayOptions {
             validate: false,
             record_resolves: true,
             tail_ms: 0.0,
-            portfolio_vars: 24,
             workers: 0,
         }
     }
@@ -633,33 +629,7 @@ impl<'a> Sim<'a> {
             initial_incumbent: seed,
             ..Default::default()
         };
-        let best = if relaxed.node_budget.is_some() {
-            // A node budget is drained from a globally shared atomic in
-            // the parallel solvers — which nodes it covers depends on
-            // timing. Sequential keeps budgeted replays deterministic.
-            solve(&enc, opts).best
-        } else if enc.num_vars() >= self.options.portfolio_vars {
-            solve_portfolio(
-                &enc,
-                opts,
-                &PortfolioOptions {
-                    bb_threads: self.options.workers,
-                    lns_workers: relaxed.lns_workers.max(1),
-                    ..Default::default()
-                },
-            )
-            .best
-        } else {
-            solve_parallel_with(
-                &enc,
-                opts,
-                &ParallelOptions {
-                    threads: self.options.workers,
-                    ..Default::default()
-                },
-            )
-            .best
-        };
+        let best = solve_auto(&enc, opts, self.options.workers).best;
         let rows = match best {
             Some((a, _)) => enc.to_rows(&a),
             // Nothing beat the warm start: the patched incumbent *is*

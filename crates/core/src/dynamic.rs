@@ -21,7 +21,7 @@ use crate::scheduler::{objective_cost, Schedule, ScheduleOrigin};
 use crate::timeline::TimelineEvaluator;
 use haxconn_contention::ContentionModel;
 use haxconn_soc::{Platform, PuId};
-use haxconn_solver::{solve, solve_parallel, SolveOptions};
+use haxconn_solver::{solve_auto, SolveOptions};
 use std::time::Duration;
 
 /// One recorded incumbent improvement.
@@ -93,8 +93,9 @@ impl DHaxConn {
     /// Like [`DHaxConn::run`], but with an injectable incumbent clock so
     /// deterministic callers (tests, fuzzers, trace replays) get
     /// bit-identical `schedule_at` checkpoints. [`IncumbentClock::Solver`]
-    /// solves on the parallel solver; [`IncumbentClock::Virtual`] is a
-    /// request for determinism and solves sequentially, since the parallel
+    /// lets the solver use every core (the parallel solver on encodings
+    /// of 12 or more variables); [`IncumbentClock::Virtual`] is a request
+    /// for determinism and solves sequentially, since the parallel
     /// solver's intermediate incumbents follow thread timing.
     pub fn run_with(
         platform: &Platform,
@@ -131,7 +132,7 @@ impl DHaxConn {
         // through a channel: costs strictly decrease and timestamps are
         // monotone, exactly like the sequential solver's trace — but which
         // intermediate incumbents surface depends on thread timing, so a
-        // virtual clock solves sequentially.
+        // virtual clock asks for one thread, which solves sequentially.
         let relaxed = SchedulerConfig {
             epsilon_ms: None,
             ..config
@@ -159,10 +160,11 @@ impl DHaxConn {
                 })),
                 ..Default::default()
             };
-            match clock {
-                IncumbentClock::Solver => solve_parallel(&enc, opts),
-                IncumbentClock::Virtual { .. } => solve(&enc, opts),
-            }
+            let threads = match clock {
+                IncumbentClock::Solver => 0,
+                IncumbentClock::Virtual { .. } => 1,
+            };
+            solve_auto(&enc, opts, threads)
         };
         if haxconn_telemetry::enabled() {
             use haxconn_telemetry as t;

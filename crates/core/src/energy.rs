@@ -13,7 +13,7 @@ use crate::scheduler::{Schedule, ScheduleOrigin};
 use crate::timeline::TimelineEvaluator;
 use haxconn_contention::ContentionModel;
 use haxconn_soc::{EnergyReport, Platform, PowerModel, PuId};
-use haxconn_solver::{solve, Assignment, CostModel, PartialAssignment, SolveOptions};
+use haxconn_solver::{solve_auto, Assignment, CostModel, PartialAssignment, SolveOptions};
 
 /// Dynamic energy of executing `assignment`, in millijoules (transition
 /// flush/reformat traffic included).
@@ -162,12 +162,13 @@ pub fn schedule_min_energy(
         power,
         latency_budget_ms,
     };
-    let sol = solve(
+    let sol = solve_auto(
         &enc,
         SolveOptions {
             node_budget: config.node_budget,
             ..Default::default()
         },
+        0,
     );
     let proven = sol.proven_optimal();
     let (best, cost) = sol.best?;

@@ -251,30 +251,14 @@ pub struct SchedulerConfig {
     /// search space the "relatively small parameter search space" the paper
     /// relies on. Optimal schedules in Table 6 use at most 2.
     pub max_transitions_per_task: usize,
-    /// Solver node budget (None = run to proven optimality). The budget
-    /// is global: with the parallel solver, all workers draw from one
-    /// shared atomic counter, so `Some(n)` means at most `n` search nodes
-    /// in total — never `n` per subtree or per thread.
+    /// Solver node budget (None = run to proven optimality); `Some(n)`
+    /// caps the search at `n` nodes in total. A budgeted solve always runs the sequential
+    /// branch & bound (see `haxconn_solver::solve_auto`), so which nodes
+    /// the budget covers never depends on thread timing.
     pub node_budget: Option<u64>,
     /// Whether contention enters the cost function (disabled only by the
     /// contention-blind ablation).
     pub contention_aware: bool,
-    /// Solve with the work-stealing parallel branch & bound (the search
-    /// frontier is split into many prefix subtrees that idle workers
-    /// claim). Same optimum, deterministic result; mostly useful for the
-    /// large Inception-ResNet-v2-class encodings.
-    pub parallel_solve: bool,
-    /// Solve with the portfolio: parallel branch & bound racing
-    /// [`lns_workers`](Self::lns_workers) large-neighborhood-search
-    /// workers over a shared incumbent. If B&B exhausts the tree the
-    /// result is still proven optimal; under budgets the best candidate
-    /// found by either side wins. Takes precedence over
-    /// [`parallel_solve`](Self::parallel_solve).
-    pub portfolio_solve: bool,
-    /// Number of LNS workers the portfolio races alongside B&B (only
-    /// read when [`portfolio_solve`](Self::portfolio_solve) is set; must
-    /// be ≥ 1 then).
-    pub lns_workers: usize,
     /// Prune symmetric duplicates inside the solver: interchangeable PUs
     /// (identical DLAs) and duplicate untied DNN instances are restricted
     /// to canonical representatives. Off by default — a canonical
@@ -292,9 +276,6 @@ impl Default for SchedulerConfig {
             max_transitions_per_task: 2,
             node_budget: None,
             contention_aware: true,
-            parallel_solve: false,
-            portfolio_solve: false,
-            lns_workers: 1,
             break_symmetry: false,
         }
     }
@@ -323,11 +304,6 @@ impl SchedulerConfig {
         if self.node_budget == Some(0) {
             return Err(HaxError::InvalidConfig(
                 "node_budget of 0 can never find a schedule".into(),
-            ));
-        }
-        if self.portfolio_solve && self.lns_workers == 0 {
-            return Err(HaxError::InvalidConfig(
-                "portfolio_solve needs at least one LNS worker".into(),
             ));
         }
         Ok(())
@@ -412,16 +388,5 @@ mod tests {
             ..Default::default()
         };
         assert!(bad_budget.validate().is_err());
-        let bad_portfolio = SchedulerConfig {
-            portfolio_solve: true,
-            lns_workers: 0,
-            ..Default::default()
-        };
-        assert!(bad_portfolio.validate().is_err());
-        let ok_portfolio = SchedulerConfig {
-            portfolio_solve: true,
-            ..Default::default()
-        };
-        assert!(ok_portfolio.validate().is_ok());
     }
 }

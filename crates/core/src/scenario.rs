@@ -137,9 +137,9 @@ impl Scenario {
 
 /// A seeded solver-stress instance: a random layer-group DAG of DNN
 /// instances drawn from the model zoo, on a parameterized SoC. Feeds the
-/// portfolio benchmark, the large-instance fuzzer, and the
-/// `haxconn solve --portfolio` CLI path with instances far beyond the
-/// paper's hand-picked scenarios (50+ decision variables).
+/// portfolio benchmark, the large-instance fuzzer, and `haxconn solve`
+/// with instances far beyond the paper's hand-picked scenarios (50+
+/// decision variables).
 #[derive(Debug, Clone)]
 pub struct GeneratedInstance {
     /// Reproducible label, e.g. `"gen7-7x8"` (seed 7, 7 tasks × 8 groups).
@@ -350,28 +350,6 @@ mod tests {
         assert!(
             spec.value_classes.contains(&vec![1, 2]),
             "dual-DLA class missing: {spec:?}"
-        );
-    }
-
-    #[test]
-    fn small_generated_instance_schedules_end_to_end_with_the_portfolio() {
-        let g = generate_instance(11, 3, 3);
-        let cm = ContentionModel::calibrate(&g.platform);
-        let seq = HaxConn::schedule(&g.platform, &g.workload, &cm, g.config);
-        let pf = HaxConn::schedule(
-            &g.platform,
-            &g.workload,
-            &cm,
-            SchedulerConfig {
-                portfolio_solve: true,
-                ..g.config
-            },
-        );
-        assert!(
-            (seq.cost - pf.cost).abs() < 1e-9,
-            "portfolio drifted on a generated instance: {} vs {}",
-            seq.cost,
-            pf.cost
         );
     }
 

@@ -27,8 +27,10 @@ use crate::model::{Assignment, CostModel};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// Tolerance for cross-thread incumbent comparisons (matches the
-/// deterministic tie-breaking contract of the parallel solver).
+/// Pruning slack above an *adopted* or shared incumbent: subtrees whose
+/// bound ties that cost within `EPS` are still explored, so a leaf that
+/// wins the `(cost, assignment)` order is never pruned by timing. Only
+/// pruning uses it; incumbents are ordered by exact cost.
 pub(crate) const EPS: f64 = 1e-12;
 
 /// How many nodes a worker claims from the global budget at once. Large
@@ -306,12 +308,12 @@ pub(crate) struct Engine<'a, M: CostModel, F: FnMut(&Assignment, f64)> {
     /// Incumbent local to the current work item (reset per subtree in the
     /// parallel solver so results do not depend on work distribution).
     pub(crate) local_best: Option<(Assignment, f64)>,
-    /// Whether `local_best` was *adopted* from the shared incumbent rather
-    /// than found by this engine. Adopted incumbents loosen the acceptance
-    /// threshold by [`EPS`] so equal-cost candidates are still offered for
-    /// lexicographic tie-breaking — exactly the candidates `offer` would
-    /// otherwise receive with an empty `local_best`, so adoption never
-    /// changes the solve result (see `parallel.rs` module docs).
+    /// Whether `local_best` was *adopted* (the shared incumbent, or the
+    /// caller's seed) rather than found by this engine. A leaf then beats
+    /// it in the `(cost, assignment)` order — an equal-cost leaf wins if
+    /// it is lexicographically smaller — because the DFS cannot know
+    /// where the adopted assignment sits in its own visiting order (see
+    /// `parallel.rs` module docs).
     adopted: bool,
     /// Acceptance ceiling from a warm start.
     init_ub: f64,
@@ -366,16 +368,30 @@ impl<'a, M: CostModel, F: FnMut(&Assignment, f64)> Engine<'a, M, F> {
         }
     }
 
-    /// Local acceptance threshold: the warm-start bound until something
+    /// Local pruning threshold: the warm-start bound until something
     /// better is found locally. An *adopted* incumbent keeps the threshold
-    /// [`EPS`] above its cost so candidates tying it are still offered
-    /// (the shared slot then resolves the tie lexicographically).
+    /// [`EPS`] above its cost so subtrees that may hold an equal-cost,
+    /// lexicographically smaller leaf are still explored.
     #[inline]
     fn local_ub(&self) -> f64 {
         match &self.local_best {
             Some((_, c)) if self.adopted => *c + EPS,
             Some((_, c)) => *c,
             None => self.init_ub,
+        }
+    }
+
+    /// Whether the leaf in `ws.complete`, of cost `c`, beats the local
+    /// incumbent. A leaf this engine found itself precedes every later
+    /// leaf of its DFS in assignment order, so only a strictly lower cost
+    /// beats it; an adopted incumbent is compared in full `(cost,
+    /// assignment)` order, exactly as the shared slot orders offers.
+    #[inline]
+    fn improves(&self, c: f64) -> bool {
+        match &self.local_best {
+            Some((a, lc)) if self.adopted => (c, &self.ws.complete) < (*lc, a),
+            Some((_, lc)) => c < *lc,
+            None => c < self.init_ub,
         }
     }
 
@@ -465,7 +481,7 @@ impl<'a, M: CostModel, F: FnMut(&Assignment, f64)> Engine<'a, M, F> {
                 *dst = src.expect("complete assignment");
             }
             if let Some(c) = self.model.cost_with(&mut self.ws.inc, &self.ws.complete) {
-                if c < self.local_ub() {
+                if self.improves(c) {
                     self.local_best = Some((self.ws.complete.clone(), c));
                     self.adopted = false;
                     self.incumbents += 1;

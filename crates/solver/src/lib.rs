@@ -14,7 +14,9 @@
 //!   provides admissible lower bounds for partial assignments, and can
 //!   prune subtrees via domain-specific feasibility checks,
 //! * depth-first **branch & bound** with incumbent bounding
-//!   ([`solve`]) — guaranteed optimal when run to completion,
+//!   ([`solve`]) — guaranteed optimal when run to completion — and its
+//!   work-stealing parallel twin; [`solve_auto`] picks between them and
+//!   is the entry every exact solve in the scheduler goes through,
 //! * an **anytime** interface: every strictly improving incumbent is
 //!   reported through a callback together with the solve clock, which is
 //!   what D-HaX-CoNN uses to swap better schedules in mid-flight (paper
@@ -24,6 +26,7 @@
 //! Determinism: variables are branched in index order and values in domain
 //! order, so equal-cost ties always resolve identically.
 
+pub mod auto;
 pub mod bb;
 pub mod lns;
 pub mod model;
@@ -31,6 +34,7 @@ pub mod parallel;
 pub mod portfolio;
 pub mod symmetry;
 
+pub use auto::{solve_auto, PARALLEL_MIN_VARS};
 pub use bb::{solve, solve_with, BudgetState, Solution, SolveOptions, SolveStats, Workspace};
 pub use lns::{solve_lns, LnsOptions, LnsStats};
 pub use model::{brute_force, Assignment, CostModel, NonIncremental, PartialAssignment};

@@ -23,26 +23,27 @@
 //!
 //! # Determinism
 //!
-//! The returned optimum cost is identical to the sequential solver's and
-//! the returned assignment does not depend on thread count or timing:
+//! Incumbents are ordered by exact cost, then lexicographically by
+//! assignment. That order is total, and with ascending domains and
+//! default (domain-order) branching its minimum is exactly what the
+//! sequential solver returns: its DFS visits leaves in assignment order
+//! and keeps only strict cost improvements. The parallel solver returns
+//! the same minimum, cost bits and assignment, whatever the thread count
+//! or timing:
 //!
-//! * workers accept incumbents *locally* per work item. Each item starts
-//!   by adopting the shared incumbent (assignment + cost) with an
-//!   acceptance threshold `EPS` *above* the adopted cost, so the set of
-//!   candidates that survive `offer`'s lock-free reject depends only on
-//!   the model, never on which worker ran which item or when — adoption
-//!   only filters out candidates `offer` was guaranteed to reject;
-//! * cross-worker pruning against the atomic cost uses a *conservative*
-//!   margin (`bound > best + 1e-12`): subtrees whose bound ties the
-//!   incumbent are still explored, so an optimal leaf can never be
-//!   timing-pruned;
-//! * the shared incumbent resolves equal-cost ties toward the
-//!   lexicographically smallest assignment — an order-independent
-//!   reduction, so any arrival order yields the same winner.
+//! * the shared incumbent keeps an offer only if it precedes the current
+//!   one in that order — a reduction that does not depend on arrival
+//!   order;
+//! * each work item starts by adopting the shared incumbent (assignment
+//!   and cost). A leaf then beats the adopted incumbent in the same
+//!   `(cost, assignment)` order the slot uses, so adoption only filters
+//!   out candidates `offer` would reject anyway;
+//! * pruning against an adopted or shared cost keeps a margin of
+//!   `EPS = 1e-12` above it: subtrees whose bound ties the
+//!   incumbent are still explored, so a winning leaf can never be
+//!   timing-pruned.
 //!
-//! With ascending domains and default (domain-order) branching this is
-//! exactly the assignment the sequential solver returns. Under
-//! `bound_guided_values` only the *cost* is guaranteed to match.
+//! Under `bound_guided_values` only the *cost* is guaranteed to match.
 //!
 //! # Anytime callbacks
 //!
@@ -53,7 +54,7 @@
 
 use crate::bb::{
     flush_solve_telemetry, solve, Engine, SharedState, Solution, SolveOptions, SolveStats,
-    Workspace, EPS,
+    Workspace,
 };
 use crate::model::{Assignment, CostModel};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
@@ -120,11 +121,13 @@ impl<'a> SharedIncumbent<'a> {
         self.state.publish_cost(c);
     }
 
-    /// Offers a locally-accepted candidate. Keeps it if strictly better,
-    /// or if equal-cost (±1e-12) and lexicographically smaller. Strict
-    /// improvements are forwarded to the callback channel from inside the
-    /// lock, so the channel sees a strictly-decreasing cost sequence with
-    /// monotone timestamps.
+    /// Offers a locally-accepted candidate. Keeps it if it precedes the
+    /// current incumbent in `(cost, assignment)` order: a strictly lower
+    /// cost, or the exact same cost and a lexicographically smaller
+    /// assignment. That is a total order, so the winner does not depend
+    /// on arrival order. Strict cost improvements are forwarded to the
+    /// callback channel from inside the lock, so the channel sees a
+    /// strictly-decreasing cost sequence with monotone timestamps.
     pub(crate) fn offer(
         &self,
         a: &Assignment,
@@ -133,17 +136,14 @@ impl<'a> SharedIncumbent<'a> {
         tx: &mpsc::Sender<(Assignment, f64, Duration)>,
     ) {
         // Lock-free fast reject: strictly worse candidates never touch
-        // the mutex. Ties (within EPS) fall through for lex comparison.
-        if c > self.state.best_cost() + EPS {
+        // the mutex. Exact ties fall through for lex comparison.
+        if c > self.state.best_cost() {
             return;
         }
         let mut slot = self.slot.lock().expect("incumbent lock");
         let (better, strict) = match &*slot {
             None => (true, true),
-            Some((cur_a, cur_c)) => {
-                let strict = c < cur_c - EPS;
-                (strict || ((c - cur_c).abs() <= EPS && a < cur_a), strict)
-            }
+            Some((cur_a, cur_c)) => ((c, a) < (*cur_c, cur_a), c < *cur_c),
         };
         if better {
             *slot = Some((a.clone(), c));
@@ -230,12 +230,11 @@ fn decode_prefix<M: CostModel>(model: &M, depth: usize, mut k: usize, prefix: &m
 /// solver (`crate::portfolio`).
 ///
 /// Each work item starts by *adopting* the shared incumbent — assignment
-/// and cost, not just the bound. Adoption keeps the acceptance threshold
-/// `EPS` above the adopted cost (see `Engine::local_ub`), so the set of
-/// candidates surviving `offer`'s fast reject is exactly what an empty
-/// local incumbent would have produced: adoption saves doomed clones and
-/// makes the incumbent's assignment available for budget-stopped items,
-/// without perturbing the deterministic result.
+/// and cost, not just the bound. A leaf beats the adopted incumbent in
+/// the slot's own `(cost, assignment)` order (see `Engine::improves`), so
+/// adoption saves doomed clones and makes the incumbent's assignment
+/// available for budget-stopped items, without perturbing the
+/// deterministic result.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn bb_worker<M: CostModel + Sync>(
     model: &M,
@@ -295,7 +294,7 @@ pub(crate) fn bb_worker<M: CostModel + Sync>(
         let shared_cost = state.best_cost();
         if shared_cost.is_finite() {
             let stale = match &adopted {
-                Some((_, c)) => shared_cost < *c - EPS,
+                Some((_, c)) => shared_cost < *c,
                 None => true,
             };
             if stale {

@@ -126,10 +126,9 @@ pub enum Command {
         /// Worker-pool size (`None` = all CPUs).
         threads: Option<usize>,
     },
-    /// `haxconn solve --seed S [--tasks N] [--groups G] [--portfolio]
-    /// [--lns-workers K] [--budget NODES] [--symmetry]` — crack a
-    /// generated large instance (random layer-group DAG on the dual-DLA
-    /// Orin) with the configured solver flavor.
+    /// `haxconn solve --seed S [--tasks N] [--groups G] [--budget NODES]
+    /// [--symmetry]` — crack a generated large instance (random
+    /// layer-group DAG on the dual-DLA Orin) with the exact solver.
     Solve {
         /// Instance-generator seed.
         seed: u64,
@@ -137,11 +136,6 @@ pub enum Command {
         tasks: usize,
         /// Layer groups per instance.
         groups: usize,
-        /// Race parallel B&B against LNS workers over a shared incumbent
-        /// (anytime; proven optimal only if B&B exhausts the tree).
-        portfolio: bool,
-        /// LNS workers in the portfolio race.
-        lns_workers: usize,
         /// Global solver node budget (None = run to proven optimality).
         budget: Option<u64>,
         /// Restrict the search to canonical representatives under the
@@ -516,13 +510,6 @@ pub fn parse(args: &[String]) -> Result<Command, HaxError> {
                     .map_err(|_| cli_err(format!("bad --groups '{v}'")))?,
                 None => 9,
             };
-            let portfolio = a.take_switch("--portfolio");
-            let lns_workers = match a.take_value("--lns-workers")? {
-                Some(v) => v
-                    .parse()
-                    .map_err(|_| cli_err(format!("bad --lns-workers '{v}'")))?,
-                None => 2,
-            };
             let budget = match a.take_value("--budget")? {
                 Some(v) => Some(
                     v.parse()
@@ -534,15 +521,10 @@ pub fn parse(args: &[String]) -> Result<Command, HaxError> {
             if tasks == 0 || groups == 0 {
                 return Err(cli_err("--tasks and --groups must be at least 1"));
             }
-            if portfolio && lns_workers == 0 {
-                return Err(cli_err("--portfolio needs at least one LNS worker"));
-            }
             Command::Solve {
                 seed,
                 tasks,
                 groups,
-                portfolio,
-                lns_workers,
                 budget,
                 symmetry,
             }
@@ -697,8 +679,8 @@ USAGE:
   haxconn telemetry --file <FILE.json>
   haxconn fleet     --platform <P> --models <A,B[,C]> [--count N] [--iterations K]
                     [--seed S] [--threads T]
-  haxconn solve     [--seed S] [--tasks N] [--groups G] [--portfolio]
-                    [--lns-workers K] [--budget NODES] [--symmetry]
+  haxconn solve     [--seed S] [--tasks N] [--groups G] [--budget NODES]
+                    [--symmetry]
   haxconn check     --platform <P> --models <A,B[,C]> [--objective O] [--pipeline]
   haxconn check     --fuzz <N> [--seed S] [--fuzz-large M] [--fuzz-arrival T]
   haxconn serve     [--addr HOST:PORT] [--workers N] [--max-conns C]
@@ -731,80 +713,37 @@ fn telemetry_finish(
     Ok(snap)
 }
 
-/// Solver dispatch behind `haxconn solve`, shared by the plain and the
+/// The exact solve behind `haxconn solve`, shared by the plain and the
 /// symmetry-broken paths (which differ only in the model type).
-fn run_solve_flavor<M: haxconn_solver::CostModel + Sync>(
+fn run_exact_solve<M: haxconn_solver::CostModel + Sync>(
     m: &M,
     seed_inc: &Option<(Vec<u32>, f64)>,
-    portfolio: bool,
-    lns_workers: usize,
     budget: Option<u64>,
     out: &mut String,
 ) -> Result<Option<(Vec<u32>, f64)>, HaxError> {
-    use haxconn_solver as hs;
-    let opts = || hs::SolveOptions {
+    let opts = haxconn_solver::SolveOptions {
         node_budget: budget,
         initial_incumbent: seed_inc.clone(),
         ..Default::default()
     };
     let started = std::time::Instant::now();
-    if portfolio {
-        let outcome = hs::solve_portfolio(
-            m,
-            opts(),
-            &hs::PortfolioOptions {
-                lns_workers,
-                ..Default::default()
-            },
-        );
-        let winner = match outcome.winner {
-            Some(hs::Winner::BranchAndBound) => "branch & bound",
-            Some(hs::Winner::Lns) => "LNS",
-            Some(hs::Winner::Seed) => "baseline seed",
-            None => "none",
-        };
-        writeln!(
-            out,
-            "portfolio: {} B&B nodes, {} LNS iters ({} accepts, {} restarts, {} incumbents), winner: {winner}",
-            outcome.stats.nodes,
-            outcome.lns.iters,
-            outcome.lns.accepts,
-            outcome.lns.restarts,
-            outcome.lns.incumbents,
-        )?;
-        writeln!(
-            out,
-            "exactness: {}",
-            match outcome.exactness {
-                hs::Exactness::Proven => "proven optimal (B&B exhausted the tree)",
-                hs::Exactness::Heuristic => "best-found (budget hit before exhaustion)",
-            }
-        )?;
-        writeln!(
-            out,
-            "solve time: {:.1} ms",
-            started.elapsed().as_secs_f64() * 1e3
-        )?;
-        Ok(outcome.best)
-    } else {
-        let sol = hs::solve_parallel(m, opts());
-        writeln!(out, "parallel B&B: {} nodes", sol.stats.nodes)?;
-        writeln!(
-            out,
-            "exactness: {}",
-            if sol.proven_optimal() {
-                "proven optimal"
-            } else {
-                "best-found (budget hit before exhaustion)"
-            }
-        )?;
-        writeln!(
-            out,
-            "solve time: {:.1} ms",
-            started.elapsed().as_secs_f64() * 1e3
-        )?;
-        Ok(sol.best)
-    }
+    let sol = haxconn_solver::solve_auto(m, opts, 0);
+    writeln!(out, "branch & bound: {} nodes", sol.stats.nodes)?;
+    writeln!(
+        out,
+        "exactness: {}",
+        if sol.proven_optimal() {
+            "proven optimal"
+        } else {
+            "best-found (budget hit before exhaustion)"
+        }
+    )?;
+    writeln!(
+        out,
+        "solve time: {:.1} ms",
+        started.elapsed().as_secs_f64() * 1e3
+    )?;
+    Ok(sol.best)
 }
 
 /// Executes a parsed command, returning the text to print.
@@ -1360,8 +1299,6 @@ per-frame service {:.2} ms vs period {:.2} ms",
             seed,
             tasks,
             groups,
-            portfolio,
-            lns_workers,
             budget,
             symmetry,
         } => {
@@ -1379,7 +1316,7 @@ per-frame service {:.2} ms vs period {:.2} ms",
                 g.platform.name,
                 g.platform.pus.len()
             )?;
-            // Warm-start with the best ε-feasible baseline: the race can
+            // Warm-start with the best ε-feasible baseline: the solve can
             // then only improve on it (never-worse by construction).
             let mut seed_inc: Option<(Vec<u32>, f64)> = None;
             for &kind in BaselineKind::all() {
@@ -1401,13 +1338,13 @@ per-frame service {:.2} ms vs period {:.2} ms",
                 let spec = enc.symmetry_spec(&g.platform);
                 writeln!(out, "symmetry: {} rule(s) active", spec.num_rules())?;
                 if spec.is_empty() {
-                    run_solve_flavor(&enc, &seed_inc, portfolio, lns_workers, budget, &mut out)?
+                    run_exact_solve(&enc, &seed_inc, budget, &mut out)?
                 } else {
                     let sym = haxconn_solver::Symmetric::new(&enc, spec);
-                    run_solve_flavor(&sym, &seed_inc, portfolio, lns_workers, budget, &mut out)?
+                    run_exact_solve(&sym, &seed_inc, budget, &mut out)?
                 }
             } else {
-                run_solve_flavor(&enc, &seed_inc, portfolio, lns_workers, budget, &mut out)?
+                run_exact_solve(&enc, &seed_inc, budget, &mut out)?
             };
             match best {
                 Some((a, c)) => {
@@ -2085,31 +2022,26 @@ mod tests {
                 seed: 42,
                 tasks: 6,
                 groups: 9,
-                portfolio: false,
-                lns_workers: 2,
                 budget: None,
                 symmetry: false,
             }
         );
-        let c = parsed(
-            "solve --seed 7 --tasks 4 --groups 5 --portfolio --lns-workers 3 \
-             --budget 1000 --symmetry",
-        );
+        let c = parsed("solve --seed 7 --tasks 4 --groups 5 --budget 1000 --symmetry");
         assert_eq!(
             c,
             Command::Solve {
                 seed: 7,
                 tasks: 4,
                 groups: 5,
-                portfolio: true,
-                lns_workers: 3,
                 budget: Some(1000),
                 symmetry: true,
             }
         );
         assert!(parse_err("solve --tasks 0").contains("at least 1"));
         assert!(parse_err("solve --budget soon").contains("bad --budget"));
-        assert!(parse_err("solve --portfolio --lns-workers 0").contains("LNS worker"));
+        // The solver picks its own driver; the old selectors are gone.
+        assert!(parse_err("solve --portfolio").contains("unexpected arguments"));
+        assert!(parse_err("solve --lns-workers 2").contains("unexpected arguments"));
     }
 
     #[test]
@@ -2118,8 +2050,6 @@ mod tests {
             seed: 3,
             tasks: 3,
             groups: 3,
-            portfolio: true,
-            lns_workers: 2,
             budget: None,
             symmetry: true,
         })

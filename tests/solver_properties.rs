@@ -12,8 +12,8 @@ use haxconn::dnn::Model;
 use haxconn::prelude::*;
 use haxconn::profiler::grouping::{partition, valid_cuts};
 use haxconn::solver::{
-    brute_force, solve, solve_parallel_with, Assignment, BudgetState, CostModel, NonIncremental,
-    ParallelOptions, SolveOptions,
+    brute_force, solve, solve_parallel_with, solve_portfolio, Assignment, BudgetState, CostModel,
+    Exactness, NonIncremental, ParallelOptions, PortfolioOptions, SolveOptions,
 };
 
 /// Deterministic xorshift64* generator for property sampling.
@@ -243,6 +243,131 @@ fn parallel_equals_sequential_everywhere() {
             }
         }
     }
+}
+
+/// Costs that tie exactly or differ by less than 1e-12: every weight is
+/// an integer plus a multiple of 3e-13. The bound sums the same terms in
+/// the same order as the cost, each no larger, so it is admissible to the
+/// bit and never prunes a winning leaf by rounding.
+struct NearTies {
+    weights: Vec<Vec<f64>>,
+    diffs: Vec<(usize, usize)>,
+}
+
+impl CostModel for NearTies {
+    type Scratch = ();
+    fn num_vars(&self) -> usize {
+        self.weights.len()
+    }
+    fn domain(&self, _var: usize) -> &[u32] {
+        &[0, 1, 2]
+    }
+    fn cost(&self, a: &Assignment) -> Option<f64> {
+        if self.diffs.iter().any(|&(i, j)| a[i] == a[j]) {
+            return None;
+        }
+        Some(
+            a.iter()
+                .enumerate()
+                .map(|(i, &v)| self.weights[i][v as usize])
+                .sum(),
+        )
+    }
+    fn bound(&self, partial: &[Option<u32>]) -> f64 {
+        partial
+            .iter()
+            .enumerate()
+            .map(|(i, v)| match v {
+                Some(v) => self.weights[i][*v as usize],
+                None => self.weights[i]
+                    .iter()
+                    .cloned()
+                    .fold(f64::INFINITY, f64::min),
+            })
+            .sum()
+    }
+    fn prune(&self, partial: &[Option<u32>]) -> bool {
+        self.diffs
+            .iter()
+            .any(|&(i, j)| matches!((partial[i], partial[j]), (Some(a), Some(b)) if a == b))
+    }
+}
+
+fn arb_near_ties(rng: &mut Rng) -> NearTies {
+    let n = rng.usize(3, 8);
+    let weights = (0..n)
+        .map(|_| {
+            (0..3)
+                .map(|_| rng.usize(1, 3) as f64 + rng.usize(0, 3) as f64 * 3e-13)
+                .collect()
+        })
+        .collect();
+    let diffs = (0..rng.usize(0, 3))
+        .map(|_| (rng.usize(0, n), rng.usize(0, n)))
+        .filter(|(i, j)| i != j)
+        .collect();
+    NearTies { weights, diffs }
+}
+
+/// Every exact driver returns the minimum of the same total order — exact
+/// cost, then assignment — on models full of exact ties and of costs a
+/// few 1e-13 apart, with and without a seed. The seeds are the optimum
+/// itself and the lexicographically first leaf within 1e-12 of it, which
+/// costs more: neither a near-tie nor the seed may displace the optimum.
+#[test]
+fn solvers_agree_on_exact_and_near_ties() {
+    let mut rng = Rng::new(99);
+    let mut near_ties = 0;
+    for case in 0..48 {
+        let m = arb_near_ties(&mut rng);
+        let Some((opt_a, opt_c)) = brute_force(&m) else {
+            continue;
+        };
+        let mut seeds = vec![None, Some((opt_a.clone(), opt_c))];
+        let mut leaf: Assignment = vec![0; m.num_vars()];
+        for k in 0..3usize.pow(m.num_vars() as u32) {
+            for (var, v) in leaf.iter_mut().enumerate().rev() {
+                *v = (k / 3usize.pow((m.num_vars() - 1 - var) as u32) % 3) as u32;
+            }
+            if let Some(c) = m.cost(&leaf) {
+                if c > opt_c && c - opt_c < 1e-12 && leaf < opt_a {
+                    near_ties += 1;
+                    seeds.push(Some((leaf.clone(), c)));
+                    break;
+                }
+            }
+        }
+        for seed in seeds {
+            let opts = || SolveOptions {
+                initial_incumbent: seed.clone(),
+                ..Default::default()
+            };
+            let check = |who: &str, best: Option<(Assignment, f64)>| {
+                let (a, c) = best.unwrap_or_else(|| panic!("case {case} {who}: no answer"));
+                assert_eq!(
+                    (c.to_bits(), &a),
+                    (opt_c.to_bits(), &opt_a),
+                    "case {case} {who} seed {seed:?}: {c} vs {opt_c}"
+                );
+            };
+            check("solve", solve(&m, opts()).best);
+            for threads in [1, 2, 4] {
+                let par = solve_parallel_with(
+                    &m,
+                    opts(),
+                    &ParallelOptions {
+                        threads,
+                        split_depth: None,
+                    },
+                );
+                check(&format!("parallel t{threads}"), par.best);
+            }
+            let pf = solve_portfolio(&m, opts(), &PortfolioOptions::default());
+            assert_eq!(pf.exactness, Exactness::Proven, "case {case}");
+            check("portfolio", pf.best);
+        }
+    }
+    assert!(near_ties > 0, "the sample must contain sub-1e-12 near-ties");
 }
 
 /// A global node budget makes the parallel solver exit early without ever

@@ -14,7 +14,6 @@ fn specimen() -> WorkloadSpec {
         .with_config(SchedulerConfig {
             objective: Objective::MaxThroughput,
             epsilon_ms: Some(1.5),
-            lns_workers: 2,
             ..Default::default()
         })
 }
@@ -63,4 +62,33 @@ fn session_spec_survives_the_wire() {
         replayed.schedule.cost.to_bits()
     );
     assert_eq!(replayed.spec(), Some(spec));
+}
+
+/// A body written against the old wire format, which let a request pick
+/// the solver driver, still parses (unknown fields are ignored), keys the
+/// cache exactly like the body without those fields, and schedules to
+/// the same bits: the solver picks its driver from the problem alone.
+#[test]
+fn retired_solver_knobs_are_ignored_on_the_wire() {
+    let spec = specimen();
+    let json = spec.to_json().expect("serializes");
+    let tail = "\"break_symmetry\":false}";
+    assert!(json.contains(tail), "{json}");
+    let legacy_json = json.replace(
+        tail,
+        "\"break_symmetry\":false,\"parallel_solve\":true,\"portfolio_solve\":true,\"lns_workers\":4096}",
+    );
+    let legacy = WorkloadSpec::from_json(&legacy_json).expect("parses");
+    assert_eq!(legacy, spec);
+    assert_eq!(
+        legacy.cache_key().expect("keys"),
+        spec.cache_key().expect("keys")
+    );
+    let from_wire = Session::from_spec(&legacy).schedule().expect("schedulable");
+    let direct = Session::from_spec(&spec).schedule().expect("schedulable");
+    assert_eq!(from_wire.schedule.assignment, direct.schedule.assignment);
+    assert_eq!(
+        from_wire.schedule.cost.to_bits(),
+        direct.schedule.cost.to_bits()
+    );
 }

@@ -7,7 +7,9 @@
 //!    through `serde_json` and feeds the `telemetry` summary subcommand.
 
 use haxconn::cli::{self, Command};
+use haxconn::core::encoding::ScheduleEncoding;
 use haxconn::prelude::*;
+use haxconn::solver::{solve_portfolio, Exactness, PortfolioOptions, SolveOptions};
 use haxconn::telemetry as tel;
 
 fn solve_and_measure() -> (ScheduledSession, Measurement, String) {
@@ -65,31 +67,37 @@ fn telemetry_end_to_end() {
     assert!(snap.histograms.contains_key("solver.solve_ms"));
     assert!(!snap.spans.is_empty(), "scheduler/solver spans expected");
 
-    // --- 2b. Portfolio path: telemetry stays write-only and the LNS /
-    // portfolio counters plus the incumbent-timeline series land. An
-    // unbudgeted portfolio proves the optimum, so the result is as
-    // deterministic as the sequential solver's.
-    let pf_config = SchedulerConfig {
-        portfolio_solve: true,
-        lns_workers: 2,
-        break_symmetry: true,
-        ..Default::default()
-    };
+    // --- 2b. Portfolio driver, called directly (no scheduler path picks
+    // it): telemetry stays write-only and the LNS / portfolio counters
+    // plus the incumbent-timeline series land. An unbudgeted portfolio
+    // proves the optimum, so the result is as deterministic as the
+    // sequential solver's.
+    let p = orin_agx();
+    let cm = ContentionModel::calibrate(&p);
+    let workload = Workload::concurrent(vec![
+        DnnTask::new("g", NetworkProfile::profile(&p, Model::GoogleNet, 6)),
+        DnnTask::new("r", NetworkProfile::profile(&p, Model::ResNet101, 6)),
+    ]);
+    let enc = ScheduleEncoding::new(&workload, &cm, SchedulerConfig::default());
     let pf_solve = || {
-        Session::on(PlatformId::OrinAgx)
-            .task(Model::GoogleNet, 6)
-            .task(Model::ResNet101, 6)
-            .config(pf_config)
-            .schedule()
-            .expect("schedulable")
+        let out = solve_portfolio(
+            &enc,
+            SolveOptions::default(),
+            &PortfolioOptions {
+                lns_workers: 2,
+                ..Default::default()
+            },
+        );
+        assert_eq!(out.exactness, Exactness::Proven);
+        out.best.expect("ε-feasible schedule exists")
     };
     let p1 = pf_solve();
     rec.reset();
     tel::set_enabled(true);
     let p2 = pf_solve();
     tel::set_enabled(false);
-    assert_eq!(p1.schedule.assignment, p2.schedule.assignment);
-    assert_eq!(p1.schedule.cost.to_bits(), p2.schedule.cost.to_bits());
+    assert_eq!(p1.0, p2.0);
+    assert_eq!(p1.1.to_bits(), p2.1.to_bits());
     let pf_snap = rec.snapshot();
     let pf_counter = |name: &str| pf_snap.counters.get(name).copied().unwrap_or(0);
     // The LNS counters are flushed once per portfolio solve. How many
