@@ -9,11 +9,11 @@
 
 use crate::encoding::{ScheduleEncoding, ScheduleScratch};
 use crate::problem::{SchedulerConfig, Workload};
-use crate::scheduler::{Schedule, ScheduleOrigin};
+use crate::scheduler::{exact_solve, Schedule, ScheduleOrigin};
 use crate::timeline::TimelineEvaluator;
 use haxconn_contention::ContentionModel;
 use haxconn_soc::{EnergyReport, Platform, PowerModel, PuId};
-use haxconn_solver::{solve_auto, Assignment, CostModel, PartialAssignment, SolveOptions};
+use haxconn_solver::{Assignment, CostModel, PartialAssignment};
 
 /// Dynamic energy of executing `assignment`, in millijoules (transition
 /// flush/reformat traffic included).
@@ -162,16 +162,8 @@ pub fn schedule_min_energy(
         power,
         latency_budget_ms,
     };
-    let sol = solve_auto(
-        &enc,
-        SolveOptions {
-            node_budget: config.node_budget,
-            ..Default::default()
-        },
-        0,
-    );
-    let proven = sol.proven_optimal();
-    let (best, cost) = sol.best?;
+    let (best, proven) = exact_solve(&enc, &config);
+    let (best, cost) = best?;
     let assignment = enc.inner.to_rows(&best);
     let mut ev = TimelineEvaluator::new(workload, contention);
     ev.contention_aware = config.contention_aware;

@@ -9,7 +9,9 @@
 //!   parallel workers, so *which* nodes it covers — and hence the answer —
 //!   would depend on timing. Budgeted solves run sequentially;
 //! * `threads == 1` asks for a reproducible incumbent *sequence*, not only
-//!   a reproducible final answer (D-HaX-CoNN's virtual clock);
+//!   a reproducible final answer (D-HaX-CoNN's virtual clock). `0` means
+//!   one worker per CPU, so on a one-CPU host it also runs sequentially
+//!   rather than paying for a pool of one;
 //! * below [`PARALLEL_MIN_VARS`] variables a solve finishes in tens of
 //!   microseconds, less than spawning a worker pool costs.
 //!
@@ -26,15 +28,19 @@ pub const PARALLEL_MIN_VARS: usize = 12;
 
 /// Minimizes `model` exactly (subject to the budgets in `opts`) with the
 /// sequential branch & bound when `opts.node_budget` is set, `threads`
-/// is 1 or the model has fewer than [`PARALLEL_MIN_VARS`] variables, and
-/// with the work-stealing parallel branch & bound on `threads` workers
-/// (`0` = one per CPU) otherwise.
+/// (`0` = one per CPU) comes to 1 or the model has fewer than
+/// [`PARALLEL_MIN_VARS`] variables, and with the work-stealing parallel
+/// branch & bound on `threads` workers otherwise.
 pub fn solve_auto<M: CostModel + Sync>(
     model: &M,
     opts: SolveOptions<'_>,
     threads: usize,
 ) -> Solution {
-    if opts.node_budget.is_some() || threads == 1 || model.num_vars() < PARALLEL_MIN_VARS {
+    let threads = match threads {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    };
+    if opts.node_budget.is_some() || threads <= 1 || model.num_vars() < PARALLEL_MIN_VARS {
         solve(model, opts)
     } else {
         solve_parallel_with(

@@ -51,8 +51,14 @@ fn solve_auto_picks_the_driver_from_the_model() {
         node_budget: Some(1 << 20),
         ..Default::default()
     };
+    // `0` is one worker per CPU, and a pool of one is no pool.
+    let all_cpus = match std::thread::available_parallelism().map_or(1, |n| n.get()) {
+        1 => "bb.solve",
+        _ => "bb.solve_parallel",
+    };
     let cases = [
         ("node budget", &large, budgeted(), 4, "bb.solve"),
+        ("all CPUs", &large, SolveOptions::default(), 0, all_cpus),
         ("one thread", &large, SolveOptions::default(), 1, "bb.solve"),
         ("few vars", &small, SolveOptions::default(), 4, "bb.solve"),
         (
