@@ -29,7 +29,7 @@
 //! byte-identical JSON reports, which the `dynamic-gate` CI job checks
 //! on a 10k-event trace.
 
-use crate::cache::ScheduleCache;
+use crate::cache::{CacheCounters, ShardedCache, WorkloadSignature, PHASE_CAPACITY};
 use crate::encoding::ScheduleEncoding;
 use crate::error::{parse_model, HaxError};
 use crate::problem::{DnnTask, SchedulerConfig, Workload};
@@ -452,7 +452,7 @@ struct Sim<'a> {
     options: ReplayOptions,
     trace: &'a ArrivalTrace,
     profiles: FxHashMap<(Model, usize), Arc<NetworkProfile>>,
-    cache: ScheduleCache,
+    cache: ShardedCache<WorkloadSignature, Arc<Schedule>>,
     active: Vec<Tenant>,
     departed: Vec<Departed>,
     last_switch_ms: f64,
@@ -604,9 +604,9 @@ impl<'a> Sim<'a> {
         seed_rows: &[Vec<PuId>],
         seed_cost: f64,
     ) -> (Vec<Vec<PuId>>, ResolveAction) {
-        if let Some(hit) = self.cache.get(workload) {
-            let rows = hit.assignment.clone();
-            return (rows, ResolveAction::CacheHit);
+        let signature = WorkloadSignature::of(workload);
+        if let Some(hit) = self.cache.get(&signature) {
+            return (hit.assignment.clone(), ResolveAction::CacheHit);
         }
         let solve_started = std::time::Instant::now();
         // The anytime path solves the ε-relaxed formulation (queueing
@@ -643,14 +643,14 @@ impl<'a> Sim<'a> {
         let predicted = ev.evaluate(&rows);
         let cost = objective_cost(self.options.config.objective, &predicted);
         self.cache.insert(
-            workload,
-            Schedule {
+            signature,
+            Arc::new(Schedule {
                 assignment: rows.clone(),
                 predicted,
                 cost,
                 origin: ScheduleOrigin::Optimal,
                 proven_optimal: relaxed.node_budget.is_none(),
-            },
+            }),
         );
         if haxconn_telemetry::enabled() {
             haxconn_telemetry::histogram_record(
@@ -1025,7 +1025,7 @@ pub fn replay(
         options: options.clone(),
         trace,
         profiles: FxHashMap::default(),
-        cache: ScheduleCache::new(),
+        cache: ShardedCache::new(PHASE_CAPACITY, CacheCounters::Phases),
         active: Vec::new(),
         departed: Vec::new(),
         last_switch_ms: 0.0,
@@ -1045,7 +1045,7 @@ pub fn replay(
     }
     let mut report = sim.report;
     report.horizon_ms = horizon;
-    (report.cache_hits, report.cache_misses) = sim.cache.stats();
+    (report.cache_hits, report.cache_misses, _) = sim.cache.stats();
     // Join order == tenant id order (names are assigned in join order by
     // the generator; for hand-written traces, join-time order).
     sim.departed.sort_by(|a, b| a.stats.name.cmp(&b.stats.name));

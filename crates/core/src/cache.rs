@@ -4,13 +4,33 @@
 //! *tracking* modes, might require unique control flow graphs. Such CFGs
 //! and their corresponding schedules can be predetermined statically and
 //! toggled during the execution." — this module implements exactly that: a
-//! cache keyed by a workload signature, so that a previously optimized CFG
+//! bounded LRU of solved schedules, so that a previously optimized CFG
 //! phase reuses its schedule instantly when the autonomous loop returns to
-//! it, and D-HaX-CoNN only has to solve genuinely new phases.
+//! it, and only genuinely new phases are solved.
+//!
+//! There is one cache type, [`ShardedCache`], generic over its key:
+//!
+//! * the serving [`Engine`](crate::engine::Engine) keys it by the
+//!   canonical-spec JSON ([`WorkloadSpec::cache_key`](crate::spec::WorkloadSpec::cache_key));
+//! * the arrival replay and `haxconn dynamic --phases` key it by
+//!   [`WorkloadSignature`], because a custom `Platform` value has no
+//!   canonical spec.
+//!
+//! The cache is `&self` and thread-shareable: entries are split into
+//! independently locked shards (the key hash picks the shard) and the
+//! counters are relaxed atomics, so a hit takes one short shard lock and
+//! disjoint keys on different shards never contend. The shard count
+//! follows the capacity (one shard per 128 entries, at most 8), so a
+//! small phase cache is a single shard with exact global LRU order.
+//! Values are cloned out on hits, so they should be `Arc`s: a hit is a
+//! pointer clone, never a deep copy.
 
 use crate::problem::Workload;
-use crate::scheduler::Schedule;
-use rustc_hash::FxHashMap;
+use rustc_hash::{FxHashMap, FxHasher};
+use std::borrow::Borrow;
+use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// A structural signature of a workload: model names, group structure,
 /// dependencies and ties. Two workloads with equal signatures accept the
@@ -43,177 +63,208 @@ impl WorkloadSignature {
     }
 }
 
-/// A cached schedule stamped with the monotone access tick that implements
-/// least-recently-used ordering without any auxiliary list.
-struct Entry {
-    schedule: Schedule,
+/// Capacity of a CFG-phase cache — far above any realistic mode count,
+/// low enough to bound a pathological run that keeps meeting new phases.
+pub const PHASE_CAPACITY: usize = 64;
+
+/// Entries per shard before the cache splits into another shard.
+const ENTRIES_PER_SHARD: usize = 128;
+
+/// Most shards a cache is split into — enough to keep worker threads off
+/// each other's locks without fragmenting the LRU meaningfully.
+const MAX_SHARDS: usize = 8;
+
+/// The telemetry counters a cache reports its hits, misses and evictions
+/// to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CacheCounters {
+    /// `engine.cache.{hits,misses,evictions}` — the serving engine.
+    Engine,
+    /// `cache.{hits,misses,evictions}` — the CFG-phase caches of the
+    /// arrival replay and `haxconn dynamic`.
+    Phases,
+}
+
+impl CacheCounters {
+    fn names(self) -> [&'static str; 3] {
+        match self {
+            CacheCounters::Engine => [
+                "engine.cache.hits",
+                "engine.cache.misses",
+                "engine.cache.evictions",
+            ],
+            CacheCounters::Phases => ["cache.hits", "cache.misses", "cache.evictions"],
+        }
+    }
+}
+
+/// A cached value stamped with the shard's monotone access tick, which
+/// implements least-recently-used ordering without any auxiliary list.
+struct Entry<V> {
+    value: V,
     last_used: u64,
 }
 
-/// A bounded schedule cache with LRU eviction. CFG phase sets are usually
-/// small (a handful of modes per autonomous system), but a long dynamic run
-/// that keeps encountering novel phases must not grow memory without
-/// bound — beyond [`ScheduleCache::DEFAULT_CAPACITY`] entries the
-/// least-recently-used phase is evicted.
-pub struct ScheduleCache {
-    entries: FxHashMap<WorkloadSignature, Entry>,
+struct Shard<K, V> {
+    entries: FxHashMap<K, Entry<V>>,
+    /// Most entries this shard holds.
     capacity: usize,
-    /// Monotone access counter; each lookup stamps the touched entry.
+    /// Monotone per-shard access counter stamping LRU order.
     tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
 }
 
-impl Default for ScheduleCache {
-    fn default() -> Self {
-        Self::with_capacity(Self::DEFAULT_CAPACITY)
-    }
+/// A bounded, sharded LRU cache with relaxed atomic counters. See the
+/// module docs.
+pub struct ShardedCache<K, V> {
+    shards: Vec<Mutex<Shard<K, V>>>,
+    counters: [&'static str; 3],
+    hits: AtomicU64,
+    misses: AtomicU64,
+    evictions: AtomicU64,
 }
 
-impl ScheduleCache {
-    /// Default phase capacity — far above any realistic CFG mode count,
-    /// low enough to bound a pathological run.
-    pub const DEFAULT_CAPACITY: usize = 64;
-
-    /// An empty cache with the default capacity.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty cache retaining at most `capacity` phases (min 1).
-    pub fn with_capacity(capacity: usize) -> Self {
-        ScheduleCache {
-            entries: FxHashMap::default(),
-            capacity: capacity.max(1),
-            tick: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
+impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
+    /// A cache holding at most `capacity` entries in total (min 1),
+    /// reporting to `counters`. The capacity is split exactly across
+    /// the shards.
+    pub fn new(capacity: usize, counters: CacheCounters) -> Self {
+        let capacity = capacity.max(1);
+        let shards = capacity.div_ceil(ENTRIES_PER_SHARD).min(MAX_SHARDS);
+        ShardedCache {
+            shards: (0..shards)
+                .map(|i| {
+                    Mutex::new(Shard {
+                        entries: FxHashMap::default(),
+                        capacity: capacity / shards + usize::from(i < capacity % shards),
+                        tick: 0,
+                    })
+                })
+                .collect(),
+            counters: counters.names(),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
         }
     }
 
-    /// Maximum number of retained phases.
+    /// Most entries the cache holds.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.shards.iter().map(|s| lock(s).capacity).sum()
     }
 
-    /// Evicts the least-recently-used entry. Capacities are small, so a
-    /// linear scan beats maintaining an intrusive list.
-    fn evict_lru(&mut self) {
-        let lru = self
-            .entries
-            .iter()
-            .min_by_key(|(_, e)| e.last_used)
-            .map(|(sig, _)| sig.clone());
-        if let Some(sig) = lru {
-            self.entries.remove(&sig);
-            self.evictions += 1;
-            haxconn_telemetry::counter_add("cache.evictions", 1);
-        }
+    fn shard_for<Q: Hash + ?Sized>(&self, key: &Q) -> MutexGuard<'_, Shard<K, V>> {
+        let mut h = FxHasher::default();
+        key.hash(&mut h);
+        lock(&self.shards[(h.finish() as usize) % self.shards.len()])
     }
 
-    /// Returns the cached schedule for `workload`, if any (one map probe).
-    pub fn get(&mut self, workload: &Workload) -> Option<&Schedule> {
-        let sig = WorkloadSignature::of(workload);
-        self.tick += 1;
-        match self.entries.get_mut(&sig) {
-            Some(e) => {
-                e.last_used = self.tick;
-                self.hits += 1;
-                haxconn_telemetry::counter_add("cache.hits", 1);
-                Some(&e.schedule)
+    fn lookup<Q>(&self, key: &Q, count_miss: bool) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let mut shard = self.shard_for(key);
+        shard.tick += 1;
+        let tick = shard.tick;
+        let Some(e) = shard.entries.get_mut(key) else {
+            if count_miss {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                haxconn_telemetry::counter_add(self.counters[1], 1);
             }
-            None => {
-                self.misses += 1;
-                haxconn_telemetry::counter_add("cache.misses", 1);
-                None
-            }
-        }
+            return None;
+        };
+        e.last_used = tick;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        haxconn_telemetry::counter_add(self.counters[0], 1);
+        Some(e.value.clone())
     }
 
-    /// Stores `schedule` for `workload`'s signature, replacing any previous
-    /// entry and evicting the LRU phase if the cache is full.
-    pub fn insert(&mut self, workload: &Workload, schedule: Schedule) {
-        let sig = WorkloadSignature::of(workload);
-        self.tick += 1;
-        if self.entries.len() >= self.capacity && !self.entries.contains_key(&sig) {
-            self.evict_lru();
+    /// Returns a clone of the cached value for `key`, if present.
+    pub fn get<Q>(&self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.lookup(key, true)
+    }
+
+    /// Like [`get`](Self::get), but a miss counts *nothing*: the caller
+    /// will fall through to the full lookup path, which does the miss
+    /// accounting, so per-request hit/miss counters stay exactly-once.
+    /// A hit still bumps the LRU stamp and the hit counters. This is
+    /// the probe for opportunistic fast paths (the serve reactor
+    /// answers cache hits inline and dispatches everything else).
+    pub fn probe<Q>(&self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.lookup(key, false)
+    }
+
+    /// Stores `value` under `key`, replacing any previous entry and
+    /// evicting the shard's LRU entry if the shard is full. Shards are
+    /// small, so a linear scan beats maintaining an intrusive list.
+    pub fn insert(&self, key: K, value: V) {
+        let mut shard = self.shard_for(&key);
+        shard.tick += 1;
+        let tick = shard.tick;
+        if shard.entries.len() >= shard.capacity && !shard.entries.contains_key(&key) {
+            let lru = shard
+                .entries
+                .iter()
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(k, _)| k.clone());
+            if let Some(k) = lru {
+                shard.entries.remove(&k);
+                self.evictions.fetch_add(1, Ordering::Relaxed);
+                haxconn_telemetry::counter_add(self.counters[2], 1);
+            }
         }
-        self.entries.insert(
-            sig,
+        shard.entries.insert(
+            key,
             Entry {
-                schedule,
-                last_used: self.tick,
+                value,
+                last_used: tick,
             },
         );
     }
 
-    /// Fetches the schedule for `workload`, computing and caching it with
-    /// `make` on a miss. Below capacity this is a single map probe (the
-    /// entry API resolves hit and miss in one lookup); only a full cache
-    /// pays an extra membership check to decide eviction up front.
-    pub fn get_or_insert_with(
-        &mut self,
-        workload: &Workload,
-        make: impl FnOnce() -> Schedule,
-    ) -> &Schedule {
-        let sig = WorkloadSignature::of(workload);
-        self.tick += 1;
-        let tick = self.tick;
-        if self.entries.len() >= self.capacity && !self.entries.contains_key(&sig) {
-            self.evict_lru();
-        }
-        match self.entries.entry(sig) {
-            std::collections::hash_map::Entry::Occupied(o) => {
-                self.hits += 1;
-                haxconn_telemetry::counter_add("cache.hits", 1);
-                let e = o.into_mut();
-                e.last_used = tick;
-                &e.schedule
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                self.misses += 1;
-                haxconn_telemetry::counter_add("cache.misses", 1);
-                &v.insert(Entry {
-                    schedule: make(),
-                    last_used: tick,
-                })
-                .schedule
-            }
-        }
+    /// `(hits, misses, evictions)` counters.
+    pub fn stats(&self) -> (u64, u64, u64) {
+        (
+            self.hits.load(Ordering::Relaxed),
+            self.misses.load(Ordering::Relaxed),
+            self.evictions.load(Ordering::Relaxed),
+        )
     }
 
-    /// `(hits, misses)` counters.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Number of phases evicted to stay within capacity.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Number of cached phases.
+    /// Number of cached entries across all shards.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.shards.iter().map(|s| lock(s).entries.len()).sum()
     }
 
-    /// Whether the cache is empty.
+    /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    // A panic while holding a shard lock (allocation failure at worst —
+    // the critical sections call no user code) only loses cache entries,
+    // never corrupts them; serving must not stop.
+    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::{DnnTask, SchedulerConfig};
-    use crate::scheduler::HaxConn;
-    use haxconn_contention::ContentionModel;
+    use crate::problem::DnnTask;
     use haxconn_dnn::Model;
     use haxconn_profiler::NetworkProfile;
     use haxconn_soc::orin_agx;
+    use std::sync::Arc;
 
     fn workload(models: &[Model]) -> Workload {
         let p = orin_agx();
@@ -223,6 +274,10 @@ mod tests {
                 .map(|&m| DnnTask::new(m.name(), NetworkProfile::profile(&p, m, 6)))
                 .collect(),
         )
+    }
+
+    fn cache<V: Clone>(capacity: usize) -> ShardedCache<String, V> {
+        ShardedCache::new(capacity, CacheCounters::Engine)
     }
 
     #[test]
@@ -245,78 +300,109 @@ mod tests {
     }
 
     #[test]
-    fn cache_round_trip_and_counters() {
-        let p = orin_agx();
-        let cm = ContentionModel::calibrate(&p);
-        let phases = [
-            workload(&[Model::GoogleNet, Model::ResNet18]),
-            workload(&[Model::GoogleNet, Model::ResNet50]),
-        ];
-        let mut cache = ScheduleCache::new();
-        let mut solves = 0;
-        // Toggle through the phases twice; each phase solves exactly once.
-        for _round in 0..2 {
-            for w in &phases {
-                let s = cache.get_or_insert_with(w, || {
-                    solves += 1;
-                    HaxConn::schedule(&p, w, &cm, SchedulerConfig::default())
-                });
-                assert_eq!(s.assignment.len(), w.tasks.len());
+    fn signature_keys_round_trip_with_counters() {
+        let c: ShardedCache<WorkloadSignature, Arc<u32>> =
+            ShardedCache::new(PHASE_CAPACITY, CacheCounters::Phases);
+        let a = WorkloadSignature::of(&workload(&[Model::GoogleNet, Model::ResNet18]));
+        let b = WorkloadSignature::of(&workload(&[Model::GoogleNet, Model::ResNet50]));
+        assert!(c.get(&a).is_none());
+        c.insert(a.clone(), Arc::new(1));
+        assert!(c.get(&b).is_none());
+        c.insert(b.clone(), Arc::new(2));
+        assert_eq!((*c.get(&a).unwrap(), *c.get(&b).unwrap()), (1, 2));
+        assert_eq!(c.stats(), (2, 2, 0));
+        assert_eq!(c.len(), 2);
+    }
+
+    #[test]
+    fn get_insert_round_trip_with_counters() {
+        let c = cache(1024);
+        assert!(c.get("a").is_none());
+        c.insert("a".into(), Arc::new(7));
+        assert_eq!(*c.get("a").unwrap(), 7);
+        assert_eq!(c.stats(), (1, 1, 0));
+        assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn probe_counts_hits_but_not_misses() {
+        let c = cache(16);
+        assert!(c.probe("a").is_none());
+        c.insert("a".into(), Arc::new(7));
+        assert_eq!(*c.probe("a").unwrap(), 7);
+        assert_eq!(c.stats(), (1, 0, 0));
+    }
+
+    #[test]
+    fn lru_eviction_keeps_hot_entries() {
+        let c = cache(2);
+        c.insert("a".into(), Arc::new(0));
+        c.insert("b".into(), Arc::new(1));
+        assert!(c.get("a").is_some()); // touch a => b becomes LRU
+        c.insert("c".into(), Arc::new(2));
+        assert_eq!(c.len(), 2);
+        assert!(c.get("b").is_none());
+        assert!(c.get("a").is_some());
+        assert!(c.get("c").is_some());
+        assert_eq!(c.stats().2, 1);
+    }
+
+    #[test]
+    fn reinsert_replaces_without_evicting() {
+        let c = cache(1);
+        c.insert("a".into(), Arc::new(0));
+        c.insert("a".into(), Arc::new(1));
+        assert_eq!((c.len(), c.stats().2), (1, 0));
+        assert_eq!(*c.get("a").unwrap(), 1);
+        c.insert("b".into(), Arc::new(2));
+        assert_eq!((c.len(), c.stats().2), (1, 1));
+    }
+
+    #[test]
+    fn never_holds_more_than_its_capacity() {
+        for capacity in (1..=40).chain([127, 128, 129, 1000, 1024, 1025]) {
+            let c = cache(capacity);
+            assert_eq!(c.capacity(), capacity);
+            for k in 0..(200).max(3 * capacity) {
+                c.insert(k.to_string(), Arc::new(k));
+                assert!(c.len() <= capacity, "capacity {capacity}: {} held", c.len());
             }
+            assert_eq!(
+                c.len(),
+                capacity,
+                "capacity {capacity}: shards left unfilled"
+            );
         }
-        assert_eq!(solves, 2);
-        assert_eq!(cache.len(), 2);
-        let (hits, misses) = cache.stats();
-        assert_eq!(hits, 2);
-        assert_eq!(misses, 2);
     }
 
     #[test]
-    fn get_returns_none_on_unknown_phase() {
-        let mut cache = ScheduleCache::new();
-        assert!(cache.get(&workload(&[Model::AlexNet])).is_none());
-        assert!(cache.is_empty());
+    fn shard_count_follows_capacity() {
+        let shards = |capacity| cache::<u32>(capacity).shards.len();
+        assert_eq!(shards(PHASE_CAPACITY), 1);
+        assert_eq!(shards(ENTRIES_PER_SHARD), 1);
+        assert_eq!(shards(ENTRIES_PER_SHARD + 1), 2);
+        assert_eq!(shards(1024), MAX_SHARDS);
+        assert_eq!(shards(1 << 20), MAX_SHARDS);
     }
 
     #[test]
-    fn lru_eviction_bounds_growth_and_keeps_hot_phases() {
-        let p = orin_agx();
-        let cm = ContentionModel::calibrate(&p);
-        let phases = [
-            workload(&[Model::AlexNet]),
-            workload(&[Model::ResNet18]),
-            workload(&[Model::GoogleNet]),
-        ];
-        let mut cache = ScheduleCache::with_capacity(2);
-        assert_eq!(cache.capacity(), 2);
-        let solve = |w: &Workload| HaxConn::schedule(&p, w, &cm, SchedulerConfig::default());
-        cache.get_or_insert_with(&phases[0], || solve(&phases[0]));
-        cache.get_or_insert_with(&phases[1], || solve(&phases[1]));
-        // Touch phase 0 so phase 1 becomes the LRU victim.
-        assert!(cache.get(&phases[0]).is_some());
-        cache.get_or_insert_with(&phases[2], || solve(&phases[2]));
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.evictions(), 1);
-        // Hot phase survived; the LRU one was evicted.
-        assert!(cache.get(&phases[0]).is_some());
-        assert!(cache.get(&phases[1]).is_none());
-        assert!(cache.get(&phases[2]).is_some());
-    }
-
-    #[test]
-    fn insert_respects_capacity() {
-        let p = orin_agx();
-        let cm = ContentionModel::calibrate(&p);
-        let mut cache = ScheduleCache::with_capacity(1);
-        let a = workload(&[Model::AlexNet]);
-        let b = workload(&[Model::ResNet18]);
-        let s = HaxConn::schedule(&p, &a, &cm, SchedulerConfig::default());
-        cache.insert(&a, s.clone());
-        // Re-inserting the same phase replaces, not evicts.
-        cache.insert(&a, s.clone());
-        assert_eq!((cache.len(), cache.evictions()), (1, 0));
-        cache.insert(&b, s);
-        assert_eq!((cache.len(), cache.evictions()), (1, 1));
-        assert!(cache.get(&b).is_some());
+    fn shared_across_threads() {
+        let c = Arc::new(cache::<Arc<u64>>(512));
+        let mut handles = Vec::new();
+        for t in 0..4u64 {
+            let c = Arc::clone(&c);
+            handles.push(std::thread::spawn(move || {
+                for i in 0..16u64 {
+                    c.insert(format!("k{}", (t * 16 + i) % 32), Arc::new(i));
+                    let _ = c.get(format!("k{}", i % 32).as_str());
+                }
+            }));
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert!(c.len() <= 32);
+        let (h, m, _) = c.stats();
+        assert_eq!(h + m, 64);
     }
 }

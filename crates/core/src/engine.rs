@@ -5,9 +5,10 @@
 //! once. Production concerns live here, not in the HTTP layer, so every
 //! front end (server, CLI, `Session`) gets the same behavior:
 //!
-//! * **Sharded cache** — solved schedules are cached in a
-//!   [`ShardedCache`] keyed by the canonical-spec JSON
+//! * **Schedule cache** — solved schedules are cached in the crate's one
+//!   LRU, a [`ShardedCache`] keyed by the canonical-spec JSON
 //!   ([`WorkloadSpec::cache_key`]); a hit is lock-shard + `Arc` clone.
+//!   The default 1024 entries split into 8 shards of 128.
 //! * **Request coalescing** — identical specs solving concurrently are
 //!   computed once: the first caller leads the solve, the rest wait on
 //!   a condvar and share the leader's `Arc`'d result. The
@@ -27,16 +28,16 @@
 //! response for the same canonical spec is bit-identical — the serving
 //! bench machine-checks this against a local `Session::schedule`.
 
+use crate::cache::{CacheCounters, ShardedCache};
 use crate::error::{parse_platform, HaxError};
 use crate::scheduler::{HaxConn, Schedule, Transition};
-use crate::shard_cache::ShardedCache;
 use crate::spec::WorkloadSpec;
 use haxconn_contention::ContentionModel;
 use haxconn_soc::Platform;
 use rustc_hash::{FxHashMap, FxHashSet};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     // Engine state stays consistent across a panicking solver thread
@@ -60,9 +61,7 @@ pub struct SolvedEntry {
 /// Engine tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineOptions {
-    /// Shards of the schedule cache.
-    pub cache_shards: usize,
-    /// Total schedule-cache capacity across shards.
+    /// Schedule-cache capacity; the shard count follows from it.
     pub cache_capacity: usize,
     /// Concurrent solve limit (`None` = unlimited; `Some(0)` = never
     /// solve, always degrade/reject — useful as a cached-only mode).
@@ -78,8 +77,7 @@ pub struct EngineOptions {
 impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
-            cache_shards: ShardedCache::<Arc<SolvedEntry>>::DEFAULT_SHARDS,
-            cache_capacity: ShardedCache::<Arc<SolvedEntry>>::DEFAULT_CAPACITY,
+            cache_capacity: 1024,
             max_concurrent_solves: None,
             max_pending_solves: 64,
             degrade_on_overload: true,
@@ -270,7 +268,7 @@ impl SolveGate {
 /// The thread-shareable scheduling engine. See the module docs for the
 /// cache / coalescing / admission / degradation design.
 pub struct Engine {
-    cache: ShardedCache<Arc<SolvedEntry>>,
+    cache: ShardedCache<String, Arc<SolvedEntry>>,
     inflight: Mutex<FxHashMap<String, Arc<Inflight>>>,
     /// Keys with a solver run currently executing — the measurement
     /// behind `duplicate_inflight_solves`.
@@ -290,7 +288,7 @@ impl Engine {
     /// An engine with the given options.
     pub fn new(options: EngineOptions) -> Self {
         Engine {
-            cache: ShardedCache::with_shards(options.cache_shards, options.cache_capacity),
+            cache: ShardedCache::new(options.cache_capacity, CacheCounters::Engine),
             inflight: Mutex::new(FxHashMap::default()),
             solving: Mutex::new(FxHashSet::default()),
             gate: SolveGate::new(options.max_concurrent_solves, options.max_pending_solves),
@@ -303,14 +301,6 @@ impl Engine {
             rejected: AtomicU64::new(0),
             duplicates: AtomicU64::new(0),
         }
-    }
-
-    /// The process-wide shared engine (`Session::schedule` routes
-    /// through it). Unlimited solve slots, so library callers see no
-    /// queuing — only the cache and coalescing.
-    pub fn shared() -> &'static Engine {
-        static SHARED: OnceLock<Engine> = OnceLock::new();
-        SHARED.get_or_init(|| Engine::new(EngineOptions::default()))
     }
 
     /// The cached platform + calibrated contention model for a platform

@@ -29,6 +29,9 @@
 //! * [`scheduler`] — `HaxConn` (static optimal schedules) including the
 //!   never-worse-than-baseline fallback,
 //! * [`dynamic`] — `DHaxConn`, the anytime/dynamic variant (Fig. 7),
+//! * [`cache`] — the one schedule cache (Section 3.5): a sharded LRU
+//!   keyed by canonical-spec JSON in the serving engine and by
+//!   [`WorkloadSignature`] for CFG phases and tenant mixes,
 //! * [`arrival`] — the multi-tenant arrival engine: trace-driven
 //!   joins/leaves/SLA changes with re-solve policies, contention-aware
 //!   throttling of best-effort co-runners, and per-tenant accounting,
@@ -37,9 +40,9 @@
 //!   the `haxconn-check` crate),
 //! * [`spec`] — the serializable, canonicalizable [`WorkloadSpec`]
 //!   request type shared by the CLI, `Session`, and `haxconn serve`,
-//! * [`engine`] — the thread-shareable serving [`Engine`] (sharded
-//!   [`shard_cache`] cache, request coalescing, admission control,
-//!   degraded baseline fallback),
+//! * [`engine`] — the thread-shareable serving [`Engine`] (schedule
+//!   cache, request coalescing, admission control, degraded baseline
+//!   fallback),
 //! * [`mod@measure`] — conversion of schedules into ground-truth simulator runs
 //!   and paper-style metrics (latency, FPS, slowdown).
 
@@ -57,7 +60,6 @@ pub mod measure;
 pub mod problem;
 pub mod scenario;
 pub mod scheduler;
-pub mod shard_cache;
 pub mod spec;
 pub mod timeline;
 pub mod trace;
@@ -68,7 +70,7 @@ pub use arrival::{
     ResolvePoint, ResolvePolicy, SlaClass, TenantEvent, TenantReport, TenantSpec, TenantStats,
 };
 pub use baselines::{Baseline, BaselineKind};
-pub use cache::{ScheduleCache, WorkloadSignature};
+pub use cache::{CacheCounters, ShardedCache, WorkloadSignature};
 pub use dynamic::{DHaxConn, IncumbentClock};
 pub use encoding::{ScheduleEncoding, ScheduleScratch};
 pub use energy::{dynamic_energy_mj, dynamic_energy_with, energy_of, schedule_min_energy};
@@ -81,7 +83,6 @@ pub use measure::{aggregate_fps, measure, stage, Measurement};
 pub use problem::{DnnTask, Objective, SchedulerConfig, Workload};
 pub use scenario::{generate_instance, generate_instance_on, GeneratedInstance, Scenario};
 pub use scheduler::{HaxConn, Schedule, ScheduleOrigin, Transition};
-pub use shard_cache::ShardedCache;
 pub use spec::{TaskSpec, WorkloadSpec};
 pub use timeline::{PredictedTimeline, TimelineEvaluator, TimelineSummary, TimelineWorkspace};
 pub use trace::{chrome_trace_json, chrome_trace_json_with_snapshot};

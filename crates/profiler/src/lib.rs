@@ -26,9 +26,7 @@
 pub mod blackbox;
 pub mod grouping;
 pub mod profile;
-pub mod store;
 
 pub use blackbox::BlackBoxEstimator;
 pub use grouping::{GroupedNetwork, LayerGroup};
 pub use profile::{GroupProfile, NetworkProfile};
-pub use store::{ProfileStore, StoreError};

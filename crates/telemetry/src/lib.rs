@@ -38,6 +38,13 @@
 //! the stack reads it back — so enabled and disabled runs produce
 //! bit-identical schedules and measurements by construction (a property
 //! the facade's end-to-end test machine-checks).
+//!
+//! The served path does not keep this discipline yet: `haxconn serve`
+//! installs the [`MemoryRecorder`] by default, and every cached request
+//! takes its single lock about five times (`serve.reactor.wakeups`,
+//! `serve.requests`, `engine.requests`, `engine.cache.hits`,
+//! `serve.request_us`). Lock-free static instruments are ROADMAP.md
+//! item 3 ("One telemetry plane").
 
 pub mod alloc;
 pub mod shared;
@@ -584,8 +591,12 @@ fn json_f64(v: f64) -> String {
 // ---------------------------------------------------------------------------
 
 /// An in-memory [`Recorder`] backed by a mutex'd [`Snapshot`]. This is
-/// what the CLI installs for `--telemetry FILE`; flush sites are
-/// per-solve/per-run, so the lock is nowhere near any hot loop.
+/// what the CLI installs for `--telemetry FILE`, where flush sites are
+/// per-solve/per-run. `haxconn serve` also installs it by default, and
+/// there every request takes the lock several times (about five for a
+/// cache hit), so it *is* on the served hot path; replacing it with
+/// lock-free static instruments is ROADMAP.md item 3 ("One telemetry
+/// plane").
 #[derive(Debug, Default)]
 pub struct MemoryRecorder {
     state: Mutex<Snapshot>,

@@ -10,13 +10,14 @@
 //! on user input.
 
 use crate::prelude::*;
+use haxconn_core::cache::{CacheCounters, ShardedCache, WorkloadSignature, PHASE_CAPACITY};
 use haxconn_core::{
     chrome_trace_json, chrome_trace_json_with_snapshot, energy_of, schedule_min_energy, DHaxConn,
-    ScheduleCache,
 };
 use haxconn_soc::PowerModel;
 use haxconn_telemetry as tel;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// A parsed CLI invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -1035,18 +1036,21 @@ pub fn run(command: Command) -> Result<String, HaxError> {
                     )
                 })
                 .collect();
-            let mut cache = ScheduleCache::new();
+            let cache = ShardedCache::new(PHASE_CAPACITY, CacheCounters::Phases);
             for round in 0..rounds {
                 for (i, w) in workloads.iter().enumerate() {
+                    let signature = WorkloadSignature::of(w);
                     let mut solved = None;
-                    let s = cache.get_or_insert_with(w, || {
+                    let s = cache.get(&signature).unwrap_or_else(|| {
                         let d = DHaxConn::run(&p, w, &contention, cfg);
                         solved = Some((
                             d.initial.cost,
                             d.trace.len(),
                             d.trace.last().map(|inc| inc.at),
                         ));
-                        d.into_schedule(w, &contention, cfg)
+                        let s = Arc::new(d.into_schedule(w, &contention, cfg));
+                        cache.insert(signature, Arc::clone(&s));
+                        s
                     });
                     let names: Vec<&str> = phases[i].iter().map(|m| m.name()).collect();
                     match solved {
@@ -1076,7 +1080,7 @@ pub fn run(command: Command) -> Result<String, HaxError> {
                     }
                 }
             }
-            let (hits, misses) = cache.stats();
+            let (hits, misses, _) = cache.stats();
             writeln!(
                 out,
                 "\nschedule cache: {hits} hits, {misses} misses, {} phases cached",
@@ -1391,7 +1395,6 @@ per-frame service {:.2} ms vs period {:.2} ms",
                     max_concurrent_solves: max_solves,
                     max_pending_solves: max_pending,
                     degrade_on_overload: !no_degrade,
-                    ..Default::default()
                 },
                 ..Default::default()
             };

@@ -135,3 +135,29 @@ fn resolved_mix_costs_agree_across_policies() {
         "only {compared} mixes overlapped across policies"
     );
 }
+
+/// 64-bit FNV-1a, enough to pin a report's bytes in a test.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The replay's schedule cache holds 64 mixes. This trace misses more
+/// often than that, and every miss inserts a mix, so the LRU must evict.
+/// Hit/miss counts and the full report are pinned to recorded values, so
+/// any change to the cache's eviction order or counting shows up here.
+#[test]
+fn replay_cache_is_pinned_under_eviction() {
+    let trace = ArrivalTrace::generate(1, 300, 3);
+    let platform = haxconn::soc::orin_agx();
+    let cm = ContentionModel::calibrate(&platform);
+    let r = replay_arrivals(&platform, &cm, &trace, &ReplayOptions::default()).expect("replayable");
+    assert!(
+        r.cache_misses > 64,
+        "only {} misses: no eviction",
+        r.cache_misses
+    );
+    assert_eq!((r.cache_hits, r.cache_misses), (66, 139));
+    assert_eq!(fnv1a64(r.to_json().as_bytes()), 0x8618_e8d5_7814_4da8);
+}
