@@ -306,6 +306,10 @@ struct BitIdentityReport {
     /// HTTP assignment/cost/makespan == local `Session::schedule`, to
     /// the bit, for every catalog spec (gate: true).
     identical: bool,
+    /// Every catalog spec sent a second time (a canonical-key hit that
+    /// stores the body as an alias) and a third time (an alias hit)
+    /// got the first response's bytes with `cached` set (gate: true).
+    alias_identical: bool,
 }
 
 #[derive(Serialize)]
@@ -335,13 +339,17 @@ fn boot(options: ServeOptions) -> ServerHandle {
 }
 
 /// Phase 1: submit every catalog spec once and check the response
-/// against a local `Session::from_spec(..).schedule()` bit-for-bit.
+/// against a local `Session::from_spec(..).schedule()` bit-for-bit,
+/// then twice more — the second send hits the canonical key and stores
+/// the body as an alias, the third hits the alias — and check both
+/// hits serve the first response's bytes with `cached` set.
 fn warm_and_check_identity(
     addr: std::net::SocketAddr,
     specs: &[WorkloadSpec],
 ) -> BitIdentityReport {
     let mut client = Client::connect(addr).expect("connects");
     let mut identical = true;
+    let mut alias_identical = true;
     for spec in specs {
         let body = spec.to_json().expect("spec serializes");
         let (status, resp) = client.post("/v1/schedule", &body).expect("responds");
@@ -354,10 +362,19 @@ fn warm_and_check_identity(
         if !identical {
             eprintln!("bit-identity mismatch on {}", body);
         }
+        let expected = resp.replacen("\"cached\":false", "\"cached\":true", 1);
+        for _ in 0..2 {
+            let (status, hit) = client.post("/v1/schedule", &body).expect("responds");
+            if status != 200 || hit != expected {
+                eprintln!("alias-identity mismatch on {body}");
+                alias_identical = false;
+            }
+        }
     }
     BitIdentityReport {
         specs_checked: specs.len(),
         identical,
+        alias_identical,
     }
 }
 
@@ -614,8 +631,8 @@ fn main() {
 
     let bit_identity = warm_and_check_identity(server.addr(), &specs);
     eprintln!(
-        "warmup: {} specs cached, bit_identical={}",
-        bit_identity.specs_checked, bit_identity.identical
+        "warmup: {} specs cached, bit_identical={}, alias_identical={}",
+        bit_identity.specs_checked, bit_identity.identical, bit_identity.alias_identical
     );
     let think_per_client = (per_client / 5).max(200);
     let think = closed_loop(
@@ -694,6 +711,10 @@ fn main() {
     let mut failed = false;
     if !out.bit_identity.identical {
         eprintln!("FAIL: HTTP schedules are not bit-identical to Session::schedule");
+        failed = true;
+    }
+    if !out.bit_identity.alias_identical {
+        eprintln!("FAIL: repeat requests served through an alias changed bytes");
         failed = true;
     }
     if out.think_time.req_per_sec < THINK_TIME_FLOOR_RPS {

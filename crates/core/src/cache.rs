@@ -202,6 +202,21 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
         self.lookup(key, false)
     }
 
+    /// The cached value for `key` without touching the LRU stamp or any
+    /// counter: for bookkeeping that reads an entry on behalf of a
+    /// request already counted (the engine copies an entry to an alias
+    /// key this way).
+    pub fn peek<Q>(&self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.shard_for(key)
+            .entries
+            .get(key)
+            .map(|e| e.value.clone())
+    }
+
     /// Stores `value` under `key`, replacing any previous entry and
     /// evicting the shard's LRU entry if the shard is full. Shards are
     /// small, so a linear scan beats maintaining an intrusive list.
@@ -331,6 +346,19 @@ mod tests {
         c.insert("a".into(), Arc::new(7));
         assert_eq!(*c.probe("a").unwrap(), 7);
         assert_eq!(c.stats(), (1, 0, 0));
+    }
+
+    #[test]
+    fn peek_counts_nothing_and_leaves_lru_order() {
+        let c = cache(2);
+        assert!(c.peek("a").is_none());
+        c.insert("a".into(), Arc::new(0));
+        c.insert("b".into(), Arc::new(1));
+        assert_eq!(*c.peek("a").unwrap(), 0); // a stays the LRU entry
+        assert_eq!(c.stats(), (0, 0, 0));
+        c.insert("c".into(), Arc::new(2));
+        assert!(c.peek("a").is_none());
+        assert!(c.peek("b").is_some());
     }
 
     #[test]

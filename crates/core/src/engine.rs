@@ -8,7 +8,14 @@
 //! * **Schedule cache** — solved schedules are cached in the crate's one
 //!   LRU, a [`ShardedCache`] keyed by the canonical-spec JSON
 //!   ([`WorkloadSpec::cache_key`]); a hit is lock-shard + `Arc` clone.
-//!   The default 1024 entries split into 8 shards of 128.
+//!   The default 1024 entries split into 8 shards of 128. Each entry
+//!   also keeps its rendered hit response, built once on first use
+//!   ([`Engine::cached_response`]), and a verbatim request body may be
+//!   stored as an *alias* of its canonical key ([`Engine::alias`]), so
+//!   a repeat request is one probe by its raw bytes. Every string in
+//!   the cache maps to `schedule(canonicalize(parse(s)))`, and a
+//!   canonical key canonicalizes to itself, so keys and bodies share
+//!   one key space without conflict.
 //! * **Request coalescing** — identical specs solving concurrently are
 //!   computed once: the first caller leads the solve, the rest wait on
 //!   a condvar and share the leader's `Arc`'d result. The
@@ -37,7 +44,7 @@ use haxconn_soc::Platform;
 use rustc_hash::{FxHashMap, FxHashSet};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     // Engine state stays consistent across a panicking solver thread
@@ -56,6 +63,38 @@ pub struct SolvedEntry {
     pub schedule: Schedule,
     /// Its inter-accelerator transitions, precomputed.
     pub transitions: Vec<Transition>,
+}
+
+/// A verbatim spelling is aliased only while it is at most this many
+/// times as long as its canonical key, which bounds the key memory an
+/// alias adds to its entry.
+const MAX_ALIAS_RATIO: usize = 2;
+
+/// What one cache entry holds: the solved entry, plus its cache-hit
+/// response body, rendered on the first [`Engine::cached_response`]
+/// and shared by the canonical key and every alias of it.
+struct CacheSlot {
+    entry: Arc<SolvedEntry>,
+    hit_body: OnceLock<Arc<str>>,
+}
+
+impl CacheSlot {
+    fn new(entry: Arc<SolvedEntry>) -> Arc<CacheSlot> {
+        Arc::new(CacheSlot {
+            entry,
+            hit_body: OnceLock::new(),
+        })
+    }
+
+    /// The provenance every cache hit reports.
+    fn hit(&self) -> EngineSchedule {
+        EngineSchedule {
+            entry: Arc::clone(&self.entry),
+            cached: true,
+            coalesced: false,
+            degraded: false,
+        }
+    }
 }
 
 /// Engine tuning knobs.
@@ -268,7 +307,7 @@ impl SolveGate {
 /// The thread-shareable scheduling engine. See the module docs for the
 /// cache / coalescing / admission / degradation design.
 pub struct Engine {
-    cache: ShardedCache<String, Arc<SolvedEntry>>,
+    cache: ShardedCache<String, Arc<CacheSlot>>,
     inflight: Mutex<FxHashMap<String, Arc<Inflight>>>,
     /// Keys with a solver run currently executing — the measurement
     /// behind `duplicate_inflight_solves`.
@@ -337,20 +376,65 @@ impl Engine {
     /// request + cache hit exactly as [`schedule_canonical`] would; a
     /// miss counts nothing, so a caller falling through to
     /// [`schedule_canonical`] keeps every counter exactly-once. The
-    /// serve reactor uses this to answer hot requests inline without a
-    /// thread hop.
+    /// serve reactor answers hits with [`Engine::cached_response`],
+    /// which probes the same way.
     ///
     /// [`schedule_canonical`]: Engine::schedule_canonical
     pub fn schedule_cached(&self, key: &str) -> Option<EngineSchedule> {
-        let entry = self.cache.probe(key)?;
+        self.probe(key).map(|slot| slot.hit())
+    }
+
+    /// [`schedule_cached`] answering with bytes: the entry's cache-hit
+    /// response body, which `render` builds from the hit on the first
+    /// call for an entry and the entry keeps from then on. `key` is a
+    /// canonical key or an [alias](Engine::alias). The engine does not
+    /// know the wire format, so the caller supplies `render`; an `Err`
+    /// from it is returned and nothing is kept. (Threads racing on an
+    /// entry's first hit may each render; the first body is kept, and
+    /// solves are deterministic, so the bodies agree.) Counts exactly as
+    /// [`schedule_cached`] does: a hit is a request and a cache hit, a
+    /// miss counts nothing.
+    ///
+    /// [`schedule_cached`]: Engine::schedule_cached
+    pub fn cached_response<E>(
+        &self,
+        key: &str,
+        render: impl FnOnce(&EngineSchedule) -> Result<String, E>,
+    ) -> Option<Result<Arc<str>, E>> {
+        let slot = self.probe(key)?;
+        if let Some(body) = slot.hit_body.get() {
+            return Some(Ok(Arc::clone(body)));
+        }
+        Some(render(&slot.hit()).map(|body| Arc::clone(slot.hit_body.get_or_init(|| body.into()))))
+    }
+
+    /// Stores `body`, a verbatim request spelling whose canonical key
+    /// is `key`, as an alias of the entry cached under `key`, so
+    /// [`cached_response`](Engine::cached_response) answers `body`
+    /// itself. The alias is a cache entry of its own: it counts toward
+    /// the capacity, is evicted by the same LRU, and outlives the
+    /// canonical entry if that is evicted first. Returns whether the
+    /// alias was stored; it is not when `key` is not cached, `body` is
+    /// `key` itself, or `body` is more than twice as long as `key`.
+    /// Counts nothing.
+    pub fn alias(&self, body: &str, key: &str) -> bool {
+        if body == key || body.len() > MAX_ALIAS_RATIO * key.len() {
+            return false;
+        }
+        let Some(slot) = self.cache.peek(key) else {
+            return false;
+        };
+        self.cache.insert(body.to_string(), slot);
+        true
+    }
+
+    /// The cache-only probe behind [`Engine::schedule_cached`] and
+    /// [`Engine::cached_response`].
+    fn probe(&self, key: &str) -> Option<Arc<CacheSlot>> {
+        let slot = self.cache.probe(key)?;
         self.requests.fetch_add(1, Ordering::Relaxed);
         haxconn_telemetry::counter_add("engine.requests", 1);
-        Some(EngineSchedule {
-            entry,
-            cached: true,
-            coalesced: false,
-            degraded: false,
-        })
+        Some(slot)
     }
 
     /// [`Engine::schedule`] for a spec the caller has already
@@ -363,13 +447,8 @@ impl Engine {
     ) -> Result<EngineSchedule, HaxError> {
         self.requests.fetch_add(1, Ordering::Relaxed);
         haxconn_telemetry::counter_add("engine.requests", 1);
-        if let Some(entry) = self.cache.get(&key) {
-            return Ok(EngineSchedule {
-                entry,
-                cached: true,
-                coalesced: false,
-                degraded: false,
-            });
+        if let Some(slot) = self.cache.get(&key) {
+            return Ok(slot.hit());
         }
         // Join an identical in-flight solve, or become its leader.
         let waiter = {
@@ -431,7 +510,8 @@ impl Engine {
         // next uncontended request should get the real optimum.
         if let Ok((entry, degraded)) = &outcome {
             if !degraded {
-                self.cache.insert(key.clone(), Arc::clone(entry));
+                self.cache
+                    .insert(key.clone(), CacheSlot::new(Arc::clone(entry)));
             }
         }
         guard.publish(outcome.clone());
@@ -523,7 +603,7 @@ impl Engine {
         }
     }
 
-    /// Number of schedules currently cached.
+    /// Number of cache entries, aliases included.
     pub fn cached_schedules(&self) -> usize {
         self.cache.len()
     }
@@ -563,6 +643,100 @@ mod tests {
             .task("ResNet18", 5);
         assert!(engine.schedule(&alias).unwrap().cached);
         assert_eq!(engine.stats().solves, 1);
+    }
+
+    #[test]
+    fn cached_response_renders_once_per_entry_and_counts_like_a_probe() {
+        let engine = Engine::new(EngineOptions::default());
+        let key = spec().cache_key().unwrap();
+        let renders = std::cell::Cell::new(0);
+        let render = |out: &EngineSchedule| {
+            renders.set(renders.get() + 1);
+            assert!(out.cached && !out.coalesced && !out.degraded);
+            Ok::<_, ()>(format!("{}", out.schedule().cost.to_bits()))
+        };
+        assert!(engine.cached_response(&key, render).is_none());
+        assert_eq!(
+            engine.stats(),
+            EngineStatsSnapshot::default(),
+            "a miss counts nothing"
+        );
+        let solved = engine.schedule(&spec()).unwrap();
+        let first = engine.cached_response(&key, render).unwrap().unwrap();
+        let again = engine.cached_response(&key, render).unwrap().unwrap();
+        assert!(Arc::ptr_eq(&first, &again));
+        assert_eq!(&*first, solved.schedule().cost.to_bits().to_string());
+        assert_eq!(renders.get(), 1);
+        // A failed render keeps nothing: the next probe renders again.
+        let other = WorkloadSpec::new("orin").task("resnet18", 3);
+        engine.schedule(&other).unwrap();
+        let other_key = other.cache_key().unwrap();
+        assert_eq!(engine.cached_response(&other_key, |_| Err(7)), Some(Err(7)));
+        assert!(engine.cached_response(&other_key, render).unwrap().is_ok());
+        assert_eq!(renders.get(), 2);
+        let stats = engine.stats();
+        assert_eq!(
+            (stats.requests, stats.cache_hits, stats.cache_misses),
+            (6, 4, 2)
+        );
+        assert_eq!(stats.cache_hits + stats.cache_misses, stats.requests);
+    }
+
+    #[test]
+    fn aliases_fill_the_capacity_and_outlive_their_key() {
+        let engine = Engine::new(EngineOptions {
+            cache_capacity: 2,
+            ..Default::default()
+        });
+        let render = |out: &EngineSchedule| Ok::<_, ()>(format!("{:?}", out.schedule().assignment));
+        let key = spec().cache_key().unwrap();
+        let body = spec().to_json().unwrap();
+        assert_ne!(body, key, "the test spelling must not be canonical");
+        assert!(
+            !engine.alias(&body, &key),
+            "nothing to alias before the solve"
+        );
+        let solved = engine.schedule(&spec()).unwrap();
+        assert!(!engine.alias(&key, &key), "a key is not its own alias");
+        assert!(engine.alias(&body, &key));
+        assert_eq!(engine.cached_schedules(), 2);
+        let via_alias = engine.cached_response(&body, render).unwrap().unwrap();
+        let via_key = engine.cached_response(&key, render).unwrap().unwrap();
+        assert!(
+            Arc::ptr_eq(&via_alias, &via_key),
+            "one rendered body per entry"
+        );
+        // Touch the alias so the canonical key is the LRU entry, then
+        // solve another spec: the key is evicted, the alias serves on.
+        assert!(engine.cached_response(&body, render).is_some());
+        let other = WorkloadSpec::new("orin").task("resnet18", 3);
+        engine.schedule(&other).unwrap();
+        assert_eq!(engine.cached_schedules(), 2);
+        assert!(engine.schedule_cached(&key).is_none());
+        let hit = engine
+            .schedule_cached(&body)
+            .expect("the alias outlives its key");
+        assert!(Arc::ptr_eq(&hit.entry, &solved.entry));
+        assert_eq!(engine.cached_response(&body, render), Some(Ok(via_alias)));
+        // Filling the cache with aliases never exceeds its capacity.
+        for groups in 1..=4 {
+            let s = WorkloadSpec::new("orin").task("GoogLeNet", groups);
+            engine.schedule(&s).unwrap();
+            engine.alias(&s.to_json().unwrap(), &s.cache_key().unwrap());
+            assert!(engine.cached_schedules() <= engine.cache.capacity());
+        }
+    }
+
+    #[test]
+    fn long_spellings_are_not_aliased() {
+        let engine = Engine::new(EngineOptions::default());
+        let key = spec().cache_key().unwrap();
+        engine.schedule(&spec()).unwrap();
+        let padded = format!("{key}{}", " ".repeat(key.len() + 1));
+        assert!(!engine.alias(&padded, &key));
+        let at_limit = format!("{key}{}", " ".repeat(key.len()));
+        assert!(engine.alias(&at_limit, &key));
+        assert_eq!(engine.cached_schedules(), 2);
     }
 
     #[test]

@@ -43,7 +43,8 @@
 //! installs the [`MemoryRecorder`] by default, and every cached request
 //! takes its single lock about five times (`serve.reactor.wakeups`,
 //! `serve.requests`, `engine.requests`, `engine.cache.hits`,
-//! `serve.request_us`). Lock-free static instruments are ROADMAP.md
+//! `serve.request_us`), whether it hits by its raw body or by its
+//! canonical key. Lock-free static instruments are ROADMAP.md
 //! item 3 ("One telemetry plane").
 
 pub mod alloc;

@@ -131,10 +131,11 @@ impl Conn {
         }
     }
 
-    /// Queues one response onto the write buffer.
+    /// Queues one response onto the write buffer: the head, then the
+    /// body bytes, with no intermediate string.
     pub fn enqueue_response(&mut self, status: u16, body: &str, keep_alive: bool) {
-        self.write_buf
-            .extend_from_slice(http::format_response(status, body, keep_alive).as_bytes());
+        http::write_head(&mut self.write_buf, status, body.len(), keep_alive);
+        self.write_buf.extend_from_slice(body.as_bytes());
         if !keep_alive {
             self.close_after_flush = true;
         }

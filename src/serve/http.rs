@@ -72,10 +72,12 @@ fn parse_request_line(line: &str) -> Result<(String, String, bool), HttpReadErro
 }
 
 /// Applies one header line to the connection/body framing state.
+/// `Content-Length` must be `1*DIGIT` (RFC 9112 §6.3: no sign, no
+/// list), and a repeated one must repeat the same value.
 fn apply_header(
     header: &str,
     keep_alive: &mut bool,
-    content_length: &mut usize,
+    content_length: &mut Option<usize>,
 ) -> Result<(), HttpReadError> {
     let Some((name, value)) = header.split_once(':') else {
         return Err(HttpReadError::Malformed(format!("bad header '{header}'")));
@@ -84,9 +86,17 @@ fn apply_header(
     let value = value.trim();
     match name.as_str() {
         "content-length" => {
-            *content_length = value
-                .parse()
-                .map_err(|_| HttpReadError::Malformed("bad Content-Length".into()))?;
+            let bad = || HttpReadError::Malformed(format!("bad Content-Length '{value}'"));
+            if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+                return Err(bad());
+            }
+            let n: usize = value.parse().map_err(|_| bad())?;
+            if content_length.is_some_and(|prev| prev != n) {
+                return Err(HttpReadError::Malformed(
+                    "conflicting Content-Length values".into(),
+                ));
+            }
+            *content_length = Some(n);
         }
         "connection" => {
             let v = value.to_ascii_lowercase();
@@ -114,8 +124,9 @@ fn apply_header(
 /// * `Ok(Some((request, consumed)))` — a complete request, with the
 ///   number of buffer bytes it consumed (drain them before the next
 ///   call);
-/// * `Err(..)` — a framing violation: a bad request line or header, a
-///   second stray empty line before the request line (one is
+/// * `Err(..)` — a framing violation: a bad request line or header
+///   (including a non-digit or conflicting repeated `Content-Length`),
+///   a second stray empty line before the request line (one is
 ///   tolerated), a head over [`MAX_HEAD_BYTES`], or a declared body
 ///   over `max_body_bytes`.
 ///
@@ -151,7 +162,7 @@ pub fn parse_request(
     let mut pos = 0usize;
     let mut stray = false;
     let mut request_line = None;
-    let mut content_length = 0usize;
+    let mut content_length = None;
     let head_end = loop {
         let Some((line, next)) = next_line(pos) else {
             break None;
@@ -175,6 +186,7 @@ pub fn parse_request(
     let (Some(head_end), Some((method, target, keep_alive))) = (head_end, request_line) else {
         return Ok(None);
     };
+    let content_length = content_length.unwrap_or(0);
     if content_length > max_body_bytes {
         return Err(HttpReadError::TooLarge(content_length));
     }
@@ -210,19 +222,46 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Renders one JSON response onto the wire format. The reactor queues
-/// these bytes into a per-connection write buffer (partial writes
-/// resume where they left off).
-pub fn format_response(status: u16, body: &str, keep_alive: bool) -> String {
-    let connection = if keep_alive { "keep-alive" } else { "close" };
-    format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n{}",
+/// The head of one JSON response with a `body_len`-byte body.
+struct Head {
+    status: u16,
+    body_len: usize,
+    keep_alive: bool,
+}
+
+impl std::fmt::Display for Head {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
+            self.status,
+            reason(self.status),
+            self.body_len,
+            if self.keep_alive { "keep-alive" } else { "close" },
+        )
+    }
+}
+
+/// Appends the head of one JSON response with a `body_len`-byte body
+/// to `out`; the caller appends the body bytes after it.
+pub fn write_head(out: &mut Vec<u8>, status: u16, body_len: usize, keep_alive: bool) {
+    let head = Head {
         status,
-        reason(status),
-        body.len(),
-        connection,
-        body
-    )
+        body_len,
+        keep_alive,
+    };
+    write!(out, "{head}").expect("writing to a Vec cannot fail");
+}
+
+/// Renders one JSON response onto the wire format: the
+/// [`write_head`] head followed by the body.
+pub fn format_response(status: u16, body: &str, keep_alive: bool) -> String {
+    let head = Head {
+        status,
+        body_len: body.len(),
+        keep_alive,
+    };
+    format!("{head}{body}")
 }
 
 /// Writes one JSON response to a blocking stream (the reactor's
@@ -315,6 +354,43 @@ mod tests {
     }
 
     #[test]
+    fn content_length_must_be_digits() {
+        for value in ["+4", "-4", " ", "4 4", "0x4", "4,4", "\u{0664}"] {
+            let raw = format!("POST / HTTP/1.1\r\nContent-Length: {value}\r\n\r\n{{\"a\"");
+            assert!(
+                matches!(parse(&raw), Err(HttpReadError::Malformed(_))),
+                "Content-Length {value:?} must be malformed"
+            );
+        }
+        // Overflowing digits are malformed too, not a huge TooLarge.
+        let raw = "POST / HTTP/1.1\r\nContent-Length: 99999999999999999999999\r\n\r\n";
+        assert!(matches!(parse(raw), Err(HttpReadError::Malformed(_))));
+        // Leading zeros are still 1*DIGIT.
+        let req = parse("POST / HTTP/1.1\r\nContent-Length: 004\r\n\r\n{\"a\"")
+            .unwrap()
+            .unwrap();
+        assert_eq!(req.body, "{\"a\"");
+    }
+
+    #[test]
+    fn repeated_content_length_must_agree() {
+        let req = parse("POST / HTTP/1.1\r\nContent-Length: 4\r\ncontent-length: 4\r\n\r\n{\"a\"")
+            .unwrap()
+            .unwrap();
+        assert_eq!(req.body, "{\"a\"");
+        for raw in [
+            "POST / HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 2\r\n\r\n{\"a\"",
+            "POST / HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 4\r\n\r\n{\"a\"",
+            "POST / HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 4\r\n\r\n{\"a\"",
+        ] {
+            assert!(
+                matches!(parse(raw), Err(HttpReadError::Malformed(_))),
+                "{raw:?} must be malformed"
+            );
+        }
+    }
+
+    #[test]
     fn response_wire_format() {
         let mut out = Vec::new();
         write_response(&mut out, 200, "{}", true).unwrap();
@@ -356,6 +432,110 @@ mod tests {
         let (b, rest) = parse_request(&raw[consumed..], 1024).unwrap().unwrap();
         assert_eq!(b.path, "/b");
         assert_eq!(consumed + rest, raw.len());
+    }
+
+    /// What a parsed request is compared by: method, path, body,
+    /// keep-alive.
+    type Parsed = (String, String, String, bool);
+
+    /// xorshift64*, for the seeded framing fuzz below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            (self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as usize % n
+        }
+    }
+
+    /// `n` pipelined requests as one byte stream — schedule POSTs with
+    /// bodies of 0 to ~600 bytes (some multi-byte UTF-8), health GETs,
+    /// an occasional stray CRLF, mixed header spellings — plus the
+    /// `(method, path, body, keep_alive)` each must parse to.
+    fn pipelined_stream(rng: &mut Rng, n: usize) -> (Vec<u8>, Vec<Parsed>) {
+        const ALPHABET: &[&str] = &["{", "}", "\"", ":", ",", "a", "z", "7", " ", "é", "→"];
+        let mut stream = Vec::new();
+        let mut want = Vec::new();
+        for _ in 0..n {
+            if rng.below(4) == 0 {
+                stream.extend_from_slice(b"\r\n");
+            }
+            let keep_alive = rng.below(8) != 0;
+            let connection = if keep_alive {
+                ""
+            } else {
+                "Connection: close\r\n"
+            };
+            if rng.below(3) == 0 {
+                let raw = format!("GET /v1/health HTTP/1.1\r\nHost: x\r\n{connection}\r\n");
+                stream.extend_from_slice(raw.as_bytes());
+                want.push(("GET".into(), "/v1/health".into(), String::new(), keep_alive));
+            } else {
+                let len = [0, 1, 2, 40, 300, 600][rng.below(6)];
+                let body: String = (0..len)
+                    .map(|_| ALPHABET[rng.below(ALPHABET.len())])
+                    .collect();
+                let name = ["Content-Length", "content-length", "CONTENT-LENGTH"][rng.below(3)];
+                let raw = format!(
+                    "POST /v1/schedule HTTP/1.1\r\n{name}: {}\r\n{connection}\r\n{body}",
+                    body.len()
+                );
+                stream.extend_from_slice(raw.as_bytes());
+                want.push(("POST".into(), "/v1/schedule".into(), body, keep_alive));
+            }
+        }
+        (stream, want)
+    }
+
+    /// Appends each chunk, then parses and drains complete requests,
+    /// as the reactor's `Conn` does.
+    fn parse_chunked(stream: &[u8], cuts: &[usize]) -> Vec<Parsed> {
+        let mut buf = Vec::new();
+        let mut got = Vec::new();
+        let mut from = 0;
+        for &to in cuts.iter().chain([&stream.len()]) {
+            buf.extend_from_slice(&stream[from..to]);
+            from = to;
+            while let Some((req, consumed)) = parse_request(&buf, 1024).expect("valid framing") {
+                buf.drain(..consumed);
+                got.push((req.method, req.path, req.body, req.keep_alive));
+            }
+        }
+        assert!(buf.is_empty(), "{} bytes left unparsed", buf.len());
+        got
+    }
+
+    #[test]
+    fn framing_is_invariant_under_how_the_stream_is_split() {
+        for seed in 1..=40u64 {
+            let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+            let (stream, want) = pipelined_stream(&mut rng, 24);
+            assert_eq!(
+                parse_chunked(&stream, &[]),
+                want,
+                "seed {seed}: one-shot parse"
+            );
+            for _ in 0..8 {
+                let mut cuts: Vec<usize> = (0..rng.below(64))
+                    .map(|_| rng.below(stream.len() + 1))
+                    .collect();
+                cuts.sort_unstable();
+                assert_eq!(
+                    parse_chunked(&stream, &cuts),
+                    want,
+                    "seed {seed}: cuts {cuts:?}"
+                );
+            }
+            // Byte at a time: every possible cut at once.
+            let every: Vec<usize> = (1..stream.len()).collect();
+            assert_eq!(
+                parse_chunked(&stream, &every),
+                want,
+                "seed {seed}: byte at a time"
+            );
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ use crate::api::{
     SCHEMA_VERSION,
 };
 use crate::session::Session;
-use haxconn_core::engine::{Engine, EngineOptions};
+use haxconn_core::engine::{Engine, EngineOptions, EngineSchedule};
 use haxconn_core::{HaxError, WorkloadSpec};
 use haxconn_telemetry::SharedHistogram;
 use http::Request;
@@ -305,8 +305,11 @@ pub(crate) fn conn_closed(stats: &ServerStats) {
 /// A request after fast-path routing: either already answered, or
 /// CPU-bound work for the solve pool.
 pub(crate) enum Routed {
-    /// Answered inline (errors, GETs, cache-hit schedules).
+    /// Answered inline (errors, GETs).
     Done(u16, String),
+    /// A cache-hit schedule: the entry's rendered `200` body, shared
+    /// with the engine cache.
+    Hit(Arc<str>),
     /// A cache-miss schedule: the full engine path must run.
     Solve {
         key: String,
@@ -320,10 +323,22 @@ pub(crate) enum Routed {
 /// parse + validation errors, GET endpoints, and schedule requests
 /// already in the engine cache (O(µs) each). Anything CPU-bound comes
 /// back as work for [`route_slow`].
+///
+/// A schedule request first probes the cache by its raw body. On a
+/// miss it is decoded, canonicalized and probed by its canonical key;
+/// a hit there stores the body as an alias of the key (if the body is
+/// at most twice as long as the key), so the next identical body
+/// takes the first probe. A miss on both goes to the solve pool and
+/// stores no alias.
 pub(crate) fn route_fast(ctx: &ServerCtx, req: &Request) -> Routed {
     let path = req.path.split('?').next().unwrap_or("");
     match (req.method.as_str(), path) {
         ("POST", "/v1/schedule") => {
+            // A body seen before is an alias or canonical key in the
+            // engine cache: one probe by its raw bytes answers it.
+            if let Some(hit) = ctx.engine.cached_response(&req.body, render_hit) {
+                return routed_hit(ctx, hit);
+            }
             let spec: WorkloadSpec = match serde_json::from_str(&req.body) {
                 Ok(s) => s,
                 Err(e) => {
@@ -349,10 +364,10 @@ pub(crate) fn route_fast(ctx: &ServerCtx, req: &Request) -> Routed {
                     return Routed::Done(s, b);
                 }
             };
-            match ctx.engine.schedule_cached(&key) {
-                Some(out) => {
-                    let (s, b) = respond(&ctx.stats, 200, &ScheduleResponse::from_engine(&out));
-                    Routed::Done(s, b)
+            match ctx.engine.cached_response(&key, render_hit) {
+                Some(hit) => {
+                    ctx.engine.alias(&req.body, &key);
+                    routed_hit(ctx, hit)
                 }
                 None => Routed::Solve { key, canonical },
             }
@@ -390,11 +405,28 @@ pub(crate) fn route_fast(ctx: &ServerCtx, req: &Request) -> Routed {
     }
 }
 
+/// Renders the `200` body of a cache hit; the engine keeps it with the
+/// entry, so this runs once per cached schedule.
+fn render_hit(out: &EngineSchedule) -> Result<String, serde_json::Error> {
+    serde_json::to_string(&ScheduleResponse::from_engine(out))
+}
+
+fn routed_hit(ctx: &ServerCtx, hit: Result<Arc<str>, serde_json::Error>) -> Routed {
+    match hit {
+        Ok(body) => Routed::Hit(body),
+        Err(e) => {
+            let (s, b) = respond_serialized(&ctx.stats, 200, Err(e));
+            Routed::Done(s, b)
+        }
+    }
+}
+
 /// Routing stage 2 — the CPU-bound work [`route_fast`] deferred. Runs
 /// on the solve pool.
 pub(crate) fn route_slow(ctx: &ServerCtx, routed: Routed) -> (u16, String) {
     match routed {
         Routed::Done(status, body) => (status, body),
+        Routed::Hit(body) => (200, body.to_string()),
         Routed::Solve { key, canonical } => match ctx.engine.schedule_canonical(key, &canonical) {
             Ok(out) => respond(&ctx.stats, 200, &ScheduleResponse::from_engine(&out)),
             Err(e) => error_response(ctx, &e),

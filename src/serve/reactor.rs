@@ -12,8 +12,9 @@
 //! * **Reactor thread** — accepts, reads, incrementally parses
 //!   ([`Conn`]), answers *cheap* requests inline (health, telemetry,
 //!   routing errors, and schedule requests already in the engine
-//!   cache — all O(µs)), and writes buffered responses with
-//!   partial-write resume. CPU-bound work never runs here.
+//!   cache — all O(µs); a repeat body is one cache probe and a copy of
+//!   the entry's rendered response), and writes buffered responses
+//!   with partial-write resume. CPU-bound work never runs here.
 //! * **Solve pool** — cache-miss schedule requests and batch
 //!   evaluations are dispatched as jobs to the worker pool, which runs
 //!   the full [`Engine`] path (coalescing, admission, degradation) and
@@ -290,11 +291,9 @@ impl Reactor {
                     let started = Instant::now();
                     match route_fast(&self.ctx, &req) {
                         Routed::Done(status, body) => {
-                            finish_request(&self.ctx.stats, status, started);
-                            let ka = response_keep_alive(status, req.keep_alive);
-                            let conn = self.slots[idx].conn.as_mut().expect("still open");
-                            conn.enqueue_response(status, &body, ka);
+                            self.answer(idx, status, &body, req.keep_alive, started);
                         }
+                        Routed::Hit(body) => self.answer(idx, 200, &body, req.keep_alive, started),
                         work => {
                             let conn = self.slots[idx].conn.as_mut().expect("still open");
                             conn.in_flight = true;
@@ -338,6 +337,14 @@ impl Reactor {
             }
         }
         self.finish_io(idx);
+    }
+
+    /// Queues an inline answer on a connection that is still open.
+    fn answer(&mut self, idx: usize, status: u16, body: &str, keep_alive: bool, started: Instant) {
+        finish_request(&self.ctx.stats, status, started);
+        let ka = response_keep_alive(status, keep_alive);
+        let conn = self.slots[idx].conn.as_mut().expect("still open");
+        conn.enqueue_response(status, body, ka);
     }
 
     /// Flushes, re-arms epoll interest, and closes drained connections.

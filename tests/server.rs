@@ -354,6 +354,101 @@ fn framing_errors_close_the_connection_and_say_so() {
     server.stop();
 }
 
+/// `Content-Length` is `1*DIGIT` and a repeated one must agree (RFC
+/// 9112 §6.3): a signed or conflicting value is a framing error, a
+/// repeated identical value is fine.
+#[test]
+fn signed_or_conflicting_content_lengths_are_framing_errors() {
+    let server = boot(ServeOptions::default());
+    let mut client = Client::connect(server.addr()).expect("connects");
+    client
+        .write_raw(b"GET /v1/health HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 0\r\n\r\n")
+        .expect("writes");
+    let (status, _) = client.read_reply().expect("responds");
+    assert_eq!(status, 200, "identical repeated lengths are accepted");
+    for head in [
+        "POST /v1/schedule HTTP/1.1\r\nContent-Length: +2\r\n\r\n{}",
+        "POST /v1/schedule HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\n{}",
+    ] {
+        let mut client = Client::connect(server.addr()).expect("connects");
+        client.write_raw(head.as_bytes()).expect("writes");
+        let (status, headers, body) = client.read_reply_with_headers().expect("responds");
+        assert_eq!(status, 400, "{head:?}: {body}");
+        let err: ErrorBody = serde_json::from_str(&body).expect("parses");
+        assert_eq!(err.error, "bad_request");
+        assert!(
+            headers.iter().any(|h| h == "Connection: close"),
+            "{headers:?}"
+        );
+        let eof = client.read_reply();
+        assert!(eof.is_err(), "socket must be closed: {eof:?}");
+    }
+    assert_eq!(
+        server.engine().stats().requests,
+        0,
+        "nothing reached the engine"
+    );
+    server.stop();
+}
+
+/// A repeat body is answered from the engine cache by its raw bytes: the
+/// canonical JSON hits its own key, and another spelling is stored as an
+/// alias of that key on its first hit. Every spelling gets the same
+/// bytes as today's cache hit, and the engine counts every request once.
+#[test]
+fn repeat_spellings_are_served_through_aliases_byte_identically() {
+    let local = Session::from_spec(&spec()).schedule().expect("schedulable");
+    let server = boot(ServeOptions::default());
+    let mut client = Client::connect(server.addr()).expect("connects");
+    let (status, solved) = client.post("/v1/schedule", &spec_json()).expect("responds");
+    assert_eq!(status, 200, "{solved}");
+    let expected = solved.replacen("\"cached\":false", "\"cached\":true", 1);
+    let wire: ScheduleResponse = serde_json::from_str(&expected).expect("parses");
+    assert_eq!(wire.assignment, local.schedule.assignment);
+    assert_eq!(wire.cost.to_bits(), local.schedule.cost.to_bits());
+    assert_eq!(
+        wire.makespan_ms.to_bits(),
+        local.schedule.predicted.makespan_ms.to_bits()
+    );
+    assert_eq!(server.engine().cached_schedules(), 1);
+
+    // The short spelling (platform alias, `"config":null`) and the
+    // canonical JSON, each twice.
+    let canonical = spec().cache_key().expect("canonicalizes");
+    let short = spec_json();
+    assert!(short.len() < canonical.len(), "{short} vs {canonical}");
+    for body in [&canonical, &short, &canonical, &short] {
+        let (status, hit) = client.post("/v1/schedule", body).expect("responds");
+        assert_eq!(status, 200);
+        assert_eq!(hit, expected, "every hit serves the same bytes ({body})");
+    }
+    assert_eq!(
+        server.engine().cached_schedules(),
+        2,
+        "the canonical key plus one alias for the short spelling"
+    );
+
+    // A spelling more than twice as long as its key is answered the
+    // same, but never stored.
+    let long = format!("{short}{}", " ".repeat(2 * canonical.len()));
+    for _ in 0..2 {
+        let (status, hit) = client.post("/v1/schedule", &long).expect("responds");
+        assert_eq!(status, 200);
+        assert_eq!(hit, expected);
+    }
+    assert_eq!(
+        server.engine().cached_schedules(),
+        2,
+        "long bodies are not aliased"
+    );
+
+    let stats = server.engine().stats();
+    assert_eq!(stats.requests, 7);
+    assert_eq!(stats.cache_hits + stats.cache_misses, stats.requests);
+    assert_eq!((stats.cache_hits, stats.solves), (6, 1));
+    server.stop();
+}
+
 /// A complete request head over the 16 KiB cap, arriving in one write,
 /// is refused as malformed rather than parsed.
 #[test]
