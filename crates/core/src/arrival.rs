@@ -29,7 +29,7 @@
 //! byte-identical JSON reports, which the `dynamic-gate` CI job checks
 //! on a 10k-event trace.
 
-use crate::cache::{CacheCounters, ShardedCache, WorkloadSignature, PHASE_CAPACITY};
+use crate::cache::{ShardedCache, WorkloadSignature, PHASE_CAPACITY};
 use crate::encoding::ScheduleEncoding;
 use crate::error::{parse_model, HaxError};
 use crate::problem::{DnnTask, SchedulerConfig, Workload};
@@ -1025,7 +1025,7 @@ pub fn replay(
         options: options.clone(),
         trace,
         profiles: FxHashMap::default(),
-        cache: ShardedCache::new(PHASE_CAPACITY, CacheCounters::Phases),
+        cache: ShardedCache::new(PHASE_CAPACITY),
         active: Vec::new(),
         departed: Vec::new(),
         last_switch_ms: 0.0,
@@ -1045,7 +1045,8 @@ pub fn replay(
     }
     let mut report = sim.report;
     report.horizon_ms = horizon;
-    (report.cache_hits, report.cache_misses, _) = sim.cache.stats();
+    let (cache_hits, cache_misses, cache_evictions) = sim.cache.stats();
+    (report.cache_hits, report.cache_misses) = (cache_hits, cache_misses);
     // Join order == tenant id order (names are assigned in join order by
     // the generator; for hand-written traces, join-time order).
     sim.departed.sort_by(|a, b| a.stats.name.cmp(&b.stats.name));
@@ -1058,6 +1059,9 @@ pub fn replay(
         t::histogram_record("dynamic.replay_ms", ms);
         t::gauge_set("tenant.fairness", report.jain_fairness);
         t::span_event("dynamic", "arrival-replay", t::clock_ms() - ms, ms);
+        t::counter_add("cache.hits", cache_hits);
+        t::counter_add("cache.misses", cache_misses);
+        t::counter_add("cache.evictions", cache_evictions);
     }
     Ok(report)
 }

@@ -74,30 +74,6 @@ const ENTRIES_PER_SHARD: usize = 128;
 /// each other's locks without fragmenting the LRU meaningfully.
 const MAX_SHARDS: usize = 8;
 
-/// The telemetry counters a cache reports its hits, misses and evictions
-/// to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheCounters {
-    /// `engine.cache.{hits,misses,evictions}` — the serving engine.
-    Engine,
-    /// `cache.{hits,misses,evictions}` — the CFG-phase caches of the
-    /// arrival replay and `haxconn dynamic`.
-    Phases,
-}
-
-impl CacheCounters {
-    fn names(self) -> [&'static str; 3] {
-        match self {
-            CacheCounters::Engine => [
-                "engine.cache.hits",
-                "engine.cache.misses",
-                "engine.cache.evictions",
-            ],
-            CacheCounters::Phases => ["cache.hits", "cache.misses", "cache.evictions"],
-        }
-    }
-}
-
 /// A cached value stamped with the shard's monotone access tick, which
 /// implements least-recently-used ordering without any auxiliary list.
 struct Entry<V> {
@@ -117,17 +93,15 @@ struct Shard<K, V> {
 /// module docs.
 pub struct ShardedCache<K, V> {
     shards: Vec<Mutex<Shard<K, V>>>,
-    counters: [&'static str; 3],
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
-    /// A cache holding at most `capacity` entries in total (min 1),
-    /// reporting to `counters`. The capacity is split exactly across
-    /// the shards.
-    pub fn new(capacity: usize, counters: CacheCounters) -> Self {
+    /// A cache holding at most `capacity` entries in total (min 1). The
+    /// capacity is split exactly across the shards.
+    pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         let shards = capacity.div_ceil(ENTRIES_PER_SHARD).min(MAX_SHARDS);
         ShardedCache {
@@ -140,7 +114,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
                     })
                 })
                 .collect(),
-            counters: counters.names(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -169,13 +142,11 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
         let Some(e) = shard.entries.get_mut(key) else {
             if count_miss {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                haxconn_telemetry::counter_add(self.counters[1], 1);
             }
             return None;
         };
         e.last_used = tick;
         self.hits.fetch_add(1, Ordering::Relaxed);
-        haxconn_telemetry::counter_add(self.counters[0], 1);
         Some(e.value.clone())
     }
 
@@ -233,7 +204,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
             if let Some(k) = lru {
                 shard.entries.remove(&k);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
-                haxconn_telemetry::counter_add(self.counters[2], 1);
             }
         }
         shard.entries.insert(
@@ -292,7 +262,7 @@ mod tests {
     }
 
     fn cache<V: Clone>(capacity: usize) -> ShardedCache<String, V> {
-        ShardedCache::new(capacity, CacheCounters::Engine)
+        ShardedCache::new(capacity)
     }
 
     #[test]
@@ -316,8 +286,7 @@ mod tests {
 
     #[test]
     fn signature_keys_round_trip_with_counters() {
-        let c: ShardedCache<WorkloadSignature, Arc<u32>> =
-            ShardedCache::new(PHASE_CAPACITY, CacheCounters::Phases);
+        let c: ShardedCache<WorkloadSignature, Arc<u32>> = ShardedCache::new(PHASE_CAPACITY);
         let a = WorkloadSignature::of(&workload(&[Model::GoogleNet, Model::ResNet18]));
         let b = WorkloadSignature::of(&workload(&[Model::GoogleNet, Model::ResNet50]));
         assert!(c.get(&a).is_none());

@@ -35,7 +35,7 @@
 //! response for the same canonical spec is bit-identical — the serving
 //! bench machine-checks this against a local `Session::schedule`.
 
-use crate::cache::{CacheCounters, ShardedCache};
+use crate::cache::ShardedCache;
 use crate::error::{parse_platform, HaxError};
 use crate::scheduler::{HaxConn, Schedule, Transition};
 use crate::spec::WorkloadSpec;
@@ -150,7 +150,8 @@ impl EngineSchedule {
 /// is what `/v1/health` reports).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineStatsSnapshot {
-    /// Schedule requests received.
+    /// Schedule requests received: every request is exactly one cache
+    /// hit or one cache miss, so this is `cache_hits + cache_misses`.
     pub requests: u64,
     /// Requests served from the sharded cache.
     pub cache_hits: u64,
@@ -315,7 +316,6 @@ pub struct Engine {
     gate: SolveGate,
     degrade_on_overload: bool,
     contexts: Mutex<FxHashMap<&'static str, Arc<PlatformCtx>>>,
-    requests: AtomicU64,
     solves: AtomicU64,
     coalesced: AtomicU64,
     degraded: AtomicU64,
@@ -327,13 +327,12 @@ impl Engine {
     /// An engine with the given options.
     pub fn new(options: EngineOptions) -> Self {
         Engine {
-            cache: ShardedCache::new(options.cache_capacity, CacheCounters::Engine),
+            cache: ShardedCache::new(options.cache_capacity),
             inflight: Mutex::new(FxHashMap::default()),
             solving: Mutex::new(FxHashSet::default()),
             gate: SolveGate::new(options.max_concurrent_solves, options.max_pending_solves),
             degrade_on_overload: options.degrade_on_overload,
             contexts: Mutex::new(FxHashMap::default()),
-            requests: AtomicU64::new(0),
             solves: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
             degraded: AtomicU64::new(0),
@@ -381,7 +380,7 @@ impl Engine {
     ///
     /// [`schedule_canonical`]: Engine::schedule_canonical
     pub fn schedule_cached(&self, key: &str) -> Option<EngineSchedule> {
-        self.probe(key).map(|slot| slot.hit())
+        self.cache.probe(key).map(|slot| slot.hit())
     }
 
     /// [`schedule_cached`] answering with bytes: the entry's cache-hit
@@ -401,7 +400,7 @@ impl Engine {
         key: &str,
         render: impl FnOnce(&EngineSchedule) -> Result<String, E>,
     ) -> Option<Result<Arc<str>, E>> {
-        let slot = self.probe(key)?;
+        let slot = self.cache.probe(key)?;
         if let Some(body) = slot.hit_body.get() {
             return Some(Ok(Arc::clone(body)));
         }
@@ -428,15 +427,6 @@ impl Engine {
         true
     }
 
-    /// The cache-only probe behind [`Engine::schedule_cached`] and
-    /// [`Engine::cached_response`].
-    fn probe(&self, key: &str) -> Option<Arc<CacheSlot>> {
-        let slot = self.cache.probe(key)?;
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        haxconn_telemetry::counter_add("engine.requests", 1);
-        Some(slot)
-    }
-
     /// [`Engine::schedule`] for a spec the caller has already
     /// canonicalized (with `key` its canonical JSON) — the hot path for
     /// servers that parse and canonicalize once per request.
@@ -445,8 +435,6 @@ impl Engine {
         key: String,
         canonical: &WorkloadSpec,
     ) -> Result<EngineSchedule, HaxError> {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        haxconn_telemetry::counter_add("engine.requests", 1);
         if let Some(slot) = self.cache.get(&key) {
             return Ok(slot.hit());
         }
@@ -463,7 +451,6 @@ impl Engine {
         };
         if let Some(f) = waiter {
             self.coalesced.fetch_add(1, Ordering::Relaxed);
-            haxconn_telemetry::counter_add("engine.coalesced", 1);
             let (entry, degraded) = f.wait()?;
             return Ok(EngineSchedule {
                 entry,
@@ -534,14 +521,12 @@ impl Engine {
             }
             Admission::Rejected { active, pending } => {
                 self.rejected.fetch_add(1, Ordering::Relaxed);
-                haxconn_telemetry::counter_add("engine.rejected", 1);
                 if !self.degrade_on_overload {
                     return Err(HaxError::Overloaded(format!(
                         "solver pool saturated ({active} solving, {pending} queued)"
                     )));
                 }
                 self.degraded.fetch_add(1, Ordering::Relaxed);
-                haxconn_telemetry::counter_add("engine.degraded", 1);
                 let ctx = self.context(&canonical.platform)?;
                 let (_, workload) = canonical.resolve()?;
                 let schedule = HaxConn::best_baseline(
@@ -568,7 +553,6 @@ impl Engine {
         let (_, workload) = canonical.resolve()?;
         if !lock(&self.solving).insert(key.to_string()) {
             self.duplicates.fetch_add(1, Ordering::Relaxed);
-            haxconn_telemetry::counter_add("engine.duplicate_inflight_solves", 1);
         }
         let result = HaxConn::try_schedule(
             &ctx.platform,
@@ -578,7 +562,6 @@ impl Engine {
         );
         lock(&self.solving).remove(key);
         self.solves.fetch_add(1, Ordering::Relaxed);
-        haxconn_telemetry::counter_add("engine.solves", 1);
         let schedule = result?;
         let transitions = schedule.transitions(&workload);
         Ok(Arc::new(SolvedEntry {
@@ -591,7 +574,7 @@ impl Engine {
     pub fn stats(&self) -> EngineStatsSnapshot {
         let (cache_hits, cache_misses, cache_evictions) = self.cache.stats();
         EngineStatsSnapshot {
-            requests: self.requests.load(Ordering::Relaxed),
+            requests: cache_hits + cache_misses,
             cache_hits,
             cache_misses,
             cache_evictions,

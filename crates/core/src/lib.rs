@@ -70,7 +70,7 @@ pub use arrival::{
     ResolvePoint, ResolvePolicy, SlaClass, TenantEvent, TenantReport, TenantSpec, TenantStats,
 };
 pub use baselines::{Baseline, BaselineKind};
-pub use cache::{CacheCounters, ShardedCache, WorkloadSignature};
+pub use cache::{ShardedCache, WorkloadSignature};
 pub use dynamic::{DHaxConn, IncumbentClock};
 pub use encoding::{ScheduleEncoding, ScheduleScratch};
 pub use energy::{dynamic_energy_mj, dynamic_energy_with, energy_of, schedule_min_energy};

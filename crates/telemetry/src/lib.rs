@@ -39,13 +39,8 @@
 //! bit-identical schedules and measurements by construction (a property
 //! the facade's end-to-end test machine-checks).
 //!
-//! The served path does not keep this discipline yet: `haxconn serve`
-//! installs the [`MemoryRecorder`] by default, and every cached request
-//! takes its single lock about five times (`serve.reactor.wakeups`,
-//! `serve.requests`, `engine.requests`, `engine.cache.hits`,
-//! `serve.request_us`), whether it hits by its raw body or by its
-//! canonical key. Lock-free static instruments are ROADMAP.md
-//! item 3 ("One telemetry plane").
+//! Counters an owner already keeps in atomics (the serving engine and
+//! HTTP layer) are not recorded twice: the owner is a [`Source`].
 
 pub mod alloc;
 pub mod shared;
@@ -55,7 +50,7 @@ pub use shared::SharedHistogram;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::Instant;
 
 /// Sink for telemetry events. All methods default to no-ops so a
@@ -591,16 +586,23 @@ fn json_f64(v: f64) -> String {
 // MemoryRecorder
 // ---------------------------------------------------------------------------
 
-/// An in-memory [`Recorder`] backed by a mutex'd [`Snapshot`]. This is
-/// what the CLI installs for `--telemetry FILE`, where flush sites are
-/// per-solve/per-run. `haxconn serve` also installs it by default, and
-/// there every request takes the lock several times (about five for a
-/// cache hit), so it *is* on the served hot path; replacing it with
-/// lock-free static instruments is ROADMAP.md item 3 ("One telemetry
-/// plane").
-#[derive(Debug, Default)]
+/// A live view of counters its owner keeps: a [`MemoryRecorder`] it is
+/// [registered](MemoryRecorder::register) with reads its current values
+/// in every snapshot, so the owner records no event a second time.
+pub trait Source: Send + Sync {
+    /// Writes the source's current values into `snap`, which starts
+    /// empty; the recorder merges it into the snapshot it returns.
+    fn report(&self, snap: &mut Snapshot);
+}
+
+/// An in-memory [`Recorder`] backed by a mutex'd [`Snapshot`], plus the
+/// live [`Source`]s registered with it. This is what the CLI installs
+/// for `--telemetry FILE`, where flush sites are per-solve/per-run, and
+/// what `haxconn serve` installs to answer `/v1/telemetry`.
+#[derive(Default)]
 pub struct MemoryRecorder {
     state: Mutex<Snapshot>,
+    sources: Mutex<Vec<Weak<dyn Source>>>,
 }
 
 impl MemoryRecorder {
@@ -609,13 +611,34 @@ impl MemoryRecorder {
         Self::default()
     }
 
-    /// Copies the current state out as a [`Snapshot`].
+    /// Copies the recorded state out as a [`Snapshot`], with the current
+    /// values of every live source merged in (see [`Snapshot::merge`]:
+    /// counters of two sources add up, a gauge takes the last source's
+    /// value).
     pub fn snapshot(&self) -> Snapshot {
-        self.state.lock().expect("telemetry lock poisoned").clone()
+        let mut snap = self.state.lock().expect("telemetry lock poisoned").clone();
+        let sources = self.sources.lock().expect("telemetry lock poisoned");
+        for source in sources.iter().filter_map(Weak::upgrade) {
+            let mut part = Snapshot::default();
+            source.report(&mut part);
+            snap.merge(&part);
+        }
+        snap
+    }
+
+    /// Registers a live source; it reports in every snapshot until its
+    /// last strong reference is dropped, and is forgotten on a later
+    /// registration.
+    pub fn register(&self, source: Weak<dyn Source>) {
+        let mut sources = self.sources.lock().expect("telemetry lock poisoned");
+        sources.retain(|s| s.strong_count() > 0);
+        sources.push(source);
     }
 
     /// Clears all recorded state (the CLI resets between runs so one
-    /// process can serve several telemetry-captured commands).
+    /// process can serve several telemetry-captured commands). Live
+    /// sources stay registered: they report their owners' counters,
+    /// which a reset does not touch.
     pub fn reset(&self) {
         *self.state.lock().expect("telemetry lock poisoned") = Snapshot::default();
     }
@@ -846,6 +869,43 @@ mod tests {
         assert!(!ran);
         set_enabled(was);
         NullRecorder.counter_add("x", 1); // must not panic
+    }
+
+    struct Fixed(u64);
+
+    impl Source for Fixed {
+        fn report(&self, snap: &mut Snapshot) {
+            snap.counters.insert("live.count".into(), self.0);
+            snap.gauges.insert("live.level".into(), self.0 as f64);
+        }
+    }
+
+    #[test]
+    fn live_sources_add_up_survive_reset_and_drop_out() {
+        let rec = MemoryRecorder::new();
+        rec.counter_add("live.count", 1);
+        let a: Arc<dyn Source> = Arc::new(Fixed(2));
+        let b: Arc<dyn Source> = Arc::new(Fixed(5));
+        rec.register(Arc::downgrade(&a));
+        rec.register(Arc::downgrade(&b));
+        let s = rec.snapshot();
+        assert_eq!(s.counters["live.count"], 8);
+        assert_eq!(
+            s.gauges["live.level"], 5.0,
+            "a gauge takes the last source's value"
+        );
+        rec.reset();
+        assert_eq!(rec.snapshot().counters["live.count"], 7);
+        drop(b);
+        assert_eq!(rec.snapshot().counters["live.count"], 2);
+        drop(a);
+        assert!(rec.snapshot().counters.is_empty());
+        rec.register(Arc::downgrade(&(Arc::new(Fixed(1)) as Arc<dyn Source>)));
+        assert_eq!(
+            rec.sources.lock().unwrap().len(),
+            1,
+            "dead sources are forgotten"
+        );
     }
 
     #[test]

@@ -215,6 +215,8 @@ pub struct ServerStatsWire {
     pub idle_closed: u64,
     /// Responses that failed to serialize (answered `500 internal`).
     pub serialize_errors: u64,
+    /// Reactor wakeups that returned at least one readiness event.
+    pub reactor_wakeups: u64,
     /// Request latency, microseconds: median estimate.
     pub latency_p50_us: f64,
     /// Request latency, microseconds: p99 estimate.

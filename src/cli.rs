@@ -10,7 +10,7 @@
 //! on user input.
 
 use crate::prelude::*;
-use haxconn_core::cache::{CacheCounters, ShardedCache, WorkloadSignature, PHASE_CAPACITY};
+use haxconn_core::cache::{ShardedCache, WorkloadSignature, PHASE_CAPACITY};
 use haxconn_core::{
     chrome_trace_json, chrome_trace_json_with_snapshot, energy_of, schedule_min_energy, DHaxConn,
 };
@@ -170,7 +170,7 @@ pub enum Command {
     },
     /// `haxconn serve [--addr A] [--workers N] [--max-conns C]
     /// [--idle-timeout-ms MS] [--cache-capacity C] [--max-solves S]
-    /// [--max-pending P] [--no-degrade] [--no-telemetry]` — the
+    /// [--max-pending P] [--no-degrade]` — the
     /// scheduling-as-a-service daemon (see the `serve` module).
     Serve {
         /// Bind address (`host:port`; port 0 picks an ephemeral port).
@@ -190,8 +190,6 @@ pub enum Command {
         /// Return typed 503s under overload instead of degraded
         /// baseline schedules.
         no_degrade: bool,
-        /// Skip installing the in-memory telemetry recorder.
-        no_telemetry: bool,
     },
     /// `haxconn help`
     Help,
@@ -633,7 +631,6 @@ pub fn parse(args: &[String]) -> Result<Command, HaxError> {
                 None => 64,
             };
             let no_degrade = a.take_switch("--no-degrade");
-            let no_telemetry = a.take_switch("--no-telemetry");
             if let Some(0) = workers {
                 return Err(cli_err("--workers must be at least 1"));
             }
@@ -649,7 +646,6 @@ pub fn parse(args: &[String]) -> Result<Command, HaxError> {
                 max_solves,
                 max_pending,
                 no_degrade,
-                no_telemetry,
             }
         }
         "help" | "--help" | "-h" => Command::Help,
@@ -686,7 +682,7 @@ USAGE:
   haxconn check     --fuzz <N> [--seed S] [--fuzz-large M] [--fuzz-arrival T]
   haxconn serve     [--addr HOST:PORT] [--workers N] [--max-conns C]
                     [--idle-timeout-ms MS] [--cache-capacity C] [--max-solves S]
-                    [--max-pending P] [--no-degrade] [--no-telemetry]
+                    [--max-pending P] [--no-degrade]
 ";
 
 /// Switches the process-global memory recorder on (installing it on first
@@ -1036,7 +1032,7 @@ pub fn run(command: Command) -> Result<String, HaxError> {
                     )
                 })
                 .collect();
-            let cache = ShardedCache::new(PHASE_CAPACITY, CacheCounters::Phases);
+            let cache = ShardedCache::new(PHASE_CAPACITY);
             for round in 0..rounds {
                 for (i, w) in workloads.iter().enumerate() {
                     let signature = WorkloadSignature::of(w);
@@ -1080,7 +1076,10 @@ pub fn run(command: Command) -> Result<String, HaxError> {
                     }
                 }
             }
-            let (hits, misses, _) = cache.stats();
+            let (hits, misses, evictions) = cache.stats();
+            tel::counter_add("cache.hits", hits);
+            tel::counter_add("cache.misses", misses);
+            tel::counter_add("cache.evictions", evictions);
             writeln!(
                 out,
                 "\nschedule cache: {hits} hits, {misses} misses, {} phases cached",
@@ -1383,13 +1382,11 @@ per-frame service {:.2} ms vs period {:.2} ms",
             max_solves,
             max_pending,
             no_degrade,
-            no_telemetry,
         } => {
             let mut options = crate::serve::ServeOptions {
                 addr,
                 max_conns,
                 idle_timeout: std::time::Duration::from_millis(idle_timeout_ms.max(1)),
-                enable_telemetry: !no_telemetry,
                 engine: haxconn_core::EngineOptions {
                     cache_capacity,
                     max_concurrent_solves: max_solves,
@@ -2133,13 +2130,12 @@ mod tests {
                 max_solves: None,
                 max_pending: 64,
                 no_degrade: false,
-                no_telemetry: false,
             }
         );
         let c = parsed(
             "serve --addr 0.0.0.0:9000 --workers 4 \
              --max-conns 256 --idle-timeout-ms 5000 --cache-capacity 64 \
-             --max-solves 2 --max-pending 8 --no-degrade --no-telemetry",
+             --max-solves 2 --max-pending 8 --no-degrade",
         );
         assert_eq!(
             c,
@@ -2152,7 +2148,6 @@ mod tests {
                 max_solves: Some(2),
                 max_pending: 8,
                 no_degrade: true,
-                no_telemetry: true,
             }
         );
         assert!(parse_err("serve --workers 0").contains("--workers"));
@@ -2160,6 +2155,7 @@ mod tests {
         // Unknown flags are rejected, not ignored.
         assert!(parse_err("serve --mode reactor").contains("unexpected arguments"));
         assert!(parse_err("serve --queue-depth 8").contains("unexpected arguments"));
+        assert!(parse_err("serve --no-telemetry").contains("unexpected arguments"));
         assert!(parse_err("serve --max-conns 0").contains("--max-conns"));
     }
 

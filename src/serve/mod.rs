@@ -38,15 +38,15 @@ use crate::api::{
     BatchRequest, BatchResponse, ErrorBody, HealthResponse, ScheduleResponse, ServerStatsWire,
     SCHEMA_VERSION,
 };
-use crate::session::Session;
+use crate::session::measure_candidates;
 use haxconn_core::engine::{Engine, EngineOptions, EngineSchedule};
 use haxconn_core::{HaxError, WorkloadSpec};
-use haxconn_telemetry::SharedHistogram;
+use haxconn_telemetry::{SharedHistogram, Snapshot, Source};
 use http::Request;
 use serde::Serialize;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// Server configuration.
@@ -68,9 +68,6 @@ pub struct ServeOptions {
     pub send_buffer_bytes: Option<usize>,
     /// Engine knobs (cache size, solver admission, degradation).
     pub engine: EngineOptions,
-    /// Install + enable the process-global in-memory telemetry recorder
-    /// so `GET /v1/telemetry` has data.
-    pub enable_telemetry: bool,
 }
 
 impl Default for ServeOptions {
@@ -85,7 +82,6 @@ impl Default for ServeOptions {
             idle_timeout: Duration::from_secs(60),
             send_buffer_bytes: None,
             engine: EngineOptions::default(),
-            enable_telemetry: true,
         }
     }
 }
@@ -102,6 +98,7 @@ pub struct ServerStats {
     pub(crate) accept_queue_rejections: AtomicU64,
     pub(crate) idle_closed: AtomicU64,
     pub(crate) serialize_errors: AtomicU64,
+    pub(crate) reactor_wakeups: AtomicU64,
     pub(crate) latency_us: SharedHistogram,
 }
 
@@ -119,6 +116,7 @@ impl ServerStats {
             accept_queue_rejections: self.accept_queue_rejections.load(Ordering::Relaxed),
             idle_closed: self.idle_closed.load(Ordering::Relaxed),
             serialize_errors: self.serialize_errors.load(Ordering::Relaxed),
+            reactor_wakeups: self.reactor_wakeups.load(Ordering::Relaxed),
             latency_p50_us: latency.quantile(0.5),
             latency_p99_us: latency.quantile(0.99),
             latency_mean_us: latency.mean(),
@@ -132,6 +130,45 @@ pub(crate) struct ServerCtx {
     pub(crate) stop: Arc<AtomicBool>,
     pub(crate) max_body_bytes: usize,
     pub(crate) started: Instant,
+}
+
+impl Source for ServerCtx {
+    /// Every `engine.*` and `serve.*` instrument, read from the
+    /// [`Engine::stats`] and [`ServerStats::wire`] that `/v1/health`
+    /// serializes, so the two views cannot drift.
+    fn report(&self, snap: &mut Snapshot) {
+        let engine = self.engine.stats();
+        let server = self.stats.wire();
+        for (name, value) in [
+            ("engine.requests", engine.requests),
+            ("engine.cache.hits", engine.cache_hits),
+            ("engine.cache.misses", engine.cache_misses),
+            ("engine.cache.evictions", engine.cache_evictions),
+            ("engine.solves", engine.solves),
+            ("engine.coalesced", engine.coalesced),
+            ("engine.degraded", engine.degraded),
+            ("engine.rejected", engine.rejected),
+            (
+                "engine.duplicate_inflight_solves",
+                engine.duplicate_inflight_solves,
+            ),
+            ("serve.connections", server.connections),
+            ("serve.accept_rejections", server.accept_queue_rejections),
+            ("serve.requests", server.requests),
+            ("serve.http_2xx", server.http_2xx),
+            ("serve.http_4xx", server.http_4xx),
+            ("serve.http_5xx", server.http_5xx),
+            ("serve.idle_closed", server.idle_closed),
+            ("serve.serialize_errors", server.serialize_errors),
+            ("serve.reactor.wakeups", server.reactor_wakeups),
+        ] {
+            snap.counters.insert(name.to_string(), value);
+        }
+        snap.gauges
+            .insert("serve.conns.open".into(), server.open_connections as f64);
+        snap.histograms
+            .insert("serve.request_us".into(), self.stats.latency_us.snapshot());
+    }
 }
 
 /// A running server. Dropping the handle stops it.
@@ -192,13 +229,6 @@ impl Drop for ServerHandle {
 
 /// Boots the reactor and returns the server's handle.
 pub fn serve(options: ServeOptions) -> Result<ServerHandle, HaxError> {
-    if options.enable_telemetry {
-        // Installs the process-wide memory recorder on first use; a
-        // foreign recorder installed earlier keeps precedence and
-        // /v1/telemetry reports 503.
-        let _ = haxconn_telemetry::memory_recorder();
-        haxconn_telemetry::set_enabled(true);
-    }
     let listener = TcpListener::bind(&options.addr)
         .map_err(|e| HaxError::Io(format!("bind {}: {e}", options.addr)))?;
     let addr = listener
@@ -214,6 +244,13 @@ pub fn serve(options: ServeOptions) -> Result<ServerHandle, HaxError> {
         max_body_bytes: options.max_body_bytes,
         started: Instant::now(),
     });
+    // The memory recorder (installed on first use) reads this server's
+    // counters until the reactor and the solve pool drop `ctx`. A foreign
+    // recorder installed earlier keeps precedence: /v1/telemetry is 503.
+    if let Some(recorder) = haxconn_telemetry::memory_recorder() {
+        recorder.register(Arc::downgrade(&ctx) as Weak<dyn Source>);
+    }
+    haxconn_telemetry::set_enabled(true);
     let (waker, threads) = reactor::spawn(listener, &options, ctx)?;
     Ok(ServerHandle {
         addr,
@@ -237,7 +274,7 @@ pub(crate) fn overloaded_body(stats: &ServerStats) -> (u16, String) {
 
 /// Serializes `value`; on success the intended status rides through,
 /// and a serialization failure becomes `500` with the stable
-/// `internal` error code (counted as `serve.serialize_errors`) — never
+/// `internal` error code (counted as `serialize_errors`) — never
 /// a stub body wearing a success status.
 pub(crate) fn respond<T: Serialize>(stats: &ServerStats, status: u16, value: &T) -> (u16, String) {
     respond_serialized(stats, status, serde_json::to_string(value))
@@ -252,7 +289,6 @@ fn respond_serialized(
         Ok(body) => (status, body),
         Err(_) => {
             stats.serialize_errors.fetch_add(1, Ordering::Relaxed);
-            haxconn_telemetry::counter_add("serve.serialize_errors", 1);
             (
                 500,
                 format!(
@@ -272,11 +308,9 @@ pub(crate) fn finish_request(stats: &ServerStats, status: u16, started: Instant)
         _ => &stats.http_5xx,
     };
     class.fetch_add(1, Ordering::Relaxed);
-    let us = started.elapsed().as_secs_f64() * 1e6;
-    stats.latency_us.record(us);
-    if haxconn_telemetry::enabled() {
-        haxconn_telemetry::histogram_record("serve.request_us", us);
-    }
+    stats
+        .latency_us
+        .record(started.elapsed().as_secs_f64() * 1e6);
 }
 
 /// Whether the connection stays open after a response: the client must
@@ -285,21 +319,6 @@ pub(crate) fn finish_request(stats: &ServerStats, status: u16, started: Instant)
 /// close (and say so with `Connection: close`).
 pub(crate) fn response_keep_alive(status: u16, request_keep_alive: bool) -> bool {
     request_keep_alive && status != 500
-}
-
-/// Open-connection gauge bookkeeping (connections registered with the
-/// reactor).
-pub(crate) fn conn_opened(stats: &ServerStats) {
-    let open = stats.open_connections.fetch_add(1, Ordering::Relaxed) + 1;
-    haxconn_telemetry::gauge_set("serve.conns.open", open as f64);
-}
-
-pub(crate) fn conn_closed(stats: &ServerStats) {
-    let open = stats
-        .open_connections
-        .fetch_sub(1, Ordering::Relaxed)
-        .saturating_sub(1);
-    haxconn_telemetry::gauge_set("serve.conns.open", open as f64);
 }
 
 /// A request after fast-path routing: either already answered, or
@@ -452,8 +471,9 @@ fn handle_batch(ctx: &ServerCtx, body: &str) -> (u16, String) {
         }
     };
     let run = || -> Result<BatchResponse, HaxError> {
-        let session = Session::from_spec(&req.spec).schedule()?;
-        let reports = session.measure_many(&req.candidates, req.iterations.unwrap_or(1))?;
+        let (platform, workload) = req.spec.resolve()?;
+        let iterations = req.iterations.unwrap_or(1);
+        let reports = measure_candidates(&platform, &workload, &req.candidates, iterations)?;
         Ok(BatchResponse {
             schema: SCHEMA_VERSION,
             reports: reports

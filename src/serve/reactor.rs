@@ -38,8 +38,8 @@ use super::conn::{Conn, FillOutcome};
 use super::http::HttpReadError;
 use super::sys::{self, Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLRDHUP};
 use super::{
-    conn_closed, conn_opened, finish_request, overloaded_body, respond, response_keep_alive,
-    route_fast, route_slow, Routed, ServeOptions, ServerCtx,
+    finish_request, overloaded_body, respond, response_keep_alive, route_fast, route_slow, Routed,
+    ServeOptions, ServerCtx,
 };
 use crate::api::ErrorBody;
 use haxconn_core::HaxError;
@@ -166,7 +166,10 @@ impl Reactor {
                 }
             };
             if n > 0 {
-                haxconn_telemetry::counter_add("serve.reactor.wakeups", 1);
+                self.ctx
+                    .stats
+                    .reactor_wakeups
+                    .fetch_add(1, Ordering::Relaxed);
             }
             for ev in &events[..n] {
                 let token = ev.token;
@@ -201,13 +204,11 @@ impl Reactor {
                 Err(_) => return,
             };
             self.ctx.stats.connections.fetch_add(1, Ordering::Relaxed);
-            haxconn_telemetry::counter_add("serve.connections", 1);
             if self.open >= self.max_conns {
                 self.ctx
                     .stats
                     .accept_queue_rejections
                     .fetch_add(1, Ordering::Relaxed);
-                haxconn_telemetry::counter_add("serve.accept_rejections", 1);
                 let (status, body) = overloaded_body(&self.ctx.stats);
                 let mut stream = stream;
                 let _ = stream.set_nodelay(true);
@@ -241,7 +242,10 @@ impl Reactor {
             self.wheel.insert(conn.deadline_ms, idx, gen);
             self.slots[idx].conn = Some(conn);
             self.open += 1;
-            conn_opened(&self.ctx.stats);
+            self.ctx
+                .stats
+                .open_connections
+                .fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -287,7 +291,6 @@ impl Reactor {
             match conn.next_request(self.ctx.max_body_bytes) {
                 Ok(Some(req)) => {
                     self.ctx.stats.requests.fetch_add(1, Ordering::Relaxed);
-                    haxconn_telemetry::counter_add("serve.requests", 1);
                     let started = Instant::now();
                     match route_fast(&self.ctx, &req) {
                         Routed::Done(status, body) => {
@@ -425,7 +428,6 @@ impl Reactor {
                     continue;
                 }
                 self.ctx.stats.idle_closed.fetch_add(1, Ordering::Relaxed);
-                haxconn_telemetry::counter_add("serve.idle_closed", 1);
                 self.close_conn(idx);
             } else {
                 // Activity moved the deadline; reschedule lazily.
@@ -444,7 +446,10 @@ impl Reactor {
             slot.gen = slot.gen.wrapping_add(1);
             self.free.push(idx);
             self.open -= 1;
-            conn_closed(&self.ctx.stats);
+            self.ctx
+                .stats
+                .open_connections
+                .fetch_sub(1, Ordering::Relaxed);
         }
     }
 }

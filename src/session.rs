@@ -325,6 +325,35 @@ impl Session {
     }
 }
 
+/// [`ScheduledSession::measure_many`] for any resolved workload: it needs
+/// no schedule, so `/v1/batch` calls it straight after
+/// [`WorkloadSpec::resolve`].
+pub(crate) fn measure_candidates(
+    platform: &Platform,
+    workload: &Workload,
+    candidates: &[Vec<Vec<PuId>>],
+    iterations: usize,
+) -> Result<Vec<ExecutionReport>, HaxError> {
+    if iterations == 0 {
+        return Err(HaxError::InvalidConfig(
+            "measure_many needs at least one iteration per scenario".into(),
+        ));
+    }
+    for (i, candidate) in candidates.iter().enumerate() {
+        haxconn_core::validate::check_assignment(platform, workload, candidate)
+            .map_err(|e| HaxError::Infeasible(format!("candidate {i}: {e}")))?;
+    }
+    let scenarios: Vec<FleetScenario> = candidates
+        .iter()
+        .map(|assignment| FleetScenario {
+            workload,
+            assignment: assignment.clone(),
+            iterations,
+        })
+        .collect();
+    Ok(evaluate_fleet(platform, &scenarios, FleetOptions::default()).reports)
+}
+
 /// A solved session: the schedule plus everything needed to measure or
 /// execute it.
 pub struct ScheduledSession {
@@ -356,14 +385,11 @@ impl ScheduledSession {
     /// Checks that every assigned PU actually supports its layer group
     /// (the simulator's preconditions), so measurement cannot panic.
     fn check_assignment(&self) -> Result<(), HaxError> {
-        self.check_candidate(&self.schedule.assignment)
-    }
-
-    /// [`Self::check_assignment`] for an arbitrary candidate assignment of
-    /// this session's workload (delegates to
-    /// [`haxconn_core::validate::check_assignment`]).
-    fn check_candidate(&self, assignment: &[Vec<PuId>]) -> Result<(), HaxError> {
-        haxconn_core::validate::check_assignment(&self.platform, &self.workload, assignment)
+        haxconn_core::validate::check_assignment(
+            &self.platform,
+            &self.workload,
+            &self.schedule.assignment,
+        )
     }
 
     /// Measures the schedule on the SoC's contention replay.
@@ -401,24 +427,7 @@ impl ScheduledSession {
         candidates: &[Vec<Vec<PuId>>],
         iterations: usize,
     ) -> Result<Vec<ExecutionReport>, HaxError> {
-        if iterations == 0 {
-            return Err(HaxError::InvalidConfig(
-                "measure_many needs at least one iteration per scenario".into(),
-            ));
-        }
-        for (i, candidate) in candidates.iter().enumerate() {
-            self.check_candidate(candidate)
-                .map_err(|e| HaxError::Infeasible(format!("candidate {i}: {e}")))?;
-        }
-        let scenarios: Vec<FleetScenario> = candidates
-            .iter()
-            .map(|assignment| FleetScenario {
-                workload: &self.workload,
-                assignment: assignment.clone(),
-                iterations,
-            })
-            .collect();
-        Ok(evaluate_fleet(&self.platform, &scenarios, FleetOptions::default()).reports)
+        measure_candidates(&self.platform, &self.workload, candidates, iterations)
     }
 
     /// Human-readable description of the schedule.

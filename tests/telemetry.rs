@@ -131,6 +131,32 @@ fn telemetry_end_to_end() {
         "incumbent timeline series expected"
     );
 
+    // --- 2c. The arrival replay flushes its phase cache's counters once
+    // per run, and they equal the report's (pinned in
+    // tests/dynamic_arrivals.rs). ---
+    let orin = haxconn::soc::orin_agx();
+    let orin_cm = ContentionModel::calibrate(&orin);
+    rec.reset();
+    tel::set_enabled(true);
+    let report = replay_arrivals(
+        &orin,
+        &orin_cm,
+        &ArrivalTrace::generate(1, 300, 3),
+        &ReplayOptions::default(),
+    )
+    .expect("replayable");
+    tel::set_enabled(false);
+    let replay_snap = rec.snapshot();
+    let replay_counter = |name: &str| replay_snap.counters.get(name).copied().unwrap_or(0);
+    assert_eq!((report.cache_hits, report.cache_misses), (66, 139));
+    assert_eq!(replay_counter("cache.hits"), report.cache_hits);
+    assert_eq!(replay_counter("cache.misses"), report.cache_misses);
+    assert!(
+        replay_counter("cache.evictions") > 0,
+        "{:?}",
+        replay_snap.counters
+    );
+
     // --- 3. CLI --telemetry round-trip through serde_json. ---
     let path = std::env::temp_dir().join(format!("haxconn-telemetry-{}.json", std::process::id()));
     let path_s = path.to_string_lossy().to_string();
