@@ -18,6 +18,11 @@
 //! 4. **Bounded accounting** — Jain fairness in (0, 1], every
 //!    latency-critical tenant's SLA attainment in [0, 1].
 //!
+//! The `search` section records the exact-search effort of the
+//! workers-1 replay (solves, nodes and leaves, read from telemetry): the
+//! sequential search is deterministic, so these counts only move when
+//! the encoding's pruning does.
+//!
 //! A smaller trace is additionally swept across the three re-solve
 //! policies (Immediate / Debounced / UtilityThreshold) to record the
 //! solve-count-versus-staleness tradeoff.
@@ -81,6 +86,13 @@ struct ResolveSection {
 }
 
 #[derive(Serialize)]
+struct SearchSection {
+    solves: u64,
+    nodes: u64,
+    leaves: u64,
+}
+
+#[derive(Serialize)]
 struct PolicyRow {
     policy: String,
     resolves: usize,
@@ -98,6 +110,7 @@ struct Report {
     determinism: DeterminismSection,
     tenants: TenantSection,
     resolves: ResolveSection,
+    search: SearchSection,
     horizon_ms: f64,
     elapsed_s: f64,
     events_per_sec: f64,
@@ -136,10 +149,21 @@ fn main() {
         replay_arrivals(&platform, &cm, &trace, &options).expect("replayable trace")
     };
 
-    // Gate 1: byte determinism across two identical runs.
+    // Gate 1: byte determinism across two identical runs. Telemetry is
+    // on for the first one only, to count its search effort.
+    let recorder = haxconn::telemetry::memory_recorder().expect("memory recorder");
+    recorder.reset();
     let started = Instant::now();
     let base = replay_at(1);
     let elapsed = started.elapsed().as_secs_f64();
+    let counters = recorder.snapshot().counters;
+    haxconn::telemetry::set_enabled(false);
+    let counter = |name: &str| counters.get(name).copied().unwrap_or(0);
+    let search = SearchSection {
+        solves: counter("solver.solves"),
+        nodes: counter("solver.nodes"),
+        leaves: counter("solver.leaves"),
+    };
     let base_json = base.to_json();
     let again_json = replay_at(1).to_json();
     let two_runs_identical = base_json == again_json;
@@ -251,6 +275,7 @@ fn main() {
             throttle_passes: base.throttles,
             violations: base.violations,
         },
+        search,
         horizon_ms: base.horizon_ms,
         elapsed_s: elapsed,
         events_per_sec: events as f64 / elapsed.max(1e-9),

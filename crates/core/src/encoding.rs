@@ -14,6 +14,7 @@ use crate::timeline::{TimelineEvaluator, TimelineWorkspace};
 use haxconn_contention::ContentionModel;
 use haxconn_soc::Platform;
 use haxconn_solver::{Assignment, CostModel, PartialAssignment, SymmetrySpec};
+use std::cell::RefCell;
 
 /// The scheduling problem as a [`CostModel`].
 pub struct ScheduleEncoding<'a> {
@@ -22,9 +23,6 @@ pub struct ScheduleEncoding<'a> {
     config: SchedulerConfig,
     /// Per variable: allowed PU ids.
     domains: Vec<Vec<u32>>,
-    /// Per variable: cheapest standalone time over its domain (admissible
-    /// bound ingredient).
-    min_time: Vec<f64>,
     /// Per task: (first var, number of groups) of its *representative* —
     /// tied tasks (pipeline frame instances) share their representative's
     /// variables.
@@ -34,23 +32,24 @@ pub struct ScheduleEncoding<'a> {
     pinned: Vec<bool>,
     /// Per variable: the representative task owning it.
     rep_of_var: Vec<usize>,
-    /// Per variable: every task whose span contains it (the representative
-    /// first, then its tied copies).
-    tasks_of_var: Vec<Vec<usize>>,
-    /// `time_of_var[var][k][pu]` = standalone time of the group behind
-    /// `var` under task `tasks_of_var[var][k]`'s profile when placed on
-    /// `pu` (`INFINITY` for unsupported PUs, which domains exclude).
-    time_of_var: Vec<Vec<Vec<f64>>>,
-    /// Per task: the upstream *closure* as `(task, multiplicity)` terms,
-    /// precomputed topologically in `new()` so `task_lower_bound` is a flat
-    /// weighted sum over span sums — no per-call recursion over `deps`.
-    closure: Vec<Vec<(usize, f64)>>,
-    /// `var_load[var][pu]`: busy time `var` puts on `pu` — the standalone
-    /// times of its group summed over every task sharing the variable
-    /// (tied copies each run their own instance). `INFINITY` off-domain.
-    var_load: Vec<Vec<f64>>,
-    /// Per variable: the cheapest `var_load` over its domain.
-    var_load_min: Vec<f64>,
+    /// Per task: offset of its first group in the flat *slot* arrays (one
+    /// slot per (task, group), tied copies included).
+    slot_off: Vec<usize>,
+    /// `slot_cost[slot * (n_pus + 1) + pu]`: the slot's group on `pu`
+    /// under its task's own profile. Column `n_pus` stands for
+    /// "unassigned": the cheapest standalone time over the domain, and no
+    /// transitions.
+    slot_cost: Vec<SlotCost>,
+    /// Per slot: what it adds to the total work while unassigned — its
+    /// variable's cheapest load (its group's standalone times summed over
+    /// every task sharing the variable, on one PU) for the representative,
+    /// 0 for tied copies.
+    slot_idle_work: Vec<f64>,
+    /// Per task: the tasks it depends on (paper Eq. 4's streaming
+    /// chains).
+    upstream: Vec<Vec<usize>>,
+    /// Every task after its upstream ones.
+    topo: Vec<usize>,
     /// PU ids are `0..n_pus`.
     n_pus: usize,
     /// Number of distinct PUs in the union of all domains (the divisor of
@@ -71,6 +70,46 @@ pub struct ScheduleEncoding<'a> {
 /// same times can exceed it by an ulp.
 const SHADE: f64 = 1.0 - 1e-9;
 
+/// What one slot's group costs on one PU, under its task's own profile.
+#[derive(Clone, Copy)]
+struct SlotCost {
+    /// Standalone time (`INFINITY` where the group cannot run).
+    time_ms: f64,
+    /// Transition the PU runs first when the previous group ran elsewhere
+    /// (`tau_in` of `evaluate_into`; 0 for a first group).
+    tr_in_ms: f64,
+    /// Transition the PU runs last when the next group runs elsewhere
+    /// (`tau_out`; 0 for a last group).
+    tr_out_ms: f64,
+}
+
+/// One slot of a complete assignment in the release-ordered bound:
+/// `ends[0]` is its head, `ends[1]` its tail.
+#[derive(Clone, Copy)]
+struct Job {
+    occ: f64,
+    ends: [f64; 2],
+}
+
+/// Work buffers of [`ScheduleEncoding::lower_bound`], sized per encoding.
+#[derive(Default)]
+struct BoundBuf {
+    /// Per slot: occupancy and head.
+    occ: Vec<f64>,
+    head: Vec<f64>,
+    /// Per task: Σ occupancy over its slots, and the chain bound on its
+    /// end.
+    task_occ: Vec<f64>,
+    task_end: Vec<f64>,
+    /// Per PU: smallest head, Σ occupancy and smallest tail of the
+    /// assigned slots on it. Entry `n_pus` collects the unassigned ones.
+    pu_head: Vec<f64>,
+    pu_load: Vec<f64>,
+    pu_tail: Vec<f64>,
+    /// Per PU: its slots of a complete assignment.
+    jobs: Vec<Vec<Job>>,
+}
+
 /// Per-worker incremental state for [`ScheduleEncoding`] (the solver's
 /// `CostModel::Scratch`). Maintained by `push`/`pop` under the engine's
 /// LIFO discipline; see the field docs for the exact invariants.
@@ -80,17 +119,14 @@ const SHADE: f64 = 1.0 - 1e-9;
 #[derive(Default)]
 pub struct ScheduleScratch {
     /// Mirror of the engine's partial assignment (`push`/`pop` don't see
-    /// it, so the scratch keeps its own copy).
-    vals: Vec<u32>,
+    /// it, so the scratch keeps its own copy): `assigned` as the engine
+    /// sees it, and each variable's PU in `fixed`, where a pinned variable
+    /// holds its one PU from the root and an unassigned one holds `n_pus`.
+    fixed: Vec<u32>,
     assigned: Vec<bool>,
-    /// Per task: Σ over its span of (assigned ? standalone time : min
-    /// time) — the span term of `task_lower_bound`, delta-maintained.
-    span_sum: Vec<f64>,
-    /// `saved_span[var][k]`: value of `span_sum[tasks_of_var[var][k]]` at
-    /// push time. `pop` restores it verbatim — LIFO guarantees the state
-    /// between a push and its matching pop is otherwise unchanged, so the
-    /// restore is exact and floating-point drift cannot accumulate.
-    saved_span: Vec<Vec<f64>>,
+    /// Number of unassigned variables that are not pinned: the
+    /// assignment is complete when it reaches 0.
+    unknown: usize,
     /// Per representative task: adjacent-pair transition count (pairs of
     /// consecutive assigned vars in the span with differing values,
     /// neither pinned) — exactly what `transitions_in` counts.
@@ -101,14 +137,8 @@ pub struct ScheduleScratch {
     /// Number of live ε-collisions (pairs of `collide` entries both
     /// assigned to the colliding PU); any makes the prefix infeasible.
     collisions: usize,
-    /// Per PU: Σ `var_load` of the variables assigned to it, pinned
-    /// variables included from the root.
-    load: Vec<f64>,
-    /// Σ over variables of (assigned ? `var_load` : `var_load_min`).
-    work: f64,
-    /// `saved_load[var]`: `(load[value], work)` at push time, restored
-    /// verbatim by the matching pop (the `saved_span` discipline).
-    saved_load: Vec<(f64, f64)>,
+    /// Lower-bound buffers (`bound_with` only borrows the scratch).
+    bound: RefCell<BoundBuf>,
     /// Timeline evaluation workspace reused across `cost_with` leaves.
     pub(crate) ws: TimelineWorkspace,
 }
@@ -123,7 +153,6 @@ impl<'a> ScheduleEncoding<'a> {
         let mut evaluator = TimelineEvaluator::new(workload, model);
         evaluator.contention_aware = config.contention_aware;
         let mut domains: Vec<Vec<u32>> = Vec::with_capacity(workload.num_vars());
-        let mut min_time = Vec::with_capacity(workload.num_vars());
         let mut task_spans: Vec<(usize, usize)> = Vec::with_capacity(workload.tasks.len());
         for (t, task) in workload.tasks.iter().enumerate() {
             if let Some(rep) = workload.ties[t] {
@@ -136,12 +165,7 @@ impl<'a> ScheduleEncoding<'a> {
             for group in &task.profile.groups {
                 let pus = group.supported_pus();
                 assert!(!pus.is_empty(), "group supported nowhere");
-                let best = pus
-                    .iter()
-                    .map(|&pu| group.cost[pu].unwrap().time_ms)
-                    .fold(f64::INFINITY, f64::min);
                 domains.push(pus.iter().map(|&p| p as u32).collect());
-                min_time.push(best);
             }
         }
 
@@ -155,72 +179,85 @@ impl<'a> ScheduleEncoding<'a> {
             .max()
             .unwrap_or(1);
 
-        let mut tasks_of_var: Vec<Vec<usize>> = vec![Vec::new(); n_vars];
+        let mut rep_of_var = vec![0usize; n_vars];
         for (t, &(start, len)) in task_spans.iter().enumerate() {
-            for tasks in tasks_of_var.iter_mut().skip(start).take(len) {
-                tasks.push(t);
+            if workload.ties[t].is_none() {
+                rep_of_var[start..start + len].fill(t);
             }
         }
-        let rep_of_var: Vec<usize> = tasks_of_var.iter().map(|ts| ts[0]).collect();
 
-        let mut time_of_var: Vec<Vec<Vec<f64>>> = vec![Vec::new(); n_vars];
+        // Slots in task order, `n_pus + 1` cost columns each; `var_load`
+        // sums a variable's standalone times over every task sharing it,
+        // per PU.
+        let cols = n_pus + 1;
+        let mut slot_off = Vec::with_capacity(n_tasks);
+        let mut slot_cost = Vec::new();
+        let mut var_load = vec![0.0f64; n_vars * n_pus];
         for (t, &(start, len)) in task_spans.iter().enumerate() {
+            slot_off.push(slot_cost.len() / cols);
+            let groups = &workload.tasks[t].profile.groups;
             for g in 0..len {
                 let var = start + g;
-                let mut by_pu = vec![f64::INFINITY; n_pus];
-                for (pu, slot) in by_pu.iter_mut().enumerate() {
-                    if let Some(c) = workload.tasks[t].profile.groups[g].cost[pu] {
-                        *slot = c.time_ms;
-                    }
+                for pu in 0..n_pus {
+                    let time_ms = groups[g].cost[pu].map_or(f64::INFINITY, |c| c.time_ms);
+                    var_load[var * n_pus + pu] += time_ms;
+                    let tr_in_ms = g
+                        .checked_sub(1)
+                        .map_or(0.0, |prev| groups[prev].tr_in_ms[pu]);
+                    let tr_out_ms = if g + 1 < len {
+                        groups[g].tr_out_ms[pu]
+                    } else {
+                        0.0
+                    };
+                    slot_cost.push(SlotCost {
+                        time_ms,
+                        tr_in_ms,
+                        tr_out_ms,
+                    });
                 }
-                time_of_var[var].push(by_pu);
-            }
-        }
-
-        // Upstream closure with path multiplicities: lb(t) expands to
-        // Σ multiplicity(t') · span_sum(t') over every task reachable
-        // through `deps` (paper Eq. 4's streaming chains).
-        let upstream: Vec<Vec<usize>> = (0..n_tasks).map(|t| workload.upstream(t)).collect();
-        let mut closure: Vec<Vec<(usize, f64)>> = Vec::with_capacity(n_tasks);
-        for t in 0..n_tasks {
-            let mut weight = vec![0.0f64; n_tasks];
-            let mut stack = vec![(t, 1.0f64)];
-            let mut expansions = 0usize;
-            while let Some((u, m)) = stack.pop() {
-                expansions += 1;
-                assert!(expansions <= 1_000_000, "dependency cycle in workload");
-                weight[u] += m;
-                for &up in &upstream[u] {
-                    stack.push((up, m));
-                }
-            }
-            closure.push(
-                weight
+                let row = &slot_cost[slot_cost.len() - n_pus..];
+                let cheapest = domains[var]
                     .iter()
-                    .enumerate()
-                    .filter(|&(_, &w)| w > 0.0)
-                    .map(|(i, &w)| (i, w))
-                    .collect(),
-            );
+                    .map(|&pu| row[pu as usize].time_ms)
+                    .fold(f64::INFINITY, f64::min);
+                slot_cost.push(SlotCost {
+                    time_ms: cheapest,
+                    tr_in_ms: 0.0,
+                    tr_out_ms: 0.0,
+                });
+            }
         }
-
-        let var_load: Vec<Vec<f64>> = time_of_var
-            .iter()
-            .map(|rows| {
-                (0..n_pus)
-                    .map(|pu| rows.iter().map(|r| r[pu]).sum())
-                    .collect()
-            })
-            .collect();
         let var_load_min: Vec<f64> = domains
             .iter()
-            .zip(&var_load)
-            .map(|(dom, load)| {
+            .enumerate()
+            .map(|(var, dom)| {
                 dom.iter()
-                    .map(|&pu| load[pu as usize])
+                    .map(|&pu| var_load[var * n_pus + pu as usize])
                     .fold(f64::INFINITY, f64::min)
             })
             .collect();
+        let mut slot_idle_work = vec![0.0; slot_cost.len() / cols];
+        for (t, &(start, len)) in task_spans.iter().enumerate() {
+            if workload.ties[t].is_none() {
+                let off = slot_off[t];
+                slot_idle_work[off..off + len].copy_from_slice(&var_load_min[start..start + len]);
+            }
+        }
+
+        let upstream: Vec<Vec<usize>> = (0..n_tasks).map(|t| workload.upstream(t)).collect();
+        let mut topo = Vec::with_capacity(n_tasks);
+        let mut placed = vec![false; n_tasks];
+        while topo.len() < n_tasks {
+            let before = topo.len();
+            for t in 0..n_tasks {
+                if !placed[t] && upstream[t].iter().all(|&u| placed[u]) {
+                    placed[t] = true;
+                    topo.push(t);
+                }
+            }
+            assert!(topo.len() > before, "dependency cycle in workload");
+        }
+
         let mut usable = vec![false; n_pus];
         for &pu in domains.iter().flatten() {
             usable[pu as usize] = true;
@@ -235,14 +272,8 @@ impl<'a> ScheduleEncoding<'a> {
         let mut collide: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n_vars];
         if let Some(eps) = config.epsilon_ms {
             let roots: Vec<usize> = (0..n_tasks).filter(|&t| upstream[t].is_empty()).collect();
-            let first_time = |t: usize, pu: u32| {
-                let var = task_spans[t].0;
-                let k = tasks_of_var[var]
-                    .iter()
-                    .position(|&u| u == t)
-                    .expect("spans");
-                time_of_var[var][k][pu as usize]
-            };
+            let first_time =
+                |t: usize, pu: u32| slot_cost[slot_off[t] * cols + pu as usize].time_ms;
             for (i, &a) in roots.iter().enumerate() {
                 for &b in &roots[i + 1..] {
                     let (va, vb) = (task_spans[a].0, task_spans[b].0);
@@ -266,15 +297,14 @@ impl<'a> ScheduleEncoding<'a> {
             evaluator,
             config,
             domains,
-            min_time,
             task_spans,
             pinned,
             rep_of_var,
-            tasks_of_var,
-            time_of_var,
-            closure,
-            var_load,
-            var_load_min,
+            slot_off,
+            slot_cost,
+            slot_idle_work,
+            upstream,
+            topo,
             n_pus,
             usable_pus,
             collide,
@@ -335,12 +365,13 @@ impl<'a> ScheduleEncoding<'a> {
                     continue 'class;
                 }
             }
-            for rows in &self.time_of_var {
-                for row in rows {
-                    let t0 = row[vals[0] as usize].to_bits();
-                    if vals.iter().any(|&v| row[v as usize].to_bits() != t0) {
-                        continue 'class;
-                    }
+            for row in self.slot_cost.chunks(self.n_pus + 1) {
+                let t0 = row[vals[0] as usize].time_ms.to_bits();
+                if vals
+                    .iter()
+                    .any(|&v| row[v as usize].time_ms.to_bits() != t0)
+                {
+                    continue 'class;
                 }
             }
             spec.value_classes.push(vals);
@@ -349,42 +380,29 @@ impl<'a> ScheduleEncoding<'a> {
     }
 
     /// Σ over `task`'s span of (assigned ? standalone time : cheapest
-    /// time) — the per-task term of the lower bound.
+    /// time) — the per-task term of [`Self::chain_bound`].
     fn span_time_sum(&self, task: usize, partial: &PartialAssignment) -> f64 {
         let (start, len) = self.task_spans[task];
+        let off = self.slot_off[task];
         let mut sum = 0.0;
         for g in 0..len {
-            let var = start + g;
-            sum += match partial[var] {
-                Some(pu) => {
-                    self.workload.tasks[task].profile.groups[g].cost[pu as usize]
-                        .expect("domain-checked")
-                        .time_ms
-                }
-                None => self.min_time[var],
-            };
+            let col = partial[start + g].map_or(self.n_pus, |pu| pu as usize);
+            sum += self.slot_cost[(off + g) * (self.n_pus + 1) + col].time_ms;
         }
         sum
     }
 
-    /// Lower bound on a task's completion: sum of cheapest standalone times
-    /// of its groups (contention ≥ 1, transitions ≥ 0, waits ≥ 0), plus the
-    /// bounds of its streaming upstream chain — expanded over the
-    /// precomputed closure instead of recursing over `deps` per call.
-    fn task_lower_bound(&self, task: usize, partial: &PartialAssignment) -> f64 {
-        self.closure[task]
-            .iter()
-            .map(|&(t, m)| m * self.span_time_sum(t, partial))
-            .sum()
-    }
-
-    /// Lower bound of `task` read off delta-maintained span sums.
-    #[inline]
-    fn task_lower_bound_inc(&self, task: usize, scratch: &ScheduleScratch) -> f64 {
-        self.closure[task]
-            .iter()
-            .map(|&(t, m)| m * scratch.span_sum[t])
-            .sum()
+    /// Lower bounds on every task's end into `ends`: `sum(t)`, a bound on
+    /// the task's own span, after the latest upstream end (the timeline
+    /// starts a task once every upstream task is done).
+    fn chain_ends(&self, sum: impl Fn(usize) -> f64, ends: &mut [f64]) {
+        for &t in &self.topo {
+            let release = self.upstream[t]
+                .iter()
+                .map(|&u| ends[u])
+                .fold(0.0, f64::max);
+            ends[t] = release + sum(t);
+        }
     }
 
     /// Transition-count change caused by assigning (or unassigning — the
@@ -399,7 +417,7 @@ impl<'a> ScheduleEncoding<'a> {
         if var > 0
             && self.rep_of_var[var - 1] == rep
             && scratch.assigned[var - 1]
-            && scratch.vals[var - 1] != value
+            && scratch.fixed[var - 1] != value
             && !self.pinned[var]
             && !self.pinned[var - 1]
         {
@@ -408,7 +426,7 @@ impl<'a> ScheduleEncoding<'a> {
         if var + 1 < self.rep_of_var.len()
             && self.rep_of_var[var + 1] == rep
             && scratch.assigned[var + 1]
-            && scratch.vals[var + 1] != value
+            && scratch.fixed[var + 1] != value
             && !self.pinned[var]
             && !self.pinned[var + 1]
         {
@@ -426,7 +444,7 @@ impl<'a> ScheduleEncoding<'a> {
             .iter()
             .filter(|&&(other, pu)| {
                 pu == value
-                    && (other == var || (scratch.assigned[other] && scratch.vals[other] == value))
+                    && (other == var || (scratch.assigned[other] && scratch.fixed[other] == value))
             })
             .count()
     }
@@ -456,20 +474,118 @@ impl<'a> ScheduleEncoding<'a> {
         }
     }
 
-    /// The full lower bound from its ingredients: under `MinMaxLatency`
-    /// the makespan is at least the longest task chain, the busiest PU's
-    /// `load` (groups on one PU run one at a time, each for at least its
-    /// standalone time) and the total `work` spread over the usable PUs;
-    /// under `MaxThroughput` only the chains apply. Shaded by [`SHADE`].
-    #[inline]
-    fn shaded_bound(&self, lb: impl Fn(usize) -> f64, load: &[f64], work: f64) -> f64 {
-        match self.config.objective {
-            Objective::MinMaxLatency => {
-                let chain = self.objective_bound(lb, 1.0);
-                let busiest = load.iter().cloned().fold(chain, f64::max);
-                busiest.max(work / self.usable_pus) * SHADE
+    /// The admissible lower bound behind both [`CostModel::bound`] and
+    /// [`CostModel::bound_with`], which differ only in where `fixed` (each
+    /// variable's PU, `n_pus` while unassigned; a pinned variable always
+    /// holds its one PU) comes from. `complete` says no entry is `n_pus`.
+    ///
+    /// Each slot (a task's group) gets an *occupancy*: an assigned group
+    /// its standalone time on its PU, plus the transition into it when the
+    /// previous group is assigned elsewhere and the transition out when
+    /// the next one is (`evaluate_into` runs both on the group's PU); an
+    /// unassigned group its cheapest standalone time. A group's *head* is
+    /// the occupancy of the groups before it in its task, its *tail* that
+    /// of the groups after it. The timeline starts a group no earlier than
+    /// its predecessor's end and than its PU's last end, and every
+    /// slowdown is at least 1, so each head bounds its group's start, each
+    /// tail the time from its end to the task's, and one PU runs one
+    /// group at a time. Hence the makespan is at least
+    ///
+    /// * each task's chain: its occupancy sum after its upstream chains;
+    /// * per PU, the smallest head of the groups on it, plus their total
+    ///   occupancy, plus their smallest tail;
+    /// * the total busy time spread over the usable PUs;
+    /// * on a complete assignment, the release-ordered tightening of the
+    ///   per-PU term ([`release_ordered_bound`]).
+    ///
+    /// Under `MaxThroughput` only the chains apply. Shaded by [`SHADE`].
+    fn lower_bound(&self, buf: &mut BoundBuf, fixed: &[u32], complete: bool) -> f64 {
+        let n_pus = self.n_pus;
+        let unassigned = n_pus as u32;
+        let latency = self.config.objective == Objective::MinMaxLatency;
+        buf.pu_head.fill(f64::INFINITY);
+        buf.pu_load.fill(0.0);
+        buf.pu_tail.fill(f64::INFINITY);
+        let mut work = 0.0;
+        for (t, &(start, len)) in self.task_spans.iter().enumerate() {
+            let off = self.slot_off[t];
+            let pus = &fixed[start..start + len];
+            let mut head = 0.0;
+            for (g, &pu) in pus.iter().enumerate() {
+                let s = off + g;
+                let c = &self.slot_cost[s * (n_pus + 1) + pu as usize];
+                // The unassigned column's transitions are 0.
+                let mut occ = c.time_ms;
+                if g > 0 && pus[g - 1] != unassigned && pus[g - 1] != pu {
+                    occ += c.tr_in_ms;
+                }
+                if g + 1 < len && pus[g + 1] != unassigned && pus[g + 1] != pu {
+                    occ += c.tr_out_ms;
+                }
+                work += if pu == unassigned {
+                    self.slot_idle_work[s]
+                } else {
+                    occ
+                };
+                buf.occ[s] = occ;
+                buf.head[s] = head;
+                head += occ;
             }
-            Objective::MaxThroughput => self.objective_bound(lb, SHADE),
+            buf.task_occ[t] = head;
+            if !latency {
+                continue;
+            }
+            let mut tail = 0.0;
+            for (g, &pu) in pus.iter().enumerate().rev() {
+                let (s, p) = (off + g, pu as usize);
+                buf.pu_head[p] = buf.pu_head[p].min(buf.head[s]);
+                buf.pu_load[p] += buf.occ[s];
+                buf.pu_tail[p] = buf.pu_tail[p].min(tail);
+                if complete {
+                    buf.jobs[p].push(Job {
+                        occ: buf.occ[s],
+                        ends: [buf.head[s], tail],
+                    });
+                }
+                tail += buf.occ[s];
+            }
+        }
+        let (occ, ends) = (&buf.task_occ, &mut buf.task_end);
+        self.chain_ends(|t| occ[t], ends);
+        let chains = |t: usize| buf.task_end[t];
+        if !latency {
+            return self.objective_bound(chains, SHADE);
+        }
+        let mut best = self
+            .objective_bound(chains, 1.0)
+            .max(work / self.usable_pus);
+        for p in 0..n_pus {
+            if buf.pu_head[p].is_finite() {
+                best = best.max(buf.pu_head[p] + buf.pu_load[p] + buf.pu_tail[p]);
+            }
+        }
+        if complete {
+            for jobs in &mut buf.jobs {
+                best = best.max(release_ordered_bound(jobs));
+                jobs.clear();
+            }
+        }
+        best * SHADE
+    }
+
+    /// Empty lower-bound buffers sized for this encoding.
+    fn bound_buf(&self) -> BoundBuf {
+        let n_slots = self.slot_idle_work.len();
+        let n_pus = self.n_pus;
+        BoundBuf {
+            occ: vec![0.0; n_slots],
+            head: vec![0.0; n_slots],
+            task_occ: vec![0.0; self.task_spans.len()],
+            task_end: vec![0.0; self.task_spans.len()],
+            pu_head: vec![0.0; n_pus + 1],
+            pu_load: vec![0.0; n_pus + 1],
+            pu_tail: vec![0.0; n_pus + 1],
+            jobs: (0..n_pus).map(|_| Vec::with_capacity(n_slots)).collect(),
         }
     }
 
@@ -478,7 +594,9 @@ impl<'a> ScheduleEncoding<'a> {
     /// of [`CostModel::bound`]. The utility-threshold re-solve policy
     /// estimates its optimistic headroom from it.
     pub fn chain_bound(&self, partial: &PartialAssignment) -> f64 {
-        self.objective_bound(|t| self.task_lower_bound(t, partial), 1.0)
+        let mut ends = vec![0.0; self.task_spans.len()];
+        self.chain_ends(|t| self.span_time_sum(t, partial), &mut ends);
+        self.objective_bound(|t| ends[t], 1.0)
     }
 
     /// The objective value of an evaluated timeline, shared by `cost` and
@@ -559,6 +677,27 @@ impl<'a> ScheduleEncoding<'a> {
     }
 }
 
+/// The release-ordered bound of one PU's slots in a complete
+/// assignment: for each slot `k`, `head_k` plus the occupancy of the
+/// slots with head at least `head_k`, plus their smallest tail; and the
+/// same with heads and tails swapped. Every such slot set starts no
+/// earlier than `head_k` and runs one slot at a time, and its last slot
+/// still has its tail to go. Sorting once per direction makes each set a
+/// prefix; prefixes cut inside a run of equal heads are valid sets too.
+fn release_ordered_bound(jobs: &mut [Job]) -> f64 {
+    let mut best = 0.0f64;
+    for (key, other) in [(0, 1), (1, 0)] {
+        jobs.sort_unstable_by(|a, b| b.ends[key].total_cmp(&a.ends[key]));
+        let (mut load, mut least) = (0.0, f64::INFINITY);
+        for job in jobs.iter() {
+            load += job.occ;
+            least = least.min(job.ends[other]);
+            best = best.max(job.ends[key] + load + least);
+        }
+    }
+    best
+}
+
 impl CostModel for ScheduleEncoding<'_> {
     type Scratch = ScheduleScratch;
 
@@ -587,24 +726,15 @@ impl CostModel for ScheduleEncoding<'_> {
     }
 
     fn bound(&self, partial: &PartialAssignment) -> f64 {
-        let mut load = vec![0.0; self.n_pus];
-        let mut work = 0.0;
-        for (var, slot) in partial.iter().enumerate() {
-            let fixed = if self.pinned[var] {
-                Some(self.domains[var][0])
-            } else {
-                *slot
-            };
-            match fixed {
-                Some(pu) => {
-                    let t = self.var_load[var][pu as usize];
-                    load[pu as usize] += t;
-                    work += t;
-                }
-                None => work += self.var_load_min[var],
-            }
-        }
-        self.shaded_bound(|t| self.task_lower_bound(t, partial), &load, work)
+        let unassigned = self.n_pus as u32;
+        let fixed: Vec<u32> = (0..partial.len())
+            .map(|var| match (self.pinned[var], partial[var]) {
+                (true, _) => self.domains[var][0],
+                (false, value) => value.unwrap_or(unassigned),
+            })
+            .collect();
+        let complete = !fixed.contains(&unassigned);
+        self.lower_bound(&mut self.bound_buf(), &fixed, complete)
     }
 
     fn cost(&self, assignment: &Assignment) -> Option<f64> {
@@ -618,34 +748,19 @@ impl CostModel for ScheduleEncoding<'_> {
 
     fn new_scratch(&self) -> ScheduleScratch {
         let n_vars = self.domains.len();
-        let n_tasks = self.task_spans.len();
-        let mut span_sum = vec![0.0f64; n_tasks];
-        for (t, slot) in span_sum.iter_mut().enumerate() {
-            let (start, len) = self.task_spans[t];
-            *slot = self.min_time[start..start + len].iter().sum();
-        }
-        // Pinned variables have one possible PU, so their load counts from
-        // the root and `push`/`pop` skip them.
-        let mut load = vec![0.0f64; self.n_pus];
-        for var in (0..n_vars).filter(|&v| self.pinned[v]) {
-            let pu = self.domains[var][0] as usize;
-            load[pu] += self.var_load[var][pu];
-        }
         ScheduleScratch {
-            vals: vec![0; n_vars],
-            assigned: vec![false; n_vars],
-            span_sum,
-            saved_span: self
-                .tasks_of_var
-                .iter()
-                .map(|ts| vec![0.0; ts.len()])
+            fixed: (0..n_vars)
+                .map(|var| match self.pinned[var] {
+                    true => self.domains[var][0],
+                    false => self.n_pus as u32,
+                })
                 .collect(),
-            trans: vec![0; n_tasks],
+            assigned: vec![false; n_vars],
+            unknown: self.pinned.iter().filter(|&&p| !p).count(),
+            trans: vec![0; self.task_spans.len()],
             violations: 0,
             collisions: 0,
-            load,
-            work: self.var_load_min.iter().sum(),
-            saved_load: vec![(0.0, 0.0); n_vars],
+            bound: RefCell::new(self.bound_buf()),
             ws: TimelineWorkspace::default(),
         }
     }
@@ -663,38 +778,21 @@ impl CostModel for ScheduleEncoding<'_> {
                 scratch.violations += 1;
             }
         }
-        // Span sums: swap this var's "cheapest" contribution for its actual
-        // time under every task sharing the span, saving the old sums so
-        // the matching pop restores them exactly.
-        for (k, &t) in self.tasks_of_var[var].iter().enumerate() {
-            scratch.saved_span[var][k] = scratch.span_sum[t];
-            scratch.span_sum[t] += self.time_of_var[var][k][value as usize] - self.min_time[var];
-        }
-        if !self.pinned[var] {
-            let pu = value as usize;
-            scratch.saved_load[var] = (scratch.load[pu], scratch.work);
-            scratch.load[pu] += self.var_load[var][pu];
-            scratch.work += self.var_load[var][pu] - self.var_load_min[var];
-        }
         scratch.collisions += self.collision_delta(scratch, var, value);
-        scratch.vals[var] = value;
+        if !self.pinned[var] {
+            scratch.fixed[var] = value;
+            scratch.unknown -= 1;
+        }
         scratch.assigned[var] = true;
     }
 
     fn pop(&self, scratch: &mut ScheduleScratch, var: usize) {
+        let value = scratch.fixed[var];
         scratch.assigned[var] = false;
-        for (k, &t) in self.tasks_of_var[var].iter().enumerate() {
-            scratch.span_sum[t] = scratch.saved_span[var][k];
-        }
-        if !self.pinned[var] {
-            let (load, work) = scratch.saved_load[var];
-            scratch.load[scratch.vals[var] as usize] = load;
-            scratch.work = work;
-        }
-        scratch.collisions -= self.collision_delta(scratch, var, scratch.vals[var]);
+        scratch.collisions -= self.collision_delta(scratch, var, value);
         // LIFO means the neighbour state now matches what the matching
         // push saw, so the recomputed delta is the one that was added.
-        let delta = self.transition_delta(scratch, var, scratch.vals[var]);
+        let delta = self.transition_delta(scratch, var, value);
         if delta > 0 {
             let rep = self.rep_of_var[var];
             let old = scratch.trans[rep];
@@ -705,6 +803,10 @@ impl CostModel for ScheduleEncoding<'_> {
                 scratch.violations -= 1;
             }
         }
+        if !self.pinned[var] {
+            scratch.fixed[var] = self.n_pus as u32;
+            scratch.unknown += 1;
+        }
     }
 
     fn prune_with(&self, scratch: &ScheduleScratch, _partial: &PartialAssignment) -> bool {
@@ -712,10 +814,10 @@ impl CostModel for ScheduleEncoding<'_> {
     }
 
     fn bound_with(&self, scratch: &ScheduleScratch, _partial: &PartialAssignment) -> f64 {
-        self.shaded_bound(
-            |t| self.task_lower_bound_inc(t, scratch),
-            &scratch.load,
-            scratch.work,
+        self.lower_bound(
+            &mut scratch.bound.borrow_mut(),
+            &scratch.fixed,
+            scratch.unknown == 0,
         )
     }
 
@@ -744,7 +846,7 @@ mod tests {
     use haxconn_dnn::Model;
     use haxconn_profiler::NetworkProfile;
     use haxconn_soc::orin_agx;
-    use haxconn_solver::{solve, SolveOptions};
+    use haxconn_solver::{solve, solve_with, SolveOptions, Workspace};
 
     fn setup(models: &[Model]) -> (haxconn_soc::Platform, Workload, ContentionModel) {
         let p = orin_agx();
@@ -968,5 +1070,183 @@ mod tests {
         // Everything on GPU: the second instance queues for milliseconds.
         let gpu_only: Vec<u32> = (0..enc.num_vars()).map(|_| p.gpu() as u32).collect();
         assert!(enc.cost(&gpu_only).is_none());
+    }
+
+    /// A relaxed 3-tenant × 5-group orin mix seeded with its GPU-only
+    /// row, as the arrival replay warm-starts a re-solve.
+    fn warm_mix() -> (Workload, ContentionModel, SchedulerConfig) {
+        let p = orin_agx();
+        let tasks = [Model::DenseNet121, Model::GoogleNet, Model::ResNet50]
+            .iter()
+            .map(|&m| DnnTask::new(m.name(), NetworkProfile::profile(&p, m, 5)))
+            .collect();
+        let cfg = SchedulerConfig {
+            epsilon_ms: None,
+            ..Default::default()
+        };
+        (
+            Workload::concurrent(tasks),
+            ContentionModel::calibrate(&p),
+            cfg,
+        )
+    }
+
+    /// `SolveOptions` of a re-solve warm-started from the GPU-only row.
+    fn gpu_seeded(enc: &ScheduleEncoding<'_>) -> SolveOptions<'static> {
+        let gpu: Assignment = vec![orin_agx().gpu() as u32; enc.num_vars()];
+        let cost = enc.cost(&gpu).expect("GPU-only is feasible when relaxed");
+        SolveOptions {
+            initial_upper_bound: Some(cost),
+            initial_incumbent: Some((gpu, cost)),
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn warm_resolve_search_effort_is_pinned() {
+        let (w, cm, cfg) = warm_mix();
+        let enc = ScheduleEncoding::new(&w, &cm, cfg);
+        assert_eq!(enc.num_vars(), 15);
+        let sol = solve(&enc, gpu_seeded(&enc));
+        assert!(sol.proven_optimal());
+        let (best, cost) = sol.best.expect("beats the GPU-only seed");
+        // The schedule predates the per-PU head, tail and transition terms
+        // of the bound: pruning may only skip leaves, never move it.
+        assert_eq!(best, [0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 1, 1, 0]);
+        assert_eq!(cost.to_bits(), 0x4010_f2fd_6877_b54f);
+        // 177 leaves with the chain, PU-load and total-work terms alone.
+        assert_eq!(sol.stats.leaves, 54);
+    }
+
+    #[test]
+    fn warm_resolve_at_optimum_is_allocation_free() {
+        let (w, cm, cfg) = warm_mix();
+        let enc = ScheduleEncoding::new(&w, &cm, cfg);
+        let mut ws = Workspace::new(&enc);
+        let cold = solve_with(&enc, gpu_seeded(&enc), &mut ws);
+        let optimum = cold.best.expect("beats the GPU-only seed").1;
+        let warm = |ws: &mut Workspace<_>| {
+            let opts = SolveOptions {
+                initial_upper_bound: Some(optimum),
+                ..Default::default()
+            };
+            solve_with(&enc, opts, ws)
+        };
+        // One warm pass outside the guard grows the timeline workspace.
+        let warmup = warm(&mut ws);
+        assert!(warmup.proven_optimal());
+        assert!(warmup.best.is_none(), "ub == optimum prunes equal leaves");
+        let guard = haxconn_telemetry::alloc::AllocGuard::begin("encoding.warm_resolve");
+        let gated = warm(&mut ws);
+        guard.assert_zero();
+        assert!(gated.proven_optimal());
+        assert!(gated.stats.leaves > 0, "the gated pass scores leaves");
+    }
+
+    #[test]
+    fn fan_in_chains_take_the_latest_upstream_not_the_sum() {
+        // Two independent 2-group tasks feed a third. They can run side
+        // by side on the GPU and the DLA, so the consumer starts after
+        // the later of the two, not after both back to back.
+        let p = orin_agx();
+        let tasks = ["a", "b", "c"]
+            .iter()
+            .map(|&name| DnnTask::new(name, NetworkProfile::profile(&p, Model::ResNet18, 2)))
+            .collect();
+        let w = Workload::concurrent(tasks).with_dep(0, 2).with_dep(1, 2);
+        let cm = ContentionModel::calibrate(&p);
+        let cfg = SchedulerConfig {
+            epsilon_ms: None,
+            ..Default::default()
+        };
+        let enc = ScheduleEncoding::new(&w, &cm, cfg);
+        let n = enc.num_vars();
+        let (best, optimum) = haxconn_solver::brute_force(&enc).expect("feasible");
+        let root = vec![None; n];
+        assert!(enc.bound(&root) <= optimum, "root bound above the optimum");
+        assert!(enc.chain_bound(&root) <= optimum);
+        let full: Vec<Option<u32>> = best.iter().map(|&v| Some(v)).collect();
+        assert!(enc.bound(&full) <= optimum);
+        let sol = solve(&enc, SolveOptions::default());
+        assert_eq!(sol.best.map(|(_, c)| c.to_bits()), Some(optimum.to_bits()));
+    }
+
+    #[test]
+    fn bound_charges_heads_tails_and_transitions_of_a_shared_pu() {
+        // Two 4-group ResNet18s queue their middle groups on the DLA. A
+        // starts on the GPU and both end on it (the last group is
+        // GPU-only), so the DLA sees a head and a tail, and every known PU
+        // switch charges its transition.
+        let p = orin_agx();
+        let tasks = ["A", "B"]
+            .iter()
+            .map(|&name| DnnTask::new(name, NetworkProfile::profile(&p, Model::ResNet18, 4)))
+            .collect();
+        let w = Workload::concurrent(tasks);
+        let cm = ContentionModel::calibrate(&p);
+        let cfg = SchedulerConfig {
+            epsilon_ms: None,
+            ..Default::default()
+        };
+        let enc = ScheduleEncoding::new(&w, &cm, cfg);
+        let (gpu, dla) = (p.gpu(), p.dsa());
+        let pinned: Vec<bool> = (0..enc.num_vars())
+            .map(|v| enc.domain(v).len() == 1)
+            .collect();
+        assert_eq!(
+            pinned,
+            [false, false, false, true, false, false, false, true]
+        );
+        let rows = [
+            [Some(gpu), Some(dla), Some(dla), Some(gpu)],
+            [None, Some(dla), Some(dla), Some(gpu)],
+        ];
+        let partial: Vec<Option<u32>> = rows
+            .iter()
+            .flatten()
+            .map(|v| v.map(|pu| pu as u32))
+            .collect();
+
+        let group = |t: usize, g: usize| &w.tasks[t].profile.groups[g];
+        let time = |t: usize, g: usize, pu: usize| group(t, g).cost[pu].unwrap().time_ms;
+        // Occupancies. A0 switches out to the DLA and A1 in from the GPU;
+        // both tasks switch out of the DLA after group 2 and into the GPU
+        // for group 3. B0 is unassigned: its cheapest time, and no
+        // transition into B1.
+        let a = [
+            time(0, 0, gpu) + group(0, 0).tr_out_ms[gpu],
+            time(0, 1, dla) + group(0, 0).tr_in_ms[dla],
+            time(0, 2, dla) + group(0, 2).tr_out_ms[dla],
+            time(0, 3, gpu) + group(0, 2).tr_in_ms[gpu],
+        ];
+        let b = [
+            time(1, 0, gpu).min(time(1, 0, dla)),
+            time(1, 1, dla),
+            time(1, 2, dla) + group(1, 2).tr_out_ms[dla],
+            time(1, 3, gpu) + group(1, 2).tr_in_ms[gpu],
+        ];
+        assert!(a[1] > time(0, 1, dla) && b[3] > time(1, 3, gpu));
+        let head = a[0].min(b[0]);
+        let tail = a[3].min(b[3]);
+        let expected = (head + (a[1] + a[2] + b[1] + b[2]) + tail) * SHADE;
+        let bound = enc.bound(&partial);
+        assert!(
+            (bound - expected).abs() <= 1e-12 * expected,
+            "bound {bound} vs head + load + tail {expected}"
+        );
+        // The terms the bound had before heads, tails and transitions.
+        let old_load = time(0, 1, dla) + time(0, 2, dla) + time(1, 1, dla) + time(1, 2, dla);
+        let old_chain = (time(0, 0, gpu) + time(0, 1, dla) + time(0, 2, dla) + time(0, 3, gpu))
+            .max(b[0] + time(1, 1, dla) + time(1, 2, dla) + time(1, 3, gpu));
+        assert!(
+            bound > old_load && bound > old_chain,
+            "{bound} vs load {old_load} / chain {old_chain}"
+        );
+        // Still admissible on both completions.
+        for b0 in [gpu, dla] {
+            let mut full: Assignment = partial.iter().map(|v| v.unwrap_or(0)).collect();
+            full[4] = b0 as u32;
+            assert!(bound <= enc.cost(&full).unwrap());
+        }
     }
 }

@@ -9,7 +9,9 @@
 //! * `bound(prefix) <= cost(c)` for every feasible completion `c`;
 //! * `prune(prefix)` implies `cost(c) == None` for every completion;
 //! * the incremental `prune_with` / `bound_with` agree with the
-//!   from-scratch `prune` / `bound` along random LIFO push/pop walks.
+//!   from-scratch `prune` / `bound` along random LIFO push/pop walks;
+//! * `bound(c) <= cost(c)` for every feasible complete assignment `c`,
+//!   where the bound adds its release-ordered per-PU term.
 //!
 //! Workloads span orin, xavier, sd865 and the dual-DLA Orin; concurrent,
 //! chained and tied tasks; both objectives; strict (ε) and relaxed
@@ -295,6 +297,42 @@ fn incremental_bound_and_prune_match_from_scratch_along_lifo_walks() {
             enc.prune(&partial),
             "{}",
             case.name
+        );
+    }
+}
+
+#[test]
+fn complete_assignments_bound_below_their_own_cost() {
+    // The release-ordered term only acts once every variable is known,
+    // which random prefixes rarely reach: check it on every enumerated
+    // completion, through both the from-scratch and the incremental path.
+    let mut checked = HashMap::new();
+    for case in cases(480, 21) {
+        let enc = ScheduleEncoding::new(&case.workload, &case.contention, case.config);
+        for (a, cost) in enumerate(&enc) {
+            let Some(c) = cost else { continue };
+            let full: Vec<Option<u32>> = a.iter().map(|&v| Some(v)).collect();
+            let mut scratch = enc.new_scratch();
+            for (var, &v) in a.iter().enumerate() {
+                enc.push(&mut scratch, var, v);
+            }
+            let (bound, bound_inc) = (enc.bound(&full), enc.bound_with(&scratch, &full));
+            assert!(
+                bound <= c && bound_inc <= c,
+                "{}: bound {bound} / {bound_inc} above cost {c} of {a:?}",
+                case.name
+            );
+            if case.config.objective == Objective::MinMaxLatency {
+                let shape = case.name.split(' ').nth(3).unwrap_or("").to_string();
+                *checked.entry(shape).or_insert(0usize) += 1;
+            }
+        }
+    }
+    for (shape, floor) in [("Concurrent", 2_000), ("Chained", 5_000), ("Tied", 250)] {
+        let n = checked.get(shape).copied().unwrap_or(0);
+        assert!(
+            n > floor,
+            "only {n} feasible complete {shape} MinMaxLatency assignments checked"
         );
     }
 }
