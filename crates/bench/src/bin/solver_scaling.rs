@@ -999,10 +999,9 @@ fn main() {
         let mut seed_best: Option<(Assignment, f64)> = None;
         for &kind in BaselineKind::all() {
             let rows = Baseline::assignment(kind, &g.platform, &g.workload);
-            let flat: Vec<u32> = rows
-                .iter()
-                .flat_map(|row| row.iter().map(|&pu| pu as u32))
-                .collect();
+            let Some(flat) = gen_enc.to_flat(&rows) else {
+                continue;
+            };
             if let Some(c) = gen_enc.cost(&flat) {
                 if seed_best.as_ref().map(|&(_, b)| c < b).unwrap_or(true) {
                     seed_best = Some((flat, c));

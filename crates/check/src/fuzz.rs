@@ -375,15 +375,12 @@ pub fn run(config: &FuzzConfig) -> FuzzReport {
             for v in vr.violations {
                 report.violations.push((scenario, v));
             }
-            // The optimum can be no worse than any ε-feasible baseline
-            // under the encoding's own cost (`enc.cost` applies Eq. 9).
-            let flat: Vec<u32> = assignment
-                .iter()
-                .flat_map(|row| row.iter().map(|&pu| pu as u32))
-                .collect();
-            if let (Some(sc), Some(bc)) =
-                (solver_cost, haxconn_solver::CostModel::cost(&enc, &flat))
-            {
+            // The optimum can be no worse than any baseline under the
+            // encoding's own cost (`enc.cost` tiers ε-violating ones).
+            let base_cost = enc
+                .to_flat(&assignment)
+                .and_then(|f| haxconn_solver::CostModel::cost(&enc, &f));
+            if let (Some(sc), Some(bc)) = (solver_cost, base_cost) {
                 if sc > bc + 1e-9 {
                     diverge(
                         format!("solver optimum {sc} worse than {kind} baseline {bc}"),
@@ -433,10 +430,9 @@ pub fn run_large(seed: u64, instances: usize, node_budget: u64) -> FuzzReport {
         let mut seed_best: Option<(Vec<u32>, f64)> = None;
         for &kind in BaselineKind::all() {
             let rows = Baseline::assignment(kind, &g.platform, &g.workload);
-            let flat: Vec<u32> = rows
-                .iter()
-                .flat_map(|row| row.iter().map(|&pu| pu as u32))
-                .collect();
+            let Some(flat) = enc.to_flat(&rows) else {
+                continue;
+            };
             if let Some(c) = haxconn_solver::CostModel::cost(&enc, &flat) {
                 if seed_best.as_ref().is_none_or(|&(_, b)| c < b) {
                     seed_best = Some((flat, c));

@@ -618,11 +618,7 @@ impl<'a> Sim<'a> {
             ..self.options.config
         };
         let enc = ScheduleEncoding::new(workload, self.contention, relaxed);
-        let seed_flat: Vec<u32> = seed_rows
-            .iter()
-            .flat_map(|r| r.iter().map(|&p| p as u32))
-            .collect();
-        let seed = (seed_flat.len() == enc.num_vars()).then_some((seed_flat, seed_cost));
+        let seed = enc.to_flat(seed_rows).map(|flat| (flat, seed_cost));
         let opts = SolveOptions {
             node_budget: relaxed.node_budget,
             initial_upper_bound: Some(seed_cost),

@@ -14,10 +14,10 @@
 //!    checkpoint (25 ms, 100 ms, ... in Fig. 7), converging to the optimal
 //!    schedule while inference keeps running.
 
-use crate::baselines::{Baseline, BaselineKind};
+use crate::baselines::BaselineKind;
 use crate::encoding::ScheduleEncoding;
 use crate::problem::{SchedulerConfig, Workload};
-use crate::scheduler::{objective_cost, Schedule, ScheduleOrigin};
+use crate::scheduler::{score_baselines, Schedule, ScheduleOrigin};
 use crate::timeline::TimelineEvaluator;
 use haxconn_contention::ContentionModel;
 use haxconn_soc::{Platform, PuId};
@@ -106,25 +106,18 @@ impl DHaxConn {
     ) -> Self {
         let run_started = std::time::Instant::now();
         // 1. Initial schedule: best of the *instant* baselines only.
-        let mut ev = TimelineEvaluator::new(workload, model);
-        ev.contention_aware = config.contention_aware;
         let naive = [BaselineKind::GpuOnly, BaselineKind::NaiveSplit];
-        let (initial_kind, initial) = naive
-            .iter()
-            .map(|&k| {
-                let a = Baseline::assignment(k, platform, workload);
-                let tl = ev.evaluate(&a);
-                (
-                    k,
-                    Incumbent {
-                        cost: objective_cost(config.objective, &tl),
-                        assignment: a,
-                        at: Duration::ZERO,
-                    },
-                )
-            })
+        let scored = score_baselines(platform, workload, model, &config, &naive);
+        let (initial_kind, best) = naive
+            .into_iter()
+            .zip(scored)
             .min_by(|a, b| a.1.cost.total_cmp(&b.1.cost))
             .expect("baselines nonempty");
+        let initial = Incumbent {
+            cost: best.cost,
+            assignment: best.assignment,
+            at: Duration::ZERO,
+        };
 
         // 2. Background solve with anytime incumbents, warm-started from
         // the naive cost so only genuine improvements surface. The

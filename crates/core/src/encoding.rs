@@ -3,14 +3,19 @@
 //!
 //! Decision variables: one per (task, layer group), domain = the PUs that
 //! support every layer in the group (Eq. 1). The objective evaluates the
-//! full contention-interval timeline (Eqs. 2–8); the ε constraint (Eq. 9)
-//! rejects assignments whose same-PU queuing wait exceeds ε; and a
-//! transition budget per task keeps the search space small, mirroring the
-//! structure of the paper's optimal schedules (at most a couple of
-//! transitions per DNN).
+//! full contention-interval timeline (Eqs. 2–8); a transition budget per
+//! task keeps the search space small, mirroring the structure of the
+//! paper's optimal schedules (at most a couple of transitions per DNN).
+//!
+//! The ε constraint (Eq. 9) is a tier of the objective, not a feasibility
+//! rule: an assignment whose same-PU queuing wait exceeds ε costs its
+//! objective mapped above every ε-feasible cost ([`ScheduleEncoding`]'s
+//! `violating`). One minimization therefore orders assignments by
+//! `(violates ε, cost)`: its optimum is the best ε-feasible schedule when
+//! one exists, and the best schedule with queuing modeled otherwise.
 
 use crate::problem::{Objective, SchedulerConfig, Workload};
-use crate::timeline::{TimelineEvaluator, TimelineWorkspace};
+use crate::timeline::{PredictedTimeline, TimelineEvaluator, TimelineWorkspace};
 use haxconn_contention::ContentionModel;
 use haxconn_soc::Platform;
 use haxconn_solver::{Assignment, CostModel, PartialAssignment, SymmetrySpec};
@@ -57,7 +62,8 @@ pub struct ScheduleEncoding<'a> {
     usable_pus: f64,
     /// `collide[var]`: `(partner var, pu)` pairs of first groups of tasks
     /// without upstream dependencies such that both on `pu` violate ε at
-    /// every completion. A self-partner (tied copies share the variable)
+    /// every completion, so a prefix holding such a pair bounds in the
+    /// violating tier. A self-partner (tied copies share the variable)
     /// means `var` on `pu` alone suffices. Empty under the relaxed
     /// formulation.
     collide: Vec<Vec<(usize, u32)>>,
@@ -69,6 +75,10 @@ pub struct ScheduleEncoding<'a> {
 /// its own order (a few ulps per dispatched group) and an exact sum of the
 /// same times can exceed it by an ulp.
 const SHADE: f64 = 1.0 - 1e-9;
+
+/// 2^64: the factor that maps an objective value into the ε-violating
+/// tier ([`ScheduleEncoding::violating`]).
+const TIER: f64 = 18_446_744_073_709_551_616.0;
 
 /// What one slot's group costs on one PU, under its task's own profile.
 #[derive(Clone, Copy)]
@@ -129,13 +139,14 @@ pub struct ScheduleScratch {
     unknown: usize,
     /// Per representative task: adjacent-pair transition count (pairs of
     /// consecutive assigned vars in the span with differing values,
-    /// neither pinned) — exactly what `transitions_in` counts.
+    /// neither pinned) — exactly what `over_transition_budget` counts.
     trans: Vec<usize>,
     /// Number of representative tasks currently over the transition
     /// budget; `prune_with` is the O(1) check `violations > 0`.
     violations: usize,
     /// Number of live ε-collisions (pairs of `collide` entries both
-    /// assigned to the colliding PU); any makes the prefix infeasible.
+    /// assigned to the colliding PU); any puts every completion of the
+    /// prefix in the violating tier.
     collisions: usize,
     /// Lower-bound buffers (`bound_with` only borrows the scratch).
     bound: RefCell<BoundBuf>,
@@ -267,8 +278,8 @@ impl<'a> ScheduleEncoding<'a> {
         // ε-collisions (Eq. 9): two tasks without upstream dependencies are
         // both ready at t = 0, so if their first groups share a PU the one
         // dispatched second waits at least the other's standalone time
-        // there (slowdown ≥ 1). When the smaller of the two exceeds ε, no
-        // completion is feasible.
+        // there (slowdown ≥ 1). When the smaller of the two exceeds ε, every
+        // completion violates ε.
         let mut collide: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n_vars];
         if let Some(eps) = config.epsilon_ms {
             let roots: Vec<usize> = (0..n_tasks).filter(|&t| upstream[t].is_empty()).collect();
@@ -329,6 +340,34 @@ impl<'a> ScheduleEncoding<'a> {
                     .collect()
             })
             .collect()
+    }
+
+    /// Converts per-task PU rows to a flat solver assignment, the inverse
+    /// of [`Self::to_rows`]: `None` when the rows do not have the
+    /// workload's shape or two tied tasks' rows disagree.
+    pub fn to_flat(&self, rows: &[Vec<usize>]) -> Option<Assignment> {
+        let mut flat = vec![0; self.domains.len()];
+        for (row, &(start, len)) in rows.iter().zip(&self.task_spans) {
+            for (var, &pu) in flat[start..start + len].iter_mut().zip(row) {
+                *var = pu as u32;
+            }
+        }
+        (self.to_rows(&flat) == rows).then_some(flat)
+    }
+
+    /// `rows` as a solver warm start: the flat assignment and its
+    /// [`CostModel::cost`], read off `rows`' own timeline `tl`. `None`
+    /// outside the search space (a PU outside a domain, tied rows that
+    /// disagree, a task over the transition budget).
+    pub(crate) fn candidate(
+        &self,
+        rows: &[Vec<usize>],
+        tl: &PredictedTimeline,
+    ) -> Option<(Assignment, f64)> {
+        let flat = self.to_flat(rows)?;
+        let inside = flat.iter().zip(&self.domains).all(|(pu, d)| d.contains(pu))
+            && !self.over_transition_budget(|var| Some(flat[var]));
+        inside.then(|| (flat, self.objective_of(tl.max_wait_ms, &tl.task_latency_ms)))
     }
 
     /// Detects this instance's symmetries for the solver's
@@ -449,7 +488,8 @@ impl<'a> ScheduleEncoding<'a> {
             .count()
     }
 
-    /// Whether `partial` assigns some `collide` pair to its colliding PU.
+    /// Whether `partial` assigns some `collide` pair to its colliding PU
+    /// (the from-scratch count of `ScheduleScratch::collisions`).
     fn collides(&self, partial: &PartialAssignment) -> bool {
         self.collide.iter().enumerate().any(|(var, entries)| {
             partial[var].is_some_and(|value| {
@@ -599,78 +639,61 @@ impl<'a> ScheduleEncoding<'a> {
         self.objective_bound(|t| ends[t], 1.0)
     }
 
-    /// The objective value of an evaluated timeline, shared by `cost` and
-    /// `cost_with` so both produce bit-identical results.
+    /// The objective value of an evaluated timeline, shared by `cost`,
+    /// `cost_with` and [`Self::candidate`] so all three produce
+    /// bit-identical results. Eq. 9: a schedule that needs more than ε of
+    /// same-PU overlap absorption costs its value in the violating tier.
     #[inline]
-    fn objective_of(&self, max_wait_ms: f64, task_latency_ms: &[f64]) -> Option<f64> {
-        // Eq. 9: reject schedules that need more than ε of same-PU overlap
-        // absorption.
-        if let Some(eps) = self.config.epsilon_ms {
-            if max_wait_ms > eps {
-                return None;
-            }
-        }
-        Some(match self.config.objective {
+    fn objective_of(&self, max_wait_ms: f64, task_latency_ms: &[f64]) -> f64 {
+        let cost = match self.config.objective {
             Objective::MinMaxLatency => task_latency_ms.iter().cloned().fold(0.0, f64::max),
             Objective::MaxThroughput => -task_latency_ms.iter().map(|&t| 1000.0 / t).sum::<f64>(),
-        })
+        };
+        match self.config.epsilon_ms {
+            Some(eps) if max_wait_ms > eps => self.violating(cost),
+            _ => cost,
+        }
     }
 
-    /// Counts the *chosen* transitions in a task's (partial) assignment.
+    /// Maps a cost or a lower bound into the ε-violating tier, above every
+    /// ε-feasible cost: makespans (ms-scale) scale up by 2^64, negated FPS
+    /// sums (bounded away from 0) down by 2^64. A power of two only moves
+    /// the exponent, so order and ties inside the tier are the untiered
+    /// ones, and the map never lowers a value, so a tiered bound stays
+    /// admissible. The solver's 1e-12 pruning slack vanishes at ~1e19,
+    /// but [`SHADE`] keeps every bound strictly below the costs it bounds,
+    /// so no leaf tying an adopted incumbent is cut.
+    #[inline]
+    fn violating(&self, value: f64) -> f64 {
+        match self.config.objective {
+            Objective::MinMaxLatency => value * TIER,
+            Objective::MaxThroughput => value / TIER,
+        }
+    }
+
+    /// Whether some task's *chosen* transitions exceed the budget, over
+    /// the PU `value(var)` of each assigned variable (`None` while
+    /// unassigned: a gap, across which no transition counts). `prune`
+    /// and `cost` both ask it, so `cost` rejects exactly what `prune`
+    /// rejects (the engine's contract: a pruned prefix has no feasible
+    /// completion).
     ///
     /// Switches forced by singleton-domain groups (e.g. an LRN group the
     /// DLA cannot run, which TensorRT would silently GPU-fallback) are not
-    /// charged against the budget: they are not scheduling decisions.
-    fn transitions_in(&self, task: usize, partial: &PartialAssignment) -> (usize, bool) {
-        let (start, len) = self.task_spans[task];
-        let mut count = 0;
-        let mut complete = true;
-        let mut prev: Option<(u32, bool)> = None; // (pu, was pinned)
-        #[allow(clippy::needless_range_loop)] // var ids span two arrays
-        for var in start..start + len {
-            let pinned = self.domains[var].len() == 1;
-            match partial[var] {
-                Some(v) => {
-                    if let Some((p, p_pinned)) = prev {
-                        if p != v && !pinned && !p_pinned {
-                            count += 1;
-                        }
-                    }
-                    prev = Some((v, pinned));
-                }
-                None => {
-                    complete = false;
-                    prev = None; // gap: later groups can't extend this run
-                }
-            }
-        }
-        (count, complete)
-    }
-
-    /// Whether any task's chosen transitions exceed the budget — the
-    /// complete-assignment counterpart of [`CostModel::prune`]. `cost`
-    /// must reject exactly what `prune` rejects (the engine's contract:
-    /// a pruned prefix has no feasible completion), otherwise exhaustive
-    /// enumeration and warm-start cost probes accept assignments the
-    /// search space excludes.
-    fn over_transition_budget(&self, assignment: &Assignment) -> bool {
-        (0..self.task_spans.len()).any(|t| {
-            if self.workload.ties[t].is_some() {
-                return false;
-            }
-            let (start, len) = self.task_spans[t];
-            let mut count = 0usize;
-            let mut prev: Option<(u32, bool)> = None;
-            #[allow(clippy::needless_range_loop)] // var ids span two arrays
+    /// charged against the budget: they are not scheduling decisions. Tied
+    /// tasks share their representative's variables, so checking
+    /// representatives covers everyone.
+    fn over_transition_budget(&self, value: impl Fn(usize) -> Option<u32>) -> bool {
+        let reps = (0..self.task_spans.len()).filter(|&t| self.workload.ties[t].is_none());
+        reps.map(|t| self.task_spans[t]).any(|(start, len)| {
+            let mut count = 0;
+            let mut prev: Option<(u32, bool)> = None; // (pu, pinned)
             for var in start..start + len {
-                let pinned = self.domains[var].len() == 1;
-                let v = assignment[var];
-                if let Some((p, p_pinned)) = prev {
-                    if p != v && !pinned && !p_pinned {
-                        count += 1;
-                    }
+                let cur = value(var).map(|v| (v, self.pinned[var]));
+                if let (Some((p, p_pinned)), Some((v, pinned))) = (prev, cur) {
+                    count += usize::from(p != v && !p_pinned && !pinned);
                 }
-                prev = Some((v, pinned));
+                prev = cur;
             }
             count > self.config.max_transitions_per_task
         })
@@ -710,19 +733,8 @@ impl CostModel for ScheduleEncoding<'_> {
     }
 
     fn prune(&self, partial: &PartialAssignment) -> bool {
-        // Transition budget (prefix transitions only ever grow). Tied tasks
-        // share their representative's variables, so checking
-        // representatives covers everyone.
-        for t in 0..self.task_spans.len() {
-            if self.workload.ties[t].is_some() {
-                continue;
-            }
-            let (count, _) = self.transitions_in(t, partial);
-            if count > self.config.max_transitions_per_task {
-                return true;
-            }
-        }
-        self.collides(partial)
+        // Prefix transitions only ever grow.
+        self.over_transition_budget(|var| partial[var])
     }
 
     fn bound(&self, partial: &PartialAssignment) -> f64 {
@@ -734,16 +746,20 @@ impl CostModel for ScheduleEncoding<'_> {
             })
             .collect();
         let complete = !fixed.contains(&unassigned);
-        self.lower_bound(&mut self.bound_buf(), &fixed, complete)
+        let bound = self.lower_bound(&mut self.bound_buf(), &fixed, complete);
+        match self.collides(partial) {
+            true => self.violating(bound),
+            false => bound,
+        }
     }
 
     fn cost(&self, assignment: &Assignment) -> Option<f64> {
-        if self.over_transition_budget(assignment) {
+        if self.over_transition_budget(|var| Some(assignment[var])) {
             return None;
         }
         let rows = self.to_rows(assignment);
         let tl = self.evaluator.evaluate(&rows);
-        self.objective_of(tl.max_wait_ms, &tl.task_latency_ms)
+        Some(self.objective_of(tl.max_wait_ms, &tl.task_latency_ms))
     }
 
     fn new_scratch(&self) -> ScheduleScratch {
@@ -810,15 +826,19 @@ impl CostModel for ScheduleEncoding<'_> {
     }
 
     fn prune_with(&self, scratch: &ScheduleScratch, _partial: &PartialAssignment) -> bool {
-        scratch.violations > 0 || scratch.collisions > 0
+        scratch.violations > 0
     }
 
     fn bound_with(&self, scratch: &ScheduleScratch, _partial: &PartialAssignment) -> f64 {
-        self.lower_bound(
+        let bound = self.lower_bound(
             &mut scratch.bound.borrow_mut(),
             &scratch.fixed,
             scratch.unknown == 0,
-        )
+        );
+        match scratch.collisions {
+            0 => bound,
+            _ => self.violating(bound),
+        }
     }
 
     fn cost_with(&self, scratch: &mut ScheduleScratch, assignment: &Assignment) -> Option<f64> {
@@ -835,7 +855,7 @@ impl CostModel for ScheduleEncoding<'_> {
         let summary = self.evaluator.evaluate_into(&mut scratch.ws, |t, g| {
             assignment[self.task_spans[t].0 + g] as usize
         });
-        self.objective_of(summary.max_wait_ms, scratch.ws.task_latency_ms())
+        Some(self.objective_of(summary.max_wait_ms, scratch.ws.task_latency_ms()))
     }
 }
 
@@ -889,18 +909,11 @@ mod tests {
     }
 
     #[test]
-    fn colliding_first_groups_prune_under_epsilon_only() {
+    fn colliding_first_groups_bound_in_the_violating_tier_under_epsilon_only() {
         // Both ResNet101s start at t = 0; whichever reaches the GPU second
         // waits a whole first group, far above ε = 0.35 ms.
         let (p, w, cm) = setup(&[Model::ResNet101, Model::ResNet101]);
         let strict = ScheduleEncoding::new(&w, &cm, SchedulerConfig::default());
-        let n = strict.num_vars();
-        let gpu = Some(p.gpu() as u32);
-        let mut partial: Vec<Option<u32>> = vec![None; n];
-        partial[strict.var_of(0, 0)] = gpu;
-        assert!(!strict.prune(&partial), "one first group alone is fine");
-        partial[strict.var_of(1, 0)] = gpu;
-        assert!(strict.prune(&partial));
         let relaxed = ScheduleEncoding::new(
             &w,
             &cm,
@@ -909,7 +922,22 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert!(!relaxed.prune(&partial));
+        let n = strict.num_vars();
+        let gpu = Some(p.gpu() as u32);
+        let mut partial: Vec<Option<u32>> = vec![None; n];
+        partial[strict.var_of(0, 0)] = gpu;
+        assert_eq!(
+            strict.bound(&partial).to_bits(),
+            relaxed.bound(&partial).to_bits(),
+            "one first group alone is fine"
+        );
+        partial[strict.var_of(1, 0)] = gpu;
+        let untiered = relaxed.bound(&partial);
+        assert_eq!(strict.bound(&partial), untiered * TIER);
+        assert!(untiered > 0.0 && untiered < 1e3, "{untiered}");
+        // A collision is a bound, not a prune: only the transition budget
+        // prunes.
+        assert!(!strict.prune(&partial) && !relaxed.prune(&partial));
     }
 
     #[test]
@@ -1060,16 +1088,76 @@ mod tests {
     }
 
     #[test]
-    fn epsilon_constraint_rejects_colocated_heavyweights() {
+    fn epsilon_constraint_tiers_colocated_heavyweights() {
         let (p, w, cm) = setup(&[Model::ResNet101, Model::ResNet101]);
         let cfg = SchedulerConfig {
             epsilon_ms: Some(0.01),
             ..Default::default()
         };
         let enc = ScheduleEncoding::new(&w, &cm, cfg);
-        // Everything on GPU: the second instance queues for milliseconds.
+        let relaxed = ScheduleEncoding::new(
+            &w,
+            &cm,
+            SchedulerConfig {
+                epsilon_ms: None,
+                ..cfg
+            },
+        );
+        // Everything on GPU: the second instance queues for milliseconds,
+        // so the schedule costs its relaxed makespan in the violating tier.
         let gpu_only: Vec<u32> = (0..enc.num_vars()).map(|_| p.gpu() as u32).collect();
-        assert!(enc.cost(&gpu_only).is_none());
+        let makespan = relaxed.cost(&gpu_only).expect("within the budget");
+        assert_eq!(enc.cost(&gpu_only), Some(makespan * TIER));
+        // The same key as a warm start read off the schedule's timeline.
+        let rows = enc.to_rows(&gpu_only);
+        let tl = enc.evaluator.evaluate(&rows);
+        assert!(tl.max_wait_ms > 0.01);
+        assert_eq!(enc.candidate(&rows, &tl), Some((gpu_only, makespan * TIER)));
+    }
+
+    #[test]
+    fn throughput_tier_sorts_above_every_feasible_cost() {
+        let (p, w, cm) = setup(&[Model::ResNet101, Model::ResNet101]);
+        let cfg = SchedulerConfig {
+            epsilon_ms: Some(0.01),
+            ..SchedulerConfig::with_objective(Objective::MaxThroughput)
+        };
+        let enc = ScheduleEncoding::new(&w, &cm, cfg);
+        let gpu_only: Vec<u32> = (0..enc.num_vars()).map(|_| p.gpu() as u32).collect();
+        let tiered = enc.cost(&gpu_only).expect("within the budget");
+        // Negated FPS, scaled towards 0: above any feasible -Σ FPS, whose
+        // magnitude is at least one frame per second.
+        assert!(tiered < 0.0 && tiered > -1e-12, "{tiered}");
+        let relaxed = ScheduleEncoding::new(
+            &w,
+            &cm,
+            SchedulerConfig {
+                epsilon_ms: None,
+                ..cfg
+            },
+        );
+        assert_eq!(tiered * TIER, relaxed.cost(&gpu_only).unwrap());
+    }
+
+    #[test]
+    fn to_flat_inverts_to_rows_and_rejects_disagreeing_ties() {
+        let p = orin_agx();
+        let prof = || NetworkProfile::profile(&p, Model::GoogleNet, 4);
+        let w = Workload::concurrent(vec![
+            DnnTask::new("GoogleNet#0", prof()),
+            DnnTask::new("GoogleNet#1", prof()),
+        ])
+        .with_tie(1, 0);
+        let cm = ContentionModel::calibrate(&p);
+        let enc = ScheduleEncoding::new(&w, &cm, SchedulerConfig::default());
+        let flat: Assignment = (0..enc.num_vars()).map(|v| enc.domain(v)[0]).collect();
+        let mut rows = enc.to_rows(&flat);
+        assert_eq!(rows.len(), 2);
+        assert_eq!(enc.to_flat(&rows), Some(flat));
+        rows[1][1] = 1 - rows[1][1];
+        assert_eq!(enc.to_flat(&rows), None, "tied rows disagree");
+        rows.pop();
+        assert_eq!(enc.to_flat(&rows), None, "one row per task");
     }
 
     /// A relaxed 3-tenant × 5-group orin mix seeded with its GPU-only

@@ -162,7 +162,7 @@ pub fn schedule_min_energy(
         power,
         latency_budget_ms,
     };
-    let (best, proven) = exact_solve(&enc, &config);
+    let (best, proven) = exact_solve(&enc, &config, None);
     let (best, cost) = best?;
     let assignment = enc.inner.to_rows(&best);
     let mut ev = TimelineEvaluator::new(workload, contention);

@@ -243,9 +243,10 @@ pub enum Objective {
 pub struct SchedulerConfig {
     /// Objective function.
     pub objective: Objective,
-    /// ε of Eq. 9: the longest same-accelerator overlap (queuing wait) the
-    /// strict formulation tolerates, in ms. `None` relaxes the constraint
-    /// (queuing is then modeled instead of forbidden).
+    /// ε of Eq. 9: the longest same-accelerator overlap (queuing wait) a
+    /// schedule may need, in ms. The scheduler returns the best schedule
+    /// within ε when one exists, and the best with queuing modeled
+    /// otherwise. `None` drops the constraint (queuing is always modeled).
     pub epsilon_ms: Option<f64>,
     /// Upper limit on inter-accelerator transitions per DNN; keeps the
     /// search space the "relatively small parameter search space" the paper
@@ -259,13 +260,6 @@ pub struct SchedulerConfig {
     /// Whether contention enters the cost function (disabled only by the
     /// contention-blind ablation).
     pub contention_aware: bool,
-    /// Prune symmetric duplicates inside the solver: interchangeable PUs
-    /// (identical DLAs) and duplicate untied DNN instances are restricted
-    /// to canonical representatives. Off by default — a canonical
-    /// representative's cost can differ from its twin's in the last ulp
-    /// (floating-point reassociation in the timeline), so contexts that
-    /// check bit-identity against the unbroken search keep this off.
-    pub break_symmetry: bool,
 }
 
 impl Default for SchedulerConfig {
@@ -276,7 +270,6 @@ impl Default for SchedulerConfig {
             max_transitions_per_task: 2,
             node_budget: None,
             contention_aware: true,
-            break_symmetry: false,
         }
     }
 }

@@ -7,7 +7,7 @@ use crate::problem::{Objective, SchedulerConfig, Workload};
 use crate::timeline::{PredictedTimeline, TimelineEvaluator};
 use haxconn_contention::ContentionModel;
 use haxconn_soc::{DesWork, Platform, PuId, PuKind, Replayer};
-use haxconn_solver::{solve_auto, Assignment, CostModel, SolveOptions, Symmetric};
+use haxconn_solver::{solve_auto, Assignment, CostModel, SolveOptions};
 
 /// An inter-accelerator transition in a schedule (the "TR / Dir." columns of
 /// Table 6).
@@ -140,84 +140,51 @@ impl HaxConn {
         workload.validate()?;
         config.validate()?;
         let schedule_started = std::time::Instant::now();
-        // One exact solve, optionally restricted to canonical
-        // representatives when the instance has detectable symmetries.
-        let run_solver = |enc: &ScheduleEncoding<'_>| -> (Option<(Assignment, f64)>, bool) {
-            if config.break_symmetry {
-                let spec = enc.symmetry_spec(platform);
-                if !spec.is_empty() {
-                    return exact_solve(&Symmetric::new(enc, spec), &config);
-                }
-            }
-            exact_solve(enc, &config)
-        };
+        // 1. Score every baseline once: the scores seed the search and
+        // back the never-worse comparison of step 3.
+        let baselines = score_baselines(platform, workload, model, &config, BaselineKind::all());
 
-        // 1. Solve the strict formulation.
+        // 2. One search, ordered by (violates ε, cost, assignment): the
+        // encoding costs an ε-violating schedule in a tier above every
+        // ε-feasible one, so the optimum is the best ε-feasible schedule
+        // if there is one and the best with queuing modeled otherwise.
+        // The least baseline under that order is the first incumbent.
         let enc = ScheduleEncoding::new(workload, model, config);
-        let (found, mut proven) = run_solver(&enc);
-        let mut best = found.map(|(a, _)| enc.to_rows(&a));
+        let seed = baselines
+            .iter()
+            .filter_map(|b| enc.candidate(&b.assignment, &b.predicted))
+            .min_by(|(a, x), (b, y)| x.total_cmp(y).then_with(|| a.cmp(b)));
+        let (found, proven) = exact_solve(&enc, &config, seed.clone());
+        // A budget-cut search that never beat its seed found no schedule
+        // of its own: the baselines speak for themselves in step 3.
+        let found = found.filter(|(a, _)| proven || seed.as_ref().is_none_or(|(s, _)| s != a));
 
-        // 2. Infeasible under ε? Relax Eq. 9 and model queuing instead.
-        let relax = best.is_none() && config.epsilon_ms.is_some();
-        if relax {
-            let relaxed_cfg = SchedulerConfig {
-                epsilon_ms: None,
-                ..config
-            };
-            let relaxed = ScheduleEncoding::new(workload, model, relaxed_cfg);
-            let (found, p) = run_solver(&relaxed);
-            proven = p;
-            best = found.map(|(a, _)| relaxed.to_rows(&a));
-        }
-
-        // 3. Score candidates (solver result + all baselines) under the
-        // relaxed predictive cost and keep the best.
-        let scorer = |assignment: &Vec<Vec<PuId>>| -> (f64, PredictedTimeline) {
-            let mut ev = TimelineEvaluator::new(workload, model);
-            ev.contention_aware = config.contention_aware;
-            let tl = ev.evaluate(assignment);
-            let cost = objective_cost(config.objective, &tl);
-            (cost, tl)
-        };
-
-        let mut winner: Option<(Vec<Vec<PuId>>, f64, PredictedTimeline, ScheduleOrigin)> = best
-            .map(|a| {
-                let (c, tl) = scorer(&a);
-                (a, c, tl, ScheduleOrigin::Optimal)
-            });
-        for &kind in BaselineKind::all() {
-            let a = Baseline::assignment(kind, platform, workload);
-            let (c, tl) = scorer(&a);
-            let better = match &winner {
-                None => true,
-                Some((_, wc, _, _)) => c < *wc - 1e-9,
-            };
-            if better {
-                winner = Some((a, c, tl, ScheduleOrigin::Fallback(kind)));
-            }
-        }
-        let (assignment, cost, predicted, origin) = winner.ok_or_else(|| {
+        // 3. Score the solver's schedule under the predictive cost and keep
+        // the best of it and the baselines.
+        let mut ev = TimelineEvaluator::new(workload, model);
+        ev.contention_aware = config.contention_aware;
+        let solved = found.map(|(a, _)| {
+            let rows = enc.to_rows(&a);
+            score(&ev, config.objective, rows, ScheduleOrigin::Optimal)
+        });
+        let relaxed = (solved.as_ref().zip(config.epsilon_ms))
+            .is_some_and(|(s, eps)| s.predicted.max_wait_ms > eps);
+        let mut schedule = never_worse(solved, baselines).ok_or_else(|| {
             HaxError::Infeasible("no candidate schedule (not even a baseline) was found".into())
         })?;
+        schedule.proven_optimal = proven;
         if haxconn_telemetry::enabled() {
             use haxconn_telemetry as t;
             let ms = schedule_started.elapsed().as_secs_f64() * 1e3;
             t::counter_add("scheduler.schedules", 1);
-            t::counter_add("scheduler.relaxed", u64::from(relax));
+            t::counter_add("scheduler.relaxed", u64::from(relaxed));
             t::counter_add(
                 "scheduler.fallbacks",
-                u64::from(!matches!(origin, ScheduleOrigin::Optimal)),
+                u64::from(!matches!(schedule.origin, ScheduleOrigin::Optimal)),
             );
             t::histogram_record("scheduler.schedule_ms", ms);
             t::span_event("scheduler", "schedule", t::clock_ms() - ms, ms);
         }
-        let schedule = Schedule {
-            assignment,
-            predicted,
-            cost,
-            origin,
-            proven_optimal: proven,
-        };
         // Debug builds self-check every emitted schedule. The validator is
         // read-only, so release outputs are byte-identical with or without
         // this hook (machine-checked in tests/validation.rs).
@@ -274,21 +241,12 @@ impl HaxConn {
             }
         };
         let mut best_cost = measured_cost(&winner.assignment);
-        for &kind in BaselineKind::all() {
-            let a = Baseline::assignment(kind, platform, workload);
-            let c = measured_cost(&a);
+        let baselines = score_baselines(platform, workload, model, &config, BaselineKind::all());
+        for b in baselines {
+            let c = measured_cost(&b.assignment);
             if c < best_cost - 1e-9 {
                 best_cost = c;
-                let mut ev = TimelineEvaluator::new(workload, model);
-                ev.contention_aware = config.contention_aware;
-                let predicted = ev.evaluate(&a);
-                winner = Schedule {
-                    cost: objective_cost(config.objective, &predicted),
-                    assignment: a,
-                    predicted,
-                    origin: ScheduleOrigin::Fallback(kind),
-                    proven_optimal: false,
-                };
+                winner = b;
             }
         }
         Ok(winner)
@@ -310,32 +268,59 @@ impl HaxConn {
     ) -> Result<Schedule, HaxError> {
         workload.validate()?;
         config.validate()?;
-        let mut winner: Option<(Vec<Vec<PuId>>, f64, PredictedTimeline, BaselineKind)> = None;
-        for &kind in BaselineKind::all() {
-            let a = Baseline::assignment(kind, platform, workload);
-            let mut ev = TimelineEvaluator::new(workload, model);
-            ev.contention_aware = config.contention_aware;
-            let tl = ev.evaluate(&a);
-            let cost = objective_cost(config.objective, &tl);
-            let better = match &winner {
-                None => true,
-                Some((_, wc, _, _)) => cost < *wc - 1e-9,
-            };
-            if better {
-                winner = Some((a, cost, tl, kind));
-            }
-        }
-        let (assignment, cost, predicted, kind) = winner.ok_or_else(|| {
-            HaxError::Infeasible("no baseline schedule could be constructed".into())
-        })?;
-        Ok(Schedule {
-            assignment,
-            predicted,
-            cost,
-            origin: ScheduleOrigin::Fallback(kind),
-            proven_optimal: false,
-        })
+        let baselines = score_baselines(platform, workload, model, &config, BaselineKind::all());
+        never_worse(None, baselines)
+            .ok_or_else(|| HaxError::Infeasible("no baseline schedule could be constructed".into()))
     }
+}
+
+/// `assignment` scored under the predictive cost (not proven optimal).
+fn score(
+    ev: &TimelineEvaluator<'_>,
+    objective: Objective,
+    assignment: Vec<Vec<PuId>>,
+    origin: ScheduleOrigin,
+) -> Schedule {
+    let predicted = ev.evaluate(&assignment);
+    Schedule {
+        cost: objective_cost(objective, &predicted),
+        assignment,
+        predicted,
+        origin,
+        proven_optimal: false,
+    }
+}
+
+/// Each of `kinds` as a fallback schedule, scored under the predictive
+/// cost: one timeline evaluation per baseline.
+pub(crate) fn score_baselines(
+    platform: &Platform,
+    workload: &Workload,
+    model: &ContentionModel,
+    config: &SchedulerConfig,
+    kinds: &[BaselineKind],
+) -> Vec<Schedule> {
+    let mut ev = TimelineEvaluator::new(workload, model);
+    ev.contention_aware = config.contention_aware;
+    kinds
+        .iter()
+        .map(|&kind| {
+            let rows = Baseline::assignment(kind, platform, workload);
+            score(&ev, config.objective, rows, ScheduleOrigin::Fallback(kind))
+        })
+        .collect()
+}
+
+/// The never-worse rule: `best` (the solver's schedule, if any) unless a
+/// baseline, in `baselines` order, beats the running winner by more than
+/// 1e-9.
+fn never_worse(mut best: Option<Schedule>, baselines: Vec<Schedule>) -> Option<Schedule> {
+    for b in baselines {
+        if best.as_ref().is_none_or(|w| b.cost < w.cost - 1e-9) {
+            best = Some(b);
+        }
+    }
+    best
 }
 
 /// Solves any [`CostModel`] through [`solve_auto`] on the calling thread
@@ -347,12 +332,18 @@ impl HaxConn {
 /// the CPUs. On a 2-vCPU host, 120 cold Orin specs of 12–23 variables
 /// on two concurrent callers took 0.42–0.51 s with one thread per solve
 /// and 0.47–0.54 s with one per CPU.
+///
+/// `seed`, the model's own `cost` of one of its assignments, is the first
+/// incumbent; it is returned when nothing beats it, so a budgeted solve
+/// with a seed always has an answer.
 pub(crate) fn exact_solve<M: CostModel + Sync>(
     m: &M,
     config: &SchedulerConfig,
+    seed: Option<(Assignment, f64)>,
 ) -> (Option<(Assignment, f64)>, bool) {
     let opts = SolveOptions {
         node_budget: config.node_budget,
+        initial_incumbent: seed,
         ..Default::default()
     };
     let sol = solve_auto(m, opts, 1);
@@ -496,35 +487,28 @@ mod tests {
     }
 
     #[test]
-    fn symmetry_breaking_preserves_schedule_quality_on_dual_dla() {
-        let p = haxconn_soc::orin_agx_dual_dla();
-        let tasks = ["GoogleNet#0", "GoogleNet#1"]
-            .iter()
-            .map(|&n| DnnTask::new(n, NetworkProfile::profile(&p, Model::GoogleNet, 6)))
-            .collect();
-        let w = Workload::concurrent(tasks);
-        let cm = ContentionModel::calibrate(&p);
+    fn a_one_node_budget_returns_the_seed() {
+        let (p, w, cm) = setup(&[Model::GoogleNet, Model::ResNet101], 8);
         let cfg = SchedulerConfig {
-            epsilon_ms: None,
-            max_transitions_per_task: 1,
+            node_budget: Some(1),
             ..Default::default()
         };
-        let plain = HaxConn::schedule(&p, &w, &cm, cfg);
-        let broken = HaxConn::schedule(
-            &p,
-            &w,
-            &cm,
-            SchedulerConfig {
-                break_symmetry: true,
-                ..cfg
-            },
-        );
-        assert!(
-            (plain.cost - broken.cost).abs() <= 1e-9,
-            "symmetry breaking changed the schedule cost: {} vs {}",
-            plain.cost,
-            broken.cost
-        );
+        let enc = ScheduleEncoding::new(&w, &cm, cfg);
+        let gpu = score_baselines(&p, &w, &cm, &cfg, &[BaselineKind::GpuOnly]).remove(0);
+        let seed = enc
+            .candidate(&gpu.assignment, &gpu.predicted)
+            .expect("GPU-only has no transitions");
+        let (best, proven) = exact_solve(&enc, &cfg, Some(seed.clone()));
+        assert!(!proven);
+        let (a, c) = best.expect("the seed is the incumbent");
+        assert_eq!((a, c.to_bits()), (seed.0, seed.1.to_bits()));
+        // Unseeded, one node reaches no leaf.
+        assert!(exact_solve(&enc, &cfg, None).0.is_none());
+        // A budget-cut search that never beat its seed is no solver
+        // schedule: the baselines' winner answers, as a fallback.
+        let s = HaxConn::schedule(&p, &w, &cm, cfg);
+        assert!(matches!(s.origin, ScheduleOrigin::Fallback(_)));
+        assert!(!s.proven_optimal);
     }
 
     #[test]

@@ -1324,10 +1324,9 @@ per-frame service {:.2} ms vs period {:.2} ms",
             let mut seed_inc: Option<(Vec<u32>, f64)> = None;
             for &kind in BaselineKind::all() {
                 let rows = Baseline::assignment(kind, &g.platform, &g.workload);
-                let flat: Vec<u32> = rows
-                    .iter()
-                    .flat_map(|r| r.iter().map(|&pu| pu as u32))
-                    .collect();
+                let Some(flat) = enc.to_flat(&rows) else {
+                    continue;
+                };
                 if let Some(c) = enc.cost(&flat) {
                     if seed_inc.as_ref().is_none_or(|&(_, b)| c < b) {
                         seed_inc = Some((flat, c));

@@ -8,6 +8,10 @@
 //!
 //! * `bound(prefix) <= cost(c)` for every feasible completion `c`;
 //! * `prune(prefix)` implies `cost(c) == None` for every completion;
+//! * a prefix whose first groups collide under ε (two tasks without
+//!   upstream dependencies start on one PU, each for longer than ε)
+//!   bounds in the ε-violating tier, every completion costs in that tier
+//!   and at least the bound, and any other prefix bounds untiered;
 //! * the incremental `prune_with` / `bound_with` agree with the
 //!   from-scratch `prune` / `bound` along random LIFO push/pop walks;
 //! * `bound(c) <= cost(c)` for every feasible complete assignment `c`,
@@ -189,13 +193,57 @@ fn random_prefix(
         .collect()
 }
 
+/// `value` mapped into the ε-violating tier: scaled by 2^64 away from the
+/// feasible costs (up for makespans, towards 0 for negated FPS).
+fn tiered(objective: Objective, value: f64) -> f64 {
+    match objective {
+        Objective::MinMaxLatency => value * 2f64.powi(64),
+        Objective::MaxThroughput => value / 2f64.powi(64),
+    }
+}
+
+/// Whether `prefix` puts the first groups of two tasks without upstream
+/// dependencies on one PU where both run longer than ε: the second to
+/// dispatch then waits longer than ε in every completion. Tied copies
+/// share their representative's variables, so one such group suffices.
+fn first_groups_collide(
+    enc: &ScheduleEncoding<'_>,
+    workload: &Workload,
+    eps: Option<f64>,
+    prefix: &[Option<u32>],
+) -> bool {
+    let Some(eps) = eps else { return false };
+    let unknown = u32::MAX as usize;
+    let rows = enc.to_rows(&prefix.iter().map(|v| v.unwrap_or(u32::MAX)).collect());
+    let firsts: Vec<(usize, f64)> = (0..workload.tasks.len())
+        .filter(|&t| workload.upstream(t).is_empty() && rows[t][0] != unknown)
+        .map(|t| {
+            let pu = rows[t][0];
+            let time = workload.tasks[t].profile.groups[0].cost[pu].expect("in domain");
+            (pu, time.time_ms)
+        })
+        .collect();
+    firsts.iter().enumerate().any(|(i, &(pu, x))| {
+        firsts[i + 1..]
+            .iter()
+            .any(|&(other, y)| other == pu && x.min(y) > eps)
+    })
+}
+
 #[test]
 fn bound_and_prune_are_sound_against_every_completion() {
     let mut rng = Rng::new(15);
     let mut checked_prunes = 0usize;
     let mut checked_bounds = 0usize;
+    let mut checked_tiers = 0usize;
     for case in cases(96, 7) {
         let enc = ScheduleEncoding::new(&case.workload, &case.contention, case.config);
+        let relaxed_cfg = SchedulerConfig {
+            epsilon_ms: None,
+            ..case.config
+        };
+        let relaxed = ScheduleEncoding::new(&case.workload, &case.contention, relaxed_cfg);
+        let objective = case.config.objective;
         let all = enumerate(&enc);
         for _ in 0..128 {
             let prefix = random_prefix(&enc, &all, &mut rng);
@@ -213,6 +261,19 @@ fn bound_and_prune_are_sound_against_every_completion() {
             let bound_inc = enc.bound_with(&scratch, &prefix);
             let pruned = enc.prune(&prefix);
             assert_eq!(pruned, enc.prune_with(&scratch, &prefix), "{}", case.name);
+            let collide =
+                first_groups_collide(&enc, &case.workload, case.config.epsilon_ms, &prefix);
+            let untiered = relaxed.bound(&prefix);
+            let expected = match collide {
+                true => tiered(objective, untiered),
+                false => untiered,
+            };
+            assert_eq!(
+                bound.to_bits(),
+                expected.to_bits(),
+                "{}: bound {bound} under {prefix:?} (collision: {collide})",
+                case.name
+            );
             for (a, cost) in completions {
                 if pruned {
                     assert!(
@@ -229,13 +290,29 @@ fn bound_and_prune_are_sound_against_every_completion() {
                         case.name
                     );
                     checked_bounds += 1;
+                    if collide {
+                        let relaxed_cost = relaxed.cost(a).expect("same transition budget");
+                        assert_eq!(
+                            c.to_bits(),
+                            tiered(objective, relaxed_cost).to_bits(),
+                            "{}: colliding completion {a:?} costs {c} outside the violating tier",
+                            case.name
+                        );
+                        checked_tiers += 1;
+                    }
                 }
             }
         }
     }
+    // Only the transition budget prunes (972 completions on these
+    // cases); ε-collisions are bounds and counted apart (7,724).
     assert!(
-        checked_prunes > 5_000,
+        checked_prunes > 800,
         "only {checked_prunes} pruned completions checked"
+    );
+    assert!(
+        checked_tiers > 5_000,
+        "only {checked_tiers} colliding completions checked"
     );
     assert!(
         checked_bounds > 30_000,

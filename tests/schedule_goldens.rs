@@ -2,16 +2,16 @@
 //! seeded two- and three-task specs over orin, xavier and sd865.
 //!
 //! Each entry pins the assignment, the bits of the cost and of the
-//! predicted makespan, the optimality certificate, and whether the strict
-//! formulation (the ε constraint, Eq. 9) had any feasible schedule. A
-//! pruning change in the encoding or the solver may make the search
-//! cheaper, but must leave every one of these values unchanged. On a
-//! mismatch the test prints the whole table as it now stands.
+//! predicted makespan, the optimality certificate, and whether any
+//! schedule met the ε constraint (Eq. 9). A pruning change in the
+//! encoding or the solver may make the search cheaper, but must leave
+//! every one of these values unchanged. On a mismatch the test prints the
+//! whole table as it now stands.
 
 use haxconn::core::encoding::ScheduleEncoding;
 use haxconn::dnn::Model;
 use haxconn::prelude::*;
-use haxconn::solver::{solve, CostModel, SolveOptions};
+use haxconn::solver::{solve, Assignment, CostModel, PartialAssignment, SolveOptions};
 use haxconn::telemetry as tel;
 use std::collections::HashMap;
 
@@ -161,14 +161,24 @@ fn schedules_match_the_goldens() {
         let before = relaxed_count(rec);
         let s = HaxConn::try_schedule(&platform, &workload, cm, config).expect("schedulable");
         relaxed.push(relaxed_count(rec) - before);
-        let strict = ScheduleEncoding::new(&workload, cm, config);
+        // The one search's optimum is ε-feasible exactly when some
+        // schedule is: ε-violating schedules cost a tier above every
+        // ε-feasible one.
+        let enc = ScheduleEncoding::new(&workload, cm, config);
+        let (best, _) = solve(&enc, SolveOptions::default())
+            .best
+            .expect("the one search always has a schedule");
+        let mut ev = TimelineEvaluator::new(&workload, cm);
+        ev.contention_aware = config.contention_aware;
+        let eps = config.epsilon_ms.expect("specs keep the default ε");
+        let strict_feasible = ev.evaluate(&enc.to_rows(&best)).max_wait_ms <= eps;
         actual.push(Golden {
             spec: label,
             assignment: s.assignment.clone(),
             cost: s.cost.to_bits(),
             makespan: s.predicted.makespan_ms.to_bits(),
             proven: s.proven_optimal,
-            strict_feasible: solve(&strict, SolveOptions::default()).best.is_some(),
+            strict_feasible,
         });
     }
     let expected: Vec<Golden> = GOLDENS
@@ -210,10 +220,12 @@ fn schedules_match_the_goldens() {
 }
 
 /// Three concurrent tasks on orin's two PUs: two first groups must share
-/// a PU, each far longer than ε, so no strict schedule exists. The
-/// ε-collision prune proves that without evaluating a single leaf.
+/// a PU, each far longer than ε, so no schedule meets ε. The one search
+/// then returns the relaxed optimum, in the violating tier. (No test here
+/// but the goldens runs `HaxConn`, whose `scheduler.relaxed` count the
+/// goldens read.)
 #[test]
-fn strict_pass_over_three_concurrent_tasks_evaluates_no_leaf() {
+fn one_search_over_three_colliding_tasks_is_the_relaxed_optimum() {
     let p = orin_agx();
     let cm = ContentionModel::calibrate(&p);
     let task = |m: Model| DnnTask::new(m.name(), NetworkProfile::profile(&p, m, 3));
@@ -222,9 +234,99 @@ fn strict_pass_over_three_concurrent_tasks_evaluates_no_leaf() {
         task(Model::Vgg19),
         task(Model::ResNet50),
     ]);
+    let relaxed_cfg = SchedulerConfig {
+        epsilon_ms: None,
+        ..Default::default()
+    };
     let enc = ScheduleEncoding::new(&w, &cm, SchedulerConfig::default());
-    let sol = solve(&enc, SolveOptions::default());
-    assert!(sol.best.is_none());
-    assert_eq!(sol.stats.leaves, 0, "{:?}", sol.stats);
-    assert!(sol.stats.nodes < (1u64 << enc.num_vars()));
+    let relaxed = ScheduleEncoding::new(&w, &cm, relaxed_cfg);
+    let (a, c) = solve(&enc, SolveOptions::default()).best.expect("tiered");
+    let (ra, rc) = solve(&relaxed, SolveOptions::default())
+        .best
+        .expect("relaxed");
+    assert_eq!(a, ra);
+    assert_eq!(c.to_bits(), (rc * 2f64.powi(64)).to_bits());
+}
+
+/// Two concurrent tasks whose first groups collide on either PU, on a mix
+/// that still has ε-feasible schedules. Unseeded, the search scores leaves
+/// under a colliding prefix before its first feasible leaf; seeded with
+/// an ε-feasible incumbent, the tiered bound cuts every colliding prefix
+/// before it reaches a leaf.
+#[test]
+fn a_feasible_seed_cuts_every_colliding_prefix_before_its_leaves() {
+    let p = orin_agx();
+    let cm = ContentionModel::calibrate(&p);
+    let task = |m: Model, g: usize| DnnTask::new(m.name(), NetworkProfile::profile(&p, m, g));
+    let w = Workload::concurrent(vec![task(Model::Vgg16, 3), task(Model::Vgg19, 3)]);
+    let config = SchedulerConfig::default();
+    let eps = config.epsilon_ms.expect("default ε");
+    let enc = ScheduleEncoding::new(&w, &cm, config);
+    // Both first groups (variables 0 and 3) on one PU: the second to
+    // dispatch waits out the first's whole standalone time.
+    let collides = |a: &Assignment| {
+        let first = |t: usize| w.tasks[t].profile.groups[0].cost[a[3 * t] as usize];
+        a[0] == a[3]
+            && first(0)
+                .zip(first(1))
+                .is_some_and(|(x, y)| x.time_ms.min(y.time_ms) > eps)
+    };
+    for pu in [p.gpu(), p.dsa()] {
+        let a: Assignment = vec![pu as u32; enc.num_vars()];
+        assert!(collides(&a), "first groups collide on PU {pu}");
+    }
+    let unseeded = Leaves::new(&enc);
+    let (best, c) = solve(&unseeded, SolveOptions::default())
+        .best
+        .expect("a schedule");
+    let tl = TimelineEvaluator::new(&w, &cm).evaluate(&enc.to_rows(&best));
+    assert!(tl.max_wait_ms <= eps, "the optimum is ε-feasible");
+    let colliding = |m: &Leaves<'_>| m.seen.borrow().iter().filter(|a| collides(a)).count();
+    assert!(colliding(&unseeded) > 0);
+
+    let seeded = Leaves::new(&enc);
+    let sol = solve(
+        &seeded,
+        SolveOptions {
+            initial_incumbent: Some((best.clone(), c)),
+            ..Default::default()
+        },
+    );
+    assert_eq!(sol.best.map(|(a, _)| a), Some(best));
+    assert_eq!(colliding(&seeded), 0, "{:?}", sol.stats);
+}
+
+/// An encoding that records every leaf the solver scores.
+struct Leaves<'a> {
+    enc: &'a ScheduleEncoding<'a>,
+    seen: std::cell::RefCell<Vec<Assignment>>,
+}
+
+impl<'a> Leaves<'a> {
+    fn new(enc: &'a ScheduleEncoding<'a>) -> Self {
+        Leaves {
+            enc,
+            seen: Default::default(),
+        }
+    }
+}
+
+impl CostModel for Leaves<'_> {
+    type Scratch = ();
+    fn num_vars(&self) -> usize {
+        self.enc.num_vars()
+    }
+    fn domain(&self, var: usize) -> &[u32] {
+        self.enc.domain(var)
+    }
+    fn cost(&self, a: &Assignment) -> Option<f64> {
+        self.seen.borrow_mut().push(a.clone());
+        self.enc.cost(a)
+    }
+    fn bound(&self, partial: &PartialAssignment) -> f64 {
+        self.enc.bound(partial)
+    }
+    fn prune(&self, partial: &PartialAssignment) -> bool {
+        self.enc.prune(partial)
+    }
 }

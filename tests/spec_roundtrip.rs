@@ -65,18 +65,18 @@ fn session_spec_survives_the_wire() {
 }
 
 /// A body written against the old wire format, which let a request pick
-/// the solver driver, still parses (unknown fields are ignored), keys the
+/// the solver driver or ask for symmetry breaking, still parses (unknown fields are ignored), keys the
 /// cache exactly like the body without those fields, and schedules to
 /// the same bits: the solver picks its driver from the problem alone.
 #[test]
 fn retired_solver_knobs_are_ignored_on_the_wire() {
     let spec = specimen();
     let json = spec.to_json().expect("serializes");
-    let tail = "\"break_symmetry\":false}";
+    let tail = "\"contention_aware\":true}";
     assert!(json.contains(tail), "{json}");
     let legacy_json = json.replace(
         tail,
-        "\"break_symmetry\":false,\"parallel_solve\":true,\"portfolio_solve\":true,\"lns_workers\":4096}",
+        "\"contention_aware\":true,\"break_symmetry\":true,\"parallel_solve\":true,\"portfolio_solve\":true,\"lns_workers\":4096}",
     );
     let legacy = WorkloadSpec::from_json(&legacy_json).expect("parses");
     assert_eq!(legacy, spec);
