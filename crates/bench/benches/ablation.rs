@@ -14,7 +14,7 @@
 
 use haxconn_bench::microbench::Runner;
 use haxconn_contention::ContentionModel;
-use haxconn_core::measure::measure;
+use haxconn_core::measure::execute;
 use haxconn_core::problem::{DnnTask, SchedulerConfig, Workload};
 use haxconn_core::scheduler::HaxConn;
 use haxconn_dnn::Model;
@@ -41,7 +41,7 @@ fn main() {
     // --- schedule-quality ablation table (printed once) ---
     let quality = |cfg: SchedulerConfig, cm: &ContentionModel| -> f64 {
         let s = HaxConn::schedule(&platform, &w, cm, cfg);
-        measure(&platform, &w, &s.assignment).latency_ms
+        execute(&platform, &w, &s.assignment).makespan_ms
     };
     println!("\nablation: measured latency of the chosen schedule (VGG19+ResNet152, Xavier)");
     let aware = quality(SchedulerConfig::default(), &contention);

@@ -1,10 +1,10 @@
 //! Bench: contention-replay throughput — full-workload measurement cost
-//! (one `measure` call = what every Table 6/8 data point costs) and raw
+//! (one `execute` call = what every Table 6/8 data point costs) and raw
 //! event rate of the replay on synthetic chains.
 
 use haxconn_bench::microbench::Runner;
 use haxconn_core::baselines::{Baseline, BaselineKind};
-use haxconn_core::measure::measure;
+use haxconn_core::measure::execute;
 use haxconn_core::problem::{DnnTask, Workload};
 use haxconn_dnn::Model;
 use haxconn_profiler::NetworkProfile;
@@ -28,7 +28,7 @@ fn main() {
     ]);
     let assignment = Baseline::assignment(BaselineKind::NaiveSplit, &platform, &workload);
     runner.bench("measure_pair", || {
-        black_box(measure(&platform, &workload, &assignment))
+        black_box(execute(&platform, &workload, &assignment))
     });
 
     // Raw event rate on synthetic jobs.

@@ -12,7 +12,7 @@
 //! memory-boundedness.
 
 use haxconn_bench::{par_map, profile};
-use haxconn_core::measure::measure;
+use haxconn_core::measure::{execute, task_slowdown};
 use haxconn_core::problem::{DnnTask, Workload};
 use haxconn_dnn::Model;
 use haxconn_profiler::NetworkProfile;
@@ -55,8 +55,8 @@ fn main() {
                 })
                 .collect(),
         ];
-        let m = measure(&platform, &w, &assignment);
-        ((victim, aggressor), m.task_slowdown[0])
+        let m = execute(&platform, &w, &assignment);
+        ((victim, aggressor), task_slowdown(&w, &assignment, &m)[0])
     });
 
     println!(

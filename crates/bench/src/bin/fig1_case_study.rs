@@ -13,7 +13,7 @@
 use haxconn_bench::{profile, transition_summary};
 use haxconn_contention::ContentionModel;
 use haxconn_core::baselines::{Baseline, BaselineKind};
-use haxconn_core::measure::measure;
+use haxconn_core::measure::execute;
 use haxconn_core::problem::{DnnTask, Objective, SchedulerConfig, Workload};
 use haxconn_core::scheduler::HaxConn;
 use haxconn_dnn::Model;
@@ -34,18 +34,18 @@ fn main() {
 
     // Case 1: serial on GPU.
     let case1 = Baseline::assignment(BaselineKind::GpuOnly, &platform, &workload);
-    let m1 = measure(&platform, &workload, &case1);
+    let m1 = execute(&platform, &workload, &case1);
     println!(
         "Case 1  serial GPU-only          : {:>6.2} ms",
-        m1.latency_ms
+        m1.makespan_ms
     );
 
     // Case 2: naive concurrent (whole-DNN split).
     let case2 = Baseline::assignment(BaselineKind::NaiveSplit, &platform, &workload);
-    let m2 = measure(&platform, &workload, &case2);
+    let m2 = execute(&platform, &workload, &case2);
     println!(
         "Case 2  naive concurrent (G+D)   : {:>6.2} ms",
-        m2.latency_ms
+        m2.makespan_ms
     );
 
     // Case 3: HaX-CoNN layer-level mapping.
@@ -55,10 +55,10 @@ fn main() {
         &contention,
         SchedulerConfig::with_objective(Objective::MinMaxLatency),
     );
-    let m3 = measure(&platform, &workload, &schedule.assignment);
+    let m3 = execute(&platform, &workload, &schedule.assignment);
     println!(
         "Case 3  HaX-CoNN layer-level     : {:>6.2} ms",
-        m3.latency_ms
+        m3.makespan_ms
     );
     println!(
         "\ntransitions: {}",
@@ -66,14 +66,14 @@ fn main() {
     );
     println!(
         "improvement: case3 vs case1 {:+.1}%, case3 vs case2 {:+.1}%",
-        100.0 * (m1.latency_ms - m3.latency_ms) / m1.latency_ms,
-        100.0 * (m2.latency_ms - m3.latency_ms) / m2.latency_ms,
+        100.0 * (m1.makespan_ms - m3.makespan_ms) / m1.makespan_ms,
+        100.0 * (m2.makespan_ms - m3.makespan_ms) / m2.makespan_ms,
     );
     println!(
         "\nPU busy (case 3): GPU {:.2} ms, DSA {:.2} ms (utilization {:.0}% / {:.0}%)",
         m3.pu_busy_ms[0],
         m3.pu_busy_ms[1],
-        100.0 * m3.pu_busy_ms[0] / m3.latency_ms,
-        100.0 * m3.pu_busy_ms[1] / m3.latency_ms
+        100.0 * m3.pu_busy_ms[0] / m3.makespan_ms,
+        100.0 * m3.pu_busy_ms[1] / m3.makespan_ms
     );
 }

@@ -10,7 +10,7 @@
 use haxconn_bench::{improvement_pct, profile, transition_summary};
 use haxconn_contention::ContentionModel;
 use haxconn_core::baselines::{Baseline, BaselineKind};
-use haxconn_core::measure::measure;
+use haxconn_core::measure::execute;
 use haxconn_core::problem::{DnnTask, Objective, SchedulerConfig, Workload};
 use haxconn_core::scheduler::HaxConn;
 use haxconn_dnn::Model;
@@ -43,7 +43,7 @@ fn main() {
         ]);
         let fps = |kind: BaselineKind| {
             let a = Baseline::assignment(kind, &platform, &workload);
-            measure(&platform, &workload, &a).fps
+            execute(&platform, &workload, &a).fps()
         };
         let gpu_only = fps(BaselineKind::GpuOnly);
         let split = fps(BaselineKind::NaiveSplit);
@@ -54,7 +54,7 @@ fn main() {
             &contention,
             SchedulerConfig::with_objective(Objective::MaxThroughput),
         );
-        let hax = measure(&platform, &workload, &schedule.assignment).fps;
+        let hax = execute(&platform, &workload, &schedule.assignment).fps();
         let best = gpu_only.max(split).max(mensa);
         println!(
             "{:<12} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>6.1}%   {}",

@@ -8,7 +8,7 @@
 
 use haxconn_bench::profile;
 use haxconn_contention::ContentionModel;
-use haxconn_core::measure::measure;
+use haxconn_core::measure::{execute, task_slowdown};
 use haxconn_core::problem::{DnnTask, Objective, SchedulerConfig, Workload};
 use haxconn_core::scheduler::HaxConn;
 use haxconn_dnn::Model;
@@ -61,11 +61,11 @@ fn main() {
                 }
             })
             .collect();
-        let base = measure(&platform, &workload, &naive);
+        let base = execute(&platform, &workload, &naive);
         // The paper's metric: how much slower GoogleNet's *execution*
         // becomes under contention (queuing excluded) relative to running
         // alone on the GPU.
-        let base_slow = base.task_slowdown[0];
+        let base_slow = task_slowdown(&workload, &naive, &base)[0];
 
         let schedule = HaxConn::schedule_validated(
             &platform,
@@ -73,8 +73,8 @@ fn main() {
             &contention,
             SchedulerConfig::with_objective(Objective::MinMaxLatency),
         );
-        let hax = measure(&platform, &workload, &schedule.assignment);
-        let hax_slow = hax.task_slowdown[0];
+        let hax = execute(&platform, &workload, &schedule.assignment);
+        let hax_slow = task_slowdown(&workload, &schedule.assignment, &hax)[0];
         println!(
             "{:<12} {:>13.3}x {:>13.3}x {:>11.0}%",
             m.name(),

@@ -9,7 +9,7 @@
 use haxconn_bench::profile;
 use haxconn_contention::ContentionModel;
 use haxconn_core::dynamic::DHaxConn;
-use haxconn_core::measure::measure;
+use haxconn_core::measure::execute;
 use haxconn_core::problem::{DnnTask, Objective, SchedulerConfig, Workload};
 use haxconn_core::scheduler::HaxConn;
 use haxconn_dnn::Model;
@@ -42,18 +42,18 @@ fn main() {
         );
         let d = DHaxConn::run(&platform, &workload, &contention, config);
         let oracle = HaxConn::schedule(&platform, &workload, &contention, config);
-        let oracle_ms = measure(&platform, &workload, &oracle.assignment).latency_ms;
+        let oracle_ms = execute(&platform, &workload, &oracle.assignment).makespan_ms;
 
         println!("phase {name} ({} DNNs):", workload.tasks.len());
         let mut last = f64::NAN;
         for &ck in &checkpoints_ms {
             let inc = d.schedule_at(Duration::from_millis(ck));
-            let lat = measure(&platform, &workload, &inc.assignment).latency_ms;
+            let lat = execute(&platform, &workload, &inc.assignment).makespan_ms;
             let marker = if (lat - last).abs() > 1e-9 { " *" } else { "" };
             last = lat;
             println!("  t={ck:>5} ms   latency {lat:>8.2} ms{marker}");
         }
-        let best = measure(&platform, &workload, &d.best().assignment).latency_ms;
+        let best = execute(&platform, &workload, &d.best().assignment).makespan_ms;
         let first_opt = d.trace.last().map(|i| i.at.as_secs_f64()).unwrap_or(0.0);
         println!(
             "  converged {best:.2} ms vs oracle {oracle_ms:.2} ms ({} incumbents, last at {:.3} s, optimal proven: {})\n",

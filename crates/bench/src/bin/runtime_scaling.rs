@@ -17,14 +17,14 @@
 //! When built with `--features alloc-truth` the counting global allocator
 //! is live and two further claims are machine-checked:
 //!
-//! * a warmed-up [`FleetEvaluator`] re-evaluating the whole fleet into its
-//!   [`FleetArena`] performs **zero** heap allocations
-//!   (`allocs_per_scenario_steady == 0`), with arena reports bit-identical
-//!   to `evaluate_fleet`'s, and
+//! * a warmed-up [`DesRunner`] re-running the whole fleet — stage, replay,
+//!   read each view — performs **zero** heap allocations
+//!   (`allocs_per_scenario_steady == 0`), with every view bit-identical to
+//!   `evaluate_fleet`'s report, and
 //! * a warm B&B re-solve of a real `ScheduleEncoding` at an upper bound
 //!   equal to the known optimum expands its whole tree with **zero**
 //!   allocations (`bb_expansion.allocs == 0`),
-//! * the steady-state arena path holds a ≥1.2× scenarios/sec uplift over
+//! * the steady-state runner loop holds a ≥1.2× scenarios/sec uplift over
 //!   the pre-PR-7 baseline of `BASELINE_SCENARIOS_PER_SEC` (the seed's
 //!   report-collecting batch on the same scenario set).
 //!
@@ -42,10 +42,7 @@ use haxconn_core::encoding::ScheduleEncoding;
 use haxconn_core::problem::{DnnTask, SchedulerConfig, Workload};
 use haxconn_dnn::Model;
 use haxconn_profiler::NetworkProfile;
-use haxconn_runtime::{
-    evaluate_fleet, ExecutionReport, FleetArena, FleetEvaluator, FleetOptions, FleetReport,
-    FleetScenario,
-};
+use haxconn_runtime::{evaluate_fleet, DesRunner, FleetOptions, FleetReport, FleetScenario};
 use haxconn_soc::{orin_agx, PuId};
 use haxconn_solver::{solve_with, SolveOptions, Workspace};
 use haxconn_telemetry::alloc::{is_counting, AllocGuard};
@@ -120,35 +117,12 @@ fn candidates(
     out
 }
 
-fn bit_identical(a: &ExecutionReport, b: &ExecutionReport) -> bool {
-    a.makespan_ms.to_bits() == b.makespan_ms.to_bits()
-        && a.fps.to_bits() == b.fps.to_bits()
-        && a.emc_mean_gbps.to_bits() == b.emc_mean_gbps.to_bits()
-        && a.items_executed == b.items_executed
-        && a.task_latency_ms.len() == b.task_latency_ms.len()
-        && a.task_latency_ms
-            .iter()
-            .zip(b.task_latency_ms.iter())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
-        && a.pu_busy_ms.len() == b.pu_busy_ms.len()
-        && a.pu_busy_ms
-            .iter()
-            .zip(b.pu_busy_ms.iter())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
-        && a.records.len() == b.records.len()
-        && a.records.iter().zip(b.records.iter()).all(|(x, y)| {
-            (x.token, x.task, x.item, x.pu) == (y.token, y.task, y.item, y.pu)
-                && x.start_ms.to_bits() == y.start_ms.to_bits()
-                && x.end_ms.to_bits() == y.end_ms.to_bits()
-        })
-}
-
 fn fleets_identical(a: &FleetReport, b: &FleetReport) -> bool {
     a.reports.len() == b.reports.len()
         && a.reports
             .iter()
             .zip(b.reports.iter())
-            .all(|(x, y)| bit_identical(x, y))
+            .all(|(x, y)| x.view().same_bits(&y.view()))
 }
 
 #[derive(Serialize)]
@@ -173,8 +147,8 @@ fn run_of(fleet: &FleetReport) -> FleetRun {
 struct AllocTruthReport {
     /// Whether the counting global allocator was live for this run.
     enabled: bool,
-    /// Heap allocations during one full steady-state fleet pass
-    /// (`FleetEvaluator::evaluate_into` over every scenario, after a
+    /// Heap allocations during one full steady-state fleet pass (one warm
+    /// `DesRunner` staging, replaying and reading every scenario, after a
     /// warmup pass over the same scenarios).
     des_steady: AllocSample,
     /// `des_steady.allocs / scenarios` — the headline gate (must be 0).
@@ -184,9 +158,9 @@ struct AllocTruthReport {
     /// tree is expanded (every node visited, every bound evaluated) with
     /// no incumbent ever cloned.
     bb_expansion: BbExpansionSample,
-    /// Arena-staged reports from the steady-state pass match
-    /// `evaluate_fleet`'s allocating reports bit-for-bit.
-    arena_reports_bit_identical: bool,
+    /// Every view of the steady-state pass matches `evaluate_fleet`'s
+    /// report of the same scenario bit-for-bit.
+    steady_views_bit_identical: bool,
 }
 
 #[derive(Serialize)]
@@ -195,7 +169,7 @@ struct AllocSample {
     bytes: u64,
     /// Wall time of the gated steady-state pass, ms.
     wall_ms: f64,
-    /// Scenarios/sec of the zero-copy arena path (single-threaded).
+    /// Scenarios/sec of the zero-copy runner loop (single-threaded).
     scenarios_per_sec: f64,
 }
 
@@ -222,7 +196,7 @@ struct Report {
     /// Pre-PR-7 full-width DES throughput on the calibration machine.
     baseline_scenarios_per_sec: f64,
     /// `alloc_truth.des_steady.scenarios_per_sec /
-    /// baseline_scenarios_per_sec` — the zero-copy arena path against the
+    /// baseline_scenarios_per_sec` — the zero-copy runner loop against the
     /// seed's report-collecting batch on the same scenario set.
     uplift_vs_baseline: f64,
     reports_bit_identical: bool,
@@ -230,10 +204,14 @@ struct Report {
 }
 
 /// Measures the steady-state allocation behaviour and throughput of the
-/// zero-copy fleet path and checks its reports against the allocating
-/// `evaluate_fleet` reference. Every post-warmup pass runs under an
-/// allocation guard (the counters must read 0 on each one); the best wall
-/// of [`DES_RUNS`] passes is the throughput estimate, same protocol as
+/// zero-copy fleet path — one warm [`DesRunner`] staging and replaying
+/// each scenario and reading its view — and checks every view against the
+/// allocating `evaluate_fleet` reference. The timed passes read each
+/// view's makespan, as a search loop scoring candidates does
+/// (`HaxConn::try_schedule_validated`); one more pass compares every field
+/// with the reference. Every post-warmup pass runs under an allocation
+/// guard (the counters must read 0 on each one); the best wall of
+/// [`DES_RUNS`] timed passes is the throughput estimate, same protocol as
 /// the `des` trajectory number. Returns `(sample, per_scenario,
 /// identical)`.
 fn measure_des_steady(
@@ -241,17 +219,24 @@ fn measure_des_steady(
     scenarios: &[FleetScenario],
     reference: &FleetReport,
 ) -> (AllocSample, f64, bool) {
-    let mut evaluator = FleetEvaluator::new();
-    let mut arena = FleetArena::new();
-    // Warmup: grows every workspace/arena buffer to steady state.
-    evaluator.evaluate_into(platform, scenarios, &mut arena);
+    let mut runner = DesRunner::new();
+    // Warmup: grows every staging/workspace buffer to steady state.
+    for sc in scenarios {
+        runner.run(platform, sc.workload, &sc.assignment, sc.iterations);
+    }
 
     let mut best_wall_ms = f64::INFINITY;
     let mut worst = haxconn_telemetry::alloc::AllocStats::default();
     for _ in 0..DES_RUNS {
         let started = std::time::Instant::now();
         let guard = AllocGuard::begin("bench.des_steady");
-        evaluator.evaluate_into(platform, scenarios, &mut arena);
+        let mut total_ms = 0.0;
+        for sc in scenarios {
+            total_ms += runner
+                .run(platform, sc.workload, &sc.assignment, sc.iterations)
+                .makespan_ms;
+        }
+        std::hint::black_box(total_ms);
         let stats = guard.finish();
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
         best_wall_ms = best_wall_ms.min(wall_ms);
@@ -260,12 +245,18 @@ fn measure_des_steady(
         }
     }
 
-    let identical = arena.len() == reference.reports.len()
-        && reference
-            .reports
-            .iter()
-            .enumerate()
-            .all(|(i, want)| bit_identical(&arena.report(i), want));
+    let guard = AllocGuard::begin("bench.des_steady");
+    let identical = reference.reports.len() == scenarios.len()
+        && scenarios.iter().zip(&reference.reports).all(|(sc, want)| {
+            runner
+                .run(platform, sc.workload, &sc.assignment, sc.iterations)
+                .same_bits(&want.view())
+        });
+    let stats = guard.finish();
+    if stats.count > worst.count {
+        worst = stats;
+    }
+
     let per_scenario = worst.count as f64 / scenarios.len().max(1) as f64;
     (
         AllocSample {
@@ -390,12 +381,12 @@ fn main() {
         .expect("at least one single-worker pass");
     identical = identical && fleets_identical(&des_a, &des_one);
 
-    let (des_steady, per_scenario, arena_identical) =
+    let (des_steady, per_scenario, steady_identical) =
         measure_des_steady(&platform, &scenarios, &des_a);
     let bb_expansion = measure_bb_expansion(&platform);
 
     // The uplift claim is about the *measurement backend*: the zero-copy
-    // arena path replaces the report-collecting batch as the hot loop of
+    // runner loop replaces the report-collecting batch as the hot loop of
     // schedule search, evaluated on the same scenarios the baseline
     // constant was calibrated on.
     let steady_rate = des_steady.scenarios_per_sec;
@@ -422,7 +413,7 @@ fn main() {
             des_steady,
             allocs_per_scenario_steady: per_scenario,
             bb_expansion,
-            arena_reports_bit_identical: arena_identical,
+            steady_views_bit_identical: steady_identical,
         },
     };
     let json = serde_json::to_string_pretty(&out).expect("serialize");
@@ -440,8 +431,8 @@ fn main() {
         eprintln!("FAIL: fleet reports are not bit-identical across runs/worker counts");
         failed = true;
     }
-    if !arena_identical {
-        eprintln!("FAIL: FleetArena reports diverge from evaluate_fleet reports");
+    if !steady_identical {
+        eprintln!("FAIL: steady-state runner views diverge from evaluate_fleet reports");
         failed = true;
     }
     if is_counting() {

@@ -17,7 +17,7 @@
 use haxconn_bench::profile;
 use haxconn_contention::ContentionModel;
 use haxconn_core::baselines::{Baseline, BaselineKind};
-use haxconn_core::measure::measure;
+use haxconn_core::measure::execute;
 use haxconn_core::problem::{DnnTask, SchedulerConfig, Workload};
 use haxconn_core::scheduler::HaxConn;
 use haxconn_dnn::Model;
@@ -32,11 +32,11 @@ fn gain_on(platform: &Platform) -> (f64, f64) {
     let mut best = f64::INFINITY;
     for &kind in BaselineKind::all() {
         let a = Baseline::assignment(kind, platform, &workload);
-        best = best.min(measure(platform, &workload, &a).latency_ms);
+        best = best.min(execute(platform, &workload, &a).makespan_ms);
     }
     let s =
         HaxConn::schedule_validated(platform, &workload, &contention, SchedulerConfig::default());
-    let hax = measure(platform, &workload, &s.assignment).latency_ms;
+    let hax = execute(platform, &workload, &s.assignment).makespan_ms;
     (hax, 100.0 * (best - hax) / best)
 }
 

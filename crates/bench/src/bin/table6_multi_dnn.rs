@@ -17,7 +17,7 @@
 use haxconn_bench::{improvement_pct, profile, transition_summary};
 use haxconn_contention::ContentionModel;
 use haxconn_core::baselines::{Baseline, BaselineKind};
-use haxconn_core::measure::measure;
+use haxconn_core::measure::execute;
 use haxconn_core::problem::{DnnTask, Objective, SchedulerConfig, Workload};
 use haxconn_core::scheduler::HaxConn;
 use haxconn_dnn::Model;
@@ -176,13 +176,13 @@ fn main() {
         let mut best_lat = f64::INFINITY;
         for &kind in BaselineKind::all() {
             let a = Baseline::assignment(kind, platform, &workload);
-            let m = measure(platform, &workload, &a);
-            best_lat = best_lat.min(m.latency_ms);
+            let m = execute(platform, &workload, &a);
+            best_lat = best_lat.min(m.makespan_ms);
             println!(
                 "  {:<10} lat {:>8.2} ms  fps {:>7.1}",
                 kind.name(),
-                m.latency_ms,
-                fps_of(m.latency_ms)
+                m.makespan_ms,
+                fps_of(m.makespan_ms)
             );
         }
         // For unrolled streaming pipelines, "Max FPS" = maximize
@@ -200,13 +200,13 @@ fn main() {
             &contention,
             SchedulerConfig::with_objective(sched_goal),
         );
-        let m = measure(platform, &workload, &schedule.assignment);
+        let m = execute(platform, &workload, &schedule.assignment);
         println!(
             "  {:<10} lat {:>8.2} ms  fps {:>7.1}   improvement: {:+.0}%",
             "HaX-CoNN",
-            m.latency_ms,
-            fps_of(m.latency_ms),
-            improvement_pct(best_lat, m.latency_ms),
+            m.makespan_ms,
+            fps_of(m.makespan_ms),
+            improvement_pct(best_lat, m.makespan_ms),
         );
         println!(
             "  schedule: {} | TR: {}\n",

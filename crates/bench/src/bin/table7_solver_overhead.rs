@@ -10,7 +10,7 @@ use haxconn_bench::profile;
 use haxconn_core::measure::staged;
 use haxconn_core::problem::{DnnTask, Workload};
 use haxconn_dnn::Model;
-use haxconn_soc::{orin_agx, replay, LayerCost, ReplayRun, WorkItem};
+use haxconn_soc::{orin_agx, replay, ExecutionReport, LayerCost, WorkItem};
 
 fn main() {
     let platform = orin_agx().with_cpu();
@@ -79,7 +79,7 @@ fn main() {
         // contention; excludes queue-ordering shifts of GPU-fallback
         // groups, which are noise of the concurrent setup, not solver
         // interference).
-        let stretch = |run: &ReplayRun| -> f64 {
+        let stretch = |run: &ExecutionReport| -> f64 {
             let mut weighted = 0.0;
             let mut weight = 0.0;
             for r in run.by_task().iter().filter(|r| r.task < work.num_tasks()) {

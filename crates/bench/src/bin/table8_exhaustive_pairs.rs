@@ -20,7 +20,7 @@
 use haxconn_bench::{par_map, profile};
 use haxconn_contention::ContentionModel;
 use haxconn_core::baselines::{Baseline, BaselineKind};
-use haxconn_core::measure::measure;
+use haxconn_core::measure::execute;
 use haxconn_core::problem::{DnnTask, Objective, SchedulerConfig, Workload};
 use haxconn_core::scheduler::HaxConn;
 use haxconn_dnn::Model;
@@ -83,7 +83,7 @@ fn main() {
         let mut best_tp = 0.0f64;
         for &kind in BaselineKind::all() {
             let a = Baseline::assignment(kind, &platform, &workload);
-            let tp = throughput(measure(&platform, &workload, &a).latency_ms);
+            let tp = throughput(execute(&platform, &workload, &a).makespan_ms);
             if tp > best_tp {
                 best_tp = tp;
                 best_name = kind.name().into();
@@ -95,7 +95,7 @@ fn main() {
             &contention,
             SchedulerConfig::with_objective(Objective::MinMaxLatency),
         );
-        let hax_tp = throughput(measure(&platform, &workload, &schedule.assignment).latency_ms);
+        let hax_tp = throughput(execute(&platform, &workload, &schedule.assignment).makespan_ms);
         let f = hax_tp / best_tp;
         Cell {
             i,

@@ -25,7 +25,7 @@ pub mod microbench;
 
 use haxconn_contention::ContentionModel;
 use haxconn_core::baselines::{Baseline, BaselineKind};
-use haxconn_core::measure::{measure, Measurement};
+use haxconn_core::measure::{execute, ExecutionReport};
 use haxconn_core::problem::{DnnTask, Objective, SchedulerConfig, Workload};
 use haxconn_core::scheduler::{HaxConn, Schedule};
 use haxconn_dnn::Model;
@@ -61,7 +61,7 @@ pub struct Outcome {
     /// Scheduler label.
     pub name: String,
     /// Measured metrics on the ground-truth simulator.
-    pub measured: Measurement,
+    pub measured: ExecutionReport,
 }
 
 /// Measures every baseline plus HaX-CoNN on `workload`; returns the
@@ -78,7 +78,7 @@ pub fn compare_all(
             let a = Baseline::assignment(kind, platform, workload);
             Outcome {
                 name: kind.name().to_string(),
-                measured: measure(platform, workload, &a),
+                measured: execute(platform, workload, &a),
             }
         })
         .collect();
@@ -93,7 +93,7 @@ pub fn compare_all(
     );
     let hax = Outcome {
         name: "HaX-CoNN".to_string(),
-        measured: measure(platform, workload, &schedule.assignment),
+        measured: execute(platform, workload, &schedule.assignment),
     };
     (baselines, hax, schedule)
 }
@@ -104,8 +104,8 @@ pub fn best_baseline(outcomes: &[Outcome]) -> &Outcome {
         .iter()
         .min_by(|a, b| {
             a.measured
-                .latency_ms
-                .partial_cmp(&b.measured.latency_ms)
+                .makespan_ms
+                .partial_cmp(&b.measured.makespan_ms)
                 .expect("no NaN")
         })
         .expect("baselines nonempty")
@@ -115,7 +115,12 @@ pub fn best_baseline(outcomes: &[Outcome]) -> &Outcome {
 pub fn best_baseline_fps(outcomes: &[Outcome]) -> &Outcome {
     outcomes
         .iter()
-        .max_by(|a, b| a.measured.fps.partial_cmp(&b.measured.fps).expect("no NaN"))
+        .max_by(|a, b| {
+            a.measured
+                .fps()
+                .partial_cmp(&b.measured.fps())
+                .expect("no NaN")
+        })
         .expect("baselines nonempty")
 }
 
@@ -158,7 +163,7 @@ mod tests {
         assert_eq!(bases.len(), BaselineKind::all().len());
         let best = best_baseline(&bases);
         // The never-worse guarantee, end to end.
-        assert!(hax.measured.latency_ms <= best.measured.latency_ms * 1.02);
+        assert!(hax.measured.makespan_ms <= best.measured.makespan_ms * 1.02);
         assert!(!schedule.assignment.is_empty());
         assert!(improvement_pct(10.0, 8.0) > 19.9);
     }

@@ -14,13 +14,11 @@
 //!
 //! Every schedule the stack emits (solver winners and baselines alike) is
 //! run through the invariant validator; a single violation or divergence
-//! fails the run. Solver winners are additionally executed twice (must be
-//! bit-identical — the determinism contract) and measured, and the
-//! measured makespan must be the executed makespan's exact bits: both are
-//! views of the one contention replay. Small workloads keep exhaustive
-//! enumeration cheap, so
-//! hundreds of scenarios complete in seconds in release builds — CI runs
-//! 500 on a fixed seed.
+//! fails the run. Solver winners are additionally executed twice, and the
+//! two reports must hold the same bits in every field — the replay's
+//! determinism contract. Small workloads keep exhaustive enumeration
+//! cheap, so hundreds of scenarios complete in seconds in release builds —
+//! CI runs 500 on a fixed seed.
 
 use haxconn_contention::ContentionModel;
 use haxconn_core::scheduler::objective_cost;
@@ -113,8 +111,8 @@ pub struct FuzzReport {
     pub scenarios: usize,
     /// Schedules/timelines run through the validator.
     pub schedules_validated: usize,
-    /// Schedules executed twice and measured once: repeat runs and
-    /// `measure` must agree with `execute` bit-for-bit.
+    /// Schedules executed twice: the repeat run must agree with the first
+    /// bit-for-bit.
     pub executions_checked: usize,
     /// Portfolio incumbents validated against the encoding (large-instance
     /// mode).
@@ -136,7 +134,7 @@ impl fmt::Display for FuzzReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "fuzz: {} scenarios, {} schedules validated, {} executions checked (measure == execute bit-for-bit), {} incumbents validated, {} divergences, {} violations",
+            "fuzz: {} scenarios, {} schedules validated, {} executions checked (replayed twice, bit-identical), {} incumbents validated, {} divergences, {} violations",
             self.scenarios,
             self.schedules_validated,
             self.executions_checked,
@@ -330,32 +328,14 @@ pub fn run(config: &FuzzConfig) -> FuzzReport {
                 report.violations.push((scenario, v));
             }
 
-            // --- Replay: bit-deterministic, and `measure` is the same
-            // bits as `execute`. -----------------------------------------
+            // --- Replay: bit-deterministic in every field. --------------
             let a = execute(&platform, &workload, &schedule.assignment);
             let b = execute(&platform, &workload, &schedule.assignment);
-            let bit_identical = a.makespan_ms.to_bits() == b.makespan_ms.to_bits()
-                && a.task_latency_ms.len() == b.task_latency_ms.len()
-                && a.task_latency_ms
-                    .iter()
-                    .zip(b.task_latency_ms.iter())
-                    .all(|(x, y)| x.to_bits() == y.to_bits());
-            if !bit_identical {
+            if !a.view().same_bits(&b.view()) {
                 diverge(
                     format!(
                         "replay nondeterministic: makespan {} vs {}",
                         a.makespan_ms, b.makespan_ms
-                    ),
-                    &mut report,
-                );
-            }
-            let measured =
-                haxconn_core::measure::measure(&platform, &workload, &schedule.assignment);
-            if measured.latency_ms.to_bits() != a.makespan_ms.to_bits() {
-                diverge(
-                    format!(
-                        "measure() makespan {:e} ms is not execute()'s {:e} ms",
-                        measured.latency_ms, a.makespan_ms
                     ),
                     &mut report,
                 );

@@ -219,7 +219,7 @@ impl Baseline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::measure::measure;
+    use crate::measure::execute;
     use crate::problem::DnnTask;
     use haxconn_dnn::Model;
     use haxconn_profiler::NetworkProfile;
@@ -304,9 +304,9 @@ mod tests {
         let (p, w) = setup(&[Model::GoogleNet, Model::ResNet101]);
         for &kind in BaselineKind::all() {
             let a = Baseline::assignment(kind, &p, &w);
-            let m = measure(&p, &w, &a);
-            assert!(m.latency_ms > 0.0, "{kind}");
-            assert!(m.fps > 0.0, "{kind}");
+            let m = execute(&p, &w, &a);
+            assert!(m.makespan_ms > 0.0, "{kind}");
+            assert!(m.fps() > 0.0, "{kind}");
         }
     }
 }

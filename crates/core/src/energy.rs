@@ -181,7 +181,7 @@ pub fn schedule_min_energy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::measure::measure;
+    use crate::measure::execute;
     use crate::problem::DnnTask;
     use crate::scheduler::HaxConn;
     use haxconn_dnn::Model;
@@ -234,7 +234,7 @@ mod tests {
         let (p, w, cm, pm) = setup();
         // Reference latency: the latency-optimal schedule.
         let fast = HaxConn::schedule(&p, &w, &cm, SchedulerConfig::default());
-        let fast_ms = measure(&p, &w, &fast.assignment).latency_ms;
+        let fast_ms = execute(&p, &w, &fast.assignment).makespan_ms;
 
         let tight = schedule_min_energy(
             &p,
@@ -266,7 +266,7 @@ mod tests {
             |a: &Vec<Vec<PuId>>| a.iter().flatten().filter(|&&pu| pu == p.dsa()).count();
         assert!(dla_groups(&loose.assignment) >= dla_groups(&tight.assignment));
         // And its measured latency stays within its (generous) budget.
-        let loose_ms = measure(&p, &w, &loose.assignment).latency_ms;
+        let loose_ms = execute(&p, &w, &loose.assignment).makespan_ms;
         assert!(loose_ms <= fast_ms * 4.5);
     }
 
@@ -285,8 +285,8 @@ mod tests {
             .iter()
             .map(|t| vec![p.gpu(); t.num_groups()])
             .collect();
-        let m = measure(&p, &w, &gpu_only);
-        let r = energy_of(&w, &gpu_only, &pm, m.latency_ms);
+        let m = execute(&p, &w, &gpu_only);
+        let r = energy_of(&w, &gpu_only, &pm, m.makespan_ms);
         assert!(r.dynamic_mj > 0.0);
         assert!(r.static_mj > 0.0);
         assert!((r.total_mj() - (r.dynamic_mj + r.static_mj)).abs() < 1e-12);

@@ -4,7 +4,7 @@
 //! a terminal-friendly version of the paper's Fig. 1 timelines. Used by the
 //! CLI (`schedule --gantt`) and handy in tests and examples.
 
-use crate::measure::{staged, Measurement};
+use crate::measure::{staged, ExecutionReport};
 use crate::problem::Workload;
 use haxconn_soc::{Platform, PuId};
 
@@ -26,16 +26,16 @@ pub fn render_gantt(
     platform: &Platform,
     workload: &Workload,
     assignment: &[Vec<PuId>],
-    measurement: &Measurement,
+    report: &ExecutionReport,
     width: usize,
 ) -> String {
     assert!(width >= 20, "gantt needs at least 20 columns");
     let work = staged(workload, assignment);
-    let horizon = measurement.latency_ms.max(1e-9);
+    let horizon = report.makespan_ms.max(1e-9);
     let scale = |t: f64| ((t / horizon) * (width as f64 - 1.0)).round() as usize;
 
     let mut tracks: Vec<Vec<Bar>> = vec![Vec::new(); platform.pus.len()];
-    for r in measurement.raw.by_task() {
+    for r in report.by_task() {
         let item = work.item(&r);
         tracks[item.pu].push(Bar {
             start_ms: r.start_ms,
@@ -90,7 +90,7 @@ pub fn render_gantt(
 mod tests {
     use super::*;
     use crate::baselines::{Baseline, BaselineKind};
-    use crate::measure::measure;
+    use crate::measure::execute;
     use crate::problem::DnnTask;
     use haxconn_dnn::Model;
     use haxconn_profiler::NetworkProfile;
@@ -109,7 +109,7 @@ mod tests {
     fn renders_one_row_per_pu_with_legend() {
         let (p, w) = setup();
         let a = Baseline::assignment(BaselineKind::NaiveSplit, &p, &w);
-        let m = measure(&p, &w, &a);
+        let m = execute(&p, &w, &a);
         let g = render_gantt(&p, &w, &a, &m, 60);
         let lines: Vec<&str> = g.lines().collect();
         // PU rows + axis + legend entries.
@@ -125,7 +125,7 @@ mod tests {
     fn split_assignment_puts_letters_on_different_tracks() {
         let (p, w) = setup();
         let a = Baseline::assignment(BaselineKind::NaiveSplit, &p, &w);
-        let m = measure(&p, &w, &a);
+        let m = execute(&p, &w, &a);
         let g = render_gantt(&p, &w, &a, &m, 80);
         let lines: Vec<&str> = g.lines().collect();
         // The DLA track must carry work from at least one task.
@@ -140,7 +140,7 @@ mod tests {
     fn row_width_is_respected() {
         let (p, w) = setup();
         let a = Baseline::assignment(BaselineKind::GpuOnly, &p, &w);
-        let m = measure(&p, &w, &a);
+        let m = execute(&p, &w, &a);
         for width in [20usize, 40, 100] {
             let g = render_gantt(&p, &w, &a, &m, width);
             for line in g.lines().take(p.pus.len()) {
@@ -155,7 +155,7 @@ mod tests {
     fn tiny_width_rejected() {
         let (p, w) = setup();
         let a = Baseline::assignment(BaselineKind::GpuOnly, &p, &w);
-        let m = measure(&p, &w, &a);
+        let m = execute(&p, &w, &a);
         render_gantt(&p, &w, &a, &m, 5);
     }
 }

@@ -43,8 +43,8 @@
 //! * [`engine`] — the thread-shareable serving [`Engine`] (schedule
 //!   cache, request coalescing, admission control, degraded baseline
 //!   fallback),
-//! * [`mod@measure`] — conversion of schedules into ground-truth simulator runs
-//!   and paper-style metrics (latency, FPS, slowdown).
+//! * [`mod@measure`] — schedules replayed on the SoC into the one
+//!   [`ExecutionReport`] (latency, FPS, per-task slowdown on demand).
 
 pub mod arrival;
 pub mod baselines;
@@ -79,7 +79,7 @@ pub use engine::{
 };
 pub use error::{parse_model, parse_objective, parse_platform, HaxError};
 pub use gantt::render_gantt;
-pub use measure::{aggregate_fps, measure, stage, Measurement};
+pub use measure::{execute, execute_loop, stage, task_slowdown, DesRunner, ExecutionReport};
 pub use problem::{DnnTask, Objective, SchedulerConfig, Workload};
 pub use scenario::{generate_instance, generate_instance_on, GeneratedInstance, Scenario};
 pub use scheduler::{HaxConn, Schedule, ScheduleOrigin, Transition};

@@ -238,7 +238,7 @@ pub fn generate_instance_on(
 mod tests {
     use super::*;
     use crate::baselines::{Baseline, BaselineKind};
-    use crate::measure::measure;
+    use crate::measure::execute;
     use crate::problem::SchedulerConfig;
     use crate::scheduler::HaxConn;
     use haxconn_contention::ContentionModel;
@@ -312,15 +312,15 @@ mod tests {
             let w = s.workload(&p, 6);
             let cfg = SchedulerConfig::with_objective(s.default_objective());
             let sched = HaxConn::schedule_validated(&p, &w, &cm, cfg);
-            let hax = measure(&p, &w, &sched.assignment);
+            let hax = execute(&p, &w, &sched.assignment);
             for &kind in BaselineKind::all() {
                 let a = Baseline::assignment(kind, &p, &w);
-                let base = measure(&p, &w, &a);
+                let base = execute(&p, &w, &a);
                 match cfg.objective {
                     Objective::MinMaxLatency => {
-                        assert!(hax.latency_ms <= base.latency_ms + 1e-9)
+                        assert!(hax.makespan_ms <= base.makespan_ms + 1e-9)
                     }
-                    Objective::MaxThroughput => assert!(hax.fps >= base.fps - 1e-9),
+                    Objective::MaxThroughput => assert!(hax.fps() >= base.fps() - 1e-9),
                 }
             }
         }

@@ -6,7 +6,7 @@ use crate::error::HaxError;
 use crate::problem::{Objective, SchedulerConfig, Workload};
 use crate::timeline::{PredictedTimeline, TimelineEvaluator};
 use haxconn_contention::ContentionModel;
-use haxconn_soc::{DesWork, Platform, PuId, PuKind, Replayer};
+use haxconn_soc::{Platform, PuId, PuKind};
 use haxconn_solver::{solve_auto, Assignment, CostModel, SolveOptions};
 
 /// An inter-accelerator transition in a schedule (the "TR / Dir." columns of
@@ -229,15 +229,13 @@ impl HaxConn {
         config: SchedulerConfig,
     ) -> Result<Schedule, HaxError> {
         let mut winner = Self::try_schedule(platform, workload, model, config)?;
-        // One pooled replay scores every candidate.
-        let mut work = DesWork::new();
-        let mut replayer = Replayer::new();
+        // One pooled runner scores every candidate.
+        let mut runner = crate::measure::DesRunner::new();
         let mut measured_cost = |assignment: &Vec<Vec<PuId>>| -> f64 {
-            crate::measure::stage(&mut work, workload, assignment);
-            let run = replayer.run(platform, &work, 1);
+            let view = runner.run(platform, workload, assignment, 1);
             match config.objective {
-                Objective::MinMaxLatency => run.makespan_ms,
-                Objective::MaxThroughput => -crate::measure::aggregate_fps(run.task_latency_ms),
+                Objective::MinMaxLatency => view.makespan_ms,
+                Objective::MaxThroughput => -view.fps(),
             }
         };
         let mut best_cost = measured_cost(&winner.assignment);
@@ -362,7 +360,7 @@ pub fn objective_cost(objective: Objective, tl: &PredictedTimeline) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::measure::measure;
+    use crate::measure::execute;
     use crate::problem::DnnTask;
     use haxconn_dnn::Model;
     use haxconn_profiler::NetworkProfile;
@@ -383,10 +381,10 @@ mod tests {
         let (p, w, cm) = setup(&[Model::GoogleNet, Model::ResNet101], 8);
         let cfg = SchedulerConfig::default();
         let s = HaxConn::schedule(&p, &w, &cm, cfg);
-        let hax = measure(&p, &w, &s.assignment).latency_ms;
+        let hax = execute(&p, &w, &s.assignment).makespan_ms;
         for &kind in BaselineKind::all() {
             let a = Baseline::assignment(kind, &p, &w);
-            let base = measure(&p, &w, &a).latency_ms;
+            let base = execute(&p, &w, &a).makespan_ms;
             assert!(hax <= base * 1.02, "{kind}: HaX-CoNN {hax:.3} vs {base:.3}");
         }
     }
@@ -438,8 +436,8 @@ mod tests {
         let cfg = SchedulerConfig::with_objective(Objective::MaxThroughput);
         let s = HaxConn::schedule(&p, &w, &cm, cfg);
         assert!(s.cost < 0.0, "throughput cost is negated FPS");
-        let m = measure(&p, &w, &s.assignment);
-        assert!(m.fps > 0.0);
+        let m = execute(&p, &w, &s.assignment);
+        assert!(m.fps() > 0.0);
     }
 
     /// GoogleNet + ResNet101 at 8 groups each is a 16-variable encoding,
@@ -517,9 +515,9 @@ mod tests {
         // bounce to the DLA (transitions cost, DLA is slower).
         let (p, w, cm) = setup(&[Model::ResNet50], 8);
         let s = HaxConn::schedule(&p, &w, &cm, SchedulerConfig::default());
-        let m_s = measure(&p, &w, &s.assignment).latency_ms;
+        let m_s = execute(&p, &w, &s.assignment).makespan_ms;
         let gpu = Baseline::assignment(BaselineKind::GpuOnly, &p, &w);
-        let m_g = measure(&p, &w, &gpu).latency_ms;
+        let m_g = execute(&p, &w, &gpu).makespan_ms;
         assert!(m_s <= m_g * 1.01);
     }
 }

@@ -6,7 +6,7 @@
 //! event. Loading the JSON into Perfetto gives exactly the Fig. 1 / Fig. 4
 //! style visualizations of the paper.
 
-use crate::measure::{staged, Measurement};
+use crate::measure::{staged, ExecutionReport};
 use crate::problem::Workload;
 use haxconn_soc::{Platform, PuId};
 use serde::Serialize;
@@ -91,7 +91,7 @@ pub fn chrome_trace_json(
     platform: &Platform,
     workload: &Workload,
     assignment: &[Vec<PuId>],
-    measurement: &Measurement,
+    report: &ExecutionReport,
 ) -> String {
     let work = staged(workload, assignment);
     let mut parts: Vec<String> = Vec::new();
@@ -107,7 +107,7 @@ pub fn chrome_trace_json(
         parts.push(serde_json::to_string(&ev).expect("serialize metadata"));
     }
 
-    let records = measurement.raw.by_task();
+    let records = report.by_task();
     for chain in records.chunk_by(|a, b| a.task == b.task) {
         let task_name = &workload.tasks[chain[0].task].name;
         let mut group_idx = 0usize;
@@ -142,7 +142,7 @@ pub fn chrome_trace_json(
     // EMC bandwidth as a counter track: one sample per re-arbitration
     // point of the fluid replay, so Perfetto draws the contention
     // profile directly under the Gantt tracks.
-    for &(t_ms, gbps) in &measurement.raw.emc_series {
+    for &(t_ms, gbps) in &report.emc_series {
         push_counter(&mut parts, "EMC bandwidth (GB/s)", t_ms * 1e3, gbps);
     }
     format!("[{}]", parts.join(",\n"))
@@ -158,10 +158,10 @@ pub fn chrome_trace_json_with_snapshot(
     platform: &Platform,
     workload: &Workload,
     assignment: &[Vec<PuId>],
-    measurement: &Measurement,
+    report: &ExecutionReport,
     snapshot: &haxconn_telemetry::Snapshot,
 ) -> String {
-    let base = chrome_trace_json(platform, workload, assignment, measurement);
+    let base = chrome_trace_json(platform, workload, assignment, report);
     let mut parts: Vec<String> = Vec::new();
     for (name, series) in &snapshot.series {
         for &(t_ms, value) in &series.points {
@@ -222,7 +222,7 @@ pub fn chrome_trace_json_with_snapshot(
 mod tests {
     use super::*;
     use crate::baselines::{Baseline, BaselineKind};
-    use crate::measure::measure;
+    use crate::measure::execute;
     use crate::problem::DnnTask;
     use haxconn_dnn::Model;
     use haxconn_profiler::NetworkProfile;
@@ -241,7 +241,7 @@ mod tests {
     fn trace_is_valid_json_with_expected_events() {
         let (p, w) = setup();
         let a = Baseline::assignment(BaselineKind::NaiveSplit, &p, &w);
-        let m = measure(&p, &w, &a);
+        let m = execute(&p, &w, &a);
         let json = chrome_trace_json(&p, &w, &a, &m);
         let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
         let events = parsed.as_array().expect("array");
@@ -268,7 +268,7 @@ mod tests {
                 a[0][g] = p.dsa();
             }
         }
-        let m = measure(&p, &w, &a);
+        let m = execute(&p, &w, &a);
         let json = chrome_trace_json(&p, &w, &a, &m);
         let parsed: serde_json::Value = serde_json::from_str(&json).unwrap();
         let transitions = parsed
@@ -284,7 +284,7 @@ mod tests {
     fn emc_counter_track_present_and_bounded() {
         let (p, w) = setup();
         let a = Baseline::assignment(BaselineKind::NaiveSplit, &p, &w);
-        let m = measure(&p, &w, &a);
+        let m = execute(&p, &w, &a);
         let json = chrome_trace_json(&p, &w, &a, &m);
         let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
         let counters: Vec<&serde_json::Value> = parsed
@@ -309,7 +309,7 @@ mod tests {
     fn snapshot_merge_adds_counter_and_span_tracks() {
         let (p, w) = setup();
         let a = Baseline::assignment(BaselineKind::NaiveSplit, &p, &w);
-        let m = measure(&p, &w, &a);
+        let m = execute(&p, &w, &a);
         let mut snap = haxconn_telemetry::Snapshot::default();
         let mut series = haxconn_telemetry::Series::default();
         series.record(0.0, 1.0);
@@ -340,7 +340,7 @@ mod tests {
     fn events_sorted_within_each_job_chain() {
         let (p, w) = setup();
         let a = Baseline::assignment(BaselineKind::NaiveSplit, &p, &w);
-        let m = measure(&p, &w, &a);
+        let m = execute(&p, &w, &a);
         let json = chrome_trace_json(&p, &w, &a, &m);
         let parsed: serde_json::Value = serde_json::from_str(&json).unwrap();
         // For each task name, the events' ts values are non-decreasing in

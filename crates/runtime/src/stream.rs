@@ -172,7 +172,7 @@ pub fn try_simulate_stream(cfg: StreamConfig) -> Result<StreamReport, HaxError> 
     engine.schedule(SimTime::ZERO, Ev::Arrival(0));
     let end = engine.run();
     let m = engine.into_model();
-    // Mirror the fps guard in `aggregate_fps`: with zero processed frames
+    // Mirror the fps guard of `ExecutionReport::fps`: with zero processed frames
     // there are no latency observations, so both aggregates pin to 0.0
     // instead of dividing by zero or reporting a stale accumulator.
     let (worst, mean) = if m.processed > 0 {

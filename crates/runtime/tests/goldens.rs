@@ -178,9 +178,9 @@ fn execute_reports_match_goldens_bit_for_bit() {
             println!(
                 "    Golden {{ name: {name:?}, makespan: {:#x}, fps: {:#x}, emc_mean: {:#x}, items: {}, fingerprint: {:#x} }},",
                 r.makespan_ms.to_bits(),
-                r.fps.to_bits(),
+                r.fps().to_bits(),
                 r.emc_mean_gbps.to_bits(),
-                r.items_executed,
+                r.records.len(),
                 fingerprint(r)
             );
         }
@@ -190,9 +190,9 @@ fn execute_reports_match_goldens_bit_for_bit() {
     for ((name, r), g) in got.iter().zip(GOLDENS) {
         assert_eq!(*name, g.name);
         assert_eq!(r.makespan_ms.to_bits(), g.makespan, "{name}: makespan");
-        assert_eq!(r.fps.to_bits(), g.fps, "{name}: fps");
+        assert_eq!(r.fps().to_bits(), g.fps, "{name}: fps");
         assert_eq!(r.emc_mean_gbps.to_bits(), g.emc_mean, "{name}: emc mean");
-        assert_eq!(r.items_executed, g.items, "{name}: items");
+        assert_eq!(r.records.len(), g.items, "{name}: items");
         assert_eq!(fingerprint(r), g.fingerprint, "{name}: fingerprint");
     }
 }

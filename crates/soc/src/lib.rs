@@ -22,8 +22,8 @@
 //!   of work items racing on different PUs under EMC arbitration, with
 //!   per-PU FIFO serialization and frame-level dependencies between
 //!   chains, as discrete events on the `haxconn-des` engine. It is the one
-//!   ground truth behind every measured number: `measure()`, the runtime's
-//!   `execute`, and fleet evaluation are views over it.
+//!   ground truth behind every measured number: `execute`, `execute_loop`
+//!   and fleet evaluation all copy out its one [`ExecutionReport`].
 //!
 //! Platform models calibrated against Table 4 of the paper live in
 //! [`platform`].
@@ -43,5 +43,5 @@ pub use platform::{
 pub use power::{EnergyReport, PowerModel, PowerSpec};
 pub use pu::{PuId, PuKind, PuSpec};
 pub use replay::{
-    flush_telemetry, replay, DesWork, ItemRecord, ReplayRun, ReplayView, Replayer, WorkItem,
+    flush_telemetry, replay, DesWork, ExecutionReport, ItemRecord, ReplayView, Replayer, WorkItem,
 };

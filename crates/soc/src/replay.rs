@@ -157,7 +157,7 @@ impl ItemRecord {
 }
 
 /// Borrowed result of the last run, backed by the [`Replayer`]'s pooled
-/// workspace.
+/// workspace: the fields of [`ExecutionReport`] without owning them.
 #[derive(Debug, Clone, Copy)]
 pub struct ReplayView<'a> {
     /// Completion time of each task's last frame, ms.
@@ -175,12 +175,64 @@ pub struct ReplayView<'a> {
     /// Piecewise-constant EMC traffic: `(t_ms, gbps)` at every
     /// re-arbitration point, closed by `(makespan, 0.0)`.
     pub emc_series: &'a [(f64, f64)],
+    /// Frames replayed per task.
+    pub frames: usize,
 }
 
 impl ReplayView<'_> {
+    /// Aggregate frames per second, the one FPS convention of every
+    /// report:
+    ///
+    /// * one frame (the paper's tables): each task contributes
+    ///   `1000 / latency`, skipping degenerate (zero or non-finite)
+    ///   latencies so the sum stays finite;
+    /// * more frames (the continuous loop): frames completed per second of
+    ///   virtual time, `1000 · frames · tasks / makespan`.
+    pub fn fps(&self) -> f64 {
+        if self.frames == 1 {
+            self.task_latency_ms
+                .iter()
+                .filter(|l| l.is_finite() && **l > 0.0)
+                .map(|l| 1000.0 / *l)
+                .sum()
+        } else if self.makespan_ms > 0.0 && self.makespan_ms.is_finite() {
+            1000.0 * (self.frames * self.task_latency_ms.len()) as f64 / self.makespan_ms
+        } else {
+            0.0
+        }
+    }
+
+    /// Whether `other` holds the same bits in every field — the replay's
+    /// determinism contract, which every repeat run, worker count and
+    /// entry point must meet. Allocation-free, so it may check views
+    /// inside a zero-allocation loop.
+    pub fn same_bits(&self, other: &ReplayView<'_>) -> bool {
+        fn f64s(a: &[f64], b: &[f64]) -> bool {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        }
+        self.frames == other.frames
+            && self.makespan_ms.to_bits() == other.makespan_ms.to_bits()
+            && self.emc_mean_gbps.to_bits() == other.emc_mean_gbps.to_bits()
+            && self.emc_peak_gbps.to_bits() == other.emc_peak_gbps.to_bits()
+            && f64s(self.task_latency_ms, other.task_latency_ms)
+            && f64s(self.pu_busy_ms, other.pu_busy_ms)
+            && self.records.len() == other.records.len()
+            && self.records.iter().zip(other.records).all(|(x, y)| {
+                (x.token, x.task, x.item, x.pu) == (y.token, y.task, y.item, y.pu)
+                    && x.start_ms.to_bits() == y.start_ms.to_bits()
+                    && x.end_ms.to_bits() == y.end_ms.to_bits()
+            })
+            && self.emc_series.len() == other.emc_series.len()
+            && self
+                .emc_series
+                .iter()
+                .zip(other.emc_series)
+                .all(|(x, y)| x.0.to_bits() == y.0.to_bits() && x.1.to_bits() == y.1.to_bits())
+    }
+
     /// Owned copy of this result.
-    pub fn to_run(&self) -> ReplayRun {
-        ReplayRun {
+    pub fn to_report(&self) -> ExecutionReport {
+        ExecutionReport {
             task_latency_ms: self.task_latency_ms.to_vec(),
             makespan_ms: self.makespan_ms,
             pu_busy_ms: self.pu_busy_ms.to_vec(),
@@ -188,13 +240,15 @@ impl ReplayView<'_> {
             emc_peak_gbps: self.emc_peak_gbps,
             records: self.records.to_vec(),
             emc_series: self.emc_series.to_vec(),
+            frames: self.frames,
         }
     }
 }
 
-/// Owned result of one run; the fields of [`ReplayView`].
+/// Owned result of one run: the one report every measured number is read
+/// from.
 #[derive(Debug, Clone)]
-pub struct ReplayRun {
+pub struct ExecutionReport {
     /// Completion time of each task's last frame, ms.
     pub task_latency_ms: Vec<f64>,
     /// Completion of the last item, ms.
@@ -205,14 +259,36 @@ pub struct ReplayRun {
     pub emc_mean_gbps: f64,
     /// Peak EMC traffic, GB/s.
     pub emc_peak_gbps: f64,
-    /// Per-item completion records, in completion order.
+    /// Per-item completion records (layer groups and transition steps), in
+    /// completion order.
     pub records: Vec<ItemRecord>,
     /// Piecewise-constant EMC traffic: `(t_ms, gbps)` at every
     /// re-arbitration point, closed by `(makespan, 0.0)`.
     pub emc_series: Vec<(f64, f64)>,
+    /// Frames replayed per task.
+    pub frames: usize,
 }
 
-impl ReplayRun {
+impl ExecutionReport {
+    /// Borrowed view of this report.
+    pub fn view(&self) -> ReplayView<'_> {
+        ReplayView {
+            task_latency_ms: &self.task_latency_ms,
+            makespan_ms: self.makespan_ms,
+            pu_busy_ms: &self.pu_busy_ms,
+            emc_mean_gbps: self.emc_mean_gbps,
+            emc_peak_gbps: self.emc_peak_gbps,
+            records: &self.records,
+            emc_series: &self.emc_series,
+            frames: self.frames,
+        }
+    }
+
+    /// Aggregate frames per second; see [`ReplayView::fps`].
+    pub fn fps(&self) -> f64 {
+        self.view().fps()
+    }
+
     /// The records grouped by task, each task's in execution order (chain
     /// order, frame after frame).
     pub fn by_task(&self) -> Vec<ItemRecord> {
@@ -570,13 +646,14 @@ impl Replayer {
             emc_peak_gbps,
             records: &self.ws.records,
             emc_series: &self.ws.emc_series,
+            frames: iterations,
         }
     }
 }
 
 /// One-shot [`Replayer::run`] with an owned result.
-pub fn replay(platform: &Platform, work: &DesWork, iterations: usize) -> ReplayRun {
-    Replayer::new().run(platform, work, iterations).to_run()
+pub fn replay(platform: &Platform, work: &DesWork, iterations: usize) -> ExecutionReport {
+    Replayer::new().run(platform, work, iterations).to_report()
 }
 
 /// Upper bound on per-item spans emitted per run; a long frame loop would
@@ -672,14 +749,14 @@ mod tests {
     }
 
     /// The record of `(task, item)` in a single-frame run.
-    fn rec(r: &ReplayRun, task: usize, item: usize) -> ItemRecord {
+    fn rec(r: &ExecutionReport, task: usize, item: usize) -> ItemRecord {
         *r.records
             .iter()
             .find(|x| x.task == task && x.item == item)
             .expect("item executed")
     }
 
-    fn slowdown(r: &ReplayRun, w: &DesWork, task: usize, item: usize) -> f64 {
+    fn slowdown(r: &ExecutionReport, w: &DesWork, task: usize, item: usize) -> f64 {
         let x = rec(r, task, item);
         x.slowdown(&w.item(&x).cost)
     }
@@ -794,7 +871,7 @@ mod tests {
         let mut pooled = Replayer::new();
         // A different scenario first, so the reused workspace is dirty.
         pooled.run(&p, &chains(&[&[item(1, 9.0, 20.0, 0.5)]]), 2);
-        let again = pooled.run(&p, &w, 3).to_run();
+        let again = pooled.run(&p, &w, 3).to_report();
         assert_eq!(fresh.makespan_ms.to_bits(), again.makespan_ms.to_bits());
         assert_eq!(fresh.records.len(), 3 * w.total_items());
         for (a, b) in fresh.records.iter().zip(&again.records) {
@@ -814,6 +891,38 @@ mod tests {
             &items[..6],
             &[(0, 0), (0, 1), (0, 0), (0, 1), (0, 0), (0, 1)]
         );
+    }
+
+    #[test]
+    fn fps_is_one_convention_keyed_by_frame_count() {
+        let report = |lat: &[f64], makespan_ms: f64, frames: usize| ExecutionReport {
+            task_latency_ms: lat.to_vec(),
+            makespan_ms,
+            pu_busy_ms: Vec::new(),
+            emc_mean_gbps: 0.0,
+            emc_peak_gbps: 0.0,
+            records: Vec::new(),
+            emc_series: Vec::new(),
+            frames,
+        };
+        // One frame: Σ 1000/latency, skipping degenerate latencies.
+        assert_eq!(report(&[], 0.0, 1).fps(), 0.0);
+        let single = report(&[0.0, 10.0, f64::INFINITY, f64::NAN], 10.0, 1);
+        assert_eq!(single.fps(), 100.0);
+        // More frames: frames · tasks per second of virtual time.
+        assert_eq!(report(&[50.0, 100.0], 0.0, 5).fps(), 0.0);
+        assert_eq!(report(&[50.0, 100.0], 100.0, 5).fps(), 100.0);
+        // A replay stamps its frame count, and a view prices the same.
+        let p = orin_agx();
+        let w = chains(&[&[item(0, 2.0, 10.0, 0.9)], &[item(1, 4.0, 10.0, 0.9)]]);
+        let one = replay(&p, &w, 1);
+        assert_eq!(one.frames, 1);
+        assert_eq!(one.fps(), 1000.0 / 2.0 + 1000.0 / 4.0);
+        let mut pooled = Replayer::new();
+        let three = pooled.run(&p, &w, 3);
+        assert_eq!(three.frames, 3);
+        assert_eq!(three.fps(), 1000.0 * 6.0 / three.makespan_ms);
+        assert_eq!(three.fps().to_bits(), three.to_report().fps().to_bits());
     }
 
     #[test]

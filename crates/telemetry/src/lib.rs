@@ -8,9 +8,9 @@
 //! schedule-cache hit rates (`core::cache`), re-solve latencies
 //! (`core::dynamic`), queueing behaviour (`des`), and stream/arbiter
 //! occupancy (`runtime`). This crate gives them one write-side: a small
-//! set of instrument kinds behind a [`Recorder`] trait, a global
-//! recorder installed once per process, and a deterministic [`Snapshot`]
-//! with a documented JSON schema (see [`Snapshot::to_json`]).
+//! set of instrument kinds recorded into one process-global
+//! [`MemoryRecorder`], created on first use, and a deterministic
+//! [`Snapshot`] with a documented JSON schema (see [`Snapshot::to_json`]).
 //!
 //! # Instruments
 //!
@@ -29,8 +29,9 @@
 //!
 //! # Overhead discipline
 //!
-//! Recording is off unless a recorder was [`install`]ed *and* telemetry
-//! is enabled; the guard is a single relaxed atomic-bool load, so
+//! Recording is off until the first [`memory_recorder`] call creates the
+//! global recorder (and turns recording on), and while telemetry is
+//! disabled; the guard is a single relaxed atomic-bool load, so
 //! disabled builds pay nothing measurable. Hot loops (the B&B DFS, the
 //! fluid simulator's re-arbitration loop) must not call into telemetry
 //! per iteration even when enabled: they aggregate locally and flush
@@ -53,81 +54,33 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::Instant;
 
-/// Sink for telemetry events. All methods default to no-ops so a
-/// recorder only overrides the instruments it cares about; the unit
-/// struct [`NullRecorder`] overrides nothing.
-///
-/// Implementations must be thread-safe: the solver flushes from worker
-/// threads and the runtime from per-DNN threads.
-pub trait Recorder: Send + Sync {
-    /// Adds `delta` to the counter `name`.
-    fn counter_add(&self, name: &str, delta: u64) {
-        let _ = (name, delta);
-    }
-    /// Sets the gauge `name` to `value` (last write wins).
-    fn gauge_set(&self, name: &str, value: f64) {
-        let _ = (name, value);
-    }
-    /// Appends a `(t_ms, value)` sample to the series `name`.
-    fn series_record(&self, name: &str, t_ms: f64, value: f64) {
-        let _ = (name, t_ms, value);
-    }
-    /// Records one observation into the histogram `name`.
-    fn histogram_record(&self, name: &str, value: f64) {
-        let _ = (name, value);
-    }
-    /// Records a completed span on `track` lasting `dur_ms` from
-    /// `start_ms` (milliseconds on the caller's clock; library code uses
-    /// [`clock_ms`] so spans from different crates share an epoch).
-    fn span_event(&self, track: &str, name: &str, start_ms: f64, dur_ms: f64) {
-        let _ = (track, name, start_ms, dur_ms);
-    }
-}
-
-/// A recorder that drops everything (the default when none is installed).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {}
-
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static RECORDER: OnceLock<Arc<dyn Recorder>> = OnceLock::new();
+static RECORDER: OnceLock<Arc<MemoryRecorder>> = OnceLock::new();
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
-/// Installs the process-global recorder and enables telemetry. Returns
-/// `false` (leaving the existing recorder in place) if one was already
-/// installed — the global can be set once per process, like a logger.
-pub fn install(recorder: Arc<dyn Recorder>) -> bool {
-    let ok = RECORDER.set(recorder).is_ok();
-    if ok {
-        ENABLED.store(true, Ordering::Release);
-    }
-    ok
-}
-
 /// Whether recording is currently on. This is the fast-path guard: one
-/// relaxed atomic load, false until [`install`] succeeds.
+/// relaxed atomic load, false until [`memory_recorder`] first runs.
 #[inline(always)]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Turns recording on or off without touching the installed recorder.
-/// Enabling without an installed recorder is a no-op.
+/// Turns recording on or off without touching the global recorder.
+/// Enabling before [`memory_recorder`] has created it is a no-op.
 pub fn set_enabled(on: bool) {
     if !on || RECORDER.get().is_some() {
         ENABLED.store(on, Ordering::Release);
     }
 }
 
-/// Runs `f` against the installed recorder if telemetry is enabled.
-/// The closure is never called (and its captures never evaluated) when
+/// Runs `f` against the global recorder if telemetry is enabled. The
+/// closure is never called (and its captures never evaluated) when
 /// telemetry is off.
 #[inline]
-pub fn with(f: impl FnOnce(&dyn Recorder)) {
+fn with(f: impl FnOnce(&MemoryRecorder)) {
     if enabled() {
         if let Some(r) = RECORDER.get() {
-            f(&**r);
+            f(r);
         }
     }
 }
@@ -595,10 +548,12 @@ pub trait Source: Send + Sync {
     fn report(&self, snap: &mut Snapshot);
 }
 
-/// An in-memory [`Recorder`] backed by a mutex'd [`Snapshot`], plus the
-/// live [`Source`]s registered with it. This is what the CLI installs
-/// for `--telemetry FILE`, where flush sites are per-solve/per-run, and
-/// what `haxconn serve` installs to answer `/v1/telemetry`.
+/// The telemetry recorder: a mutex'd [`Snapshot`] plus the live
+/// [`Source`]s registered with it. Its methods are thread-safe (the
+/// solver flushes from worker threads, the fleet from its pool). The
+/// process-global one ([`memory_recorder`]) is what the CLI reads for
+/// `--telemetry FILE`, where flush sites are per-solve/per-run, and what
+/// `haxconn serve` answers `/v1/telemetry` from.
 #[derive(Default)]
 pub struct MemoryRecorder {
     state: Mutex<Snapshot>,
@@ -642,10 +597,9 @@ impl MemoryRecorder {
     pub fn reset(&self) {
         *self.state.lock().expect("telemetry lock poisoned") = Snapshot::default();
     }
-}
 
-impl Recorder for MemoryRecorder {
-    fn counter_add(&self, name: &str, delta: u64) {
+    /// Adds `delta` to the counter `name`.
+    pub fn counter_add(&self, name: &str, delta: u64) {
         let mut s = self.state.lock().expect("telemetry lock poisoned");
         match s.counters.get_mut(name) {
             Some(v) => *v += delta,
@@ -655,12 +609,14 @@ impl Recorder for MemoryRecorder {
         }
     }
 
-    fn gauge_set(&self, name: &str, value: f64) {
+    /// Sets the gauge `name` to `value` (last write wins).
+    pub fn gauge_set(&self, name: &str, value: f64) {
         let mut s = self.state.lock().expect("telemetry lock poisoned");
         s.gauges.insert(name.to_string(), value);
     }
 
-    fn series_record(&self, name: &str, t_ms: f64, value: f64) {
+    /// Appends a `(t_ms, value)` sample to the series `name`.
+    pub fn series_record(&self, name: &str, t_ms: f64, value: f64) {
         let mut s = self.state.lock().expect("telemetry lock poisoned");
         match s.series.get_mut(name) {
             Some(v) => v.record(t_ms, value),
@@ -672,7 +628,8 @@ impl Recorder for MemoryRecorder {
         }
     }
 
-    fn histogram_record(&self, name: &str, value: f64) {
+    /// Records one observation into the histogram `name`.
+    pub fn histogram_record(&self, name: &str, value: f64) {
         let mut s = self.state.lock().expect("telemetry lock poisoned");
         match s.histograms.get_mut(name) {
             Some(h) => h.record(value),
@@ -684,7 +641,10 @@ impl Recorder for MemoryRecorder {
         }
     }
 
-    fn span_event(&self, track: &str, name: &str, start_ms: f64, dur_ms: f64) {
+    /// Records a completed span on `track` lasting `dur_ms` from
+    /// `start_ms` (milliseconds on the caller's clock; library code uses
+    /// [`clock_ms`] so spans from different crates share an epoch).
+    pub fn span_event(&self, track: &str, name: &str, start_ms: f64, dur_ms: f64) {
         let mut s = self.state.lock().expect("telemetry lock poisoned");
         if s.spans.len() < SPAN_CAP {
             s.spans.push(SpanEvent {
@@ -699,21 +659,13 @@ impl Recorder for MemoryRecorder {
     }
 }
 
-/// Returns the process-wide [`MemoryRecorder`], installing it on first
-/// use. Returns `None` if a *different* recorder was installed first.
+/// Returns the process-wide [`MemoryRecorder`], creating it — and turning
+/// recording on — on first use. Always `Some`.
 pub fn memory_recorder() -> Option<&'static Arc<MemoryRecorder>> {
-    static MEMORY: OnceLock<Arc<MemoryRecorder>> = OnceLock::new();
-    let rec = MEMORY.get_or_init(|| {
-        let rec = Arc::new(MemoryRecorder::new());
-        install(rec.clone());
-        rec
-    });
-    // `install` may have lost the race to an earlier foreign recorder;
-    // only hand out the memory recorder when it is the installed one.
-    RECORDER.get().and_then(|installed| {
-        let same = Arc::as_ptr(installed) as *const MemoryRecorder == Arc::as_ptr(rec);
-        same.then_some(rec)
-    })
+    Some(RECORDER.get_or_init(|| {
+        ENABLED.store(true, Ordering::Release);
+        Arc::new(MemoryRecorder::new())
+    }))
 }
 
 #[cfg(test)]
@@ -858,17 +810,15 @@ mod tests {
     }
 
     #[test]
-    fn null_recorder_and_disabled_global_are_inert() {
-        // No install has happened in this test binary unless another
-        // test raced us; either way the closure must not run when
-        // disabled.
+    fn disabled_global_is_inert() {
+        // The global recorder may or may not exist in this test binary;
+        // either way the closure must not run when disabled.
         let was = enabled();
         set_enabled(false);
         let mut ran = false;
         with(|_| ran = true);
         assert!(!ran);
         set_enabled(was);
-        NullRecorder.counter_add("x", 1); // must not panic
     }
 
     struct Fixed(u64);

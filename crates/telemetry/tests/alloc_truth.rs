@@ -1,11 +1,11 @@
 //! Proves the disabled-telemetry fast path allocates nothing.
 //!
-//! The facade documents that a disabled recorder costs one relaxed
+//! The facade documents that disabled telemetry costs one relaxed
 //! atomic load per call. That claim only holds if no call site slips
 //! in a format, boxing, or lazy init — this test wraps every facade
 //! entry point in an `AllocGuard` with telemetry off and asserts a
 //! zero delta. Runs in its own integration-test process so no sibling
-//! test can have installed a recorder or flipped the enabled flag.
+//! test can have created the global recorder or flipped the enabled flag.
 //!
 //! Meaningful only under `--features alloc-truth` (otherwise the guard
 //! is vacuous); the CI alloc-gate job runs it with the feature on.
@@ -15,7 +15,7 @@ use tel::alloc::AllocGuard;
 
 #[test]
 fn disabled_fast_path_is_allocation_free() {
-    assert!(!tel::enabled(), "no recorder installed in this process");
+    assert!(!tel::enabled(), "no global recorder in this process");
 
     // Warm anything lazily initialised outside the facade (the clock
     // epoch is a OnceLock<Instant>; Instant::now does not allocate but
@@ -29,11 +29,6 @@ fn disabled_fast_path_is_allocation_free() {
         tel::series_record("alloc_truth.test.series", i as f64, i as f64 * 0.5);
         tel::histogram_record("alloc_truth.test.histogram", i as f64);
         tel::span_event("alloc_truth.test", "span", i as f64, 1.0);
-        tel::with(|r| {
-            // Never reached while disabled; if it were, the recorder
-            // call itself must still not allocate on the Null path.
-            r.counter_add("alloc_truth.test.closure", 1);
-        });
         assert!(!tel::enabled());
     }
     guard.assert_zero();

@@ -45,8 +45,8 @@ fn main() {
     let mut best_baseline = f64::INFINITY;
     for &kind in BaselineKind::all() {
         let a = Baseline::assignment(kind, &platform, &workload);
-        let m = measure(&platform, &workload, &a);
-        best_baseline = best_baseline.min(m.latency_ms);
+        let m = execute(&platform, &workload, &a);
+        best_baseline = best_baseline.min(m.makespan_ms);
         let per: Vec<String> = m
             .task_latency_ms
             .iter()
@@ -55,14 +55,14 @@ fn main() {
         println!(
             "{:<10} {:>10.2} {:>8.1}   [{}]",
             kind.name(),
-            m.latency_ms,
-            m.fps,
+            m.makespan_ms,
+            m.fps(),
             per.join(", ")
         );
     }
 
     let schedule = HaxConn::schedule(&platform, &workload, &contention, config);
-    let m = measure(&platform, &workload, &schedule.assignment);
+    let m = execute(&platform, &workload, &schedule.assignment);
     let per: Vec<String> = m
         .task_latency_ms
         .iter()
@@ -71,21 +71,21 @@ fn main() {
     println!(
         "{:<10} {:>10.2} {:>8.1}   [{}]",
         "HaX-CoNN",
-        m.latency_ms,
-        m.fps,
+        m.makespan_ms,
+        m.fps(),
         per.join(", ")
     );
     println!(
         "\nschedule: {}\nimprovement over best baseline: {:.1}%",
         schedule.describe(&platform, &workload),
-        100.0 * (best_baseline - m.latency_ms) / best_baseline
+        100.0 * (best_baseline - m.makespan_ms) / best_baseline
     );
 
     // Sanity: the loop deadline for a 30 FPS camera is 33.3 ms per frame.
     let deadline_ms = 1000.0 / 30.0;
     println!(
         "30 FPS perception deadline ({deadline_ms:.1} ms): {}",
-        if m.latency_ms <= deadline_ms {
+        if m.makespan_ms <= deadline_ms {
             "MET"
         } else {
             "MISSED"

@@ -40,10 +40,10 @@ fn main() {
         println!("=== phase: {name} ===");
         let d = DHaxConn::run(&platform, workload, &contention, config);
 
-        let naive = measure(&platform, workload, &d.initial.assignment);
+        let naive = execute(&platform, workload, &d.initial.assignment);
         println!(
             "  t=0ms       naive start        {:>8.2} ms",
-            naive.latency_ms
+            naive.makespan_ms
         );
         let mut last_cost = f64::INFINITY;
         for &ck in &checkpoints {
@@ -52,19 +52,19 @@ fn main() {
                 continue;
             }
             last_cost = inc.cost;
-            let m = measure(&platform, workload, &inc.assignment);
+            let m = execute(&platform, workload, &inc.assignment);
             println!(
                 "  t={ck:>4}ms    schedule update    {:>8.2} ms",
-                m.latency_ms
+                m.makespan_ms
             );
         }
         let oracle = HaxConn::schedule(&platform, workload, &contention, config);
-        let om = measure(&platform, workload, &oracle.assignment);
-        let bm = measure(&platform, workload, &d.best().assignment);
+        let om = execute(&platform, workload, &oracle.assignment);
+        let bm = execute(&platform, workload, &d.best().assignment);
         println!(
             "  converged: {:.2} ms (oracle {:.2} ms), {} incumbents, optimal proven: {}",
-            bm.latency_ms,
-            om.latency_ms,
+            bm.makespan_ms,
+            om.makespan_ms,
             d.trace.len(),
             d.proven_optimal
         );

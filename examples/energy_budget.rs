@@ -30,11 +30,11 @@ fn main() {
         &contention,
         SchedulerConfig::default(),
     );
-    let fast_m = measure(&platform, &workload, &fast.assignment);
-    let fast_e = energy_of(&workload, &fast.assignment, &power, fast_m.latency_ms);
+    let fast_m = execute(&platform, &workload, &fast.assignment);
+    let fast_e = energy_of(&workload, &fast.assignment, &power, fast_m.makespan_ms);
     println!(
         "latency-optimal reference: {:.2} ms, {:.2} mJ ({:.1} W)\n",
-        fast_m.latency_ms,
+        fast_m.makespan_ms,
         fast_e.total_mj(),
         fast_e.mean_power_w
     );
@@ -54,12 +54,12 @@ fn main() {
             SchedulerConfig::default(),
         ) {
             Some(s) => {
-                let m = measure(&platform, &workload, &s.assignment);
-                let e = energy_of(&workload, &s.assignment, &power, m.latency_ms);
+                let m = execute(&platform, &workload, &s.assignment);
+                let e = energy_of(&workload, &s.assignment, &power, m.makespan_ms);
                 println!(
                     "{:>9.2}x {:>10.2} {:>10.2} {:>9.1}  {}",
                     factor,
-                    m.latency_ms,
+                    m.makespan_ms,
                     e.total_mj(),
                     e.mean_power_w,
                     s.describe(&platform, &workload)

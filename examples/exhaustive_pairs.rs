@@ -43,15 +43,15 @@ fn main() {
             let mut best_ms = f64::INFINITY;
             for &kind in BaselineKind::all() {
                 let a = Baseline::assignment(kind, &platform, &workload);
-                let m = measure(&platform, &workload, &a);
-                if m.latency_ms < best_ms {
-                    best_ms = m.latency_ms;
+                let m = execute(&platform, &workload, &a);
+                if m.makespan_ms < best_ms {
+                    best_ms = m.makespan_ms;
                     best_kind = kind;
                 }
             }
 
             let s = HaxConn::schedule(&platform, &workload, &contention, cfg);
-            let hax_ms = measure(&platform, &workload, &s.assignment).latency_ms;
+            let hax_ms = execute(&platform, &workload, &s.assignment).makespan_ms;
             let gain = best_ms / hax_ms;
             let gain_str = if gain > 1.005 {
                 format!("{gain:.2}")

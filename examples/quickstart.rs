@@ -30,13 +30,23 @@ fn main() -> Result<(), HaxError> {
     println!("\n{:<10} {:>10} {:>8}", "scheduler", "lat (ms)", "fps");
     for &kind in BaselineKind::all() {
         let a = Baseline::assignment(kind, &session.platform, &session.workload);
-        let m = measure(&session.platform, &session.workload, &a);
-        println!("{:<10} {:>10.2} {:>8.1}", kind.name(), m.latency_ms, m.fps);
+        let m = execute(&session.platform, &session.workload, &a);
+        println!(
+            "{:<10} {:>10.2} {:>8.1}",
+            kind.name(),
+            m.makespan_ms,
+            m.fps()
+        );
     }
 
     // 3. HaX-CoNN's optimal contention-aware schedule.
     let m = session.measure()?;
-    println!("{:<10} {:>10.2} {:>8.1}", "HaX-CoNN", m.latency_ms, m.fps);
+    println!(
+        "{:<10} {:>10.2} {:>8.1}",
+        "HaX-CoNN",
+        m.makespan_ms,
+        m.fps()
+    );
     println!("\nschedule: {}", session.describe());
     for tr in session.schedule.transitions(&session.workload) {
         println!(
@@ -47,12 +57,12 @@ fn main() -> Result<(), HaxError> {
         );
     }
 
-    // 4. Execute the schedule on the runtime (the same contention replay
-    //    as `measure`, reported per executed item).
-    let run = session.execute()?;
+    // 4. The same report, per executed item and EMC traffic.
     println!(
         "\nexecution: {:.2} ms makespan, EMC mean {:.1} GB/s, {} items",
-        run.makespan_ms, run.emc_mean_gbps, run.items_executed
+        m.makespan_ms,
+        m.emc_mean_gbps,
+        m.records.len()
     );
     Ok(())
 }

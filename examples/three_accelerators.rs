@@ -35,9 +35,14 @@ fn main() {
     let mut best = f64::INFINITY;
     for &kind in BaselineKind::all() {
         let a = Baseline::assignment(kind, &platform, &workload);
-        let m = measure(&platform, &workload, &a);
-        best = best.min(m.latency_ms);
-        println!("{:<10} {:>10.2} {:>8.1}", kind.name(), m.latency_ms, m.fps);
+        let m = execute(&platform, &workload, &a);
+        best = best.min(m.makespan_ms);
+        println!(
+            "{:<10} {:>10.2} {:>8.1}",
+            kind.name(),
+            m.makespan_ms,
+            m.fps()
+        );
     }
     let schedule = HaxConn::schedule_validated(
         &platform,
@@ -45,11 +50,16 @@ fn main() {
         &contention,
         SchedulerConfig::default(),
     );
-    let m = measure(&platform, &workload, &schedule.assignment);
-    println!("{:<10} {:>10.2} {:>8.1}", "HaX-CoNN", m.latency_ms, m.fps);
+    let m = execute(&platform, &workload, &schedule.assignment);
+    println!(
+        "{:<10} {:>10.2} {:>8.1}",
+        "HaX-CoNN",
+        m.makespan_ms,
+        m.fps()
+    );
     println!(
         "\nimprovement over best baseline: {:.1}%",
-        100.0 * (best - m.latency_ms) / best
+        100.0 * (best - m.makespan_ms) / best
     );
     println!("schedule: {}", schedule.describe(&platform, &workload));
     // Per-PU utilization: with three engines all should carry load.
@@ -58,7 +68,7 @@ fn main() {
             "  {:<14} busy {:>6.2} ms ({:>3.0}%)",
             pu.name,
             m.pu_busy_ms[i],
-            100.0 * m.pu_busy_ms[i] / m.latency_ms
+            100.0 * m.pu_busy_ms[i] / m.makespan_ms
         );
     }
 }

@@ -167,7 +167,7 @@ pub struct BatchRequest {
 pub struct BatchReport {
     /// Completion of the whole workload, ms (virtual time).
     pub makespan_ms: f64,
-    /// Aggregate FPS.
+    /// Aggregate FPS ([`ExecutionReport::fps`]).
     pub fps: f64,
     /// Per-task completion times, ms.
     pub task_latency_ms: Vec<f64>,
@@ -178,7 +178,7 @@ impl BatchReport {
     pub fn from_execution(r: &ExecutionReport) -> BatchReport {
         BatchReport {
             makespan_ms: r.makespan_ms,
-            fps: r.fps,
+            fps: r.fps(),
             task_latency_ms: r.task_latency_ms.clone(),
         }
     }

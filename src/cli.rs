@@ -685,15 +685,13 @@ USAGE:
                     [--max-pending P] [--no-degrade]
 ";
 
-/// Switches the process-global memory recorder on (installing it on first
+/// Switches the process-global memory recorder on (creating it on first
 /// use) and returns it, reset, so a run captures a fresh snapshot.
-fn telemetry_start() -> Result<&'static std::sync::Arc<MemoryRecorder>, HaxError> {
-    let rec = tel::memory_recorder().ok_or_else(|| {
-        cli_err("telemetry unavailable: a custom recorder is already installed in this process")
-    })?;
+fn telemetry_start() -> Option<&'static Arc<MemoryRecorder>> {
+    let rec = tel::memory_recorder()?;
     rec.reset();
     tel::set_enabled(true);
-    Ok(rec)
+    Some(rec)
 }
 
 /// Disables recording, takes the final snapshot and writes it to `path`.
@@ -810,7 +808,7 @@ pub fn run(command: Command) -> Result<String, HaxError> {
             telemetry,
         } => {
             let recorder = match &telemetry {
-                Some(_) => Some(telemetry_start()?),
+                Some(_) => telemetry_start(),
                 None => None,
             };
             let p = platform.platform();
@@ -827,13 +825,13 @@ pub fn run(command: Command) -> Result<String, HaxError> {
             writeln!(out, "{:<10} {:>10} {:>9}", "scheduler", "lat (ms)", "fps")?;
             for &kind in BaselineKind::all() {
                 let a = Baseline::assignment(kind, &p, &workload);
-                let m = measure(&p, &workload, &a);
+                let m = execute(&p, &workload, &a);
                 writeln!(
                     out,
                     "{:<10} {:>10.2} {:>9.1}",
                     kind.name(),
-                    m.latency_ms,
-                    m.fps
+                    m.makespan_ms,
+                    m.fps()
                 )?;
             }
             let s = HaxConn::try_schedule_validated(
@@ -842,11 +840,13 @@ pub fn run(command: Command) -> Result<String, HaxError> {
                 &contention,
                 SchedulerConfig::with_objective(objective),
             )?;
-            let m = measure(&p, &workload, &s.assignment);
+            let m = execute(&p, &workload, &s.assignment);
             writeln!(
                 out,
                 "{:<10} {:>10.2} {:>9.1}",
-                "HaX-CoNN", m.latency_ms, m.fps
+                "HaX-CoNN",
+                m.makespan_ms,
+                m.fps()
             )?;
             writeln!(out, "\nschedule: {}", s.describe(&p, &workload))?;
             if gantt {
@@ -942,7 +942,7 @@ pub fn run(command: Command) -> Result<String, HaxError> {
             // With `--trace`, the multi-tenant arrival engine replays a
             // join/leave/SLA-change trace instead.
             let recorder = match &telemetry {
-                Some(_) => Some(telemetry_start()?),
+                Some(_) => telemetry_start(),
                 None => None,
             };
             let p = platform.platform();
@@ -1154,12 +1154,12 @@ per-frame service {:.2} ms vs period {:.2} ms",
             );
             let fast =
                 HaxConn::try_schedule(&p, &workload, &contention, SchedulerConfig::default())?;
-            let fast_m = measure(&p, &workload, &fast.assignment);
-            let fast_e = energy_of(&workload, &fast.assignment, &power, fast_m.latency_ms);
+            let fast_m = execute(&p, &workload, &fast.assignment);
+            let fast_e = energy_of(&workload, &fast.assignment, &power, fast_m.makespan_ms);
             writeln!(
                 out,
                 "latency-optimal : {:>7.2} ms  {:>7.2} mJ  ({:.1} W)",
-                fast_m.latency_ms,
+                fast_m.makespan_ms,
                 fast_e.total_mj(),
                 fast_e.mean_power_w
             )?;
@@ -1172,12 +1172,12 @@ per-frame service {:.2} ms vs period {:.2} ms",
                 SchedulerConfig::default(),
             ) {
                 Some(s) => {
-                    let m = measure(&p, &workload, &s.assignment);
-                    let e = energy_of(&workload, &s.assignment, &power, m.latency_ms);
+                    let m = execute(&p, &workload, &s.assignment);
+                    let e = energy_of(&workload, &s.assignment, &power, m.makespan_ms);
                     writeln!(
                         out,
                         "energy-optimal  : {:>7.2} ms  {:>7.2} mJ  ({:.1} W)  [budget {budget_ms} ms]",
-                        m.latency_ms,
+                        m.makespan_ms,
                         e.total_mj(),
                         e.mean_power_w
                     )?;
@@ -1277,7 +1277,9 @@ per-frame service {:.2} ms vs period {:.2} ms",
                 writeln!(
                     out,
                     "{:<12} {:>9.2} ms {:>9.1}",
-                    labels[i], fleet.reports[i].makespan_ms, fleet.reports[i].fps
+                    labels[i],
+                    fleet.reports[i].makespan_ms,
+                    fleet.reports[i].fps()
                 )?;
             }
             if ranked.len() > 5 {

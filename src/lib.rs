@@ -28,8 +28,8 @@
 //!
 //!     // ...and measure it on the simulated SoC.
 //!     let measured = scheduled.measure()?;
-//!     assert!(measured.latency_ms > 0.0);
-//!     println!("{}: {:.2} ms", scheduled.describe(), measured.latency_ms);
+//!     assert!(measured.makespan_ms > 0.0);
+//!     println!("{}: {:.2} ms", scheduled.describe(), measured.makespan_ms);
 //!     Ok(())
 //! }
 //! ```
@@ -71,7 +71,6 @@ pub mod prelude {
         baselines::{Baseline, BaselineKind},
         dynamic::DHaxConn,
         engine::{Engine, EngineOptions, EngineSchedule, EngineStatsSnapshot},
-        measure::{measure, Measurement},
         parse_model, parse_objective, parse_platform,
         problem::{DnnTask, Objective, SchedulerConfig, Workload},
         scheduler::{HaxConn, Schedule, ScheduleOrigin, Transition},
@@ -89,5 +88,5 @@ pub mod prelude {
     pub use haxconn_soc::{
         orin_agx, snapdragon_865, xavier_agx, Platform, PlatformId, PuId, PuKind,
     };
-    pub use haxconn_telemetry::{MemoryRecorder, NullRecorder, Recorder, Snapshot};
+    pub use haxconn_telemetry::{MemoryRecorder, Snapshot};
 }

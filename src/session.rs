@@ -14,7 +14,7 @@
 //!     .objective(Objective::MinMaxLatency)
 //!     .schedule()?;
 //! let measured = scheduled.measure()?;
-//! assert!(measured.latency_ms > 0.0);
+//! assert!(measured.makespan_ms > 0.0);
 //! # Ok(())
 //! # }
 //! ```
@@ -22,7 +22,6 @@
 use haxconn_contention::ContentionModel;
 use haxconn_core::arrival::{ArrivalTrace, ReplayOptions, ResolvePolicy, TenantReport};
 use haxconn_core::engine::{Engine, EngineOptions};
-use haxconn_core::measure::{measure, Measurement};
 use haxconn_core::problem::{DnnTask, Objective, SchedulerConfig, Workload};
 use haxconn_core::scheduler::{HaxConn, Schedule};
 use haxconn_core::spec::WorkloadSpec;
@@ -392,19 +391,9 @@ impl ScheduledSession {
         )
     }
 
-    /// Measures the schedule on the SoC's contention replay.
-    pub fn measure(&self) -> Result<Measurement, HaxError> {
-        self.check_assignment()?;
-        Ok(measure(
-            &self.platform,
-            &self.workload,
-            &self.schedule.assignment,
-        ))
-    }
-
-    /// Executes the schedule on the runtime: the same contention replay
-    /// as [`Self::measure`], reported as an [`ExecutionReport`].
-    pub fn execute(&self) -> Result<ExecutionReport, HaxError> {
+    /// Measures the schedule on the SoC's contention replay: one frame
+    /// per task, as [`execute`] reports it.
+    pub fn measure(&self) -> Result<ExecutionReport, HaxError> {
         self.check_assignment()?;
         Ok(execute(
             &self.platform,
@@ -480,7 +469,7 @@ mod tests {
             .schedule()
             .expect("schedulable");
         let m = s.measure().expect("measurable");
-        assert!(m.latency_ms > 0.0);
+        assert!(m.makespan_ms > 0.0);
         assert_eq!(m.task_latency_ms.len(), 2);
         assert!(!s.describe().is_empty());
     }
@@ -542,7 +531,7 @@ mod tests {
             .schedule()
             .expect("schedulable");
         assert_eq!(s.workload.deps.len(), 1);
-        let run = s.execute().expect("executable");
+        let run = s.measure().expect("measurable");
         assert!(run.task_latency_ms[1] >= run.task_latency_ms[0] - 1e-9);
     }
 
@@ -565,11 +554,8 @@ mod tests {
         let reports = s.measure_many(&candidates, 1).expect("measurable");
         assert_eq!(reports.len(), 2);
         // Batch results match direct execution bit for bit.
-        let direct = s.execute().expect("executable");
-        assert_eq!(
-            reports[0].makespan_ms.to_bits(),
-            direct.makespan_ms.to_bits()
-        );
+        let direct = s.measure().expect("measurable");
+        assert!(reports[0].view().same_bits(&direct.view()));
         // And the batch is deterministic across calls.
         let again = s.measure_many(&candidates, 1).expect("measurable");
         assert_eq!(

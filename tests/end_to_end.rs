@@ -34,10 +34,10 @@ fn never_worse_than_baselines_across_platforms() {
             let w = workload(&platform, &[a, b], 8);
             let s =
                 HaxConn::schedule_validated(&platform, &w, &contention, SchedulerConfig::default());
-            let hax = measure(&platform, &w, &s.assignment).latency_ms;
+            let hax = execute(&platform, &w, &s.assignment).makespan_ms;
             for &kind in BaselineKind::all() {
                 let assignment = Baseline::assignment(kind, &platform, &w);
-                let base = measure(&platform, &w, &assignment).latency_ms;
+                let base = execute(&platform, &w, &assignment).makespan_ms;
                 assert!(
                     hax <= base + 1e-9,
                     "{} {a}+{b}: HaX-CoNN {hax:.3} worse than {kind} {base:.3}",
@@ -56,11 +56,11 @@ fn favorable_pairs_show_real_gains() {
     let contention = ContentionModel::calibrate(&platform);
     let w = workload(&platform, &[Model::Vgg19, Model::ResNet152], 10);
     let s = HaxConn::schedule_validated(&platform, &w, &contention, SchedulerConfig::default());
-    let hax = measure(&platform, &w, &s.assignment).latency_ms;
+    let hax = execute(&platform, &w, &s.assignment).makespan_ms;
     let mut best = f64::INFINITY;
     for &kind in BaselineKind::all() {
         let a = Baseline::assignment(kind, &platform, &w);
-        best = best.min(measure(&platform, &w, &a).latency_ms);
+        best = best.min(execute(&platform, &w, &a).makespan_ms);
     }
     let gain = 100.0 * (best - hax) / best;
     assert!(
@@ -71,23 +71,27 @@ fn favorable_pairs_show_real_gains() {
     assert!(!s.transitions(&w).is_empty());
 }
 
-/// The runtime's execution and the measurement are two views of one
-/// contention replay: on the full pipeline they agree bit-for-bit.
+/// Every way to measure a schedule — `execute`, a one-frame
+/// `execute_loop` and a fleet batch — copies the one contention replay out
+/// into the same report: on the full pipeline they agree bit-for-bit.
 #[test]
 fn execution_agrees_with_measurement_bit_for_bit() {
     let platform = orin_agx();
     let contention = ContentionModel::calibrate(&platform);
     let w = workload(&platform, &[Model::GoogleNet, Model::ResNet101], 8);
     let s = HaxConn::schedule_validated(&platform, &w, &contention, SchedulerConfig::default());
-    let m = measure(&platform, &w, &s.assignment);
-    let run = execute(&platform, &w, &s.assignment);
-    assert_eq!(run.makespan_ms.to_bits(), m.latency_ms.to_bits());
-    assert_eq!(run.fps.to_bits(), m.fps.to_bits());
-    assert_eq!(run.emc_mean_gbps.to_bits(), m.emc_mean_gbps.to_bits());
-    for (a, b) in run.task_latency_ms.iter().zip(&m.task_latency_ms) {
-        assert_eq!(a.to_bits(), b.to_bits());
+    let m = execute(&platform, &w, &s.assignment);
+    let looped = execute_loop(&platform, &w, &s.assignment, 1);
+    let scenario = FleetScenario {
+        workload: &w,
+        assignment: s.assignment.clone(),
+        iterations: 1,
+    };
+    let fleet = evaluate_fleet(&platform, &[scenario], FleetOptions::default());
+    for other in [&looped, &fleet.reports[0]] {
+        assert!(m.view().same_bits(&other.view()));
+        assert_eq!(m.fps().to_bits(), other.fps().to_bits());
     }
-    assert_eq!(run.records.len(), m.raw.records.len());
 }
 
 /// Prediction quality: the contention-interval timeline tracks the
@@ -109,7 +113,7 @@ fn prediction_tracks_measurement() {
             .iter()
             .cloned()
             .fold(0.0, f64::max);
-        let measured = measure(&platform, &w, &s.assignment).latency_ms;
+        let measured = execute(&platform, &w, &s.assignment).makespan_ms;
         let rel = (predicted - measured).abs() / measured;
         assert!(
             rel < 0.15,
@@ -142,8 +146,8 @@ fn pipeline_unroll_with_ties() {
     assert_eq!(s.assignment[0], s.assignment[2]);
     assert_eq!(s.assignment[1], s.assignment[3]);
     // Dependencies hold in the measurement.
-    let m = measure(&platform, &w, &s.assignment);
-    let chains = m.raw.by_task();
+    let m = execute(&platform, &w, &s.assignment);
+    let chains = m.by_task();
     let first = |t: usize| chains.iter().find(|r| r.task == t).unwrap().start_ms;
     let last = |t: usize| chains.iter().rfind(|r| r.task == t).unwrap().end_ms;
     assert!(first(1) >= last(0));

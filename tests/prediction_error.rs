@@ -66,7 +66,7 @@ fn contention_aware_prediction_beats_blind_prediction() {
     let mut blind_errs = Vec::new();
     for _ in 0..40 {
         let a = random_assignment(&platform, &workload, &mut rng);
-        let truth = measure(&platform, &workload, &a).latency_ms;
+        let truth = execute(&platform, &workload, &a).makespan_ms;
         let pa = aware.evaluate(&a).makespan_ms;
         let pb = blind.evaluate(&a).makespan_ms;
         aware_errs.push((pa - truth).abs() / truth);
@@ -121,7 +121,7 @@ fn blind_prediction_always_underestimates_contended_runs() {
         if !uses_both {
             continue;
         }
-        let truth = measure(&platform, &workload, &a).latency_ms;
+        let truth = execute(&platform, &workload, &a).makespan_ms;
         let pred = blind.evaluate(&a).makespan_ms;
         total += 1;
         if pred < truth - 1e-9 {

@@ -198,10 +198,10 @@ fn scheduler_never_worse_on_random_pairs() {
             }
         }
         let score = |assignment: &Vec<Vec<usize>>| {
-            let m = measure(&platform, &w, assignment);
+            let m = execute(&platform, &w, assignment);
             match obj {
-                Objective::MinMaxLatency => m.latency_ms,
-                Objective::MaxThroughput => -m.fps,
+                Objective::MinMaxLatency => m.makespan_ms,
+                Objective::MaxThroughput => -m.fps(),
             }
         };
         let hax = score(&s.assignment);

@@ -8,11 +8,12 @@
 //! every one of these values unchanged. On a mismatch the test prints the
 //! whole table as it now stands.
 
+mod common;
+
 use haxconn::core::encoding::ScheduleEncoding;
 use haxconn::dnn::Model;
 use haxconn::prelude::*;
 use haxconn::solver::{solve, Assignment, CostModel, PartialAssignment, SolveOptions};
-use haxconn::telemetry as tel;
 use std::collections::HashMap;
 
 /// One pinned schedule.
@@ -89,89 +90,18 @@ const GOLDENS: &[Row] = &[
     ("sd865 GoogleNet:3 ResNet101:5", &[&[1, 1, 1], &[0, 0, 0, 0, 0]], 0x403ac76de7230fdd, 0x403ac76de7230fdd, true, true),
 ];
 
-/// Deterministic xorshift64* generator.
-struct Rng(u64);
-
-impl Rng {
-    fn below(&mut self, n: usize) -> usize {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        (x.wrapping_mul(0x2545_F491_4F6C_DD1D) % n as u64) as usize
-    }
-}
-
-/// The 48 seeded specs with a readable label each: 2 or 3 distinct zoo
-/// models of 3–5 groups, at most 10 groups in all, concurrent or chained,
-/// platforms in rotation.
-fn specs() -> Vec<(String, WorkloadSpec)> {
-    let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
-    (0..48)
-        .map(|i| {
-            let platform = ["orin", "xavier", "sd865"][i % 3];
-            let n = 2 + rng.below(2);
-            let groups = loop {
-                let g: Vec<usize> = (0..n).map(|_| 3 + rng.below(3)).collect();
-                if g.iter().sum::<usize>() <= 10 {
-                    break g;
-                }
-            };
-            let mut pool: Vec<Model> = Model::all().to_vec();
-            let chained = rng.below(2) == 1;
-            let mut spec = WorkloadSpec::new(platform);
-            let mut label = platform.to_string();
-            for g in groups {
-                let m = pool.swap_remove(rng.below(pool.len()));
-                spec = spec.task(m.name(), g);
-                label.push_str(&format!(" {}:{g}", m.name()));
-            }
-            if chained {
-                for t in 1..n {
-                    spec = spec.dep(t - 1, t);
-                }
-                label.push_str(" chained");
-            }
-            (label, spec)
-        })
-        .collect()
-}
-
-fn relaxed_count(rec: &MemoryRecorder) -> u64 {
-    rec.snapshot()
-        .counters
-        .get("scheduler.relaxed")
-        .copied()
-        .unwrap_or(0)
-}
-
 #[test]
 fn schedules_match_the_goldens() {
-    let rec = tel::memory_recorder().expect("no other recorder installed");
     let mut contexts: HashMap<String, ContentionModel> = HashMap::new();
     let mut actual = Vec::new();
-    let mut relaxed = Vec::new();
-    for (label, spec) in specs() {
+    for (label, spec) in common::specs() {
         let (platform, workload) = spec.resolve().expect("valid spec");
         let cm = contexts
             .entry(spec.platform.clone())
             .or_insert_with(|| ContentionModel::calibrate(&platform));
         let config = spec.effective_config();
-        let before = relaxed_count(rec);
         let s = HaxConn::try_schedule(&platform, &workload, cm, config).expect("schedulable");
-        relaxed.push(relaxed_count(rec) - before);
-        // The one search's optimum is ε-feasible exactly when some
-        // schedule is: ε-violating schedules cost a tier above every
-        // ε-feasible one.
-        let enc = ScheduleEncoding::new(&workload, cm, config);
-        let (best, _) = solve(&enc, SolveOptions::default())
-            .best
-            .expect("the one search always has a schedule");
-        let mut ev = TimelineEvaluator::new(&workload, cm);
-        ev.contention_aware = config.contention_aware;
-        let eps = config.epsilon_ms.expect("specs keep the default ε");
-        let strict_feasible = ev.evaluate(&enc.to_rows(&best)).max_wait_ms <= eps;
+        let strict_feasible = common::strict_feasible(&workload, cm, config);
         actual.push(Golden {
             spec: label,
             assignment: s.assignment.clone(),
@@ -213,17 +143,11 @@ fn schedules_match_the_goldens() {
     }
     let infeasible = actual.iter().filter(|g| !g.strict_feasible).count();
     assert!(infeasible >= 4, "only {infeasible} strict-infeasible specs");
-    // `scheduler.relaxed` counts exactly the strict-infeasible specs.
-    for (g, r) in actual.iter().zip(&relaxed) {
-        assert_eq!(*r, u64::from(!g.strict_feasible), "{}", g.spec);
-    }
 }
 
 /// Three concurrent tasks on orin's two PUs: two first groups must share
 /// a PU, each far longer than ε, so no schedule meets ε. The one search
-/// then returns the relaxed optimum, in the violating tier. (No test here
-/// but the goldens runs `HaxConn`, whose `scheduler.relaxed` count the
-/// goldens read.)
+/// then returns the relaxed optimum, in the violating tier.
 #[test]
 fn one_search_over_three_colliding_tasks_is_the_relaxed_optimum() {
     let p = orin_agx();

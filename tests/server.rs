@@ -105,7 +105,7 @@ fn batch_endpoint_evaluates_candidates_in_order() {
         .expect("batch measures");
     for (wire, local) in resp.reports.iter().zip(&reports) {
         assert_eq!(wire.makespan_ms.to_bits(), local.makespan_ms.to_bits());
-        assert_eq!(wire.fps.to_bits(), local.fps.to_bits());
+        assert_eq!(wire.fps.to_bits(), local.fps().to_bits());
     }
 
     // An infeasible candidate is a typed 422, not a panic.

@@ -14,7 +14,7 @@ use haxconn::solver::{
 };
 use haxconn::telemetry as tel;
 
-fn solve_and_measure() -> (ScheduledSession, Measurement, String) {
+fn solve_and_measure() -> (ScheduledSession, ExecutionReport, String) {
     let s = Session::on(PlatformId::OrinAgx)
         .task(Model::GoogleNet, 8)
         .task(Model::ResNet101, 8)
@@ -44,12 +44,16 @@ fn telemetry_end_to_end() {
 
     assert_eq!(s1.schedule.assignment, s2.schedule.assignment);
     assert_eq!(s1.schedule.cost.to_bits(), s2.schedule.cost.to_bits());
-    assert_eq!(m1.latency_ms.to_bits(), m2.latency_ms.to_bits());
-    assert_eq!(m1.fps.to_bits(), m2.fps.to_bits());
+    assert_eq!(m1.makespan_ms.to_bits(), m2.makespan_ms.to_bits());
+    assert_eq!(m1.fps().to_bits(), m2.fps().to_bits());
     assert_eq!(m1.emc_mean_gbps.to_bits(), m2.emc_mean_gbps.to_bits());
     assert_eq!(bits(&m1.task_latency_ms), bits(&m2.task_latency_ms));
     assert_eq!(bits(&m1.pu_busy_ms), bits(&m2.pu_busy_ms));
-    assert_eq!(bits(&m1.task_slowdown), bits(&m2.task_slowdown));
+    assert!(m1.view().same_bits(&m2.view()));
+    let slowdown = |s: &ScheduledSession, m| {
+        haxconn::core::task_slowdown(&s.workload, &s.schedule.assignment, m)
+    };
+    assert_eq!(bits(&slowdown(&s1, &m1)), bits(&slowdown(&s2, &m2)));
     assert_eq!(t1, t2, "chrome traces must be byte-identical");
 
     // The enabled run actually recorded the pipeline's metrics.
@@ -193,9 +197,8 @@ fn telemetry_end_to_end() {
 
 #[test]
 fn memory_recorder_snapshot_is_deterministic() {
-    // Uses a local recorder instance through the Recorder trait — no
-    // process-global state, safe to run in parallel with the e2e test.
-    use haxconn::telemetry::Recorder;
+    // Records into a local recorder instance — no process-global
+    // state, safe to run in parallel with the e2e test.
     let build = || {
         let r = MemoryRecorder::new();
         r.counter_add("a.count", 2);

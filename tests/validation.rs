@@ -229,8 +229,8 @@ fn validation_changes_zero_bytes() {
 
     assert_eq!(a.schedule.assignment, b.schedule.assignment);
     assert_eq!(a.schedule.cost.to_bits(), b.schedule.cost.to_bits());
-    assert_eq!(am.latency_ms.to_bits(), bm.latency_ms.to_bits());
-    assert_eq!(am.fps.to_bits(), bm.fps.to_bits());
+    assert_eq!(am.makespan_ms.to_bits(), bm.makespan_ms.to_bits());
+    assert_eq!(am.fps().to_bits(), bm.fps().to_bits());
     assert_eq!(bits(&am.task_latency_ms), bits(&bm.task_latency_ms));
     assert_eq!(bits(&am.pu_busy_ms), bits(&bm.pu_busy_ms));
     assert_eq!(at, bt, "chrome traces must be byte-identical");
