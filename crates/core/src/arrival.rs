@@ -34,7 +34,7 @@ use crate::encoding::ScheduleEncoding;
 use crate::error::{parse_model, HaxError};
 use crate::problem::{DnnTask, SchedulerConfig, Workload};
 use crate::scheduler::{objective_cost, Schedule, ScheduleOrigin};
-use crate::timeline::TimelineEvaluator;
+use crate::timeline::{PredictedTimeline, TimelineEvaluator};
 use crate::validate::validate_timeline;
 use haxconn_contention::ContentionModel;
 use haxconn_des::{Engine, EventQueue, SimModel, SimTime};
@@ -527,34 +527,39 @@ impl<'a> Sim<'a> {
         Workload::concurrent(tasks)
     }
 
-    /// Evaluates `rows` (canonical order) on `workload`, writes each
-    /// tenant's predicted latency back, and returns the objective cost.
-    fn adopt(&mut self, workload: &Workload, order: &[usize], rows: &[Vec<PuId>]) -> f64 {
+    /// The replay's evaluator for `workload`.
+    fn evaluator<'w>(&self, workload: &'w Workload) -> TimelineEvaluator<'w>
+    where
+        'a: 'w,
+    {
         let mut ev = TimelineEvaluator::new(workload, self.contention);
         ev.contention_aware = self.options.config.contention_aware;
-        let tl = ev.evaluate(rows);
-        for (pos, &i) in order.iter().enumerate() {
-            self.active[i].row = rows[pos].clone();
-            self.active[i].lat = tl.task_latency_ms[pos];
-        }
-        objective_cost(self.options.config.objective, &tl)
+        ev
     }
 
-    /// Validates + records an adopted schedule as one re-solve point.
-    fn record(
+    /// The predicted timeline of `rows` (canonical order) on `workload`.
+    fn predict(&self, workload: &Workload, rows: &[Vec<PuId>]) -> PredictedTimeline {
+        self.evaluator(workload).evaluate(rows)
+    }
+
+    /// Adopts `rows` (canonical order) on `workload`, whose timeline is
+    /// `tl`: writes each tenant's row and predicted latency back, then
+    /// validates + records the schedule as one re-solve point.
+    fn adopt(
         &mut self,
         now_ms: f64,
         action: ResolveAction,
         workload: &Workload,
         order: &[usize],
         rows: Vec<Vec<PuId>>,
-        cost: f64,
+        tl: &PredictedTimeline,
     ) {
+        for (pos, &i) in order.iter().enumerate() {
+            self.active[i].row = rows[pos].clone();
+            self.active[i].lat = tl.task_latency_ms[pos];
+        }
         if self.options.validate {
-            let mut ev = TimelineEvaluator::new(workload, self.contention);
-            ev.contention_aware = self.options.config.contention_aware;
-            let tl = ev.evaluate(&rows);
-            let verdict = validate_timeline(workload, &rows, &tl);
+            let verdict = validate_timeline(workload, &rows, tl);
             if !verdict.is_valid() {
                 self.report.violations += verdict.violations.len();
                 if self.report.violation_samples.len() < 8 {
@@ -573,7 +578,7 @@ impl<'a> Sim<'a> {
                     .map(|&i| self.active[i].spec.name.clone())
                     .collect(),
                 assignment: rows,
-                cost,
+                cost: objective_cost(self.options.config.objective, tl),
             });
         }
     }
@@ -596,17 +601,23 @@ impl<'a> Sim<'a> {
     }
 
     /// Full solve for the current tenant mix, warm-started from the
-    /// surviving incumbent. Returns the adopted rows and whether the
-    /// solver actually ran (vs a schedule-cache hit).
+    /// surviving incumbent. Returns the schedule to adopt, its predicted
+    /// timeline included, and whether the solver actually ran (vs a
+    /// schedule-cache hit).
+    ///
+    /// A hit's timeline is reused as is: every entry was predicted in this
+    /// replay, with the same contention model and configuration, on a
+    /// workload of the same signature — the same memoized profiles in the
+    /// same canonical order — and the evaluator reads nothing else.
     fn solve_mix(
         &mut self,
         workload: &Workload,
         seed_rows: &[Vec<PuId>],
         seed_cost: f64,
-    ) -> (Vec<Vec<PuId>>, ResolveAction) {
+    ) -> (Arc<Schedule>, ResolveAction) {
         let signature = WorkloadSignature::of(workload);
         if let Some(hit) = self.cache.get(&signature) {
-            return (hit.assignment.clone(), ResolveAction::CacheHit);
+            return (hit, ResolveAction::CacheHit);
         }
         let solve_started = std::time::Instant::now();
         // The anytime path solves the ε-relaxed formulation (queueing
@@ -634,62 +645,70 @@ impl<'a> Sim<'a> {
         };
         // Cache under the mix signature so the next time this tenant
         // combination appears the schedule is instant.
-        let mut ev = TimelineEvaluator::new(workload, self.contention);
-        ev.contention_aware = self.options.config.contention_aware;
-        let predicted = ev.evaluate(&rows);
+        let predicted = self.predict(workload, &rows);
         let cost = objective_cost(self.options.config.objective, &predicted);
-        self.cache.insert(
-            signature,
-            Arc::new(Schedule {
-                assignment: rows.clone(),
-                predicted,
-                cost,
-                origin: ScheduleOrigin::Optimal,
-                proven_optimal: relaxed.node_budget.is_none(),
-            }),
-        );
+        let schedule = Arc::new(Schedule {
+            assignment: rows,
+            predicted,
+            cost,
+            origin: ScheduleOrigin::Optimal,
+            proven_optimal: relaxed.node_budget.is_none(),
+        });
+        self.cache.insert(signature, Arc::clone(&schedule));
         if haxconn_telemetry::enabled() {
             haxconn_telemetry::histogram_record(
                 "dynamic.resolve.ms",
                 solve_started.elapsed().as_secs_f64() * 1e3,
             );
         }
-        (rows, ResolveAction::Solved)
+        (schedule, ResolveAction::Solved)
     }
 
     /// Contention-aware throttle: while a latency-critical tenant's
     /// predicted slack is negative, greedily move best-effort tenants
     /// onto the PU that most reduces the worst deadline-overshoot ratio
     /// (with per-group GPU fallback for unsupported groups). Returns the
-    /// number of moves applied.
-    fn throttle_pass(&mut self, workload: &Workload, order: &[usize]) -> usize {
+    /// number of moves applied and the timeline of the rows they leave,
+    /// or `None` when nothing moved.
+    ///
+    /// Every tenant's `lat` must be its latency under the current rows
+    /// on `workload` (as [`Sim::adopt`] leaves it), so the first overshoot
+    /// evaluates no timeline; each later one is the winning candidate's.
+    fn throttle_pass(
+        &mut self,
+        workload: &Workload,
+        order: &[usize],
+    ) -> Option<(usize, PredictedTimeline)> {
         let gpu = self.platform.gpu();
         let pus = self.platform.dnn_pus();
+        let ev = self.evaluator(workload);
+        let deadlines: Vec<Option<f64>> = order
+            .iter()
+            .map(|&i| self.active[i].spec.sla.deadline_ms())
+            .collect();
+        let overshoot = |lats: &[f64]| -> f64 {
+            deadlines
+                .iter()
+                .zip(lats)
+                .filter_map(|(d, &lat)| d.map(|d| lat / d))
+                .fold(0.0, f64::max)
+        };
+        let lats: Vec<f64> = order.iter().map(|&i| self.active[i].lat).collect();
+        let mut current = overshoot(&lats);
         let mut moves = 0usize;
+        let mut last: Option<PredictedTimeline> = None;
         // Cap iterations: each move pins one tenant, so one pass per
         // best-effort tenant suffices.
         for _ in 0..self.active.len() {
-            let overshoot = |lats: &[f64]| -> f64 {
-                order
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(pos, &i)| {
-                        self.active[i].spec.sla.deadline_ms().map(|d| lats[pos] / d)
-                    })
-                    .fold(0.0, f64::max)
-            };
-            let rows: Vec<Vec<PuId>> = order.iter().map(|&i| self.active[i].row.clone()).collect();
-            let mut ev = TimelineEvaluator::new(workload, self.contention);
-            ev.contention_aware = self.options.config.contention_aware;
-            let current = overshoot(&ev.evaluate(&rows).task_latency_ms);
             if current <= 1.0 {
                 break; // every deadline holds — nothing to throttle
             }
+            let rows: Vec<Vec<PuId>> = order.iter().map(|&i| self.active[i].row.clone()).collect();
             // Try moving each unpinned best-effort tenant to each PU.
             // Groups the target PU cannot run stay on the GPU (the
             // TensorRT fallback semantics), so e.g. a trailing Softmax
             // group never disqualifies the whole move to a DLA.
-            let mut best: Option<(usize, Vec<PuId>, f64)> = None;
+            let mut best: Option<(usize, Vec<PuId>, f64, PredictedTimeline)> = None;
             for (pos, &i) in order.iter().enumerate() {
                 let t = &self.active[i];
                 if t.spec.sla.deadline_ms().is_some() || t.throttled {
@@ -707,23 +726,28 @@ impl<'a> Sim<'a> {
                     }
                     let mut candidate = rows.clone();
                     candidate[pos] = row.clone();
-                    let score = overshoot(&ev.evaluate(&candidate).task_latency_ms);
+                    let tl = ev.evaluate(&candidate);
+                    let score = overshoot(&tl.task_latency_ms);
                     let better = match &best {
                         None => score < current - 1e-9,
-                        Some((_, _, s)) => score < s - 1e-9,
+                        Some((_, _, s, _)) => score < s - 1e-9,
                     };
                     if better {
-                        best = Some((pos, row, score));
+                        best = Some((pos, row, score, tl));
                     }
                 }
             }
-            let Some((pos, row, _)) = best else { break };
+            let Some((pos, row, score, tl)) = best else {
+                break;
+            };
             let i = order[pos];
             self.active[i].row = row;
             self.active[i].throttled = true;
+            current = score;
+            last = Some(tl);
             moves += 1;
         }
-        moves
+        last.map(|tl| (moves, tl))
     }
 
     /// Re-establishes the running schedule after a membership change,
@@ -736,7 +760,8 @@ impl<'a> Sim<'a> {
         let order = self.canonical_order();
         let workload = self.canonical_workload(&order);
         let patched = self.patched_rows(&order);
-        let patched_cost = self.adopt(&workload, &order, &patched);
+        let patched_tl = self.predict(&workload, &patched);
+        let patched_cost = objective_cost(self.options.config.objective, &patched_tl);
 
         let solve_now = force_solve
             || match self.options.policy {
@@ -761,46 +786,37 @@ impl<'a> Sim<'a> {
                 }
             };
 
-        let (action, rows, cost) = if solve_now {
+        if solve_now {
             self.report.resolves += 1;
             haxconn_telemetry::counter_add("dynamic.resolve.count", 1);
-            let (rows, action) = self.solve_mix(&workload, &patched, patched_cost);
+            let (schedule, action) = self.solve_mix(&workload, &patched, patched_cost);
             if action == ResolveAction::CacheHit {
                 haxconn_telemetry::counter_add("dynamic.resolve.cache_hit", 1);
             }
             for t in &mut self.active {
                 t.throttled = false;
             }
-            let cost = self.adopt(&workload, &order, &rows);
-            (action, rows, cost)
+            let rows = schedule.assignment.clone();
+            self.adopt(now_ms, action, &workload, &order, rows, &schedule.predicted);
         } else {
             self.report.resolve_skips += 1;
             haxconn_telemetry::counter_add("dynamic.resolve.skipped", 1);
-            (ResolveAction::Patched, patched, patched_cost)
-        };
-        self.record(now_ms, action, &workload, &order, rows, cost);
+            let action = ResolveAction::Patched;
+            self.adopt(now_ms, action, &workload, &order, patched, &patched_tl);
+        }
         self.apply_throttle(now_ms, &workload, &order);
     }
 
     /// Runs the throttle and, when it intervened, re-adopts + records the
     /// throttled schedule.
     fn apply_throttle(&mut self, now_ms: f64, workload: &Workload, order: &[usize]) {
-        let moves = self.throttle_pass(workload, order);
-        if moves == 0 {
+        let Some((moves, tl)) = self.throttle_pass(workload, order) else {
             return;
-        }
+        };
         self.report.throttles += moves;
         haxconn_telemetry::counter_add("tenant.throttles", moves as u64);
         let rows: Vec<Vec<PuId>> = order.iter().map(|&i| self.active[i].row.clone()).collect();
-        let cost = self.adopt(workload, order, &rows);
-        self.record(
-            now_ms,
-            ResolveAction::Throttled,
-            workload,
-            order,
-            rows,
-            cost,
-        );
+        self.adopt(now_ms, ResolveAction::Throttled, workload, order, rows, &tl);
     }
 
     fn finish_tenant(&mut self, t: Tenant) {

@@ -27,6 +27,26 @@
 //!
 //! The maximum same-PU queuing wait is reported so the encoding can apply
 //! Eq. 9's ε constraint.
+//!
+//! Every leaf of the branch & bound runs this fixed point, so three cuts
+//! make each call cheaper while keeping every floating-point operation and
+//! its order (`tests/timeline_bits.rs` pins the output bits):
+//!
+//! * **Live footprints.** While collecting a group's event boundaries,
+//!   `integrate` keeps, in footprint order, the co-runners whose interval
+//!   ends after the group's start; the external traffic sums over that
+//!   list only. Exact: traffic is only asked for at `t >= start`, and
+//!   `contains(t)` implies `end > t`, so no term is dropped and the sum's
+//!   order stands.
+//! * **Per-call slowdown memo.** Each slot remembers the slowdowns it has
+//!   looked up, keyed by the bits of the external traffic. Exact: the PCCS
+//!   lookup is a pure function of `(pu, cost, ext)`, and a slot's PU and
+//!   cost are fixed for the call; the memo lives in the slot table, which
+//!   is rebuilt on every call.
+//! * **Per-call slot table.** A group's PU, `tau_in`, `tau_out` and cost
+//!   are read from the assignment and profile once per call rather than
+//!   once per pass. Exact: they depend on the assignment alone, and the
+//!   transition total is still accumulated in dispatch order.
 
 use crate::interval::Interval;
 use crate::problem::Workload;
@@ -105,12 +125,54 @@ struct Footprint {
     demand_gbps: f64,
 }
 
+/// Distinct external-traffic values one slot remembers per call.
+const MEMO_WAYS: usize = 8;
+
+/// Everything about one group slot that is fixed for the length of one
+/// [`TimelineEvaluator::evaluate_into`] call: its PU, transition costs and
+/// standalone cost, plus the slowdowns it has already looked up.
+#[derive(Clone, Copy)]
+struct Slot {
+    pu: PuId,
+    tau_in: f64,
+    tau_out: f64,
+    cost: LayerCost,
+    /// `memo_ext[..memo_len]` are the bits of external-traffic values
+    /// seen this call; `memo_slowdown` holds their clamped slowdowns.
+    memo_len: usize,
+    memo_ext: [u64; MEMO_WAYS],
+    memo_slowdown: [f64; MEMO_WAYS],
+}
+
+impl Slot {
+    /// `model.slowdown(pu, cost, ext).max(1.0)`, looked up at most once
+    /// per distinct `ext` bit pattern per call (the lookup is a pure
+    /// function of its inputs, and `pu` and `cost` are fixed per slot).
+    fn slowdown(&mut self, model: &ContentionModel, ext: f64) -> f64 {
+        let key = ext.to_bits();
+        if let Some(i) = self.memo_ext[..self.memo_len]
+            .iter()
+            .position(|&k| k == key)
+        {
+            return self.memo_slowdown[i];
+        }
+        let s = model.slowdown(self.pu, &self.cost, ext).max(1.0);
+        if self.memo_len < MEMO_WAYS {
+            self.memo_ext[self.memo_len] = key;
+            self.memo_slowdown[self.memo_len] = s;
+            self.memo_len += 1;
+        }
+        s
+    }
+}
+
 /// Reusable scratch for [`TimelineEvaluator::evaluate_into`]: owns every
 /// buffer the evaluator needs, so repeated evaluations (the solver's leaf
 /// hot path) allocate nothing after warm-up.
 ///
-/// A workspace is evaluator-agnostic — buffers are (re)sized on each call —
-/// but reusing one across *different* workloads simply re-grows them.
+/// A workspace is evaluator-agnostic — buffers are (re)sized and the slot
+/// table rebuilt on each call — but reusing one across *different*
+/// workloads simply re-grows them.
 #[derive(Default)]
 pub struct TimelineWorkspace {
     /// Flat per-group timings; task `t`'s groups live at
@@ -118,6 +180,8 @@ pub struct TimelineWorkspace {
     timings: Vec<GroupTiming>,
     /// Start of each task's row in `timings`.
     group_off: Vec<usize>,
+    /// Per-call slot table, indexed like `timings`.
+    slots: Vec<Slot>,
     pu_free: Vec<f64>,
     next_group: Vec<usize>,
     task_end: Vec<f64>,
@@ -127,6 +191,9 @@ pub struct TimelineWorkspace {
     next_footprints: Vec<Footprint>,
     /// Event-boundary scratch for `integrate`.
     events: Vec<f64>,
+    /// Indices into `footprints` of the co-runners still live at the
+    /// start of the group `integrate` is placing.
+    live: Vec<usize>,
     /// Slot → index into `footprints`, rebuilt only when damping fires.
     slot_index: Vec<usize>,
 }
@@ -177,32 +244,30 @@ impl<'a> TimelineEvaluator<'a> {
         }
     }
 
-    fn cost_of(&self, task: usize, group: usize, pu: PuId) -> LayerCost {
-        self.workload.tasks[task].profile.groups[group].cost[pu]
-            .expect("assignment respects supported PUs")
-    }
-
     /// Integrates one group's execution starting at `start` under the
     /// slowdown profile induced by `others`, returning `(end, mean_slowdown)`.
-    /// `events` is caller-owned scratch (cleared here, reused across calls).
+    /// `events` and `live` are caller-owned scratch (cleared here, reused
+    /// across calls).
     fn integrate(
         &self,
         task: usize,
-        pu: PuId,
-        cost: &LayerCost,
+        slot: &mut Slot,
         start: f64,
         others: &[Footprint],
         events: &mut Vec<f64>,
+        live: &mut Vec<usize>,
     ) -> (f64, f64) {
-        let t0 = cost.time_ms;
+        let t0 = slot.cost.time_ms;
         if !self.contention_aware || t0 <= 0.0 {
             return (start + t0, 1.0);
         }
         // Event boundaries after `start` from other tasks' groups on other
-        // PUs.
+        // PUs, and those groups still live after `start`, in footprint
+        // order.
         events.clear();
-        for f in others {
-            if f.task == task || f.pu == pu {
+        live.clear();
+        for (i, f) in others.iter().enumerate() {
+            if f.task == task || f.pu == slot.pu {
                 continue;
             }
             if f.interval.start > start {
@@ -210,6 +275,7 @@ impl<'a> TimelineEvaluator<'a> {
             }
             if f.interval.end > start {
                 events.push(f.interval.end);
+                live.push(i);
             }
         }
         // `total_cmp` keeps a NaN boundary (degenerate profile) from
@@ -218,10 +284,13 @@ impl<'a> TimelineEvaluator<'a> {
         events.sort_by(f64::total_cmp);
         events.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
 
+        // Only ever asked at `t >= start`, and `contains(t)` implies
+        // `end > t`, so the live list drops no term and keeps the sum's
+        // order.
         let external_at = |t: f64| -> f64 {
-            others
-                .iter()
-                .filter(|f| f.task != task && f.pu != pu && f.interval.contains(t))
+            live.iter()
+                .map(|&i| &others[i])
+                .filter(|f| f.interval.contains(t))
                 .map(|f| f.demand_gbps)
                 .sum()
         };
@@ -236,8 +305,7 @@ impl<'a> TimelineEvaluator<'a> {
             if seg <= 0.0 {
                 continue;
             }
-            let ext = external_at(now + 0.5 * seg.min(remaining));
-            let s = self.model.slowdown(pu, cost, ext).max(1.0);
+            let s = slot.slowdown(self.model, external_at(now + 0.5 * seg.min(remaining)));
             let consumed = seg / s;
             if consumed >= remaining {
                 now += remaining * s;
@@ -248,8 +316,7 @@ impl<'a> TimelineEvaluator<'a> {
             now = ev;
         }
         if remaining > 0.0 {
-            let ext = external_at(now);
-            let s = self.model.slowdown(pu, cost, ext).max(1.0);
+            let s = slot.slowdown(self.model, external_at(now));
             now += remaining * s;
         }
         let end = now;
@@ -306,10 +373,36 @@ impl<'a> TimelineEvaluator<'a> {
             ws.group_off.push(total_groups);
             total_groups += t.num_groups();
         }
+        // The slot table: everything about a group that the assignment
+        // fixes, computed once per call instead of once per pass.
+        ws.slots.clear();
         let mut n_pus = 1usize;
-        for t in 0..n_tasks {
-            for g in 0..w.tasks[t].num_groups() {
-                n_pus = n_pus.max(pu_of(t, g) + 1);
+        for (t, task) in w.tasks.iter().enumerate() {
+            let profile = &task.profile;
+            for g in 0..task.num_groups() {
+                let pu = pu_of(t, g);
+                n_pus = n_pus.max(pu + 1);
+                // Transition overheads (Eq. 2/3): tau_in when the previous
+                // group ran elsewhere; tau_out when the next group will.
+                let tau_in = if g > 0 && pu_of(t, g - 1) != pu {
+                    profile.groups[g - 1].tr_in_ms[pu]
+                } else {
+                    0.0
+                };
+                let tau_out = if g + 1 < profile.len() && pu_of(t, g + 1) != pu {
+                    profile.groups[g].tr_out_ms[pu]
+                } else {
+                    0.0
+                };
+                ws.slots.push(Slot {
+                    pu,
+                    tau_in,
+                    tau_out,
+                    cost: profile.groups[g].cost[pu].expect("assignment respects supported PUs"),
+                    memo_len: 0,
+                    memo_ext: [0; MEMO_WAYS],
+                    memo_slowdown: [0.0; MEMO_WAYS],
+                });
             }
         }
 
@@ -379,8 +472,7 @@ impl<'a> TimelineEvaluator<'a> {
                     if !ready.is_finite() {
                         continue;
                     }
-                    let pu = pu_of(t, g);
-                    let start = ready.max(ws.pu_free[pu]);
+                    let start = ready.max(ws.pu_free[ws.slots[ws.group_off[t] + g].pu]);
                     let better = match pick {
                         None => true,
                         Some((_, r, s)) => {
@@ -395,30 +487,27 @@ impl<'a> TimelineEvaluator<'a> {
                     break;
                 };
                 let g = ws.next_group[t];
-                let pu = pu_of(t, g);
-                let cost = self.cost_of(t, g, pu);
-                let profile = &w.tasks[t].profile;
-
-                // Transition overheads (Eq. 2/3): tau_in when the previous
-                // group ran elsewhere; tau_out when the next group will.
-                let tau_in = if g > 0 && pu_of(t, g - 1) != pu {
-                    profile.groups[g - 1].tr_in_ms[pu]
-                } else {
-                    0.0
-                };
-                let tau_out = if g + 1 < profile.len() && pu_of(t, g + 1) != pu {
-                    profile.groups[g].tr_out_ms[pu]
-                } else {
-                    0.0
-                };
+                let idx = ws.group_off[t] + g;
+                let Slot {
+                    pu,
+                    tau_in,
+                    tau_out,
+                    ..
+                } = ws.slots[idx];
                 total_transition += tau_in + tau_out;
 
                 let exec_start = start + tau_in;
-                let (exec_end, slowdown) =
-                    self.integrate(t, pu, &cost, exec_start, &ws.footprints, &mut ws.events);
+                let (exec_end, slowdown) = self.integrate(
+                    t,
+                    &mut ws.slots[idx],
+                    exec_start,
+                    &ws.footprints,
+                    &mut ws.events,
+                    &mut ws.live,
+                );
                 let end = exec_end + tau_out;
 
-                ws.timings[ws.group_off[t] + g] = GroupTiming {
+                ws.timings[idx] = GroupTiming {
                     pu,
                     start_ms: start,
                     end_ms: end,
@@ -431,10 +520,10 @@ impl<'a> TimelineEvaluator<'a> {
                 ws.next_group[t] += 1;
                 ws.next_footprints.push(Footprint {
                     task: t,
-                    slot: ws.group_off[t] + g,
+                    slot: idx,
                     pu,
                     interval: Interval::new(exec_start, exec_end),
-                    demand_gbps: cost.demand_gbps,
+                    demand_gbps: ws.slots[idx].cost.demand_gbps,
                 });
             }
 
@@ -622,6 +711,81 @@ mod tests {
         let ev = TimelineEvaluator::new(&w, &cm);
         let tl = ev.evaluate(&all_on(&w, p.gpu()));
         assert!(tl.groups[1][0].start_ms >= tl.task_latency_ms[0] - 1e-9);
+    }
+
+    /// A collaborative assignment: odd tasks on the DLA where supported.
+    fn split(p: &Platform, w: &Workload) -> Vec<Vec<PuId>> {
+        w.tasks
+            .iter()
+            .enumerate()
+            .map(|(t, task)| {
+                task.profile
+                    .groups
+                    .iter()
+                    .map(|g| {
+                        if t % 2 == 1 && g.cost[p.dsa()].is_some() {
+                            p.dsa()
+                        } else {
+                            p.gpu()
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Every output bit of one `evaluate_into` call.
+    fn bits(ws: &TimelineWorkspace, s: TimelineSummary, w: &Workload) -> Vec<u64> {
+        let mut out = vec![
+            s.makespan_ms.to_bits(),
+            s.max_wait_ms.to_bits(),
+            s.total_transition_ms.to_bits(),
+            s.converged as u64,
+            s.iterations as u64,
+        ];
+        out.extend(ws.task_latency_ms().iter().map(|x| x.to_bits()));
+        for (t, task) in w.tasks.iter().enumerate() {
+            for g in 0..task.num_groups() {
+                let x = ws.timing(t, g);
+                out.push(x.pu as u64);
+                for v in [x.start_ms, x.end_ms, x.wait_ms, x.slowdown] {
+                    out.push(v.to_bits());
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn reused_workspace_matches_fresh_across_workloads() {
+        let (p, two, cm) = setup(&[Model::ResNet101, Model::GoogleNet]);
+        let (_, three, _) = setup(&[Model::GoogleNet, Model::ResNet50, Model::InceptionV4]);
+        let fresh = |w: &Workload| {
+            let a = split(&p, w);
+            let mut ws = TimelineWorkspace::default();
+            let s = TimelineEvaluator::new(w, &cm).evaluate_into(&mut ws, |t, g| a[t][g]);
+            bits(&ws, s, w)
+        };
+        let mut shared = TimelineWorkspace::default();
+        for w in [&two, &three, &two] {
+            let a = split(&p, w);
+            let s = TimelineEvaluator::new(w, &cm).evaluate_into(&mut shared, |t, g| a[t][g]);
+            assert_eq!(bits(&shared, s, w), fresh(w));
+        }
+    }
+
+    #[test]
+    fn warm_evaluate_into_is_allocation_free() {
+        let (p, w, cm) = setup(&[Model::GoogleNet, Model::ResNet101, Model::InceptionV4]);
+        let a = split(&p, &w);
+        let ev = TimelineEvaluator::new(&w, &cm);
+        let mut ws = TimelineWorkspace::default();
+        let warm = ev.evaluate_into(&mut ws, |t, g| a[t][g]);
+        assert!(warm.iterations > 1, "the fixed point takes several passes");
+        let guard = haxconn_telemetry::alloc::AllocGuard::begin("timeline.evaluate_into");
+        let again = ev.evaluate_into(&mut ws, |t, g| a[t][g]);
+        guard.assert_zero();
+        assert_eq!(again.makespan_ms.to_bits(), warm.makespan_ms.to_bits());
     }
 
     #[test]

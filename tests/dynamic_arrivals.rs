@@ -5,6 +5,7 @@
 //! `proptest`; README § Offline builds): every run checks the same cases,
 //! so failures are trivially reproducible.
 
+use haxconn::core::scheduler::objective_cost;
 use haxconn::core::{generate_instance, IncumbentClock, ResolveAction};
 use haxconn::prelude::*;
 use std::collections::BTreeMap;
@@ -134,6 +135,62 @@ fn resolved_mix_costs_agree_across_policies() {
         compared >= 3,
         "only {compared} mixes overlapped across policies"
     );
+}
+
+/// Every adopted schedule's recorded cost is the cost of a fresh timeline
+/// of its rows, on a freshly profiled workload, to the bit. The replay
+/// evaluates each adopted schedule once and reuses that timeline for the
+/// tenants' latencies, the validation and the throttle; a cache hit
+/// reuses the timeline predicted when the mix was first solved.
+#[test]
+fn adopted_costs_match_fresh_timelines() {
+    let trace = ArrivalTrace::generate(5, 60, 3);
+    let mut spec_of = BTreeMap::new();
+    for e in &trace.events {
+        if let TenantEvent::Join { tenant } = &e.event {
+            spec_of.insert(tenant.name.clone(), tenant.clone());
+        }
+    }
+    let platform = haxconn::soc::snapdragon_865();
+    let cm = ContentionModel::calibrate(&platform);
+    let mut seen = BTreeMap::new();
+    for objective in [Objective::MinMaxLatency, Objective::MaxThroughput] {
+        let options = ReplayOptions {
+            config: SchedulerConfig::with_objective(objective),
+            validate: true,
+            record_resolves: true,
+            ..Default::default()
+        };
+        let r = replay_arrivals(&platform, &cm, &trace, &options).expect("replayable");
+        assert_eq!(r.violations, 0, "{objective:?}: invariant violations");
+        for rp in &r.resolve_points {
+            let tasks = rp
+                .tenants
+                .iter()
+                .map(|name| {
+                    let spec = &spec_of[name];
+                    let model = parse_model(&spec.model).expect("trace model");
+                    DnnTask::new(name, NetworkProfile::profile(&platform, model, spec.groups))
+                })
+                .collect();
+            let w = Workload::concurrent(tasks);
+            let tl = TimelineEvaluator::new(&w, &cm).evaluate(&rp.assignment);
+            assert_eq!(
+                objective_cost(objective, &tl).to_bits(),
+                rp.cost.to_bits(),
+                "{objective:?}, {:?} at {} ms",
+                rp.action,
+                rp.at_ms
+            );
+            *seen.entry(format!("{:?}", rp.action)).or_insert(0usize) += 1;
+        }
+    }
+    for action in ["Solved", "CacheHit", "Throttled"] {
+        assert!(
+            seen.contains_key(action),
+            "no {action} point checked: {seen:?}"
+        );
+    }
 }
 
 /// 64-bit FNV-1a, enough to pin a report's bytes in a test.
