@@ -25,8 +25,8 @@ use haxconn_core::scheduler::objective_cost;
 use haxconn_core::validate::{validate_schedule, validate_timeline, Violation};
 use haxconn_core::{
     parse_model, replay_arrivals, ArrivalTrace, Baseline, BaselineKind, DnnTask, HaxConn,
-    Objective, ReplayOptions, ResolvePolicy, ScheduleEncoding, SchedulerConfig, TenantEvent,
-    TimelineEvaluator, Workload,
+    Objective, ReplayOptions, ResolveAction, ResolvePolicy, ScheduleEncoding, SchedulerConfig,
+    TenantEvent, TimelineEvaluator, Workload,
 };
 use haxconn_dnn::Model;
 use haxconn_profiler::NetworkProfile;
@@ -117,6 +117,9 @@ pub struct FuzzReport {
     /// Portfolio incumbents validated against the encoding (large-instance
     /// mode).
     pub incumbents_validated: usize,
+    /// Re-solve points adopted by the arrival replay's throttle and
+    /// re-checked from scratch (arrival mode).
+    pub throttled_rechecked: usize,
     /// Solver-vs-solver/oracle/baseline disagreements (must be empty).
     pub divergences: Vec<Divergence>,
     /// Validator violations, tagged with their scenario (must be empty).
@@ -134,11 +137,12 @@ impl fmt::Display for FuzzReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "fuzz: {} scenarios, {} schedules validated, {} executions checked (replayed twice, bit-identical), {} incumbents validated, {} divergences, {} violations",
+            "fuzz: {} scenarios, {} schedules validated, {} executions checked (replayed twice, bit-identical), {} incumbents validated, {} throttled re-solve points re-checked, {} divergences, {} violations",
             self.scenarios,
             self.schedules_validated,
             self.executions_checked,
             self.incumbents_validated,
+            self.throttled_rechecked,
             self.divergences.len(),
             self.violations.len()
         )?;
@@ -496,6 +500,9 @@ pub fn run_large(seed: u64, instances: usize, node_budget: u64) -> FuzzReport {
     report
 }
 
+/// Event cap of [`run_arrival`]'s Snapdragon 865 traces.
+const THROTTLE_TRACE_EVENTS: usize = 40;
+
 /// Arrival-trace fuzzing of the multi-tenant replay engine.
 ///
 /// Each trace is generated deterministically from the seed and replayed
@@ -513,10 +520,15 @@ pub fn run_large(seed: u64, instances: usize, node_budget: u64) -> FuzzReport {
 ///
 /// Policies rotate per trace (Immediate / Debounced / UtilityThreshold) so
 /// all re-solve paths — including the skip/patch paths — are exercised.
+/// Every fourth trace is a short (at most 40 events) four-tenant trace on
+/// the Snapdragon 865, whose two PUs run out of deadline slack often
+/// enough for the throttle to intervene; the Orin traces of at most three
+/// tenants rarely reach it. The report counts the throttled points
+/// re-checked, since whether a trace throttles depends on its seed.
 pub fn run_arrival(seed: u64, traces: usize, events_per_trace: usize) -> FuzzReport {
-    let platform = orin_agx();
-    let cm = ContentionModel::calibrate(&platform);
-    let mut profiles: FxHashMap<(Model, usize), Arc<NetworkProfile>> = FxHashMap::default();
+    let platforms = [orin_agx(), snapdragon_865()];
+    let models = platforms.each_ref().map(ContentionModel::calibrate);
+    let mut profiles: [FxHashMap<(Model, usize), Arc<NetworkProfile>>; 2] = Default::default();
     let mut report = FuzzReport::default();
 
     for i in 0..traces {
@@ -524,7 +536,14 @@ pub fn run_arrival(seed: u64, traces: usize, events_per_trace: usize) -> FuzzRep
         let diverge = |detail: String, report: &mut FuzzReport| {
             report.divergences.push(Divergence { scenario, detail });
         };
-        let trace = ArrivalTrace::generate(seed.wrapping_add(i as u64), events_per_trace, 3);
+        let (target, events, tenants) = if i % 4 == 3 {
+            (1, events_per_trace.min(THROTTLE_TRACE_EVENTS), 4)
+        } else {
+            (0, events_per_trace, 3)
+        };
+        let (platform, cm) = (&platforms[target], &models[target]);
+        let profiles = &mut profiles[target];
+        let trace = ArrivalTrace::generate(seed.wrapping_add(i as u64), events, tenants);
         let policy = match i % 3 {
             0 => ResolvePolicy::Immediate,
             1 => ResolvePolicy::Debounced { window_ms: 40.0 },
@@ -537,7 +556,7 @@ pub fn run_arrival(seed: u64, traces: usize, events_per_trace: usize) -> FuzzRep
             workers: 1,
             ..Default::default()
         };
-        let a = match replay_arrivals(&platform, &cm, &trace, &opts) {
+        let a = match replay_arrivals(platform, cm, &trace, &opts) {
             Ok(r) => r,
             Err(e) => {
                 diverge(format!("replay failed: {e}"), &mut report);
@@ -555,7 +574,7 @@ pub fn run_arrival(seed: u64, traces: usize, events_per_trace: usize) -> FuzzRep
         }
 
         // Contract 1: replay is a pure function of (platform, trace, opts).
-        match replay_arrivals(&platform, &cm, &trace, &opts) {
+        match replay_arrivals(platform, cm, &trace, &opts) {
             Ok(b) if a.to_json() == b.to_json() => {}
             Ok(_) => diverge(
                 "replay not byte-deterministic across runs".into(),
@@ -569,7 +588,7 @@ pub fn run_arrival(seed: u64, traces: usize, events_per_trace: usize) -> FuzzRep
             workers: 4,
             ..opts.clone()
         };
-        match replay_arrivals(&platform, &cm, &trace, &wide) {
+        match replay_arrivals(platform, cm, &trace, &wide) {
             Ok(c) if a.to_json() == c.to_json() => {}
             Ok(_) => diverge(
                 "replay diverged across solver worker counts (1 vs 4)".into(),
@@ -600,20 +619,22 @@ pub fn run_arrival(seed: u64, traces: usize, events_per_trace: usize) -> FuzzRep
                     known = false;
                     break;
                 };
-                let profile = Arc::clone(profiles.entry((model, groups)).or_insert_with(|| {
-                    Arc::new(NetworkProfile::profile(&platform, model, groups))
-                }));
+                let profile =
+                    Arc::clone(profiles.entry((model, groups)).or_insert_with(|| {
+                        Arc::new(NetworkProfile::profile(platform, model, groups))
+                    }));
                 tasks.push(DnnTask::new(name.clone(), profile));
             }
             if !known {
                 continue;
             }
             let workload = Workload::concurrent(tasks);
-            let mut ev = TimelineEvaluator::new(&workload, &cm);
+            let mut ev = TimelineEvaluator::new(&workload, cm);
             ev.contention_aware = opts.config.contention_aware;
             let tl = ev.evaluate(&rp.assignment);
             let vr = validate_timeline(&workload, &rp.assignment, &tl);
             report.schedules_validated += 1;
+            report.throttled_rechecked += usize::from(rp.action == ResolveAction::Throttled);
             for v in vr.violations {
                 report.violations.push((scenario, v));
             }
@@ -652,16 +673,23 @@ mod tests {
 
     #[test]
     fn arrival_run_is_clean_and_deterministic() {
-        let a = run_arrival(5, 3, 40);
+        // Four traces: the fourth is the Snapdragon 865 one that reaches
+        // the throttle.
+        let a = run_arrival(5, 4, 16);
         assert!(a.is_clean(), "{a}");
-        assert_eq!(a.scenarios, 3);
+        assert_eq!(a.scenarios, 4);
         assert!(
-            a.schedules_validated >= 3,
+            a.schedules_validated >= 4,
             "expected re-solve points to be re-validated, got {}",
             a.schedules_validated
         );
-        let b = run_arrival(5, 3, 40);
+        assert!(
+            a.throttled_rechecked >= 1,
+            "expected a throttled re-solve point to be re-checked: {a}"
+        );
+        let b = run_arrival(5, 4, 16);
         assert_eq!(a.schedules_validated, b.schedules_validated);
+        assert_eq!(a.throttled_rechecked, b.throttled_rechecked);
         assert!(b.is_clean(), "{b}");
     }
 

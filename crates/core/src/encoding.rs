@@ -17,8 +17,7 @@
 use crate::problem::{Objective, SchedulerConfig, Workload};
 use crate::timeline::{PredictedTimeline, TimelineEvaluator, TimelineWorkspace};
 use haxconn_contention::ContentionModel;
-use haxconn_soc::Platform;
-use haxconn_solver::{Assignment, CostModel, PartialAssignment, SymmetrySpec};
+use haxconn_solver::{Assignment, CostModel, PartialAssignment};
 use std::cell::RefCell;
 
 /// The scheduling problem as a [`CostModel`].
@@ -368,54 +367,6 @@ impl<'a> ScheduleEncoding<'a> {
         let inside = flat.iter().zip(&self.domains).all(|(pu, d)| d.contains(pu))
             && !self.over_transition_budget(|var| Some(flat[var]));
         inside.then(|| (flat, self.objective_of(tl.max_wait_ms, &tl.task_latency_ms)))
-    }
-
-    /// Detects this instance's symmetries for the solver's
-    /// [`haxconn_solver::Symmetric`] wrapper.
-    ///
-    /// Only **value classes** are emitted: [`Platform::interchangeable_pus`]
-    /// groups PUs with bitwise-identical specs (the dual-DLA Orin's two
-    /// NVDLAs), and relabeling such PUs moves whole per-PU queues wholesale
-    /// — every queue keeps its dispatch order, so the contention timeline
-    /// is preserved exactly. Each candidate class is still re-verified
-    /// against this encoding: every variable's domain must contain all or
-    /// none of the class, and the standalone times of every
-    /// (variable, task) pair must be bitwise equal across the class —
-    /// otherwise the class is dropped rather than risking an unsound cut.
-    ///
-    /// Duplicate DNN *instances* are deliberately **not** emitted as
-    /// variable blocks, even though the solver supports them: the timeline
-    /// dispatches same-PU overlaps in task-index order, so swapping two
-    /// identical instances' assignment vectors changes which instance
-    /// dispatches first and with it the cost (measured: ~7% on a dual-DLA
-    /// 2×GoogleNet instance). Instance interchangeability is a symmetry of
-    /// abstract makespan models, not of this order-sensitive evaluator;
-    /// the block rule stays available for models that are block-invariant.
-    pub fn symmetry_spec(&self, platform: &Platform) -> SymmetrySpec {
-        let mut spec = SymmetrySpec::default();
-        'class: for class in platform.interchangeable_pus() {
-            if class.len() < 2 {
-                continue;
-            }
-            let vals: Vec<u32> = class.iter().map(|&p| p as u32).collect();
-            for dom in &self.domains {
-                let present = vals.iter().filter(|v| dom.contains(v)).count();
-                if present != 0 && present != vals.len() {
-                    continue 'class;
-                }
-            }
-            for row in self.slot_cost.chunks(self.n_pus + 1) {
-                let t0 = row[vals[0] as usize].time_ms.to_bits();
-                if vals
-                    .iter()
-                    .any(|&v| row[v as usize].time_ms.to_bits() != t0)
-                {
-                    continue 'class;
-                }
-            }
-            spec.value_classes.push(vals);
-        }
-        spec
     }
 
     /// Σ over `task`'s span of (assigned ? standalone time : cheapest
@@ -988,40 +939,12 @@ mod tests {
     }
 
     #[test]
-    fn symmetry_spec_detects_the_dual_dla_value_class() {
-        let p = haxconn_soc::orin_agx_dual_dla();
-        let prof = |m: Model| NetworkProfile::profile(&p, m, 6);
-        let w = Workload::concurrent(vec![
-            DnnTask::new("GoogleNet#0", prof(Model::GoogleNet)),
-            DnnTask::new("GoogleNet#1", prof(Model::GoogleNet)),
-            DnnTask::new("ResNet18", prof(Model::ResNet18)),
-        ]);
-        let cm = ContentionModel::calibrate(&p);
-        let enc = ScheduleEncoding::new(&w, &cm, SchedulerConfig::default());
-        let spec = enc.symmetry_spec(&p);
-        // The two NVDLAs are one value class. Duplicate instances are
-        // *not* blocks here (see the next test).
-        assert_eq!(spec.value_classes, vec![vec![1, 2]]);
-        assert!(spec.var_blocks.is_empty());
-        assert_eq!(spec.num_rules(), 1);
-        // The single-DLA Orin has no interchangeable PUs at all.
-        let single = orin_agx();
-        let w1 = Workload::concurrent(vec![DnnTask::new(
-            "a",
-            NetworkProfile::profile(&single, Model::GoogleNet, 6),
-        )]);
-        let cm1 = ContentionModel::calibrate(&single);
-        let enc1 = ScheduleEncoding::new(&w1, &cm1, SchedulerConfig::default());
-        assert!(enc1.symmetry_spec(&single).is_empty());
-    }
-
-    #[test]
     fn instance_swap_is_not_a_timeline_symmetry() {
-        // Why `symmetry_spec` refuses to emit duplicate-instance variable
-        // blocks: the timeline dispatches same-PU overlaps in task-index
-        // order, so giving the DLA excursion to instance 0 vs instance 1
-        // changes who dispatches first on the GPU — a real cost change,
-        // not a relabeling.
+        // Two identical DNN instances are not interchangeable: the
+        // timeline dispatches same-PU overlaps in task-index order, so
+        // giving the DLA excursion to instance 0 vs instance 1 changes who
+        // dispatches first on the GPU — a real cost change, not a
+        // relabeling.
         let p = haxconn_soc::orin_agx_dual_dla();
         let prof = || NetworkProfile::profile(&p, Model::GoogleNet, 6);
         let w = Workload::concurrent(vec![
@@ -1050,40 +973,6 @@ mod tests {
         assert!(
             (ca - cb).abs() > 1e-6,
             "expected the swapped twin to cost differently ({ca} vs {cb})"
-        );
-    }
-
-    #[test]
-    fn symmetric_wrapper_preserves_the_schedule_optimum() {
-        let p = haxconn_soc::orin_agx_dual_dla();
-        let prof = |m: Model| NetworkProfile::profile(&p, m, 4);
-        let w = Workload::concurrent(vec![
-            DnnTask::new("GoogleNet#0", prof(Model::GoogleNet)),
-            DnnTask::new("GoogleNet#1", prof(Model::GoogleNet)),
-        ]);
-        let cm = ContentionModel::calibrate(&p);
-        let cfg = SchedulerConfig {
-            epsilon_ms: None,
-            max_transitions_per_task: 1,
-            ..Default::default()
-        };
-        let enc = ScheduleEncoding::new(&w, &cm, cfg);
-        let plain = solve(&enc, SolveOptions::default());
-        let spec = enc.symmetry_spec(&p);
-        assert!(!spec.is_empty());
-        let sym = haxconn_solver::Symmetric::new(&enc, spec);
-        let broken = solve(&sym, SolveOptions::default());
-        let (_, c_plain) = plain.best.expect("feasible");
-        let (_, c_sym) = broken.best.expect("feasible");
-        assert!(
-            (c_plain - c_sym).abs() <= 1e-9,
-            "symmetry breaking moved the optimum: {c_plain} vs {c_sym}"
-        );
-        assert!(
-            broken.stats.nodes < plain.stats.nodes,
-            "expected fewer nodes with symmetry broken ({} vs {})",
-            broken.stats.nodes,
-            plain.stats.nodes
         );
     }
 

@@ -145,10 +145,10 @@ pub struct GeneratedInstance {
     /// Reproducible label, e.g. `"gen7-7x8"` (seed 7, 7 tasks × 8 groups).
     pub name: String,
     /// Target platform (the default generator uses the dual-DLA Orin, so
-    /// the N-PU path and the DLA value-class symmetry are exercised).
+    /// the N-PU path is exercised).
     pub platform: Platform,
-    /// The random workload: duplicated instances appear naturally (block
-    /// symmetry), and sparse random forward edges form the streaming DAG.
+    /// The random workload: duplicated instances appear naturally, and
+    /// sparse random forward edges form the streaming DAG.
     pub workload: Workload,
     /// Configuration tuned for large heuristic instances: ε relaxed
     /// (queuing modeled, not forbidden) so feasibility reduces to the
@@ -180,10 +180,9 @@ pub fn generate_instance(seed: u64, num_tasks: usize, groups: usize) -> Generate
 ///
 /// Deterministic in `(seed, num_tasks, groups)` and the platform: models
 /// are drawn with replacement from a fixed zoo subset (duplicates are
-/// deliberate — they produce interchangeable-instance symmetry), and each
-/// non-root task receives a random upstream dependency with probability
-/// 1/4 (edges always point forward, so the DAG is acyclic by
-/// construction).
+/// deliberate), and each non-root task receives a random upstream
+/// dependency with probability 1/4 (edges always point forward, so the
+/// DAG is acyclic by construction).
 pub fn generate_instance_on(
     platform: Platform,
     seed: u64,
@@ -338,19 +337,6 @@ mod tests {
         assert_eq!(a.workload.deps, b.workload.deps);
         assert!(a.workload.validate().is_ok());
         assert!(a.config.validate().is_ok());
-    }
-
-    #[test]
-    fn generated_instance_exposes_the_dla_value_class() {
-        use crate::encoding::ScheduleEncoding;
-        let g = generate_instance(3, 4, 4);
-        let cm = ContentionModel::calibrate(&g.platform);
-        let enc = ScheduleEncoding::new(&g.workload, &cm, g.config);
-        let spec = enc.symmetry_spec(&g.platform);
-        assert!(
-            spec.value_classes.contains(&vec![1, 2]),
-            "dual-DLA class missing: {spec:?}"
-        );
     }
 
     #[test]

@@ -137,6 +137,19 @@ impl HaxConn {
         model: &ContentionModel,
         config: SchedulerConfig,
     ) -> Result<Schedule, HaxError> {
+        Self::schedule_and_baselines(platform, workload, model, config)
+            .map(|(schedule, _)| schedule)
+    }
+
+    /// [`HaxConn::try_schedule`] together with the scored baselines it
+    /// compared against, in [`BaselineKind::all`] order, so
+    /// [`HaxConn::try_schedule_validated`] need not score them again.
+    fn schedule_and_baselines(
+        platform: &Platform,
+        workload: &Workload,
+        model: &ContentionModel,
+        config: SchedulerConfig,
+    ) -> Result<(Schedule, Vec<Schedule>), HaxError> {
         workload.validate()?;
         config.validate()?;
         let schedule_started = std::time::Instant::now();
@@ -169,7 +182,7 @@ impl HaxConn {
         });
         let relaxed = (solved.as_ref().zip(config.epsilon_ms))
             .is_some_and(|(s, eps)| s.predicted.max_wait_ms > eps);
-        let mut schedule = never_worse(solved, baselines).ok_or_else(|| {
+        let mut schedule = never_worse(solved, &baselines).ok_or_else(|| {
             HaxError::Infeasible("no candidate schedule (not even a baseline) was found".into())
         })?;
         schedule.proven_optimal = proven;
@@ -196,7 +209,7 @@ impl HaxConn {
                 "emitted schedule fails validation: {report}"
             );
         }
-        Ok(schedule)
+        Ok((schedule, baselines))
     }
 }
 
@@ -228,7 +241,8 @@ impl HaxConn {
         model: &ContentionModel,
         config: SchedulerConfig,
     ) -> Result<Schedule, HaxError> {
-        let mut winner = Self::try_schedule(platform, workload, model, config)?;
+        let (mut winner, baselines) =
+            Self::schedule_and_baselines(platform, workload, model, config)?;
         // One pooled runner scores every candidate.
         let mut runner = crate::measure::DesRunner::new();
         let mut measured_cost = |assignment: &Vec<Vec<PuId>>| -> f64 {
@@ -239,7 +253,6 @@ impl HaxConn {
             }
         };
         let mut best_cost = measured_cost(&winner.assignment);
-        let baselines = score_baselines(platform, workload, model, &config, BaselineKind::all());
         for b in baselines {
             let c = measured_cost(&b.assignment);
             if c < best_cost - 1e-9 {
@@ -267,7 +280,7 @@ impl HaxConn {
         workload.validate()?;
         config.validate()?;
         let baselines = score_baselines(platform, workload, model, &config, BaselineKind::all());
-        never_worse(None, baselines)
+        never_worse(None, &baselines)
             .ok_or_else(|| HaxError::Infeasible("no baseline schedule could be constructed".into()))
     }
 }
@@ -311,14 +324,18 @@ pub(crate) fn score_baselines(
 
 /// The never-worse rule: `best` (the solver's schedule, if any) unless a
 /// baseline, in `baselines` order, beats the running winner by more than
-/// 1e-9.
-fn never_worse(mut best: Option<Schedule>, baselines: Vec<Schedule>) -> Option<Schedule> {
+/// 1e-9 (then a copy of the last such baseline).
+fn never_worse(best: Option<Schedule>, baselines: &[Schedule]) -> Option<Schedule> {
+    let mut pick: Option<&Schedule> = None;
     for b in baselines {
-        if best.as_ref().is_none_or(|w| b.cost < w.cost - 1e-9) {
-            best = Some(b);
+        if pick
+            .or(best.as_ref())
+            .is_none_or(|w| b.cost < w.cost - 1e-9)
+        {
+            pick = Some(b);
         }
     }
-    best
+    pick.cloned().or(best)
 }
 
 /// Solves any [`CostModel`] through [`solve_auto`] on the calling thread

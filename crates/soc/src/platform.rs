@@ -99,34 +99,6 @@ impl Platform {
         &self.pus[id]
     }
 
-    /// Groups the DNN-capable PUs into classes of *interchangeable* units:
-    /// same kind and bitwise-identical performance parameters (name is
-    /// display-only and ignored). Schedules are invariant under relabeling
-    /// PUs within a class — two identical DLAs produce identical layer
-    /// costs, transfer times and contention surfaces — which is what the
-    /// solver's symmetry breaking (`haxconn-solver`'s `SymmetrySpec`)
-    /// exploits. Classes are in ascending PU-id order; singleton classes
-    /// are included (callers filter on `len() >= 2`).
-    pub fn interchangeable_pus(&self) -> Vec<Vec<PuId>> {
-        let mut classes: Vec<Vec<PuId>> = Vec::new();
-        for id in self.dnn_pus() {
-            let spec = self.pu(id);
-            let same = |other: &PuSpec| {
-                other.kind == spec.kind
-                    && other.peak_gflops.to_bits() == spec.peak_gflops.to_bits()
-                    && other.max_bw_gbps.to_bits() == spec.max_bw_gbps.to_bits()
-                    && other.onchip_kib.to_bits() == spec.onchip_kib.to_bits()
-                    && other.launch_us.to_bits() == spec.launch_us.to_bits()
-                    && other.reformat_gbps.to_bits() == spec.reformat_gbps.to_bits()
-            };
-            match classes.iter_mut().find(|c| same(self.pu(c[0]))) {
-                Some(class) => class.push(id),
-                None => classes.push(vec![id]),
-            }
-        }
-        classes
-    }
-
     /// Returns a copy of this platform with a host CPU complex appended as
     /// an extra PU. The CPU does not run DNN layers; it models background
     /// agents that share the EMC — most importantly the Z3-style solver of
@@ -274,10 +246,8 @@ pub fn orin_agx_triple() -> Platform {
 
 /// The AGX Orin modeled with *both* of its physical NVDLA v2.0 engines
 /// exposed (the paper's Orin model uses one): GPU + 2×DLA behind the same
-/// EMC — the N-PU mapping problem with two interchangeable accelerators.
-/// The DLAs share one spec (identical silicon), so
-/// [`Platform::interchangeable_pus`] reports them as one class and the
-/// solver can break the relabeling symmetry.
+/// EMC — the N-PU mapping problem with three DNN-capable PUs. The DLAs
+/// share one spec (identical silicon) and differ only in name.
 pub fn orin_agx_dual_dla() -> Platform {
     let mut p = orin_agx();
     p.name = "NVIDIA AGX Orin (GPU + 2\u{d7}DLA)".into();
@@ -315,32 +285,6 @@ mod tests {
             assert_eq!(p.dnn_pus(), vec![0, 1]);
         }
         assert_eq!(orin_agx().pu_of_kind(PuKind::Cpu), None);
-    }
-
-    #[test]
-    fn dual_dla_orin_exposes_three_dnn_pus_with_one_interchangeable_pair() {
-        let p = orin_agx_dual_dla();
-        assert_eq!(p.dnn_pus(), vec![0, 1, 2]);
-        assert_eq!(p.gpu(), 0);
-        let classes = p.interchangeable_pus();
-        assert_eq!(classes, vec![vec![0], vec![1, 2]]);
-        // The two DLAs really are spec-identical (name aside).
-        assert_eq!(p.pu(1).peak_gflops, p.pu(2).peak_gflops);
-        assert_ne!(p.pu(1).name, p.pu(2).name);
-    }
-
-    #[test]
-    fn heterogeneous_platforms_have_no_interchangeable_pairs() {
-        for id in PlatformId::all() {
-            let p = id.platform();
-            assert!(
-                p.interchangeable_pus().iter().all(|c| c.len() == 1),
-                "{}",
-                p.name
-            );
-        }
-        let triple = orin_agx_triple();
-        assert!(triple.interchangeable_pus().iter().all(|c| c.len() == 1));
     }
 
     #[test]

@@ -32,7 +32,6 @@ pub mod lns;
 pub mod model;
 pub mod parallel;
 pub mod portfolio;
-pub mod symmetry;
 
 pub use auto::{solve_auto, PARALLEL_MIN_VARS};
 pub use bb::{solve, solve_with, BudgetState, Solution, SolveOptions, SolveStats, Workspace};
@@ -40,4 +39,3 @@ pub use lns::{solve_lns, LnsOptions, LnsStats};
 pub use model::{brute_force, Assignment, CostModel, NonIncremental, PartialAssignment};
 pub use parallel::{solve_parallel, solve_parallel_with, ParallelOptions};
 pub use portfolio::{solve_portfolio, Exactness, PortfolioOptions, SolveOutcome, Winner};
-pub use symmetry::{Symmetric, SymmetrySpec};

@@ -127,9 +127,9 @@ pub enum Command {
         /// Worker-pool size (`None` = all CPUs).
         threads: Option<usize>,
     },
-    /// `haxconn solve --seed S [--tasks N] [--groups G] [--budget NODES]
-    /// [--symmetry]` — crack a generated large instance (random
-    /// layer-group DAG on the dual-DLA Orin) with the exact solver.
+    /// `haxconn solve --seed S [--tasks N] [--groups G] [--budget NODES]`
+    /// — crack a generated large instance (random layer-group DAG on the
+    /// dual-DLA Orin) with the exact solver.
     Solve {
         /// Instance-generator seed.
         seed: u64,
@@ -139,9 +139,6 @@ pub enum Command {
         groups: usize,
         /// Global solver node budget (None = run to proven optimality).
         budget: Option<u64>,
-        /// Restrict the search to canonical representatives under the
-        /// interchangeable-PU symmetry (the two identical DLAs).
-        symmetry: bool,
     },
     /// `haxconn check --platform P --models A,B [--objective O] [--pipeline]`
     /// (validate one schedule) or `haxconn check --fuzz N [--seed S]
@@ -516,7 +513,6 @@ pub fn parse(args: &[String]) -> Result<Command, HaxError> {
                 ),
                 None => None,
             };
-            let symmetry = a.take_switch("--symmetry");
             if tasks == 0 || groups == 0 {
                 return Err(cli_err("--tasks and --groups must be at least 1"));
             }
@@ -525,7 +521,6 @@ pub fn parse(args: &[String]) -> Result<Command, HaxError> {
                 tasks,
                 groups,
                 budget,
-                symmetry,
             }
         }
         "check" => {
@@ -677,7 +672,6 @@ USAGE:
   haxconn fleet     --platform <P> --models <A,B[,C]> [--count N] [--iterations K]
                     [--seed S] [--threads T]
   haxconn solve     [--seed S] [--tasks N] [--groups G] [--budget NODES]
-                    [--symmetry]
   haxconn check     --platform <P> --models <A,B[,C]> [--objective O] [--pipeline]
   haxconn check     --fuzz <N> [--seed S] [--fuzz-large M] [--fuzz-arrival T]
   haxconn serve     [--addr HOST:PORT] [--workers N] [--max-conns C]
@@ -706,39 +700,6 @@ fn telemetry_finish(
         .map_err(|e| HaxError::Io(format!("writing {path}: {e}")))?;
     writeln!(out, "telemetry snapshot written to {path}")?;
     Ok(snap)
-}
-
-/// The exact solve behind `haxconn solve`, shared by the plain and the
-/// symmetry-broken paths (which differ only in the model type).
-fn run_exact_solve<M: haxconn_solver::CostModel + Sync>(
-    m: &M,
-    seed_inc: &Option<(Vec<u32>, f64)>,
-    budget: Option<u64>,
-    out: &mut String,
-) -> Result<Option<(Vec<u32>, f64)>, HaxError> {
-    let opts = haxconn_solver::SolveOptions {
-        node_budget: budget,
-        initial_incumbent: seed_inc.clone(),
-        ..Default::default()
-    };
-    let started = std::time::Instant::now();
-    let sol = haxconn_solver::solve_auto(m, opts, 0);
-    writeln!(out, "branch & bound: {} nodes", sol.stats.nodes)?;
-    writeln!(
-        out,
-        "exactness: {}",
-        if sol.proven_optimal() {
-            "proven optimal"
-        } else {
-            "best-found (budget hit before exhaustion)"
-        }
-    )?;
-    writeln!(
-        out,
-        "solve time: {:.1} ms",
-        started.elapsed().as_secs_f64() * 1e3
-    )?;
-    Ok(sol.best)
 }
 
 /// Executes a parsed command, returning the text to print.
@@ -1305,7 +1266,6 @@ per-frame service {:.2} ms vs period {:.2} ms",
             tasks,
             groups,
             budget,
-            symmetry,
         } => {
             use haxconn_solver::CostModel as _;
             let g = haxconn_core::generate_instance(seed, tasks, groups);
@@ -1338,19 +1298,29 @@ per-frame service {:.2} ms vs period {:.2} ms",
             if let Some((_, c)) = &seed_inc {
                 writeln!(out, "baseline seed cost: {c:.4} ms")?;
             }
-            let best = if symmetry {
-                let spec = enc.symmetry_spec(&g.platform);
-                writeln!(out, "symmetry: {} rule(s) active", spec.num_rules())?;
-                if spec.is_empty() {
-                    run_exact_solve(&enc, &seed_inc, budget, &mut out)?
-                } else {
-                    let sym = haxconn_solver::Symmetric::new(&enc, spec);
-                    run_exact_solve(&sym, &seed_inc, budget, &mut out)?
-                }
-            } else {
-                run_exact_solve(&enc, &seed_inc, budget, &mut out)?
+            let opts = haxconn_solver::SolveOptions {
+                node_budget: budget,
+                initial_incumbent: seed_inc.clone(),
+                ..Default::default()
             };
-            match best {
+            let started = std::time::Instant::now();
+            let sol = haxconn_solver::solve_auto(&enc, opts, 0);
+            writeln!(out, "branch & bound: {} nodes", sol.stats.nodes)?;
+            writeln!(
+                out,
+                "exactness: {}",
+                if sol.proven_optimal() {
+                    "proven optimal"
+                } else {
+                    "best-found (budget hit before exhaustion)"
+                }
+            )?;
+            writeln!(
+                out,
+                "solve time: {:.1} ms",
+                started.elapsed().as_secs_f64() * 1e3
+            )?;
+            match sol.best {
                 Some((a, c)) => {
                     writeln!(out, "best cost: {c:.4} ms")?;
                     if let Some((_, sc)) = &seed_inc {
@@ -2024,10 +1994,9 @@ mod tests {
                 tasks: 6,
                 groups: 9,
                 budget: None,
-                symmetry: false,
             }
         );
-        let c = parsed("solve --seed 7 --tasks 4 --groups 5 --budget 1000 --symmetry");
+        let c = parsed("solve --seed 7 --tasks 4 --groups 5 --budget 1000");
         assert_eq!(
             c,
             Command::Solve {
@@ -2035,14 +2004,15 @@ mod tests {
                 tasks: 4,
                 groups: 5,
                 budget: Some(1000),
-                symmetry: true,
             }
         );
         assert!(parse_err("solve --tasks 0").contains("at least 1"));
         assert!(parse_err("solve --budget soon").contains("bad --budget"));
-        // The solver picks its own driver; the old selectors are gone.
+        // The solver picks its own driver, and no built-in platform has
+        // interchangeable PUs to break symmetry over: these flags are refused.
         assert!(parse_err("solve --portfolio").contains("unexpected arguments"));
         assert!(parse_err("solve --lns-workers 2").contains("unexpected arguments"));
+        assert!(parse_err("solve --symmetry").contains("unexpected arguments"));
     }
 
     #[test]
@@ -2052,7 +2022,6 @@ mod tests {
             tasks: 3,
             groups: 3,
             budget: None,
-            symmetry: true,
         })
         .expect("solvable instance");
         assert!(out.contains("instance gen3-3x3"), "{out}");

@@ -9,9 +9,7 @@
 use haxconn::cli::{self, Command};
 use haxconn::core::encoding::ScheduleEncoding;
 use haxconn::prelude::*;
-use haxconn::solver::{
-    solve, solve_portfolio, Exactness, PortfolioOptions, SolveOptions, Symmetric,
-};
+use haxconn::solver::{solve, solve_portfolio, Exactness, PortfolioOptions, SolveOptions};
 use haxconn::telemetry as tel;
 
 fn solve_and_measure() -> (ScheduledSession, ExecutionReport, String) {
@@ -74,9 +72,9 @@ fn telemetry_end_to_end() {
     assert!(!snap.spans.is_empty(), "scheduler/solver spans expected");
 
     // --- 2b. Portfolio driver, called directly (no scheduler path picks
-    // it) over the symmetry-breaking wrapper on the dual-DLA Orin, whose
-    // NVDLA pair is one value class: telemetry stays write-only and the
-    // LNS / portfolio counters plus the incumbent-timeline series land.
+    // it) over the schedule encoding on the 3-PU dual-DLA Orin: telemetry
+    // stays write-only and the LNS / portfolio counters plus the
+    // incumbent-timeline series land.
     // An unbudgeted portfolio proves the optimum, so the result is the
     // sequential solver's on the same model.
     let p = haxconn::soc::orin_agx_dual_dla();
@@ -86,12 +84,9 @@ fn telemetry_end_to_end() {
         DnnTask::new("r", NetworkProfile::profile(&p, Model::ResNet101, 6)),
     ]);
     let enc = ScheduleEncoding::new(&workload, &cm, SchedulerConfig::default());
-    let spec = enc.symmetry_spec(&p);
-    assert!(!spec.is_empty(), "the two NVDLAs are interchangeable");
-    let sym = Symmetric::new(&enc, spec);
     let pf_solve = || {
         let out = solve_portfolio(
-            &sym,
+            &enc,
             SolveOptions::default(),
             &PortfolioOptions {
                 lns_workers: 2,
@@ -108,7 +103,7 @@ fn telemetry_end_to_end() {
     tel::set_enabled(false);
     assert_eq!(p1.0, p2.0);
     assert_eq!(p1.1.to_bits(), p2.1.to_bits());
-    let seq = solve(&sym, SolveOptions::default()).best.expect("feasible");
+    let seq = solve(&enc, SolveOptions::default()).best.expect("feasible");
     assert_eq!((p1.0, p1.1.to_bits()), (seq.0, seq.1.to_bits()));
     let pf_snap = rec.snapshot();
     let pf_counter = |name: &str| pf_snap.counters.get(name).copied().unwrap_or(0);
