@@ -501,7 +501,7 @@ pub fn run_large(seed: u64, instances: usize, node_budget: u64) -> FuzzReport {
 }
 
 /// Event cap of [`run_arrival`]'s Snapdragon 865 traces.
-const THROTTLE_TRACE_EVENTS: usize = 40;
+const THROTTLE_TRACE_EVENTS: usize = 16;
 
 /// Arrival-trace fuzzing of the multi-tenant replay engine.
 ///
@@ -520,7 +520,7 @@ const THROTTLE_TRACE_EVENTS: usize = 40;
 ///
 /// Policies rotate per trace (Immediate / Debounced / UtilityThreshold) so
 /// all re-solve paths — including the skip/patch paths — are exercised.
-/// Every fourth trace is a short (at most 40 events) four-tenant trace on
+/// Every fourth trace is a short (at most 16 events) four-tenant trace on
 /// the Snapdragon 865, whose two PUs run out of deadline slack often
 /// enough for the throttle to intervene; the Orin traces of at most three
 /// tenants rarely reach it. The report counts the throttled points
@@ -673,9 +673,9 @@ mod tests {
 
     #[test]
     fn arrival_run_is_clean_and_deterministic() {
-        // Four traces: the fourth is the Snapdragon 865 one that reaches
-        // the throttle.
-        let a = run_arrival(5, 4, 16);
+        // Four traces: three 40-event Orin traces, then the 16-event
+        // Snapdragon 865 one that reaches the throttle.
+        let a = run_arrival(5, 4, 40);
         assert!(a.is_clean(), "{a}");
         assert_eq!(a.scenarios, 4);
         assert!(
@@ -687,7 +687,7 @@ mod tests {
             a.throttled_rechecked >= 1,
             "expected a throttled re-solve point to be re-checked: {a}"
         );
-        let b = run_arrival(5, 4, 16);
+        let b = run_arrival(5, 4, 40);
         assert_eq!(a.schedules_validated, b.schedules_validated);
         assert_eq!(a.throttled_rechecked, b.throttled_rechecked);
         assert!(b.is_clean(), "{b}");

@@ -2008,8 +2008,7 @@ mod tests {
         );
         assert!(parse_err("solve --tasks 0").contains("at least 1"));
         assert!(parse_err("solve --budget soon").contains("bad --budget"));
-        // The solver picks its own driver, and no built-in platform has
-        // interchangeable PUs to break symmetry over: these flags are refused.
+        // The solver picks its own driver; the old selectors are gone.
         assert!(parse_err("solve --portfolio").contains("unexpected arguments"));
         assert!(parse_err("solve --lns-workers 2").contains("unexpected arguments"));
         assert!(parse_err("solve --symmetry").contains("unexpected arguments"));
