@@ -31,16 +31,16 @@
 
 use haxconn_contention::ContentionModel;
 use haxconn_core::encoding::ScheduleEncoding;
+use haxconn_core::generate_instance;
 use haxconn_core::interval::Interval;
 use haxconn_core::problem::{DnnTask, Objective, SchedulerConfig, Workload};
 use haxconn_core::timeline::GroupTiming;
-use haxconn_core::{generate_instance, Baseline, BaselineKind};
 use haxconn_dnn::Model;
 use haxconn_profiler::NetworkProfile;
 use haxconn_soc::{orin_agx, LayerCost, PuId};
 use haxconn_solver::{
-    solve, solve_parallel_with, solve_portfolio, Assignment, CostModel, ParallelOptions,
-    PartialAssignment, PortfolioOptions, Solution, SolveOptions, SolveOutcome, Winner,
+    solve, solve_parallel_with, Assignment, CostModel, ParallelOptions, PartialAssignment,
+    Solution, SolveOptions, Winner,
 };
 use serde::Serialize;
 use std::sync::Mutex;
@@ -627,7 +627,7 @@ fn run_scenario<M: CostModel + Sync>(
         },
         &ParallelOptions {
             threads,
-            split_depth: None,
+            ..Default::default()
         },
     );
     let wall = started.elapsed();
@@ -721,10 +721,10 @@ fn run_anytime<M: CostModel + Sync>(
     seed_inc: &(Assignment, f64),
     time_budget: Duration,
     lns_workers: usize,
-) -> (Trajectory, SolveOutcome) {
+) -> (Trajectory, Solution) {
     let started = Instant::now();
     let mut timeline: Vec<(f64, Duration)> = Vec::new();
-    let out = solve_portfolio(
+    let out = solve_parallel_with(
         model,
         SolveOptions {
             time_budget: Some(time_budget),
@@ -732,7 +732,7 @@ fn run_anytime<M: CostModel + Sync>(
             on_incumbent: Some(Box::new(|_, c, at| timeline.push((c, at)))),
             ..Default::default()
         },
-        &PortfolioOptions {
+        &ParallelOptions {
             lns_workers,
             ..Default::default()
         },
@@ -864,7 +864,7 @@ fn main() {
         },
         &ParallelOptions {
             threads,
-            split_depth: None,
+            ..Default::default()
         },
     );
     let new_wall = started.elapsed();
@@ -970,10 +970,10 @@ fn main() {
 
     // --- Paper-scale exactness: portfolio == sequential B&B, Proven -----
     let seq_paper = solve(&enc, SolveOptions::default());
-    let pf_paper = solve_portfolio(
+    let pf_paper = solve_parallel_with(
         &enc,
         SolveOptions::default(),
-        &PortfolioOptions {
+        &ParallelOptions {
             lns_workers: 2,
             ..Default::default()
         },
@@ -994,21 +994,11 @@ fn main() {
         let g = generate_instance(seed, 6, 9);
         let gen_contention = ContentionModel::calibrate(&g.platform);
         let gen_enc = ScheduleEncoding::new(&g.workload, &gen_contention, g.config);
-        // Best ε-feasible baseline seeds both arms, so neither can end
-        // worse than the paper's static heuristics.
-        let mut seed_best: Option<(Assignment, f64)> = None;
-        for &kind in BaselineKind::all() {
-            let rows = Baseline::assignment(kind, &g.platform, &g.workload);
-            let Some(flat) = gen_enc.to_flat(&rows) else {
-                continue;
-            };
-            if let Some(c) = gen_enc.cost(&flat) {
-                if seed_best.as_ref().map(|&(_, b)| c < b).unwrap_or(true) {
-                    seed_best = Some((flat, c));
-                }
-            }
-        }
-        let seed_inc = seed_best.expect("generated instances admit a feasible baseline");
+        // The best baseline seeds both arms, so neither can end worse
+        // than the paper's static heuristics.
+        let seed_inc = g
+            .best_baseline(&gen_enc)
+            .expect("generated instances admit a feasible baseline");
         let (bb, _) = run_anytime(&gen_enc, &seed_inc, time_budget, 0);
         let (pf, pf_out) = run_anytime(&gen_enc, &seed_inc, time_budget, lns_workers);
         let best_cost = bb.final_cost.min(pf.final_cost);

@@ -5,9 +5,10 @@
 //! ways, and cross-checks the results:
 //!
 //! 1. sequential branch & bound (`solve`),
-//! 2. the work-stealing parallel solver (`solve_parallel_with`) at every
-//!    configured thread count — must match the sequential result
-//!    *bit-exactly* (cost bits and assignment),
+//! 2. the work-stealing worker pool (`solve_parallel_with`) at every
+//!    configured thread count, and once with an LNS worker racing it —
+//!    must prove and match the sequential result *bit-exactly* (cost bits
+//!    and assignment),
 //! 3. exhaustive enumeration (`brute_force`) — the oracle: same optimum,
 //! 4. every baseline — the solver's optimum must be no worse than any
 //!    ε-feasible baseline under the same predictive cost.
@@ -32,10 +33,7 @@ use haxconn_dnn::Model;
 use haxconn_profiler::NetworkProfile;
 use haxconn_runtime::execute;
 use haxconn_soc::{orin_agx, snapdragon_865, xavier_agx, Platform};
-use haxconn_solver::{
-    brute_force, solve, solve_parallel_with, solve_portfolio, Exactness, ParallelOptions,
-    PortfolioOptions, SolveOptions,
-};
+use haxconn_solver::{brute_force, solve, solve_parallel_with, ParallelOptions, SolveOptions};
 use rustc_hash::FxHashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -114,8 +112,9 @@ pub struct FuzzReport {
     /// Schedules executed twice: the repeat run must agree with the first
     /// bit-for-bit.
     pub executions_checked: usize,
-    /// Portfolio incumbents validated against the encoding (large-instance
-    /// mode).
+    /// Incumbents of the B&B/LNS race validated against the encoding
+    /// (large-instance mode). Not printed: how many the race publishes
+    /// depends on thread timing, and the report line is diffed across runs.
     pub incumbents_validated: usize,
     /// Re-solve points adopted by the arrival replay's throttle and
     /// re-checked from scratch (arrival mode).
@@ -137,11 +136,10 @@ impl fmt::Display for FuzzReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "fuzz: {} scenarios, {} schedules validated, {} executions checked (replayed twice, bit-identical), {} incumbents validated, {} throttled re-solve points re-checked, {} divergences, {} violations",
+            "fuzz: {} scenarios, {} schedules validated, {} executions checked (replayed twice, bit-identical), {} throttled re-solve points re-checked, {} divergences, {} violations",
             self.scenarios,
             self.schedules_validated,
             self.executions_checked,
-            self.incumbents_validated,
             self.throttled_rechecked,
             self.divergences.len(),
             self.violations.len()
@@ -264,57 +262,41 @@ pub fn run(config: &FuzzConfig) -> FuzzReport {
                 &mut report,
             ),
         }
-        // The portfolio, run to completion, must agree with sequential B&B
-        // bit-exactly *and* certify its result as proven optimal — the
-        // exactness tag is load-bearing for downstream consumers.
-        let pf = solve_portfolio(&enc, SolveOptions::default(), &PortfolioOptions::default());
-        if pf.exactness != Exactness::Proven {
-            diverge(
-                "unbudgeted portfolio failed to prove optimality".into(),
-                &mut report,
-            );
-        }
-        match (&seq.best, &pf.best) {
-            (Some((sa, sc)), Some((pa, pc))) => {
-                if sc.to_bits() != pc.to_bits() || sa != pa {
-                    diverge(
-                        format!("portfolio cost {pc} != sequential {sc}"),
-                        &mut report,
-                    );
-                }
+        // The pool at every configured thread count, and once with an LNS
+        // worker racing its B&B workers, run to completion, must agree with
+        // sequential B&B bit-exactly *and* certify its result as proven
+        // optimal — the certificate is load-bearing for downstream
+        // consumers.
+        let pools = config
+            .thread_counts
+            .iter()
+            .map(|&threads| ParallelOptions {
+                threads,
+                ..Default::default()
+            })
+            .chain([ParallelOptions {
+                lns_workers: 1,
+                ..Default::default()
+            }]);
+        for par in pools {
+            let sol = solve_parallel_with(&enc, SolveOptions::default(), &par);
+            let pool = format!("pool({} threads, {} LNS)", par.threads, par.lns_workers);
+            if !sol.proven_optimal() {
+                diverge(
+                    format!("unbudgeted {pool} failed to prove optimality"),
+                    &mut report,
+                );
             }
-            (None, None) => {}
-            (s, p) => diverge(
-                format!(
-                    "portfolio feasibility disagreement: seq={}, portfolio={}",
-                    s.is_some(),
-                    p.is_some()
-                ),
-                &mut report,
-            ),
-        }
-        for &threads in &config.thread_counts {
-            let par = solve_parallel_with(
-                &enc,
-                SolveOptions::default(),
-                &ParallelOptions {
-                    threads,
-                    ..Default::default()
-                },
-            );
-            match (&seq.best, &par.best) {
+            match (&seq.best, &sol.best) {
                 (Some((sa, sc)), Some((pa, pc))) => {
                     if sc.to_bits() != pc.to_bits() || sa != pa {
-                        diverge(
-                            format!("parallel({threads} threads) cost {pc} != sequential {sc}"),
-                            &mut report,
-                        );
+                        diverge(format!("{pool} cost {pc} != sequential {sc}"), &mut report);
                     }
                 }
                 (None, None) => {}
                 (s, p) => diverge(
                     format!(
-                        "feasibility disagreement at {threads} threads: seq={}, par={}",
+                        "feasibility disagreement in {pool}: seq={}, pool={}",
                         s.is_some(),
                         p.is_some()
                     ),
@@ -381,13 +363,14 @@ pub fn run(config: &FuzzConfig) -> FuzzReport {
     report
 }
 
-/// Large-instance fuzzing of the portfolio solver.
+/// Large-instance fuzzing of the B&B/LNS race.
 ///
 /// Exhaustive oracles are out of reach at 50+ decision variables, so this
 /// mode checks the *anytime* contract instead. Each generated instance
 /// (random layer-group DAG on the dual-DLA Orin, from
-/// [`haxconn_core::generate_instance`]) is solved by the portfolio under a
-/// node budget, seeded with the best ε-feasible baseline, and the run
+/// [`haxconn_core::generate_instance`]) is solved by the worker pool with
+/// two LNS workers under a node budget, seeded with the best baseline
+/// ([`haxconn_core::GeneratedInstance::best_baseline`]), and the run
 /// asserts:
 ///
 /// 1. every incumbent the race publishes re-evaluates to its reported cost
@@ -409,21 +392,7 @@ pub fn run_large(seed: u64, instances: usize, node_budget: u64) -> FuzzReport {
             report.divergences.push(Divergence { scenario, detail });
         };
 
-        // Best feasible baseline under the encoding's own cost (GPU-only
-        // has zero transitions, so with ε relaxed one always exists).
-        let mut seed_best: Option<(Vec<u32>, f64)> = None;
-        for &kind in BaselineKind::all() {
-            let rows = Baseline::assignment(kind, &g.platform, &g.workload);
-            let Some(flat) = enc.to_flat(&rows) else {
-                continue;
-            };
-            if let Some(c) = haxconn_solver::CostModel::cost(&enc, &flat) {
-                if seed_best.as_ref().is_none_or(|&(_, b)| c < b) {
-                    seed_best = Some((flat, c));
-                }
-            }
-        }
-        let Some((seed_a, seed_c)) = seed_best else {
+        let Some((seed_a, seed_c)) = g.best_baseline(&enc) else {
             diverge(
                 "no feasible baseline on a generated instance".into(),
                 &mut report,
@@ -432,17 +401,17 @@ pub fn run_large(seed: u64, instances: usize, node_budget: u64) -> FuzzReport {
         };
 
         let mut incumbents: Vec<(Vec<u32>, f64)> = Vec::new();
-        let outcome = solve_portfolio(
+        let outcome = solve_parallel_with(
             &enc,
             SolveOptions {
                 node_budget: Some(node_budget),
-                initial_incumbent: Some((seed_a.clone(), seed_c)),
+                initial_incumbent: Some((seed_a, seed_c)),
                 on_incumbent: Some(Box::new(|a: &Vec<u32>, c, _| {
                     incumbents.push((a.clone(), c));
                 })),
                 ..Default::default()
             },
-            &PortfolioOptions {
+            &ParallelOptions {
                 lns_workers: 2,
                 ..Default::default()
             },
@@ -475,7 +444,7 @@ pub fn run_large(seed: u64, instances: usize, node_budget: u64) -> FuzzReport {
             Some((a, c)) => {
                 if *c > seed_c + 1e-9 {
                     diverge(
-                        format!("portfolio {c} worse than best baseline {seed_c}"),
+                        format!("B&B/LNS race {c} worse than best baseline {seed_c}"),
                         &mut report,
                     );
                 }
@@ -490,7 +459,7 @@ pub fn run_large(seed: u64, instances: usize, node_budget: u64) -> FuzzReport {
                 }
             }
             None => diverge(
-                "portfolio lost the baseline seed entirely".into(),
+                "B&B/LNS race lost the baseline seed entirely".into(),
                 &mut report,
             ),
         }
@@ -666,6 +635,7 @@ mod tests {
         assert!(a.is_clean(), "{a}");
         assert_eq!(a.scenarios, 2);
         assert!(a.schedules_validated >= 2);
+        assert!(a.incumbents_validated >= 1, "no incumbent was re-checked");
         let b = run_large(3, 2, 20_000);
         assert_eq!(a.schedules_validated, b.schedules_validated);
         assert!(b.is_clean(), "{b}");

@@ -10,10 +10,13 @@
 //!   tied per-frame assignments.
 //! * **Scenario 4** — a serial pair plus an independent DNN in parallel.
 
+use crate::baselines::{Baseline, BaselineKind};
+use crate::encoding::ScheduleEncoding;
 use crate::problem::{DnnTask, Objective, SchedulerConfig, Workload};
 use haxconn_dnn::Model;
 use haxconn_profiler::NetworkProfile;
 use haxconn_soc::{orin_agx_dual_dla, Platform};
+use haxconn_solver::{Assignment, CostModel};
 use std::sync::Arc;
 
 /// One of the paper's evaluation scenarios, with the models involved.
@@ -158,6 +161,29 @@ pub struct GeneratedInstance {
     pub seed: u64,
 }
 
+impl GeneratedInstance {
+    /// The best baseline under `enc`'s own cost (`enc` encodes this
+    /// instance), as a warm-start incumbent: a solve seeded with it can
+    /// only improve on the paper's static heuristics. Ties keep the first
+    /// baseline in [`BaselineKind::all`] order. With ε relaxed, GPU-only
+    /// has zero transitions, so one always exists.
+    pub fn best_baseline(&self, enc: &ScheduleEncoding<'_>) -> Option<(Assignment, f64)> {
+        let mut best: Option<(Assignment, f64)> = None;
+        for &kind in BaselineKind::all() {
+            let rows = Baseline::assignment(kind, &self.platform, &self.workload);
+            let Some(flat) = enc.to_flat(&rows) else {
+                continue;
+            };
+            if let Some(c) = enc.cost(&flat) {
+                if best.as_ref().is_none_or(|&(_, b)| c < b) {
+                    best = Some((flat, c));
+                }
+            }
+        }
+        best
+    }
+}
+
 /// xorshift64* step (same generator family as the solver's LNS — small,
 /// seedable, dependency-free).
 fn gen_next(state: &mut u64) -> u64 {
@@ -236,7 +262,6 @@ pub fn generate_instance_on(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baselines::{Baseline, BaselineKind};
     use crate::measure::execute;
     use crate::problem::SchedulerConfig;
     use crate::scheduler::HaxConn;

@@ -23,10 +23,8 @@
 
 pub mod engine;
 pub mod queue;
-pub mod stats;
 pub mod time;
 
 pub use engine::{Engine, SimModel};
 pub use queue::EventQueue;
-pub use stats::{TimeWeighted, WelfordStats};
 pub use time::SimTime;

@@ -15,9 +15,9 @@
 //! * below [`PARALLEL_MIN_VARS`] variables a solve finishes in tens of
 //!   microseconds, less than spawning a worker pool costs.
 //!
-//! The portfolio (`crate::portfolio`) is not a candidate: it races for an
-//! anytime answer under a time budget and, unbudgeted, is slower than
-//! plain parallel B&B on the same tree.
+//! The pool's LNS workers (`ParallelOptions::lns_workers`) are never
+//! started here: they race for an anytime answer under a time budget and,
+//! unbudgeted, only take CPUs from the B&B workers on the same tree.
 
 use crate::bb::{solve, Solution, SolveOptions};
 use crate::model::CostModel;

@@ -23,6 +23,7 @@
 //! counter claimed in batches and one deadline, shared by every worker of
 //! a parallel solve — budgets are therefore *global*, never per subtree.
 
+use crate::lns::LnsStats;
 use crate::model::{Assignment, CostModel};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -129,12 +130,28 @@ pub(crate) fn flush_solve_telemetry(label: &str, stats: &SolveStats) {
     t::span_event("solver", label, t::clock_ms() - ms, ms);
 }
 
+/// Which strategy produced a solve's final incumbent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Winner {
+    /// A branch-&-bound worker found it.
+    BranchAndBound,
+    /// A large-neighborhood-search worker found it.
+    Lns,
+    /// The caller's `initial_incumbent` was never beaten.
+    Seed,
+}
+
 /// Result of a solve.
 pub struct Solution {
     /// Best assignment found (None if nothing feasible was seen).
     pub best: Option<(Assignment, f64)>,
+    /// Which strategy produced `best` (`None` when `best` is `None`).
+    pub winner: Option<Winner>,
     /// Statistics.
     pub stats: SolveStats,
+    /// Totals summed over the pool's LNS workers (all zero unless
+    /// [`crate::ParallelOptions::lns_workers`] is set).
+    pub lns: LnsStats,
 }
 
 impl Solution {
@@ -212,8 +229,8 @@ impl SharedState {
         self.stop.load(Ordering::Relaxed)
     }
 
-    /// Cooperative stop that is *not* a budget trip: the portfolio raises
-    /// it when B&B exhausts the tree so heuristic workers wind down. The
+    /// Cooperative stop that is *not* a budget trip: the pool raises it
+    /// when its last B&B worker exits so its LNS workers wind down. The
     /// outcome stays [`BudgetState::Exhausted`].
     pub(crate) fn request_stop(&self) {
         self.stop.store(true, Ordering::Relaxed);
@@ -590,9 +607,18 @@ pub fn solve_with<M: CostModel>(
         outcome: shared.outcome(),
     };
     flush_solve_telemetry("bb.solve", &stats);
+    let winner = engine.local_best.as_ref().map(|_| {
+        if engine.adopted {
+            Winner::Seed
+        } else {
+            Winner::BranchAndBound
+        }
+    });
     Solution {
         best: engine.local_best,
+        winner,
         stats,
+        lns: LnsStats::default(),
     }
 }
 
@@ -767,6 +793,7 @@ mod tests {
             },
         );
         assert_eq!(sol.stats.outcome, BudgetState::NodesExhausted);
+        assert_eq!(sol.winner, Some(Winner::Seed));
         let (a, c) = sol.best.expect("seeded incumbent must survive");
         assert_eq!(a, opt.0);
         assert_eq!(c.to_bits(), opt.1.to_bits());
@@ -781,6 +808,7 @@ mod tests {
             },
         );
         assert!(sol.proven_optimal());
+        assert_eq!(sol.winner, Some(Winner::BranchAndBound));
         assert_eq!(sol.best.unwrap().1.to_bits(), opt.1.to_bits());
     }
 

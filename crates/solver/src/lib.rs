@@ -14,9 +14,15 @@
 //!   provides admissible lower bounds for partial assignments, and can
 //!   prune subtrees via domain-specific feasibility checks,
 //! * depth-first **branch & bound** with incumbent bounding
-//!   ([`solve`]) — guaranteed optimal when run to completion — and its
-//!   work-stealing parallel twin; [`solve_auto`] picks between them and
-//!   is the entry every exact solve in the scheduler goes through,
+//!   ([`solve`]) — guaranteed optimal when run to completion — and one
+//!   work-stealing worker pool ([`solve_parallel_with`]); [`solve_auto`]
+//!   picks between them and is the entry every exact solve in the
+//!   scheduler goes through,
+//! * optional **large-neighborhood search** workers in that pool
+//!   ([`ParallelOptions::lns_workers`]), raced against its B&B workers on
+//!   one shared incumbent for an anytime answer on instances too large
+//!   to prove; the [`Solution`] reports which side won ([`Winner`]) and
+//!   the LNS totals ([`LnsStats`]),
 //! * an **anytime** interface: every strictly improving incumbent is
 //!   reported through a callback together with the solve clock, which is
 //!   what D-HaX-CoNN uses to swap better schedules in mid-flight (paper
@@ -31,11 +37,11 @@ pub mod bb;
 pub mod lns;
 pub mod model;
 pub mod parallel;
-pub mod portfolio;
 
 pub use auto::{solve_auto, PARALLEL_MIN_VARS};
-pub use bb::{solve, solve_with, BudgetState, Solution, SolveOptions, SolveStats, Workspace};
-pub use lns::{solve_lns, LnsOptions, LnsStats};
+pub use bb::{
+    solve, solve_with, BudgetState, Solution, SolveOptions, SolveStats, Winner, Workspace,
+};
+pub use lns::LnsStats;
 pub use model::{brute_force, Assignment, CostModel, NonIncremental, PartialAssignment};
-pub use parallel::{solve_parallel, solve_parallel_with, ParallelOptions};
-pub use portfolio::{solve_portfolio, Exactness, PortfolioOptions, SolveOutcome, Winner};
+pub use parallel::{solve_parallel_with, ParallelOptions};

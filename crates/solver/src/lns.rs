@@ -1,7 +1,8 @@
 //! Large-neighborhood search with simulated-annealing acceptance.
 //!
-//! The heuristic half of the portfolio (`crate::portfolio`): a worker
-//! walks the space of *complete* assignments by destroy-and-repair moves,
+//! The heuristic side of the worker pool (`crate::parallel`): when
+//! [`crate::ParallelOptions::lns_workers`] is set, each LNS worker walks
+//! the space of *complete* assignments by destroy-and-repair moves,
 //! speaking the same incremental push/pop protocol as the B&B engine — a
 //! move pops the LIFO stack down to the destroyed segment, re-pushes
 //! randomized values for it, and repairs the suffix forward (old value
@@ -9,7 +10,7 @@
 //! search does. The model's incremental scratch therefore amortizes move
 //! evaluation the same way it amortizes node evaluation in B&B.
 //!
-//! Coupling to the portfolio is symmetric and lock-free on the hot path:
+//! Coupling to the B&B workers is symmetric and lock-free on the hot path:
 //!
 //! * every strict local improvement is offered to the shared incumbent
 //!   ([`crate::parallel::SharedIncumbent`]), where it tightens the bound
@@ -19,40 +20,25 @@
 //!   it adopts the shared assignment as its current solution and searches
 //!   the neighborhood around it.
 //!
-//! LNS alone proves nothing — it only ever returns
-//! feasible-and-best-found. Exactness certification is the portfolio's
-//! job (B&B exhausting the frontier).
+//! LNS alone proves nothing — it only ever returns feasible-and-best-found.
+//! Certification is the B&B workers' job (exhausting the frontier); the
+//! pool stops its LNS workers when the last B&B worker exits.
 
-use crate::bb::{SharedState, SolveOptions, EPS};
+use crate::bb::{SharedState, Winner, EPS};
 use crate::model::{Assignment, CostModel};
-use crate::parallel::{SharedIncumbent, SRC_LNS};
+use crate::parallel::SharedIncumbent;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-/// Knobs for one LNS worker.
-#[derive(Debug, Clone)]
-pub struct LnsOptions {
-    /// RNG seed; the portfolio derives per-worker seeds from it.
-    pub seed: u64,
-    /// Largest destroyed segment (variables re-randomized per move).
-    pub destroy_max: usize,
-    /// Restart (re-anchor at the best known solution, reheat the
-    /// temperature) after this many non-improving moves.
-    pub reheat_after: u64,
-    /// Hard iteration cap (`None` = run until stopped by budget/portfolio).
-    pub max_iters: Option<u64>,
-}
+/// Base RNG seed; LNS worker `k` runs with `SEED + k`.
+const SEED: u64 = 0x5EED;
 
-impl Default for LnsOptions {
-    fn default() -> Self {
-        LnsOptions {
-            seed: 0x5EED,
-            destroy_max: 4,
-            reheat_after: 256,
-            max_iters: None,
-        }
-    }
-}
+/// Largest destroyed segment (variables re-randomized per move).
+const DESTROY_MAX: usize = 4;
+
+/// Restart (re-anchor at the best known solution, reheat the temperature)
+/// after this many non-improving moves.
+const REHEAT_AFTER: u64 = 256;
 
 /// What one (or a pool of) LNS worker(s) did.
 #[derive(Debug, Clone, Copy, Default)]
@@ -82,9 +68,10 @@ impl LnsStats {
     }
 }
 
-/// Flushes LNS counters to the global telemetry recorder. Called once per
-/// solve (never per iteration), so disabled cost is one relaxed load.
-pub(crate) fn flush_lns_telemetry(stats: &LnsStats) {
+/// Flushes the LNS counters and the race's winner to the global telemetry
+/// recorder. Called once per solve that ran LNS workers (never per
+/// iteration), so disabled cost is one relaxed load.
+pub(crate) fn flush_lns_telemetry(stats: &LnsStats, winner: Option<Winner>) {
     if !haxconn_telemetry::enabled() {
         return;
     }
@@ -93,6 +80,13 @@ pub(crate) fn flush_lns_telemetry(stats: &LnsStats) {
     t::counter_add("solver.lns.accepts", stats.accepts);
     t::counter_add("solver.lns.restarts", stats.restarts);
     t::counter_add("solver.lns.incumbents", stats.incumbents);
+    let name = match winner {
+        Some(Winner::BranchAndBound) => "solver.portfolio.winner.bb",
+        Some(Winner::Lns) => "solver.portfolio.winner.lns",
+        Some(Winner::Seed) => "solver.portfolio.winner.seed",
+        None => return,
+    };
+    t::counter_add(name, 1);
 }
 
 /// xorshift64* — deterministic, seedable, no dependencies.
@@ -329,16 +323,14 @@ fn rebuild<M: CostModel>(
     }
 }
 
-/// Runs one LNS worker until the shared solve stops (budget trip, portfolio
-/// stop, or `max_iters`). `greedy_start` selects bound-guided initial
-/// construction (the portfolio gives it to worker 0; the rest start from
-/// random constructions for diversity).
+/// Runs LNS worker `k` until the shared solve stops (a budget trip, or
+/// the last B&B worker exiting). Worker 0 starts from a bound-guided
+/// construction, the rest from random constructions for diversity.
 pub(crate) fn lns_worker<M: CostModel>(
     model: &M,
     incumbent: &SharedIncumbent<'_>,
     tx: &mpsc::Sender<(Assignment, f64, Duration)>,
-    opts: &LnsOptions,
-    greedy_start: bool,
+    k: usize,
 ) -> LnsStats {
     let state: &SharedState = incumbent.state;
     let n = model.num_vars();
@@ -347,7 +339,8 @@ pub(crate) fn lns_worker<M: CostModel>(
     if n == 0 {
         return stats;
     }
-    let mut rng = Rng::new(opts.seed);
+    let greedy_start = k == 0;
+    let mut rng = Rng::new(SEED.wrapping_add(k as u64));
     let mut w = Walker::new(model);
     let mut order: Vec<u32> = Vec::new();
     let mut buf: Assignment = Vec::new();
@@ -367,11 +360,6 @@ pub(crate) fn lns_worker<M: CostModel>(
         }
         if stats.iters & 63 == 0 && state.time_up() {
             break;
-        }
-        if let Some(max) = opts.max_iters {
-            if stats.iters >= max {
-                break;
-            }
         }
         stats.iters += 1;
 
@@ -401,7 +389,7 @@ pub(crate) fn lns_worker<M: CostModel>(
             {
                 if c < local_best - EPS {
                     local_best = c;
-                    incumbent.offer(&a, c, SRC_LNS, tx);
+                    incumbent.offer(&a, c, Winner::Lns, tx);
                     stats.incumbents += 1;
                 }
                 t0 = init_temp(c);
@@ -413,13 +401,13 @@ pub(crate) fn lns_worker<M: CostModel>(
 
         // Destroy a random segment and repair.
         let i = rng.below(n);
-        let j = (i + 1 + rng.below(opts.destroy_max.max(1))).min(n);
+        let j = (i + 1 + rng.below(DESTROY_MAX)).min(n);
         let mut cur_c = cur_c;
         match rebuild(model, &mut w, &mut rng, &cur_a, i, j, &mut order, &mut buf) {
             Some((cand, c)) => {
                 if c < local_best - EPS {
                     local_best = c;
-                    incumbent.offer(&cand, c, SRC_LNS, tx);
+                    incumbent.offer(&cand, c, Winner::Lns, tx);
                     stats.incumbents += 1;
                     non_improving = 0;
                 } else {
@@ -439,7 +427,7 @@ pub(crate) fn lns_worker<M: CostModel>(
             }
         }
         temp = (temp * 0.995).max(t0 * 1e-3);
-        if non_improving >= opts.reheat_after.max(1) {
+        if non_improving >= REHEAT_AFTER {
             // Reheat and re-anchor at the best known solution.
             temp = t0;
             stats.restarts += 1;
@@ -456,224 +444,4 @@ pub(crate) fn lns_worker<M: CostModel>(
     });
     stats.elapsed = started.elapsed();
     stats
-}
-
-/// Runs a single LNS worker standalone (no B&B race): heuristic
-/// minimization of `model` under `opts`' time budget and/or
-/// `lns.max_iters`. When neither is set, a default cap of 10 000
-/// iterations applies so the call always returns. The result is
-/// best-found, never a proof — use [`crate::portfolio::solve_portfolio`]
-/// for certified optima. `opts.node_budget` is ignored (LNS explores
-/// moves, not tree nodes) and `opts.initial_incumbent` seeds the walk.
-pub fn solve_lns<M: CostModel>(
-    model: &M,
-    mut opts: SolveOptions<'_>,
-    lns: &LnsOptions,
-) -> (Option<(Assignment, f64)>, LnsStats) {
-    let n = model.num_vars();
-    for v in 0..n {
-        assert!(!model.domain(v).is_empty(), "variable {v} has empty domain");
-    }
-    let mut lns = lns.clone();
-    if lns.max_iters.is_none() && opts.time_budget.is_none() {
-        lns.max_iters = Some(10_000);
-    }
-    let started = Instant::now();
-    let state = SharedState::new(None, opts.time_budget, opts.initial_upper_bound);
-    let incumbent = SharedIncumbent::new(&state, started);
-    if let Some((a, c)) = opts.initial_incumbent.take() {
-        incumbent.seed(a, c);
-    }
-    let (tx, rx) = mpsc::channel();
-    let stats = lns_worker(model, &incumbent, &tx, &lns, true);
-    drop(tx);
-    match opts.on_incumbent.take() {
-        Some(mut cb) => {
-            for (a, c, at) in rx {
-                cb(&a, c, at);
-            }
-        }
-        None => drop(rx),
-    }
-    flush_lns_telemetry(&stats);
-    let (best, _winner) = incumbent.into_best();
-    (best, stats)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::bb::{solve, SolveOptions};
-    use crate::model::PartialAssignment;
-
-    struct Wap {
-        weights: Vec<Vec<f64>>,
-        diffs: Vec<(usize, usize)>,
-    }
-
-    impl CostModel for Wap {
-        type Scratch = ();
-        fn num_vars(&self) -> usize {
-            self.weights.len()
-        }
-        fn domain(&self, _var: usize) -> &[u32] {
-            &[0, 1, 2]
-        }
-        fn cost(&self, a: &Assignment) -> Option<f64> {
-            for &(i, j) in &self.diffs {
-                if a[i] == a[j] {
-                    return None;
-                }
-            }
-            Some(
-                a.iter()
-                    .enumerate()
-                    .map(|(i, &v)| self.weights[i][v as usize])
-                    .sum(),
-            )
-        }
-        fn bound(&self, partial: &PartialAssignment) -> f64 {
-            partial
-                .iter()
-                .enumerate()
-                .map(|(i, v)| match v {
-                    Some(v) => self.weights[i][*v as usize],
-                    None => self.weights[i]
-                        .iter()
-                        .cloned()
-                        .fold(f64::INFINITY, f64::min),
-                })
-                .sum()
-        }
-        fn prune(&self, partial: &PartialAssignment) -> bool {
-            self.diffs
-                .iter()
-                .any(|&(i, j)| matches!((partial[i], partial[j]), (Some(a), Some(b)) if a == b))
-        }
-    }
-
-    fn instance(seed: u64, n: usize) -> Wap {
-        let mut s = seed.wrapping_add(0x9E3779B97F4A7C15);
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            (s % 1000) as f64 / 100.0
-        };
-        Wap {
-            weights: (0..n).map(|_| (0..3).map(|_| next()).collect()).collect(),
-            diffs: (0..n - 1).map(|i| (i, i + 1)).collect(),
-        }
-    }
-
-    #[test]
-    fn finds_feasible_solutions_and_reaches_the_optimum_on_small_instances() {
-        for seed in 0..8 {
-            let m = instance(seed, 8);
-            let opt = solve(&m, SolveOptions::default()).best.unwrap().1;
-            let (best, stats) = solve_lns(
-                &m,
-                SolveOptions::default(),
-                &LnsOptions {
-                    seed: 100 + seed,
-                    ..Default::default()
-                },
-            );
-            let (a, c) = best.expect("LNS must find something feasible");
-            // The result is a real solution: the from-scratch cost agrees.
-            let check = m.cost(&a).expect("returned assignment must be feasible");
-            assert!((check - c).abs() < 1e-9, "seed {seed}");
-            // Never below the proven optimum...
-            assert!(c >= opt - 1e-9, "seed {seed}: {c} < opt {opt}");
-            // ...and on 3^8 spaces, 10k moves find the optimum.
-            assert!((c - opt).abs() < 1e-9, "seed {seed}: {c} vs opt {opt}");
-            assert!(stats.iters > 0);
-        }
-    }
-
-    #[test]
-    fn deterministic_for_a_fixed_seed() {
-        let m = instance(5, 9);
-        let run = || {
-            solve_lns(
-                &m,
-                SolveOptions::default(),
-                &LnsOptions {
-                    seed: 7,
-                    max_iters: Some(2_000),
-                    ..Default::default()
-                },
-            )
-        };
-        let (a, sa) = run();
-        let (b, sb) = run();
-        let (a, ca) = a.unwrap();
-        let (b, cb) = b.unwrap();
-        assert_eq!(a, b);
-        assert_eq!(ca.to_bits(), cb.to_bits());
-        assert_eq!(sa.iters, sb.iters);
-        assert_eq!(sa.accepts, sb.accepts);
-    }
-
-    #[test]
-    fn initial_incumbent_seeds_the_walk_and_is_never_lost() {
-        let m = instance(11, 9);
-        let opt = solve(&m, SolveOptions::default()).best.unwrap();
-        // Seed with the proven optimum: LNS can only tie it, never lose it.
-        let (best, _) = solve_lns(
-            &m,
-            SolveOptions {
-                initial_incumbent: Some(opt.clone()),
-                ..Default::default()
-            },
-            &LnsOptions {
-                seed: 3,
-                max_iters: Some(500),
-                ..Default::default()
-            },
-        );
-        let (_, c) = best.unwrap();
-        assert!(c <= opt.1 + 1e-12);
-    }
-
-    #[test]
-    fn respects_iteration_cap() {
-        let m = instance(2, 10);
-        let (_, stats) = solve_lns(
-            &m,
-            SolveOptions::default(),
-            &LnsOptions {
-                max_iters: Some(17),
-                ..Default::default()
-            },
-        );
-        assert!(stats.iters <= 17);
-    }
-
-    #[test]
-    fn infeasible_instance_returns_none() {
-        struct Infeasible;
-        impl CostModel for Infeasible {
-            type Scratch = ();
-            fn num_vars(&self) -> usize {
-                3
-            }
-            fn domain(&self, _v: usize) -> &[u32] {
-                &[0, 1]
-            }
-            fn cost(&self, _a: &Assignment) -> Option<f64> {
-                None
-            }
-        }
-        let (best, stats) = solve_lns(
-            &Infeasible,
-            SolveOptions::default(),
-            &LnsOptions {
-                max_iters: Some(64),
-                ..Default::default()
-            },
-        );
-        assert!(best.is_none());
-        assert_eq!(stats.accepts, 0);
-    }
 }

@@ -1,5 +1,7 @@
-//! Parallel branch & bound: frontier splitting with work stealing and a
-//! lock-free shared incumbent.
+//! The worker pool: parallel branch & bound by frontier splitting with
+//! work stealing, optionally raced against LNS workers, over one
+//! lock-free shared incumbent. [`solve_parallel_with`] is the one pool
+//! driver; [`ParallelOptions`] holds its three knobs.
 //!
 //! The search tree is cut at a configurable depth `d`: every assignment
 //! of the first `d` variables becomes one *work item* (there are
@@ -51,25 +53,27 @@
 //! workers send strict global improvements through a channel (from inside
 //! the incumbent lock, so costs strictly decrease and timestamps are
 //! monotone) and the caller's thread delivers them while the workers run.
+//!
+//! # LNS workers
+//!
+//! With [`ParallelOptions::lns_workers`] set, that many LNS workers
+//! (`crate::lns`) run beside the B&B workers on the same
+//! [`SharedIncumbent`]: an LNS incumbent tightens the bound every B&B
+//! worker prunes against, and a B&B incumbent reseeds the LNS walks. B&B
+//! alone decides exactness, and the last B&B worker to exit stops the LNS
+//! workers. A proven result is the same `(cost, assignment)` minimum as
+//! without them, since the order above does not care who offered a leaf.
+//! With `lns_workers == 0` nothing of the race is spawned or recorded.
 
 use crate::bb::{
-    flush_solve_telemetry, solve, Engine, SharedState, Solution, SolveOptions, SolveStats,
+    flush_solve_telemetry, solve, Engine, SharedState, Solution, SolveOptions, SolveStats, Winner,
     Workspace,
 };
+use crate::lns::{flush_lns_telemetry, lns_worker, LnsStats};
 use crate::model::{Assignment, CostModel};
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Tag for who produced an incumbent (stored in the shared slot so the
-/// portfolio can report which strategy won).
-pub(crate) const SRC_BB: u8 = 0;
-/// The incumbent came from an LNS worker.
-pub(crate) const SRC_LNS: u8 = 1;
-/// The incumbent is the caller's `initial_incumbent` seed.
-pub(crate) const SRC_SEED: u8 = 2;
-/// No incumbent yet.
-pub(crate) const SRC_NONE: u8 = u8::MAX;
 
 /// Hard cap on frontier size when auto-choosing the split depth.
 const MAX_AUTO_ITEMS: usize = 65_536;
@@ -78,26 +82,28 @@ const MAX_AUTO_ITEMS: usize = 65_536;
 /// workers keep stealing instead of idling behind a slow subtree.
 const ITEMS_PER_WORKER: usize = 8;
 
-/// Knobs specific to the parallel solver.
+/// Knobs of the worker pool.
 #[derive(Debug, Clone, Default)]
 pub struct ParallelOptions {
-    /// Worker threads; `0` means one per available CPU.
+    /// B&B worker threads; `0` means one per available CPU minus
+    /// `lns_workers` (at least one).
     pub threads: usize,
     /// Split the tree at this depth (number of leading variables fixed
     /// per work item). `None` picks the smallest depth yielding at least
     /// [`ITEMS_PER_WORKER`]× the worker count. Any depth produces the
     /// same result — this only shapes load balance.
     pub split_depth: Option<usize>,
+    /// LNS workers raced beside the B&B workers on the same incumbent
+    /// (`crate::lns`); `0` runs pure branch & bound.
+    pub lns_workers: usize,
 }
 
 /// The shared incumbent: lock-free cost in [`SharedState`], full
-/// assignment under this mutex (taken only on candidate improvements).
-/// Shared by B&B workers and — in the portfolio — LNS workers.
+/// assignment and the strategy that produced it under this mutex (taken
+/// only on candidate improvements). Shared by the pool's B&B and LNS
+/// workers.
 pub(crate) struct SharedIncumbent<'a> {
-    slot: Mutex<Option<(Assignment, f64)>>,
-    /// Who produced the current slot content (`SRC_*`; written under the
-    /// slot lock, read after the solve ends).
-    winner: AtomicU8,
+    slot: Mutex<Option<(Assignment, f64, Winner)>>,
     pub(crate) state: &'a SharedState,
     started: Instant,
 }
@@ -106,7 +112,6 @@ impl<'a> SharedIncumbent<'a> {
     pub(crate) fn new(state: &'a SharedState, started: Instant) -> Self {
         SharedIncumbent {
             slot: Mutex::new(None),
-            winner: AtomicU8::new(SRC_NONE),
             state,
             started,
         }
@@ -116,8 +121,7 @@ impl<'a> SharedIncumbent<'a> {
     /// cost is published so every worker prunes against it from node one.
     pub(crate) fn seed(&self, a: Assignment, c: f64) {
         let mut slot = self.slot.lock().expect("incumbent lock");
-        *slot = Some((a, c));
-        self.winner.store(SRC_SEED, Ordering::Relaxed);
+        *slot = Some((a, c, Winner::Seed));
         self.state.publish_cost(c);
     }
 
@@ -132,7 +136,7 @@ impl<'a> SharedIncumbent<'a> {
         &self,
         a: &Assignment,
         c: f64,
-        src: u8,
+        src: Winner,
         tx: &mpsc::Sender<(Assignment, f64, Duration)>,
     ) {
         // Lock-free fast reject: strictly worse candidates never touch
@@ -143,11 +147,10 @@ impl<'a> SharedIncumbent<'a> {
         let mut slot = self.slot.lock().expect("incumbent lock");
         let (better, strict) = match &*slot {
             None => (true, true),
-            Some((cur_a, cur_c)) => ((c, a) < (*cur_c, cur_a), c < *cur_c),
+            Some((cur_a, cur_c, _)) => ((c, a) < (*cur_c, cur_a), c < *cur_c),
         };
         if better {
-            *slot = Some((a.clone(), c));
-            self.winner.store(src, Ordering::Relaxed);
+            *slot = Some((a.clone(), c, src));
             self.state.publish_cost(c);
             if strict {
                 // Receiver may have been dropped (no callback): ignore.
@@ -161,22 +164,21 @@ impl<'a> SharedIncumbent<'a> {
     /// [`SharedState::best_cost`] first so the lock is only taken when
     /// there is something new to fetch.
     pub(crate) fn snapshot(&self) -> Option<(Assignment, f64)> {
-        self.slot.lock().expect("incumbent lock").clone()
+        let slot = self.slot.lock().expect("incumbent lock");
+        slot.as_ref().map(|(a, c, _)| (a.clone(), *c))
     }
 
     /// Consumes the incumbent at the end of a solve.
-    pub(crate) fn into_best(self) -> (Option<(Assignment, f64)>, u8) {
-        let winner = self.winner.load(Ordering::Relaxed);
-        (self.slot.into_inner().expect("incumbent lock"), winner)
+    fn into_best(self) -> (Option<(Assignment, f64)>, Option<Winner>) {
+        match self.slot.into_inner().expect("incumbent lock") {
+            Some((a, c, src)) => (Some((a, c)), Some(src)),
+            None => (None, None),
+        }
     }
 }
 
 /// Smallest depth whose prefix count reaches `target` (capped).
-pub(crate) fn choose_depth<M: CostModel>(
-    model: &M,
-    threads: usize,
-    requested: Option<usize>,
-) -> usize {
+fn choose_depth<M: CostModel>(model: &M, threads: usize, requested: Option<usize>) -> usize {
     let n = model.num_vars();
     if let Some(d) = requested {
         return d.min(n);
@@ -197,19 +199,19 @@ pub(crate) fn choose_depth<M: CostModel>(
 /// Per-solve search totals plus one `(items claimed, busy ms)` entry
 /// per worker, accumulated under a mutex taken once per worker exit.
 #[derive(Default)]
-pub(crate) struct PoolStats {
-    pub(crate) nodes: u64,
-    pub(crate) leaves: u64,
-    pub(crate) pruned: u64,
-    pub(crate) pruned_infeasible: u64,
-    pub(crate) pruned_bound: u64,
-    pub(crate) pruned_incumbent: u64,
-    pub(crate) incumbents: u64,
-    pub(crate) workers: Vec<(u64, f64)>,
+struct PoolStats {
+    nodes: u64,
+    leaves: u64,
+    pruned: u64,
+    pruned_infeasible: u64,
+    pruned_bound: u64,
+    pruned_incumbent: u64,
+    incumbents: u64,
+    workers: Vec<(u64, f64)>,
 }
 
 /// Number of work items at `depth` (saturating).
-pub(crate) fn frontier_size<M: CostModel>(model: &M, depth: usize) -> usize {
+fn frontier_size<M: CostModel>(model: &M, depth: usize) -> usize {
     (0..depth).fold(1usize, |acc, v| acc.saturating_mul(model.domain(v).len()))
 }
 
@@ -226,8 +228,7 @@ fn decode_prefix<M: CostModel>(model: &M, depth: usize, mut k: usize, prefix: &m
 
 /// One B&B worker's run: claims prefixes from the shared injector until
 /// the frontier drains or the solve stops, accumulating its counters into
-/// `stats`. Shared between [`solve_parallel_with`] and the portfolio
-/// solver (`crate::portfolio`).
+/// `stats`.
 ///
 /// Each work item starts by *adopting* the shared incumbent — assignment
 /// and cost, not just the bound. A leaf beats the adopted incumbent in
@@ -236,7 +237,7 @@ fn decode_prefix<M: CostModel>(model: &M, depth: usize, mut k: usize, prefix: &m
 /// available for budget-stopped items, without perturbing the
 /// deterministic result.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn bb_worker<M: CostModel + Sync>(
+fn bb_worker<M: CostModel + Sync>(
     model: &M,
     state: &SharedState,
     incumbent: &SharedIncumbent<'_>,
@@ -255,7 +256,7 @@ pub(crate) fn bb_worker<M: CostModel + Sync>(
         &mut ws,
         initial_ub,
         bound_guided,
-        |a: &Assignment, c: f64| incumbent.offer(a, c, SRC_BB, tx),
+        |a: &Assignment, c: f64| incumbent.offer(a, c, Winner::BranchAndBound, tx),
     );
     let mut prefix = vec![0u32; depth];
     // Worker-local cache of the last adopted incumbent, refreshed only
@@ -320,15 +321,12 @@ pub(crate) fn bb_worker<M: CostModel + Sync>(
         .push((items_claimed, worker_started.elapsed().as_secs_f64() * 1e3));
 }
 
-/// Minimizes `model` on all available CPUs. See [`solve_parallel_with`].
-pub fn solve_parallel<M: CostModel + Sync>(model: &M, opts: SolveOptions<'_>) -> Solution {
-    solve_parallel_with(model, opts, &ParallelOptions::default())
-}
-
 /// Minimizes `model` with a work-stealing worker pool over a depth-`d`
 /// frontier (see the module docs for the execution and determinism
-/// model). Budgets in `opts` are global across all workers, and
-/// `on_incumbent` is delivered on the calling thread while workers run.
+/// model), with `par.lns_workers` LNS workers racing beside it. Budgets
+/// in `opts` are global across all workers, and `on_incumbent` sees every
+/// strict global improvement from either side, delivered on the calling
+/// thread while workers run.
 pub fn solve_parallel_with<M: CostModel + Sync>(
     model: &M,
     mut opts: SolveOptions<'_>,
@@ -345,11 +343,15 @@ pub fn solve_parallel_with<M: CostModel + Sync>(
         std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(4)
+            .saturating_sub(par.lns_workers)
+            .max(1)
     } else {
         par.threads
     };
     let depth = choose_depth(model, threads, par.split_depth);
     let total_items = frontier_size(model, depth);
+    let bb_workers = threads.min(total_items);
+    let racing = par.lns_workers > 0;
 
     let started = Instant::now();
     let state = SharedState::new(opts.node_budget, opts.time_budget, opts.initial_upper_bound);
@@ -359,15 +361,18 @@ pub fn solve_parallel_with<M: CostModel + Sync>(
     }
     let injector = AtomicUsize::new(0);
     let stats = Mutex::new(PoolStats::default());
+    let lns_total = Mutex::new(LnsStats::default());
+    let live_bb = AtomicUsize::new(bb_workers);
     let (tx, rx) = mpsc::channel::<(Assignment, f64, Duration)>();
 
     std::thread::scope(|scope| {
-        for _ in 0..threads.min(total_items) {
+        for _ in 0..bb_workers {
             let tx = tx.clone();
             let state = &state;
             let incumbent = &incumbent;
             let injector = &injector;
             let stats = &stats;
+            let live_bb = &live_bb;
             let initial_ub = opts.initial_upper_bound;
             let bound_guided = opts.bound_guided_values;
             scope.spawn(move || {
@@ -383,24 +388,51 @@ pub fn solve_parallel_with<M: CostModel + Sync>(
                     bound_guided,
                     stats,
                 );
+                // The last B&B worker out stops the LNS workers: either
+                // the tree is exhausted (the result is proven, nothing is
+                // left to find) or a budget tripped (stop already raised).
+                if racing && live_bb.fetch_sub(1, Ordering::AcqRel) == 1 {
+                    state.request_stop();
+                }
+            });
+        }
+        for k in 0..par.lns_workers {
+            let tx = tx.clone();
+            let incumbent = &incumbent;
+            let lns_total = &lns_total;
+            scope.spawn(move || {
+                let stats = lns_worker(model, incumbent, &tx, k);
+                lns_total.lock().expect("lns stats lock").merge(&stats);
             });
         }
         // The workers hold the only remaining senders: once they finish,
         // the channel disconnects and this drain loop ends. Meanwhile it
-        // delivers strict improvements to the caller as they happen.
+        // delivers strict improvements to the caller as they happen, and
+        // records a race's incumbent timeline for telemetry.
         drop(tx);
-        match opts.on_incumbent.take() {
-            Some(mut cb) => {
-                for (a, c, at) in rx {
-                    cb(&a, c, at);
-                }
+        let series = racing && haxconn_telemetry::enabled();
+        let mut cb = opts.on_incumbent.take();
+        if cb.is_none() && !series {
+            drop(rx);
+            return;
+        }
+        for (a, c, at) in rx {
+            if series {
+                haxconn_telemetry::series_record(
+                    "solver.portfolio.incumbent",
+                    at.as_secs_f64() * 1e3,
+                    c,
+                );
             }
-            None => drop(rx),
+            if let Some(cb) = cb.as_mut() {
+                cb(&a, c, at);
+            }
         }
     });
 
     let pool = stats.into_inner().expect("stats lock");
-    let (best, _winner) = incumbent.into_best();
+    let lns = lns_total.into_inner().expect("lns stats lock");
+    let (best, winner) = incumbent.into_best();
     let stats = SolveStats {
         nodes: pool.nodes,
         leaves: pool.leaves,
@@ -427,7 +459,15 @@ pub fn solve_parallel_with<M: CostModel + Sync>(
             t::histogram_record("solver.par.worker_idle_ms", (elapsed_ms - busy_ms).max(0.0));
         }
     }
-    Solution { best, stats }
+    if racing {
+        flush_lns_telemetry(&lns, winner);
+    }
+    Solution {
+        best,
+        winner,
+        stats,
+        lns,
+    }
 }
 
 #[cfg(test)]
@@ -491,29 +531,67 @@ mod tests {
         }
     }
 
-    fn with_threads(t: usize) -> ParallelOptions {
-        ParallelOptions {
-            threads: t,
-            split_depth: None,
+    /// [`Wap`] with its difference constraints also checked on prefixes,
+    /// so B&B dives and LNS repairs reach feasible leaves quickly.
+    struct Pruning(Wap);
+
+    impl CostModel for Pruning {
+        type Scratch = ();
+        fn num_vars(&self) -> usize {
+            self.0.num_vars()
+        }
+        fn domain(&self, var: usize) -> &[u32] {
+            self.0.domain(var)
+        }
+        fn cost(&self, a: &Assignment) -> Option<f64> {
+            self.0.cost(a)
+        }
+        fn bound(&self, partial: &PartialAssignment) -> f64 {
+            self.0.bound(partial)
+        }
+        fn prune(&self, partial: &PartialAssignment) -> bool {
+            self.0
+                .diffs
+                .iter()
+                .any(|&(i, j)| matches!((partial[i], partial[j]), (Some(a), Some(b)) if a == b))
         }
     }
 
+    fn with_threads(t: usize) -> ParallelOptions {
+        ParallelOptions {
+            threads: t,
+            ..Default::default()
+        }
+    }
+
+    fn with_lns(lns_workers: usize) -> ParallelOptions {
+        ParallelOptions {
+            lns_workers,
+            ..Default::default()
+        }
+    }
+
+    /// With or without LNS workers racing, the unbudgeted pool proves the
+    /// sequential optimum, cost bits and assignment.
     #[test]
     fn parallel_matches_sequential_and_brute_force() {
         for seed in 0..10 {
             let m = instance(seed, 8);
             let seq = solve(&m, SolveOptions::default());
-            let par = solve_parallel(&m, SolveOptions::default());
             let bf = brute_force(&m);
-            match (&seq.best, &par.best, &bf) {
-                (Some((a_seq, c_seq)), Some((a_par, c_par)), Some((_, c_bf))) => {
-                    // Bit-identical cost and identical assignment.
-                    assert_eq!(c_seq.to_bits(), c_par.to_bits(), "seed {seed}");
-                    assert_eq!(a_seq, a_par, "seed {seed}");
-                    assert!((c_seq - c_bf).abs() < 1e-9, "seed {seed}");
+            for lns_workers in [0, 1] {
+                let par = solve_parallel_with(&m, SolveOptions::default(), &with_lns(lns_workers));
+                assert!(par.proven_optimal(), "seed {seed} lns {lns_workers}");
+                match (&seq.best, &par.best, &bf) {
+                    (Some((a_seq, c_seq)), Some((a_par, c_par)), Some((_, c_bf))) => {
+                        // Bit-identical cost and identical assignment.
+                        assert_eq!(c_seq.to_bits(), c_par.to_bits(), "seed {seed}");
+                        assert_eq!(a_seq, a_par, "seed {seed} lns {lns_workers}");
+                        assert!((c_seq - c_bf).abs() < 1e-9, "seed {seed}");
+                    }
+                    (None, None, None) => {}
+                    other => panic!("seed {seed} lns {lns_workers}: {other:?}"),
                 }
-                (None, None, None) => {}
-                other => panic!("seed {seed}: {other:?}"),
             }
         }
     }
@@ -531,6 +609,7 @@ mod tests {
                     &ParallelOptions {
                         threads,
                         split_depth: Some(depth),
+                        lns_workers: 0,
                     },
                 );
                 let (a, c) = sol.best.unwrap();
@@ -561,26 +640,36 @@ mod tests {
         assert!(sol.stats.nodes <= 500, "spent {}", sol.stats.nodes);
     }
 
+    /// The callback sees strict global improvements from either side of
+    /// the race, in order.
     #[test]
     fn callbacks_are_monotone_and_reach_the_optimum() {
         let m = instance(3, 9);
-        let mut seen: Vec<(f64, Duration)> = Vec::new();
-        let sol = solve_parallel_with(
-            &m,
-            SolveOptions {
-                on_incumbent: Some(Box::new(|_, c, at| seen.push((c, at)))),
-                ..Default::default()
-            },
-            &with_threads(4),
-        );
-        assert!(sol.proven_optimal());
-        let best = sol.best.unwrap().1;
-        assert!(!seen.is_empty());
-        for w in seen.windows(2) {
-            assert!(w[1].0 < w[0].0 - 1e-12, "costs must strictly decrease");
-            assert!(w[1].1 >= w[0].1, "timestamps must be monotone");
+        let bf = brute_force(&m).unwrap().1;
+        for lns_workers in [0, 1] {
+            let mut seen: Vec<(f64, Duration)> = Vec::new();
+            let sol = solve_parallel_with(
+                &m,
+                SolveOptions {
+                    on_incumbent: Some(Box::new(|_, c, at| seen.push((c, at)))),
+                    ..Default::default()
+                },
+                &ParallelOptions {
+                    threads: 4,
+                    lns_workers,
+                    ..Default::default()
+                },
+            );
+            assert!(sol.proven_optimal());
+            let best = sol.best.unwrap().1;
+            assert!(!seen.is_empty());
+            for w in seen.windows(2) {
+                assert!(w[1].0 < w[0].0 - 1e-12, "costs must strictly decrease");
+                assert!(w[1].1 >= w[0].1, "timestamps must be monotone");
+            }
+            assert_eq!(seen.last().unwrap().0.to_bits(), best.to_bits());
+            assert!((best - bf).abs() < 1e-9, "lns {lns_workers}");
         }
-        assert_eq!(seen.last().unwrap().0.to_bits(), best.to_bits());
     }
 
     #[test]
@@ -605,9 +694,12 @@ mod tests {
             }
         }
         let m = OneValue(m);
-        let par = solve_parallel(&m, SolveOptions::default());
-        assert!(par.best.is_none());
-        assert!(par.proven_optimal());
+        for lns_workers in [0, 2] {
+            let par = solve_parallel_with(&m, SolveOptions::default(), &with_lns(lns_workers));
+            assert!(par.best.is_none());
+            assert!(par.proven_optimal());
+            assert_eq!(par.winner, None);
+        }
     }
 
     #[test]
@@ -615,21 +707,23 @@ mod tests {
         let m = instance(5, 7);
         let opt = solve(&m, SolveOptions::default()).best.unwrap().1;
         // A warm bound below the optimum prunes everything away.
-        let par = solve_parallel(
+        let par = solve_parallel_with(
             &m,
             SolveOptions {
                 initial_upper_bound: Some(opt - 1.0),
                 ..Default::default()
             },
+            &with_threads(0),
         );
         assert!(par.best.is_none());
         // At the optimum + epsilon, it finds the optimum.
-        let par = solve_parallel(
+        let par = solve_parallel_with(
             &m,
             SolveOptions {
                 initial_upper_bound: Some(opt + 1e-6),
                 ..Default::default()
             },
+            &with_threads(0),
         );
         assert!((par.best.unwrap().1 - opt).abs() < 1e-9);
     }
@@ -705,10 +799,104 @@ mod tests {
             &ParallelOptions {
                 threads: 4,
                 split_depth: Some(10), // clamped to num_vars: items are leaves
+                lns_workers: 0,
             },
         );
         let bf = brute_force(&m).unwrap().1;
         assert!(sol.proven_optimal());
         assert!((sol.best.unwrap().1 - bf).abs() < 1e-9);
+    }
+
+    #[test]
+    fn lns_race_result_is_the_same_across_worker_configurations() {
+        let m = Pruning(instance(42, 9));
+        let reference = solve(&m, SolveOptions::default()).best.unwrap();
+        for (threads, lns_workers) in [(1, 1), (2, 2), (4, 1), (2, 3)] {
+            let sol = solve_parallel_with(
+                &m,
+                SolveOptions::default(),
+                &ParallelOptions {
+                    threads,
+                    lns_workers,
+                    ..Default::default()
+                },
+            );
+            assert!(sol.proven_optimal());
+            let (a, c) = sol.best.unwrap();
+            assert_eq!(a, reference.0, "threads {threads} lns {lns_workers}");
+            assert_eq!(
+                c.to_bits(),
+                reference.1.to_bits(),
+                "threads {threads} lns {lns_workers}"
+            );
+        }
+    }
+
+    #[test]
+    fn budget_trip_in_the_race_returns_an_unproven_solution() {
+        let m = Pruning(instance(7, 14));
+        let sol = solve_parallel_with(
+            &m,
+            SolveOptions {
+                node_budget: Some(300),
+                ..Default::default()
+            },
+            &ParallelOptions {
+                threads: 2,
+                lns_workers: 2,
+                ..Default::default()
+            },
+        );
+        assert_eq!(sol.stats.outcome, BudgetState::NodesExhausted);
+        assert!(!sol.proven_optimal());
+        // A 300-node dive on this easy instance reaches feasible leaves.
+        let (a, c) = sol.best.expect("expected an incumbent");
+        assert!((m.cost(&a).unwrap() - c).abs() < 1e-9);
+        assert!(sol.winner.is_some());
+    }
+
+    #[test]
+    fn lns_is_the_winner_when_bb_is_starved() {
+        // B&B gets a 1-node budget: any incumbent must come from LNS.
+        let m = Pruning(instance(3, 10));
+        let sol = solve_parallel_with(
+            &m,
+            SolveOptions {
+                node_budget: Some(1),
+                ..Default::default()
+            },
+            &ParallelOptions {
+                threads: 1,
+                lns_workers: 2,
+                ..Default::default()
+            },
+        );
+        assert!(!sol.proven_optimal());
+        if sol.best.is_some() {
+            assert_eq!(sol.winner, Some(Winner::Lns));
+            assert!(sol.lns.incumbents > 0);
+        }
+    }
+
+    #[test]
+    fn seed_is_the_winner_when_nothing_beats_it() {
+        let m = Pruning(instance(9, 8));
+        let opt = solve(&m, SolveOptions::default()).best.unwrap();
+        let sol = solve_parallel_with(
+            &m,
+            SolveOptions {
+                initial_incumbent: Some(opt.clone()),
+                ..Default::default()
+            },
+            &with_lns(1),
+        );
+        // The seed IS the optimum: nothing can strictly beat it, and an
+        // equal-cost re-find of the same assignment does not precede it in
+        // the slot's `(cost, assignment)` order, so the seed stays.
+        assert!(sol.proven_optimal());
+        let (a, c) = sol.best.unwrap();
+        assert_eq!(a, opt.0);
+        assert_eq!(c.to_bits(), opt.1.to_bits());
+        assert_eq!(sol.winner, Some(Winner::Seed));
     }
 }

@@ -1,5 +1,6 @@
 //! `solve_auto`'s driver selection, read off the solver span each solve
-//! emits (`bb.solve` or `bb.solve_parallel`). A dedicated test binary,
+//! emits (`bb.solve` or `bb.solve_parallel`), and the absence of the LNS
+//! race's telemetry from the pool it starts. A dedicated test binary,
 //! because the telemetry recorder is process-global.
 
 use haxconn_solver::{
@@ -83,6 +84,16 @@ fn solve_auto_picks_the_driver_from_the_model() {
             .map(|s| s.name.clone())
             .collect();
         assert_eq!(spans, [driver], "{why}");
+        // The pool `solve_auto` starts runs no LNS workers, so it records
+        // none of the race's keys.
+        let snap = rec.snapshot();
+        let race_keys: Vec<&String> = snap
+            .counters
+            .keys()
+            .chain(snap.series.keys())
+            .filter(|k| k.starts_with("solver.lns.") || k.starts_with("solver.portfolio."))
+            .collect();
+        assert!(race_keys.is_empty(), "{why}: {race_keys:?}");
         // Whichever driver ran, the answer is the sequential optimum.
         let (a, c) = sol.best.expect("feasible");
         assert_eq!((a, c.to_bits()), (seq.0, seq.1.to_bits()), "{why}");

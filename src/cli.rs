@@ -147,7 +147,7 @@ pub enum Command {
         /// Differential-fuzz scenario count; `None` = schedule-validate
         /// mode.
         fuzz: Option<usize>,
-        /// Large-instance portfolio-fuzz instance count (runs after the
+        /// Large-instance B&B/LNS race-fuzz instance count (runs after the
         /// differential pass when given).
         fuzz_large: Option<usize>,
         /// Arrival-trace fuzz count: replays that many generated tenant
@@ -1281,20 +1281,9 @@ per-frame service {:.2} ms vs period {:.2} ms",
                 g.platform.name,
                 g.platform.pus.len()
             )?;
-            // Warm-start with the best ε-feasible baseline: the solve can
-            // then only improve on it (never-worse by construction).
-            let mut seed_inc: Option<(Vec<u32>, f64)> = None;
-            for &kind in BaselineKind::all() {
-                let rows = Baseline::assignment(kind, &g.platform, &g.workload);
-                let Some(flat) = enc.to_flat(&rows) else {
-                    continue;
-                };
-                if let Some(c) = enc.cost(&flat) {
-                    if seed_inc.as_ref().is_none_or(|&(_, b)| c < b) {
-                        seed_inc = Some((flat, c));
-                    }
-                }
-            }
+            // Warm-start with the best baseline: the solve can then only
+            // improve on it (never-worse by construction).
+            let seed_inc = g.best_baseline(&enc);
             if let Some((_, c)) = &seed_inc {
                 writeln!(out, "baseline seed cost: {c:.4} ms")?;
             }

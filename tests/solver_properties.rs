@@ -12,8 +12,8 @@ use haxconn::dnn::Model;
 use haxconn::prelude::*;
 use haxconn::profiler::grouping::{partition, valid_cuts};
 use haxconn::solver::{
-    brute_force, solve, solve_parallel_with, solve_portfolio, Assignment, BudgetState, CostModel,
-    Exactness, NonIncremental, ParallelOptions, PortfolioOptions, SolveOptions,
+    brute_force, solve, solve_parallel_with, Assignment, BudgetState, CostModel, NonIncremental,
+    ParallelOptions, SolveOptions,
 };
 
 /// Deterministic xorshift64* generator for property sampling.
@@ -223,6 +223,7 @@ fn parallel_equals_sequential_everywhere() {
                     &ParallelOptions {
                         threads,
                         split_depth: depth,
+                        lns_workers: 0,
                     },
                 );
                 assert!(par.proven_optimal(), "case {case} t{threads} d{depth:?}");
@@ -357,14 +358,21 @@ fn solvers_agree_on_exact_and_near_ties() {
                     opts(),
                     &ParallelOptions {
                         threads,
-                        split_depth: None,
+                        ..Default::default()
                     },
                 );
                 check(&format!("parallel t{threads}"), par.best);
             }
-            let pf = solve_portfolio(&m, opts(), &PortfolioOptions::default());
-            assert_eq!(pf.exactness, Exactness::Proven, "case {case}");
-            check("portfolio", pf.best);
+            let pf = solve_parallel_with(
+                &m,
+                opts(),
+                &ParallelOptions {
+                    lns_workers: 1,
+                    ..Default::default()
+                },
+            );
+            assert!(pf.proven_optimal(), "case {case}");
+            check("B&B/LNS race", pf.best);
         }
     }
     assert!(near_ties > 0, "the sample must contain sub-1e-12 near-ties");
@@ -389,7 +397,7 @@ fn parallel_budget_is_global_and_sound() {
                 },
                 &ParallelOptions {
                     threads,
-                    split_depth: None,
+                    ..Default::default()
                 },
             );
             assert!(
@@ -563,7 +571,7 @@ fn incremental_solver_equals_nonincremental() {
                 SolveOptions::default(),
                 &ParallelOptions {
                     threads,
-                    split_depth: None,
+                    ..Default::default()
                 },
             );
             match (&inc.best, &par.best) {

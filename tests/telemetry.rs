@@ -9,7 +9,7 @@
 use haxconn::cli::{self, Command};
 use haxconn::core::encoding::ScheduleEncoding;
 use haxconn::prelude::*;
-use haxconn::solver::{solve, solve_portfolio, Exactness, PortfolioOptions, SolveOptions};
+use haxconn::solver::{solve, solve_parallel_with, ParallelOptions, SolveOptions};
 use haxconn::telemetry as tel;
 
 fn solve_and_measure() -> (ScheduledSession, ExecutionReport, String) {
@@ -71,11 +71,12 @@ fn telemetry_end_to_end() {
     assert!(snap.histograms.contains_key("solver.solve_ms"));
     assert!(!snap.spans.is_empty(), "scheduler/solver spans expected");
 
-    // --- 2b. Portfolio driver, called directly (no scheduler path picks
-    // it) over the schedule encoding on the 3-PU dual-DLA Orin: telemetry
-    // stays write-only and the LNS / portfolio counters plus the
+    // --- 2b. The worker pool with LNS workers racing its B&B workers,
+    // called directly (no scheduler path starts LNS workers) over the
+    // schedule encoding on the 3-PU dual-DLA Orin: telemetry stays
+    // write-only and the LNS / portfolio counters plus the
     // incumbent-timeline series land.
-    // An unbudgeted portfolio proves the optimum, so the result is the
+    // An unbudgeted race proves the optimum, so the result is the
     // sequential solver's on the same model.
     let p = haxconn::soc::orin_agx_dual_dla();
     let cm = ContentionModel::calibrate(&p);
@@ -85,15 +86,15 @@ fn telemetry_end_to_end() {
     ]);
     let enc = ScheduleEncoding::new(&workload, &cm, SchedulerConfig::default());
     let pf_solve = || {
-        let out = solve_portfolio(
+        let out = solve_parallel_with(
             &enc,
             SolveOptions::default(),
-            &PortfolioOptions {
+            &ParallelOptions {
                 lns_workers: 2,
                 ..Default::default()
             },
         );
-        assert_eq!(out.exactness, Exactness::Proven);
+        assert!(out.proven_optimal());
         out.best.expect("ε-feasible schedule exists")
     };
     let p1 = pf_solve();
@@ -107,7 +108,7 @@ fn telemetry_end_to_end() {
     assert_eq!((p1.0, p1.1.to_bits()), (seq.0, seq.1.to_bits()));
     let pf_snap = rec.snapshot();
     let pf_counter = |name: &str| pf_snap.counters.get(name).copied().unwrap_or(0);
-    // The LNS counters are flushed once per portfolio solve. How many
+    // The LNS counters are flushed once per racing solve. How many
     // iterations the workers complete before the B&B raises the
     // cooperative stop is a race (zero is common on an instance this
     // small), so assert the flush happened, not a winning iteration
