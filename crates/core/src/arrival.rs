@@ -29,6 +29,7 @@
 //! byte-identical JSON reports, which the `dynamic-gate` CI job checks
 //! on a 10k-event trace.
 
+use crate::baselines::{Baseline, BaselineKind};
 use crate::cache::{ShardedCache, WorkloadSignature, PHASE_CAPACITY};
 use crate::encoding::ScheduleEncoding;
 use crate::error::{parse_model, HaxError};
@@ -283,7 +284,12 @@ pub struct ReplayOptions {
     pub policy: ResolvePolicy,
     /// Scheduler configuration for the re-solves. Every re-solve goes
     /// through `haxconn_solver::solve_auto`, which runs a budgeted solve
-    /// (`node_budget`) on the sequential branch & bound.
+    /// (`node_budget`) on the sequential branch & bound. A re-solve
+    /// starts from the patched schedule (survivors keep their rows,
+    /// joiners start on the GPU) as its incumbent and passes the five
+    /// naive baselines as `SolveOptions::seeds`, which the solver scores
+    /// and starts from the best of: an unbudgeted re-solve returns the
+    /// same schedule as without them, a budgeted one a schedule no worse.
     pub config: SchedulerConfig,
     /// Validate every schedule adopted at every re-solve point against
     /// the timeline invariant suite, counting violations in the report.
@@ -601,9 +607,11 @@ impl<'a> Sim<'a> {
     }
 
     /// Full solve for the current tenant mix, warm-started from the
-    /// surviving incumbent. Returns the schedule to adopt, its predicted
-    /// timeline included, and whether the solver actually ran (vs a
-    /// schedule-cache hit).
+    /// surviving incumbent `seed_rows` and seeded with the naive
+    /// baselines. Returns the schedule to adopt, its predicted timeline
+    /// included, and whether the solver actually ran (vs a schedule-cache
+    /// hit). `seed_tl` is `seed_rows`' timeline when the caller already
+    /// predicted it; a miss predicts it otherwise, to price the warm start.
     ///
     /// A hit's timeline is reused as is: every entry was predicted in this
     /// replay, with the same contention model and configuration, on a
@@ -613,13 +621,15 @@ impl<'a> Sim<'a> {
         &mut self,
         workload: &Workload,
         seed_rows: &[Vec<PuId>],
-        seed_cost: f64,
+        seed_tl: Option<PredictedTimeline>,
     ) -> (Arc<Schedule>, ResolveAction) {
         let signature = WorkloadSignature::of(workload);
         if let Some(hit) = self.cache.get(&signature) {
             return (hit, ResolveAction::CacheHit);
         }
         let solve_started = std::time::Instant::now();
+        let seed_tl = seed_tl.unwrap_or_else(|| self.predict(workload, seed_rows));
+        let seed_cost = objective_cost(self.options.config.objective, &seed_tl);
         // The anytime path solves the ε-relaxed formulation (queueing
         // modeled instead of forbidden), like `DHaxConn`: every
         // assignment is feasible there, so the surviving incumbent is a
@@ -630,10 +640,18 @@ impl<'a> Sim<'a> {
         };
         let enc = ScheduleEncoding::new(workload, self.contention, relaxed);
         let seed = enc.to_flat(seed_rows).map(|flat| (flat, seed_cost));
+        // The baselines are leaves of the same tree: the solver scores
+        // them and starts from the best, which prunes earlier without
+        // moving the answer.
+        let seeds = BaselineKind::all()
+            .iter()
+            .filter_map(|&kind| enc.to_flat(&Baseline::assignment(kind, self.platform, workload)))
+            .collect();
         let opts = SolveOptions {
             node_budget: relaxed.node_budget,
             initial_upper_bound: Some(seed_cost),
             initial_incumbent: seed,
+            seeds,
             ..Default::default()
         };
         let best = solve_auto(&enc, opts, self.options.workers).best;
@@ -645,7 +663,10 @@ impl<'a> Sim<'a> {
         };
         // Cache under the mix signature so the next time this tenant
         // combination appears the schedule is instant.
-        let predicted = self.predict(workload, &rows);
+        let predicted = match rows == seed_rows {
+            true => seed_tl,
+            false => self.predict(workload, &rows),
+        };
         let cost = objective_cost(self.options.config.objective, &predicted);
         let schedule = Arc::new(Schedule {
             assignment: rows,
@@ -760,8 +781,9 @@ impl<'a> Sim<'a> {
         let order = self.canonical_order();
         let workload = self.canonical_workload(&order);
         let patched = self.patched_rows(&order);
-        let patched_tl = self.predict(&workload, &patched);
-        let patched_cost = objective_cost(self.options.config.objective, &patched_tl);
+        // Predicted only where it is read: `Immediate` reads it on a
+        // cache miss alone, to price the solve's warm start.
+        let mut patched_tl = None;
 
         let solve_now = force_solve
             || match self.options.policy {
@@ -774,6 +796,9 @@ impl<'a> Sim<'a> {
                     false
                 }
                 ResolvePolicy::UtilityThreshold { min_gain } => {
+                    let tl = self.predict(&workload, &patched);
+                    let patched_cost = objective_cost(self.options.config.objective, &tl);
+                    patched_tl = Some(tl);
                     let relaxed = SchedulerConfig {
                         epsilon_ms: None,
                         ..self.options.config
@@ -789,7 +814,7 @@ impl<'a> Sim<'a> {
         if solve_now {
             self.report.resolves += 1;
             haxconn_telemetry::counter_add("dynamic.resolve.count", 1);
-            let (schedule, action) = self.solve_mix(&workload, &patched, patched_cost);
+            let (schedule, action) = self.solve_mix(&workload, &patched, patched_tl);
             if action == ResolveAction::CacheHit {
                 haxconn_telemetry::counter_add("dynamic.resolve.cache_hit", 1);
             }
@@ -802,7 +827,8 @@ impl<'a> Sim<'a> {
             self.report.resolve_skips += 1;
             haxconn_telemetry::counter_add("dynamic.resolve.skipped", 1);
             let action = ResolveAction::Patched;
-            self.adopt(now_ms, action, &workload, &order, patched, &patched_tl);
+            let tl = patched_tl.unwrap_or_else(|| self.predict(&workload, &patched));
+            self.adopt(now_ms, action, &workload, &order, patched, &tl);
         }
         self.apply_throttle(now_ms, &workload, &order);
     }

@@ -73,6 +73,17 @@ pub struct SolveOptions<'a> {
     /// cost must be the model's own `cost` of the assignment (e.g. from a
     /// previous solve or an LNS pass) — it is trusted, not re-derived.
     pub initial_incumbent: Option<(Assignment, f64)>,
+    /// Candidate complete assignments (e.g. naive baselines) scored with
+    /// the model's own `cost_with` before the search starts, inside the
+    /// solve clock. A candidate outside the domains, pruned by
+    /// `prune_with`, a duplicate, or whose complete `bound_with` already
+    /// reaches the pruning threshold is skipped unscored. The least
+    /// scored candidate in `(cost, assignment)` order that the search
+    /// would accept as a leaf, or [`SolveOptions::initial_incumbent`] if
+    /// that precedes it, is adopted like a seed, without a callback. A
+    /// candidate is a leaf of the tree, so seeding never changes the
+    /// answer of an unbudgeted solve; it only prunes earlier.
+    pub seeds: Vec<Assignment>,
 }
 
 /// Why the solver stopped.
@@ -91,7 +102,7 @@ pub enum BudgetState {
 pub struct SolveStats {
     /// Nodes visited (including pruned frontier nodes).
     pub nodes: u64,
-    /// Leaves fully evaluated.
+    /// Leaves fully evaluated, scored [`SolveOptions::seeds`] included.
     pub leaves: u64,
     /// Subtrees pruned by bound or by `prune()`.
     pub pruned: u64,
@@ -332,6 +343,10 @@ pub(crate) struct Engine<'a, M: CostModel, F: FnMut(&Assignment, f64)> {
     /// where the adopted assignment sits in its own visiting order (see
     /// `parallel.rs` module docs).
     adopted: bool,
+    /// Assignments whose cost is already known and does not precede the
+    /// incumbent: the caller's `initial_incumbent` and every scored seed.
+    /// The DFS skips their leaves instead of evaluating them again.
+    pub(crate) known: Vec<Assignment>,
     /// Acceptance ceiling from a warm start.
     init_ub: f64,
     bound_guided: bool,
@@ -371,6 +386,7 @@ impl<'a, M: CostModel, F: FnMut(&Assignment, f64)> Engine<'a, M, F> {
             ws,
             local_best: None,
             adopted: false,
+            known: Vec::new(),
             init_ub: initial_upper_bound.unwrap_or(f64::INFINITY),
             bound_guided,
             quota: 0,
@@ -419,6 +435,47 @@ impl<'a, M: CostModel, F: FnMut(&Assignment, f64)> Engine<'a, M, F> {
     pub(crate) fn adopt(&mut self, incumbent: Option<(Assignment, f64)>) {
         self.adopted = incumbent.is_some();
         self.local_best = incumbent;
+    }
+
+    /// Starts the search from what the caller knows: adopts `initial`
+    /// (its cost is trusted) and scores `seeds` as leaves (see
+    /// [`SolveOptions::seeds`]). A seed in the domains, not pruned, not a
+    /// duplicate and bounding below the current threshold is pushed
+    /// variable by variable and costed with `cost_with`; one the search
+    /// would accept becomes the adopted incumbent. `initial` and every
+    /// scored seed go to `known`, and each scored seed counts as an
+    /// evaluated leaf.
+    pub(crate) fn start_from(&mut self, initial: Option<(Assignment, f64)>, seeds: &[Assignment]) {
+        if let Some((a, c)) = initial {
+            self.known.push(a.clone());
+            self.adopt(Some((a, c)));
+        }
+        let n = self.model.num_vars();
+        for seed in seeds {
+            let inside =
+                seed.len() == n && (0..n).all(|var| self.model.domain(var).contains(&seed[var]));
+            if !inside || self.known.contains(seed) {
+                continue;
+            }
+            for (var, &v) in seed.iter().enumerate() {
+                self.assign(var, v);
+            }
+            let open = !self.model.prune_with(&self.ws.inc, &self.ws.partial)
+                && self.model.bound_with(&self.ws.inc, &self.ws.partial) < self.local_ub();
+            if open {
+                self.leaves += 1;
+                self.ws.complete.copy_from_slice(seed);
+                if let Some(c) = self.model.cost_with(&mut self.ws.inc, &self.ws.complete) {
+                    if self.improves(c) {
+                        self.adopt(Some((seed.clone(), c)));
+                    }
+                }
+                self.known.push(seed.clone());
+            }
+            for var in (0..n).rev() {
+                self.unassign(var);
+            }
+        }
     }
 
     /// Assigns `var = value`, mirroring the change into the model's
@@ -493,10 +550,15 @@ impl<'a, M: CostModel, F: FnMut(&Assignment, f64)> Engine<'a, M, F> {
         }
         let n = self.model.num_vars();
         if var == n {
-            self.leaves += 1;
             for (dst, src) in self.ws.complete.iter_mut().zip(self.ws.partial.iter()) {
                 *dst = src.expect("complete assignment");
             }
+            // A known leaf's cost cannot precede the incumbent, which
+            // only ever improves.
+            if self.known.contains(&self.ws.complete) {
+                return false;
+            }
+            self.leaves += 1;
             if let Some(c) = self.model.cost_with(&mut self.ws.inc, &self.ws.complete) {
                 if self.improves(c) {
                     self.local_best = Some((self.ws.complete.clone(), c));
@@ -589,10 +651,8 @@ pub fn solve_with<M: CostModel>(
             }
         },
     );
-    if let Some((a, c)) = opts.initial_incumbent.take() {
-        engine.adopt(Some((a, c)));
-    }
     haxconn_telemetry::alloc::phase(haxconn_telemetry::alloc::PHASE_SOLVE, || {
+        engine.start_from(opts.initial_incumbent.take(), &opts.seeds);
         engine.dfs(0, f64::NAN)
     });
     let stats = SolveStats {

@@ -43,7 +43,10 @@
 //! * pruning against an adopted or shared cost keeps a margin of
 //!   `EPS = 1e-12` above it: subtrees whose bound ties the
 //!   incumbent are still explored, so a winning leaf can never be
-//!   timing-pruned.
+//!   timing-pruned;
+//! * `initial_incumbent` and `SolveOptions::seeds` are settled on the
+//!   calling thread before any worker starts, so every worker starts
+//!   from the same incumbent and skips the same known leaves.
 //!
 //! Under `bound_guided_values` only the *cost* is guaranteed to match.
 //!
@@ -247,6 +250,7 @@ fn bb_worker<M: CostModel + Sync>(
     total_items: usize,
     initial_ub: Option<f64>,
     bound_guided: bool,
+    known: &[Assignment],
     stats: &Mutex<PoolStats>,
 ) {
     let mut ws = Workspace::new(model);
@@ -258,6 +262,7 @@ fn bb_worker<M: CostModel + Sync>(
         bound_guided,
         |a: &Assignment, c: f64| incumbent.offer(a, c, Winner::BranchAndBound, tx),
     );
+    engine.known = known.to_vec();
     let mut prefix = vec![0u32; depth];
     // Worker-local cache of the last adopted incumbent, refreshed only
     // when the lock-free shared cost says something better exists.
@@ -356,11 +361,30 @@ pub fn solve_parallel_with<M: CostModel + Sync>(
     let started = Instant::now();
     let state = SharedState::new(opts.node_budget, opts.time_budget, opts.initial_upper_bound);
     let incumbent = SharedIncumbent::new(&state, started);
-    if let Some((a, c)) = opts.initial_incumbent.take() {
-        incumbent.seed(a, c);
+    let mut pool = PoolStats::default();
+    // The caller's incumbent and seeds are settled on this thread, inside
+    // the solve clock, before any worker starts: the least of them is the
+    // shared incumbent, and every worker skips their leaves.
+    let mut known = Vec::new();
+    if opts.initial_incumbent.is_some() || !opts.seeds.is_empty() {
+        let mut ws = Workspace::new(model);
+        let mut engine = Engine::new(
+            model,
+            &state,
+            &mut ws,
+            opts.initial_upper_bound,
+            false,
+            |_: &Assignment, _: f64| {},
+        );
+        engine.start_from(opts.initial_incumbent.take(), &opts.seeds);
+        pool.leaves = engine.leaves;
+        if let Some((a, c)) = engine.local_best.take() {
+            incumbent.seed(a, c);
+        }
+        known = std::mem::take(&mut engine.known);
     }
     let injector = AtomicUsize::new(0);
-    let stats = Mutex::new(PoolStats::default());
+    let stats = Mutex::new(pool);
     let lns_total = Mutex::new(LnsStats::default());
     let live_bb = AtomicUsize::new(bb_workers);
     let (tx, rx) = mpsc::channel::<(Assignment, f64, Duration)>();
@@ -375,6 +399,7 @@ pub fn solve_parallel_with<M: CostModel + Sync>(
             let live_bb = &live_bb;
             let initial_ub = opts.initial_upper_bound;
             let bound_guided = opts.bound_guided_values;
+            let known = &known;
             scope.spawn(move || {
                 bb_worker(
                     model,
@@ -386,6 +411,7 @@ pub fn solve_parallel_with<M: CostModel + Sync>(
                     total_items,
                     initial_ub,
                     bound_guided,
+                    known,
                     stats,
                 );
                 // The last B&B worker out stops the LNS workers: either
@@ -855,14 +881,43 @@ mod tests {
         assert!(sol.winner.is_some());
     }
 
+    /// [`Pruning`] with a bound of 0 on a prefix and of infinity on a
+    /// complete assignment: the B&B workers walk the whole tree but cut
+    /// every leaf before costing it, while the LNS workers, which bound
+    /// no complete assignment, cost theirs.
+    struct Leafless(Pruning);
+
+    impl CostModel for Leafless {
+        type Scratch = ();
+        fn num_vars(&self) -> usize {
+            self.0.num_vars()
+        }
+        fn domain(&self, var: usize) -> &[u32] {
+            self.0.domain(var)
+        }
+        fn cost(&self, a: &Assignment) -> Option<f64> {
+            self.0.cost(a)
+        }
+        fn bound(&self, partial: &PartialAssignment) -> f64 {
+            match partial.iter().all(|v| v.is_some()) {
+                true => f64::INFINITY,
+                false => 0.0,
+            }
+        }
+        fn prune(&self, partial: &PartialAssignment) -> bool {
+            self.0.prune(partial)
+        }
+    }
+
     #[test]
     fn lns_is_the_winner_when_bb_is_starved() {
-        // B&B gets a 1-node budget: any incumbent must come from LNS.
-        let m = Pruning(instance(3, 10));
+        // B&B reaches no leaf of a 3·2^23-leaf tree within the time
+        // budget, but keeps the race going: any incumbent is LNS's.
+        let m = Leafless(Pruning(instance(3, 24)));
         let sol = solve_parallel_with(
             &m,
             SolveOptions {
-                node_budget: Some(1),
+                time_budget: Some(Duration::from_millis(100)),
                 ..Default::default()
             },
             &ParallelOptions {
@@ -871,10 +926,81 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert!(!sol.proven_optimal());
-        if sol.best.is_some() {
-            assert_eq!(sol.winner, Some(Winner::Lns));
-            assert!(sol.lns.incumbents > 0);
+        assert_eq!(sol.stats.outcome, BudgetState::TimeExhausted);
+        assert_eq!(sol.stats.leaves, 0);
+        let (a, c) = sol.best.expect("LNS finds a feasible assignment");
+        assert_eq!(m.cost(&a).map(f64::to_bits), Some(c.to_bits()));
+        assert_eq!(sol.winner, Some(Winner::Lns));
+        assert!(sol.lns.iters > 0 && sol.lns.incumbents > 0);
+    }
+
+    /// [`Wap`] recording every assignment it is asked to cost.
+    struct Counting<'m> {
+        inner: &'m Wap,
+        costed: Mutex<Vec<Assignment>>,
+    }
+
+    impl CostModel for Counting<'_> {
+        type Scratch = ();
+        fn num_vars(&self) -> usize {
+            self.inner.num_vars()
+        }
+        fn domain(&self, var: usize) -> &[u32] {
+            self.inner.domain(var)
+        }
+        fn cost(&self, a: &Assignment) -> Option<f64> {
+            self.costed.lock().unwrap().push(a.clone());
+            self.inner.cost(a)
+        }
+        fn bound(&self, partial: &PartialAssignment) -> f64 {
+            self.inner.bound(partial)
+        }
+    }
+
+    /// Seeds are costed once, when they are scored, and the warm-start
+    /// incumbent never: the search skips both leaves, on either driver.
+    /// The optimum is among the seeds, so it is adopted before the search
+    /// and its leaf is reached (bound below the adopted cost + `EPS`) but
+    /// not evaluated again.
+    #[test]
+    fn seed_leaves_are_never_costed_by_the_search() {
+        let m = instance(5, 10);
+        let opt = solve(&m, SolveOptions::default()).best.unwrap();
+        let pattern = |k: usize| -> Assignment { (0..10).map(|i| ((i + k) % 3) as u32).collect() };
+        let warm: Assignment = (0..10).map(|i| (i % 2) as u32).collect();
+        let warm_c = m.cost(&warm).expect("alternating assignment is feasible");
+        let seeds = vec![
+            pattern(0),
+            opt.0.clone(),
+            pattern(1),
+            warm.clone(),
+            opt.0.clone(),
+        ];
+        for threads in [1, 2] {
+            let model = Counting {
+                inner: &m,
+                costed: Mutex::new(Vec::new()),
+            };
+            let opts = SolveOptions {
+                initial_incumbent: Some((warm.clone(), warm_c)),
+                seeds: seeds.clone(),
+                ..Default::default()
+            };
+            let sol = match threads {
+                1 => solve(&model, opts),
+                t => solve_parallel_with(&model, opts, &with_threads(t)),
+            };
+            assert!(sol.proven_optimal());
+            assert_eq!(sol.winner, Some(Winner::Seed), "threads {threads}");
+            let (a, c) = sol.best.unwrap();
+            assert_eq!(a, opt.0);
+            assert_eq!(c.to_bits(), opt.1.to_bits());
+            let costed = model.costed.into_inner().unwrap();
+            let times = |x: &Assignment| costed.iter().filter(|&c| c == x).count();
+            assert_eq!(times(&warm), 0, "threads {threads}");
+            assert_eq!(times(&opt.0), 1, "threads {threads}");
+            assert_eq!(times(&pattern(0)), 1, "threads {threads}");
+            assert!(times(&pattern(1)) <= 1, "threads {threads}");
         }
     }
 

@@ -72,9 +72,24 @@ struct Case {
     config: SchedulerConfig,
 }
 
-/// Builds the seeded cases. Profiles are shared per (platform, model,
-/// groups) across cases.
+/// How large the generated workloads are.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Size {
+    /// 2–3 tasks, at most 10 variables and [`MAX_COMPLETIONS`]
+    /// completions: small enough to enumerate.
+    Enumerable,
+    /// 4–5 tasks of 12–15 variables, for checks that enumerate nothing.
+    Large,
+}
+
+/// Builds the seeded enumerable cases.
 fn cases(count: usize, seed: u64) -> Vec<Case> {
+    sized_cases(count, seed, Size::Enumerable)
+}
+
+/// Builds `count` seeded cases of `size`. Profiles are shared per
+/// (platform, model, groups) across cases.
+fn sized_cases(count: usize, seed: u64, size: Size) -> Vec<Case> {
     let platforms: Vec<(&str, Platform)> = vec![
         ("orin", PlatformId::OrinAgx.platform()),
         ("xavier", PlatformId::XavierAgx.platform()),
@@ -93,7 +108,10 @@ fn cases(count: usize, seed: u64) -> Vec<Case> {
         let p = i % platforms.len();
         let (pname, platform) = &platforms[p];
         let shape = [Shape::Concurrent, Shape::Chained, Shape::Tied][(i / 4) % 3];
-        let n_tasks = 2 + rng.below(2);
+        let n_tasks = match size {
+            Size::Enumerable => 2 + rng.below(2),
+            Size::Large => 4 + rng.below(2),
+        };
         let zoo = Model::all();
         let mut picks: Vec<(Model, usize)> = Vec::new();
         let mut tasks = Vec::new();
@@ -132,8 +150,14 @@ fn cases(count: usize, seed: u64) -> Vec<Case> {
             ..Default::default()
         };
         let enc = ScheduleEncoding::new(&workload, &models[p], config);
-        let completions: usize = (0..enc.num_vars()).map(|v| enc.domain(v).len()).product();
-        if enc.num_vars() > 10 || completions > MAX_COMPLETIONS {
+        let fits = match size {
+            Size::Enumerable => {
+                let completions: usize = (0..enc.num_vars()).map(|v| enc.domain(v).len()).product();
+                enc.num_vars() <= 10 && completions <= MAX_COMPLETIONS
+            }
+            Size::Large => (12..=15).contains(&enc.num_vars()),
+        };
+        if !fits {
             continue;
         }
         out.push(Case {
@@ -322,8 +346,13 @@ fn bound_and_prune_are_sound_against_every_completion() {
 
 #[test]
 fn incremental_bound_and_prune_match_from_scratch_along_lifo_walks() {
+    // A walk enumerates no completions, so it also covers 4–5-task
+    // workloads of 12–15 variables, where the incremental bound skips
+    // the most tasks.
     let mut rng = Rng::new(42);
-    for case in cases(48, 11) {
+    let large = sized_cases(32, 12, Size::Large);
+    assert!(large.iter().any(|c| c.workload.tasks.len() == 5));
+    for case in cases(48, 11).into_iter().chain(large) {
         let enc = ScheduleEncoding::new(&case.workload, &case.contention, case.config);
         let n = enc.num_vars();
         let mut scratch = enc.new_scratch();
@@ -354,6 +383,13 @@ fn incremental_bound_and_prune_match_from_scratch_along_lifo_walks() {
             let (inc, fresh) = (enc.bound_with(&scratch, &partial), enc.bound(&partial));
             assert!(
                 (inc - fresh).abs() <= 1e-9 * fresh.abs().max(1.0),
+                "{} step {step}: bound {inc} vs {fresh}",
+                case.name
+            );
+            // Both run one computation in one order over the same PUs.
+            assert_eq!(
+                inc.to_bits(),
+                fresh.to_bits(),
                 "{} step {step}: bound {inc} vs {fresh}",
                 case.name
             );
