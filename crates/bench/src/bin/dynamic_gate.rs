@@ -37,7 +37,7 @@ use std::time::Instant;
 /// Fixed trace seed: the whole gate is a pure function of it.
 const TRACE_SEED: u64 = 424_242;
 
-/// Events in the determinism trace (overridable via argv[1]).
+/// Events in the determinism trace (overridable via `argv[1]`).
 const TRACE_EVENTS: usize = 10_000;
 
 /// Concurrent-tenant cap of the generated trace.

@@ -300,8 +300,8 @@ fn measure_bb_expansion(platform: &haxconn_soc::Platform) -> BbExpansionSample {
         initial_upper_bound: Some(optimum),
         ..Default::default()
     };
-    // One warm pass outside the guard: lazily grown scratch (bound-guided
-    // buffers, encoding-internal caches) reaches steady state.
+    // One warm pass outside the guard: lazily grown scratch (the
+    // encoding's internal caches) reaches steady state.
     let _ = solve_with(&enc, warm_opts(), &mut ws);
 
     let guard = AllocGuard::begin("bench.bb_expansion");

@@ -68,7 +68,7 @@ const WORKERS: usize = 6;
 /// ≤ [`WORKERS`] so the same phase is comparable with PR 8 numbers).
 const CLOSED_CLIENTS: usize = 4;
 
-/// Requests per closed-loop client (overridable via argv[1]).
+/// Requests per closed-loop client (overridable via `argv[1]`).
 const CLOSED_REQUESTS_PER_CLIENT: usize = 5000;
 
 /// Connections in the think-time phase — deliberately far more than

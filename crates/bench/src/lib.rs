@@ -23,11 +23,8 @@
 
 pub mod microbench;
 
-use haxconn_contention::ContentionModel;
-use haxconn_core::baselines::{Baseline, BaselineKind};
-use haxconn_core::measure::{execute, ExecutionReport};
-use haxconn_core::problem::{DnnTask, Objective, SchedulerConfig, Workload};
-use haxconn_core::scheduler::{HaxConn, Schedule};
+use haxconn_core::problem::Workload;
+use haxconn_core::scheduler::Schedule;
 use haxconn_dnn::Model;
 use haxconn_profiler::NetworkProfile;
 use haxconn_soc::Platform;
@@ -44,84 +41,6 @@ pub use haxconn_runtime::{par_map, par_map_with};
 /// Profiles `model` on `platform` with the standard group budget.
 pub fn profile(platform: &Platform, model: Model) -> NetworkProfile {
     NetworkProfile::profile(platform, model, GROUPS)
-}
-
-/// Builds a concurrent workload from a list of models.
-pub fn workload_of(platform: &Platform, models: &[Model]) -> Workload {
-    let tasks = models
-        .iter()
-        .enumerate()
-        .map(|(i, &m)| DnnTask::new(format!("{}#{i}", m.name()), profile(platform, m)))
-        .collect();
-    Workload::concurrent(tasks)
-}
-
-/// The result of running one scheduler on one workload.
-pub struct Outcome {
-    /// Scheduler label.
-    pub name: String,
-    /// Measured metrics on the ground-truth simulator.
-    pub measured: ExecutionReport,
-}
-
-/// Measures every baseline plus HaX-CoNN on `workload`; returns the
-/// baseline outcomes, the HaX-CoNN outcome, and its schedule.
-pub fn compare_all(
-    platform: &Platform,
-    workload: &Workload,
-    contention: &ContentionModel,
-    objective: Objective,
-) -> (Vec<Outcome>, Outcome, Schedule) {
-    let baselines = BaselineKind::all()
-        .iter()
-        .map(|&kind| {
-            let a = Baseline::assignment(kind, platform, workload);
-            Outcome {
-                name: kind.name().to_string(),
-                measured: execute(platform, workload, &a),
-            }
-        })
-        .collect();
-    let schedule = HaxConn::schedule_validated(
-        platform,
-        workload,
-        contention,
-        SchedulerConfig {
-            objective,
-            ..Default::default()
-        },
-    );
-    let hax = Outcome {
-        name: "HaX-CoNN".to_string(),
-        measured: execute(platform, workload, &schedule.assignment),
-    };
-    (baselines, hax, schedule)
-}
-
-/// Best (lowest-latency) baseline outcome.
-pub fn best_baseline(outcomes: &[Outcome]) -> &Outcome {
-    outcomes
-        .iter()
-        .min_by(|a, b| {
-            a.measured
-                .makespan_ms
-                .partial_cmp(&b.measured.makespan_ms)
-                .expect("no NaN")
-        })
-        .expect("baselines nonempty")
-}
-
-/// Best-throughput baseline outcome.
-pub fn best_baseline_fps(outcomes: &[Outcome]) -> &Outcome {
-    outcomes
-        .iter()
-        .max_by(|a, b| {
-            a.measured
-                .fps()
-                .partial_cmp(&b.measured.fps())
-                .expect("no NaN")
-        })
-        .expect("baselines nonempty")
 }
 
 /// Percentage improvement of `new` over `old` (positive = better/lower).
@@ -152,19 +71,10 @@ pub fn transition_summary(platform: &Platform, workload: &Workload, schedule: &S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use haxconn_soc::orin_agx;
 
     #[test]
-    fn compare_all_produces_consistent_outcomes() {
-        let p = orin_agx();
-        let cm = ContentionModel::calibrate(&p);
-        let w = workload_of(&p, &[Model::ResNet18, Model::GoogleNet]);
-        let (bases, hax, schedule) = compare_all(&p, &w, &cm, Objective::MinMaxLatency);
-        assert_eq!(bases.len(), BaselineKind::all().len());
-        let best = best_baseline(&bases);
-        // The never-worse guarantee, end to end.
-        assert!(hax.measured.makespan_ms <= best.measured.makespan_ms * 1.02);
-        assert!(!schedule.assignment.is_empty());
+    fn improvement_is_relative_to_the_old_value() {
         assert!(improvement_pct(10.0, 8.0) > 19.9);
+        assert!(improvement_pct(8.0, 10.0) < 0.0);
     }
 }

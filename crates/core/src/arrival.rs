@@ -297,8 +297,6 @@ pub struct ReplayOptions {
     /// Record every re-solve point (time, tenants, assignment, cost) in
     /// the report.
     pub record_resolves: bool,
-    /// Extra accounting time after the last event, ms.
-    pub tail_ms: f64,
     /// Threads for each re-solve (0 = all cores), passed to
     /// `haxconn_solver::solve_auto`: 1 keeps every re-solve sequential,
     /// larger values let mixes of 12 or more variables run the parallel
@@ -315,7 +313,6 @@ impl Default for ReplayOptions {
             config: SchedulerConfig::default(),
             validate: false,
             record_resolves: true,
-            tail_ms: 0.0,
             workers: 0,
         }
     }
@@ -1075,8 +1072,9 @@ pub fn replay(
     }
     let end = engine.run();
     let mut sim = engine.into_model();
-    // Tail accounting past the last event, then close out live tenants.
-    let horizon = end.as_ms() + options.tail_ms.max(0.0);
+    // Close the last interval when the event loop ends, then close out
+    // live tenants.
+    let horizon = end.as_ms();
     sim.close_interval(horizon);
     while let Some(t) = sim.active.pop() {
         sim.finish_tenant(t);

@@ -3,7 +3,8 @@
 //! The timeline evaluator *predicts*; this module *measures*, by staging a
 //! scheduled workload as replay chains (including explicit transition work
 //! items that flush/reformat boundary tensors) and running them through the
-//! SoC's contention replay ([`haxconn_soc::replay`]) under its real EMC
+//! SoC's contention replay
+//! ([`haxconn_soc::replay`](mod@haxconn_soc::replay)) under its real EMC
 //! arbitration. Every measured number comes from here, exactly as the
 //! paper reports wall-clock measurements rather than model predictions:
 //! [`execute`] and [`execute_loop`] stage, replay and copy out one

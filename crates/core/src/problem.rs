@@ -283,9 +283,9 @@ impl SchedulerConfig {
         }
     }
 
-    /// Checks the configuration is usable: ε and the node budget must be
-    /// finite/positive where given, and at least one transition must be
-    /// allowed for multi-group schedules to differ from single-PU ones.
+    /// Checks the configuration is usable: ε, where given, must be finite
+    /// and non-negative, and a node budget, where given, positive. The
+    /// transition budget is not checked.
     pub fn validate(&self) -> Result<(), HaxError> {
         if let Some(eps) = self.epsilon_ms {
             if !eps.is_finite() || eps < 0.0 {

@@ -135,6 +135,14 @@ impl std::fmt::Display for Model {
     }
 }
 
+/// A model lowers to its [`Model::name`], so anything that takes a model
+/// name (`impl Into<String>`) also takes a model.
+impl From<Model> for String {
+    fn from(model: Model) -> String {
+        model.name().to_string()
+    }
+}
+
 /// Builds the network graph for `model`.
 pub fn build(model: Model) -> Network {
     match model {

@@ -8,8 +8,9 @@
 //! concurrency structure — per-PU FIFO occupancy, EMC bandwidth grants
 //! stretching the active set, transition flush/reformat steps, frame-k
 //! streaming dependencies — through the SoC's single-threaded contention
-//! replay ([`haxconn_soc::replay`]). Every report is **bit-deterministic**:
-//! the same schedule always produces a bit-identical [`ExecutionReport`].
+//! replay ([`haxconn_soc::replay`](mod@haxconn_soc::replay)). Every report
+//! is **bit-deterministic**: the same schedule always produces a
+//! bit-identical [`ExecutionReport`].
 //!
 //! * [`execute`] / [`execute_loop`] (from `haxconn_core::measure`, where
 //!   the validated scheduler uses the same pooled runner) run one

@@ -18,12 +18,13 @@
 //!   truth* contention behaviour that the PCCS-style model in
 //!   `haxconn-contention` approximates (deliberately imperfectly, so that
 //!   model error exists just as on real hardware).
-//! * **Concurrent execution** ([`replay`]) — the contention replay: chains
-//!   of work items racing on different PUs under EMC arbitration, with
-//!   per-PU FIFO serialization and frame-level dependencies between
-//!   chains, as discrete events on the `haxconn-des` engine. It is the one
-//!   ground truth behind every measured number: `execute`, `execute_loop`
-//!   and fleet evaluation all copy out its one [`ExecutionReport`].
+//! * **Concurrent execution** ([`replay`](mod@replay)) — the contention
+//!   replay: chains of work items racing on different PUs under EMC
+//!   arbitration, with per-PU FIFO serialization and frame-level
+//!   dependencies between chains, as discrete events on the `haxconn-des`
+//!   engine. It is the one ground truth behind every measured number:
+//!   `execute`, `execute_loop` and fleet evaluation all copy out its one
+//!   [`ExecutionReport`].
 //!
 //! Platform models calibrated against Table 4 of the paper live in
 //! [`platform`].

@@ -54,6 +54,14 @@ impl PlatformId {
     }
 }
 
+/// A platform id lowers to its [`PlatformId::slug`], so anything that
+/// takes a platform name (`impl Into<String>`) also takes an id.
+impl From<PlatformId> for String {
+    fn from(id: PlatformId) -> String {
+        id.slug().to_string()
+    }
+}
+
 /// A shared-memory SoC: a set of PUs behind one EMC.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Platform {

@@ -665,7 +665,7 @@ const MAX_ITEM_SPANS: usize = 512;
 /// family plus the `soc.emc_bandwidth_gbps` series: run/item counters, the
 /// makespan distribution, mean/peak EMC traffic and utilization, per-PU
 /// occupancy (busy fraction of the makespan), and one span per item record
-/// (capped at [`MAX_ITEM_SPANS`]) on a `replay.items` track. The replay
+/// (capped at `MAX_ITEM_SPANS`) on a `replay.items` track. The replay
 /// loop itself stays telemetry-free; callers flush once per run.
 pub fn flush_telemetry(platform: &Platform, run: &ReplayView<'_>) {
     if !haxconn_telemetry::enabled() {

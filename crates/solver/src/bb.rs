@@ -1,25 +1,20 @@
 //! Depth-first branch & bound with anytime incumbents and budgets.
 //!
-//! The module hosts the [`Engine`] — the DFS hot loop shared by the
+//! The module hosts the `Engine` — the DFS hot loop shared by the
 //! sequential [`solve`] and the work-stealing parallel solver
 //! (`crate::parallel`). The hot path is allocation-free after warm-up:
 //!
 //! * the partial-assignment buffer and the complete-assignment buffer are
 //!   reused across the whole search (and across work items in the
 //!   parallel solver),
-//! * bound-guided value ordering sorts into per-depth scratch buffers
-//!   with an in-place insertion sort (domains are #PU-sized) instead of
-//!   allocating a keyed `Vec` per node,
-//! * the bound computed for a child during value ordering is passed down
-//!   as a memo, so descending into that child does not recompute the
-//!   model's (timeline-evaluating, hence expensive) lower bound,
+//! * values are tried in domain order, with no per-node sort or buffer,
 //! * every descent/backtrack is mirrored into the model's incremental
 //!   scratch via [`CostModel::push`]/[`CostModel::pop`] (strict LIFO), so
 //!   models implementing the incremental protocol answer `prune_with`/
 //!   `bound_with`/`cost_with` from delta-maintained state instead of
 //!   recomputing over the whole assignment.
 //!
-//! Budgets are enforced through a [`SharedState`]: a single atomic node
+//! Budgets are enforced through a `SharedState`: a single atomic node
 //! counter claimed in batches and one deadline, shared by every worker of
 //! a parallel solve — budgets are therefore *global*, never per subtree.
 
@@ -61,12 +56,6 @@ pub struct SolveOptions<'a> {
     /// Start from a known incumbent (upper bound): candidates at or above
     /// this cost are pruned. Useful for warm restarts.
     pub initial_upper_bound: Option<f64>,
-    /// Order each variable's values by the lower bound they induce
-    /// (best-first) instead of domain order. Finds good incumbents earlier
-    /// — which prunes more — at the cost of one `bound()` call per value
-    /// (the child then reuses that bound instead of recomputing it).
-    /// Determinism is preserved: ties keep domain order (stable sort).
-    pub bound_guided_values: bool,
     /// Start from a known *solution*, not just a bound: the assignment is
     /// adopted as the incumbent (and returned if nothing better is found),
     /// and its cost prunes like [`SolveOptions::initial_upper_bound`]. The
@@ -104,8 +93,6 @@ pub struct SolveStats {
     pub nodes: u64,
     /// Leaves fully evaluated, scored [`SolveOptions::seeds`] included.
     pub leaves: u64,
-    /// Subtrees pruned by bound or by `prune()`.
-    pub pruned: u64,
     /// Subtrees pruned because the model's feasibility check rejected
     /// the prefix (`prune()` — e.g. the ε-overlap constraint, Eq. 9).
     pub pruned_infeasible: u64,
@@ -282,16 +269,15 @@ impl SharedState {
 }
 
 /// Caller-owned search buffers for branch & bound over one model: the
-/// partial/complete assignment buffers, the per-depth value-ordering
-/// scratch, and the model's incremental-evaluation state.
+/// partial/complete assignment buffers and the model's
+/// incremental-evaluation state.
 ///
 /// [`solve`] creates one internally; [`solve_with`] borrows yours, so a
-/// caller re-solving the same model (warm restarts, bound sweeps, the
-/// D-HaX-CoNN re-solve loop) pays the per-solve setup allocation once.
-/// After the first solve has warmed the per-depth scratch, a re-solve
-/// that finds no new incumbent (e.g. warm-started at the known optimum)
-/// performs **zero** heap allocations — machine-checked by the
-/// `alloc-truth` gate in the `runtime_scaling` bench.
+/// caller re-solving the same model (warm restarts, bound sweeps) pays
+/// the per-solve setup allocation once. A re-solve that finds no new
+/// incumbent (e.g. warm-started at the known optimum) performs **zero**
+/// heap allocations — machine-checked by the `alloc-truth` gate in the
+/// `runtime_scaling` bench.
 ///
 /// A workspace is bound to the model it was created from: the DFS keeps
 /// the incremental scratch in lockstep with that model's `push`/`pop`.
@@ -304,8 +290,6 @@ pub struct Workspace<M: CostModel> {
     pub(crate) partial: Vec<Option<u32>>,
     /// Reused complete-assignment buffer for leaf evaluation.
     complete: Assignment,
-    /// Per-depth scratch for bound-guided value ordering.
-    scratch: Vec<Vec<(f64, u32)>>,
     /// The model's incremental-evaluation state, kept in lockstep with
     /// `partial` through push/pop.
     inc: M::Scratch,
@@ -318,7 +302,6 @@ impl<M: CostModel> Workspace<M> {
         Workspace {
             partial: vec![None; n],
             complete: vec![0; n],
-            scratch: vec![Vec::new(); n],
             inc: model.new_scratch(),
         }
     }
@@ -349,12 +332,10 @@ pub(crate) struct Engine<'a, M: CostModel, F: FnMut(&Assignment, f64)> {
     pub(crate) known: Vec<Assignment>,
     /// Acceptance ceiling from a warm start.
     init_ub: f64,
-    bound_guided: bool,
     /// Locally claimed, not-yet-consumed node quota.
     quota: u64,
     pub(crate) nodes: u64,
     pub(crate) leaves: u64,
-    pub(crate) pruned: u64,
     pub(crate) pruned_infeasible: u64,
     pub(crate) pruned_bound: u64,
     pub(crate) pruned_incumbent: u64,
@@ -371,7 +352,6 @@ impl<'a, M: CostModel, F: FnMut(&Assignment, f64)> Engine<'a, M, F> {
         shared: &'a SharedState,
         ws: &'a mut Workspace<M>,
         initial_upper_bound: Option<f64>,
-        bound_guided: bool,
         sink: F,
     ) -> Self {
         let n = model.num_vars();
@@ -388,11 +368,9 @@ impl<'a, M: CostModel, F: FnMut(&Assignment, f64)> Engine<'a, M, F> {
             adopted: false,
             known: Vec::new(),
             init_ub: initial_upper_bound.unwrap_or(f64::INFINITY),
-            bound_guided,
             quota: 0,
             nodes: 0,
             leaves: 0,
-            pruned: 0,
             pruned_infeasible: 0,
             pruned_bound: 0,
             pruned_incumbent: 0,
@@ -497,11 +475,7 @@ impl<'a, M: CostModel, F: FnMut(&Assignment, f64)> Engine<'a, M, F> {
     /// Runs the subtree rooted at the current `partial` prefix, branching
     /// variables `var..`. Returns `true` when the search must abort
     /// (budget exhausted or another worker stopped the solve).
-    ///
-    /// `bound_memo` carries the prefix bound when the caller already
-    /// computed it (bound-guided ordering computes every child's bound to
-    /// sort, so the child must not pay for it twice); `NAN` means unknown.
-    pub(crate) fn dfs(&mut self, var: usize, bound_memo: f64) -> bool {
+    pub(crate) fn dfs(&mut self, var: usize) -> bool {
         if self.quota == 0 {
             let got = self.shared.claim(NODE_CHUNK);
             if got == 0 {
@@ -524,17 +498,11 @@ impl<'a, M: CostModel, F: FnMut(&Assignment, f64)> Engine<'a, M, F> {
             }
         }
         if self.model.prune_with(&self.ws.inc, &self.ws.partial) {
-            self.pruned += 1;
             self.pruned_infeasible += 1;
             return false;
         }
-        let bound = if bound_memo.is_nan() {
-            self.model.bound_with(&self.ws.inc, &self.ws.partial)
-        } else {
-            bound_memo
-        };
+        let bound = self.model.bound_with(&self.ws.inc, &self.ws.partial);
         if bound >= self.local_ub() {
-            self.pruned += 1;
             self.pruned_bound += 1;
             return false;
         }
@@ -544,7 +512,6 @@ impl<'a, M: CostModel, F: FnMut(&Assignment, f64)> Engine<'a, M, F> {
         // optimal leaf is offered no matter how work was distributed —
         // that is what makes equal-cost tie-breaking deterministic.
         if bound > self.shared.best_cost() + EPS {
-            self.pruned += 1;
             self.pruned_incumbent += 1;
             return false;
         }
@@ -569,48 +536,13 @@ impl<'a, M: CostModel, F: FnMut(&Assignment, f64)> Engine<'a, M, F> {
             }
             return false;
         }
-        let dlen = self.model.domain(var).len();
-        if self.bound_guided && dlen > 1 {
-            // Key children by their bound in the per-depth scratch buffer
-            // (taken out to satisfy the borrow checker; no allocation
-            // after the first visit of this depth).
-            let mut keyed = std::mem::take(&mut self.ws.scratch[var]);
-            keyed.clear();
-            for i in 0..dlen {
-                let v = self.model.domain(var)[i];
-                self.assign(var, v);
-                keyed.push((self.model.bound_with(&self.ws.inc, &self.ws.partial), v));
-                self.unassign(var);
-            }
-            // Stable insertion sort: ties keep domain order, and domains
-            // are #PU-sized, so this beats an allocating merge sort.
-            for i in 1..keyed.len() {
-                let mut j = i;
-                while j > 0 && keyed[j - 1].0 > keyed[j].0 {
-                    keyed.swap(j - 1, j);
-                    j -= 1;
-                }
-            }
-            for i in 0..keyed.len() {
-                let (child_bound, v) = keyed[i];
-                self.assign(var, v);
-                let abort = self.dfs(var + 1, child_bound);
-                self.unassign(var);
-                if abort {
-                    self.ws.scratch[var] = keyed;
-                    return true;
-                }
-            }
-            self.ws.scratch[var] = keyed;
-        } else {
-            for i in 0..dlen {
-                let v = self.model.domain(var)[i];
-                self.assign(var, v);
-                let abort = self.dfs(var + 1, f64::NAN);
-                self.unassign(var);
-                if abort {
-                    return true;
-                }
+        for i in 0..self.model.domain(var).len() {
+            let v = self.model.domain(var)[i];
+            self.assign(var, v);
+            let abort = self.dfs(var + 1);
+            self.unassign(var);
+            if abort {
+                return true;
             }
         }
         false
@@ -644,7 +576,6 @@ pub fn solve_with<M: CostModel>(
         &shared,
         ws,
         opts.initial_upper_bound,
-        opts.bound_guided_values,
         |a: &Assignment, c: f64| {
             if let Some(cb) = callback.as_mut() {
                 cb(a, c, started.elapsed());
@@ -653,12 +584,11 @@ pub fn solve_with<M: CostModel>(
     );
     haxconn_telemetry::alloc::phase(haxconn_telemetry::alloc::PHASE_SOLVE, || {
         engine.start_from(opts.initial_incumbent.take(), &opts.seeds);
-        engine.dfs(0, f64::NAN)
+        engine.dfs(0)
     });
     let stats = SolveStats {
         nodes: engine.nodes,
         leaves: engine.leaves,
-        pruned: engine.pruned,
         pruned_infeasible: engine.pruned_infeasible,
         pruned_bound: engine.pruned_bound,
         pruned_incumbent: engine.pruned_incumbent,
@@ -778,7 +708,9 @@ mod tests {
     fn bounding_prunes() {
         let m = instance(42, 10, 3);
         let sol = solve(&m, SolveOptions::default());
-        assert!(sol.stats.pruned > 0, "expected pruning on a 3^10 space");
+        let st = &sol.stats;
+        let pruned = st.pruned_infeasible + st.pruned_bound + st.pruned_incumbent;
+        assert!(pruned > 0, "expected pruning on a 3^10 space");
         assert!(sol.stats.leaves < 3u64.pow(10));
         assert!(sol.proven_optimal());
     }
@@ -896,28 +828,6 @@ mod tests {
     }
 
     #[test]
-    fn bound_guided_ordering_explores_fewer_leaves() {
-        let m = instance(17, 12, 3);
-        let plain = solve(&m, SolveOptions::default());
-        let guided = solve(
-            &m,
-            SolveOptions {
-                bound_guided_values: true,
-                ..Default::default()
-            },
-        );
-        // Same optimum...
-        assert!((plain.best.as_ref().unwrap().1 - guided.best.as_ref().unwrap().1).abs() < 1e-9);
-        // ...with no more leaves evaluated (typically far fewer).
-        assert!(
-            guided.stats.leaves <= plain.stats.leaves,
-            "guided {} vs plain {}",
-            guided.stats.leaves,
-            plain.stats.leaves
-        );
-    }
-
-    #[test]
     fn deterministic() {
         let m = instance(99, 8, 3);
         let a = solve(&m, SolveOptions::default());
@@ -1002,8 +912,8 @@ mod tests {
                 ws,
             )
         };
-        // One warm pass outside the guard so lazily-grown scratch (e.g.
-        // bound-guided buffers) reaches steady state.
+        // One warm pass outside the guard so any lazily grown model
+        // scratch reaches steady state.
         let warmup = warm(&mut ws);
         assert!(warmup.proven_optimal());
         assert!(warmup.best.is_none(), "ub == optimum prunes equal leaves");
@@ -1011,29 +921,5 @@ mod tests {
         let gated = warm(&mut ws);
         guard.assert_zero();
         assert!(gated.proven_optimal());
-    }
-
-    /// The memoized child bound must behave exactly like recomputing it:
-    /// guided and plain solves agree on the optimum everywhere.
-    #[test]
-    fn bound_memo_is_equivalent_to_recomputation() {
-        for seed in 0..20 {
-            let m = instance(seed, 9, 3);
-            let plain = solve(&m, SolveOptions::default());
-            let guided = solve(
-                &m,
-                SolveOptions {
-                    bound_guided_values: true,
-                    ..Default::default()
-                },
-            );
-            match (&plain.best, &guided.best) {
-                (Some((_, a)), Some((_, b))) => {
-                    assert!((a - b).abs() < 1e-12, "seed {seed}")
-                }
-                (None, None) => {}
-                other => panic!("seed {seed}: {other:?}"),
-            }
-        }
     }
 }

@@ -13,7 +13,7 @@
 //! Coupling to the B&B workers is symmetric and lock-free on the hot path:
 //!
 //! * every strict local improvement is offered to the shared incumbent
-//!   ([`crate::parallel::SharedIncumbent`]), where it tightens the bound
+//!   (`crate::parallel::SharedIncumbent`), where it tightens the bound
 //!   every B&B worker prunes against;
 //! * whenever the shared incumbent (from B&B, a seed, or a sibling LNS
 //!   worker) beats everything this worker has seen, the worker *reseeds*:

@@ -99,8 +99,8 @@ pub trait CostModel {
 
 /// Wraps a model and hides its incremental implementation: every evaluation
 /// goes through the from-scratch `prune`/`bound`/`cost` path. This is the
-/// reference semantics the incremental protocol must reproduce — used by the
-/// equivalence property tests and as the baseline in `solver_scaling`.
+/// reference semantics the incremental protocol must reproduce, used by the
+/// equivalence property tests.
 pub struct NonIncremental<'m, M>(pub &'m M);
 
 impl<M: CostModel> CostModel for NonIncremental<'_, M> {

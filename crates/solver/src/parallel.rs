@@ -26,8 +26,8 @@
 //! # Determinism
 //!
 //! Incumbents are ordered by exact cost, then lexicographically by
-//! assignment. That order is total, and with ascending domains and
-//! default (domain-order) branching its minimum is exactly what the
+//! assignment. That order is total, and with ascending domains (the DFS
+//! branches in domain order) its minimum is exactly what the
 //! sequential solver returns: its DFS visits leaves in assignment order
 //! and keeps only strict cost improvements. The parallel solver returns
 //! the same minimum, cost bits and assignment, whatever the thread count
@@ -48,8 +48,6 @@
 //!   calling thread before any worker starts, so every worker starts
 //!   from the same incumbent and skips the same known leaves.
 //!
-//! Under `bound_guided_values` only the *cost* is guaranteed to match.
-//!
 //! # Anytime callbacks
 //!
 //! Unlike the root-splitting predecessor, `on_incumbent` is supported:
@@ -61,7 +59,7 @@
 //!
 //! With [`ParallelOptions::lns_workers`] set, that many LNS workers
 //! (`crate::lns`) run beside the B&B workers on the same
-//! [`SharedIncumbent`]: an LNS incumbent tightens the bound every B&B
+//! `SharedIncumbent`: an LNS incumbent tightens the bound every B&B
 //! worker prunes against, and a B&B incumbent reseeds the LNS walks. B&B
 //! alone decides exactness, and the last B&B worker to exit stops the LNS
 //! workers. A proven result is the same `(cost, assignment)` minimum as
@@ -93,7 +91,7 @@ pub struct ParallelOptions {
     pub threads: usize,
     /// Split the tree at this depth (number of leading variables fixed
     /// per work item). `None` picks the smallest depth yielding at least
-    /// [`ITEMS_PER_WORKER`]× the worker count. Any depth produces the
+    /// `ITEMS_PER_WORKER` items per worker. Any depth produces the
     /// same result — this only shapes load balance.
     pub split_depth: Option<usize>,
     /// LNS workers raced beside the B&B workers on the same incumbent
@@ -205,7 +203,6 @@ fn choose_depth<M: CostModel>(model: &M, threads: usize, requested: Option<usize
 struct PoolStats {
     nodes: u64,
     leaves: u64,
-    pruned: u64,
     pruned_infeasible: u64,
     pruned_bound: u64,
     pruned_incumbent: u64,
@@ -249,7 +246,6 @@ fn bb_worker<M: CostModel + Sync>(
     depth: usize,
     total_items: usize,
     initial_ub: Option<f64>,
-    bound_guided: bool,
     known: &[Assignment],
     stats: &Mutex<PoolStats>,
 ) {
@@ -259,7 +255,6 @@ fn bb_worker<M: CostModel + Sync>(
         state,
         &mut ws,
         initial_ub,
-        bound_guided,
         |a: &Assignment, c: f64| incumbent.offer(a, c, Winner::BranchAndBound, tx),
     );
     engine.known = known.to_vec();
@@ -310,14 +305,13 @@ fn bb_worker<M: CostModel + Sync>(
             }
         }
         engine.adopt(adopted.clone());
-        if engine.dfs(depth, f64::NAN) {
+        if engine.dfs(depth) {
             break; // budget exhausted or solve stopped
         }
     });
     let mut st = stats.lock().expect("stats lock");
     st.nodes += engine.nodes;
     st.leaves += engine.leaves;
-    st.pruned += engine.pruned;
     st.pruned_infeasible += engine.pruned_infeasible;
     st.pruned_bound += engine.pruned_bound;
     st.pruned_incumbent += engine.pruned_incumbent;
@@ -373,7 +367,6 @@ pub fn solve_parallel_with<M: CostModel + Sync>(
             &state,
             &mut ws,
             opts.initial_upper_bound,
-            false,
             |_: &Assignment, _: f64| {},
         );
         engine.start_from(opts.initial_incumbent.take(), &opts.seeds);
@@ -398,7 +391,6 @@ pub fn solve_parallel_with<M: CostModel + Sync>(
             let stats = &stats;
             let live_bb = &live_bb;
             let initial_ub = opts.initial_upper_bound;
-            let bound_guided = opts.bound_guided_values;
             let known = &known;
             scope.spawn(move || {
                 bb_worker(
@@ -410,7 +402,6 @@ pub fn solve_parallel_with<M: CostModel + Sync>(
                     depth,
                     total_items,
                     initial_ub,
-                    bound_guided,
                     known,
                     stats,
                 );
@@ -462,7 +453,6 @@ pub fn solve_parallel_with<M: CostModel + Sync>(
     let stats = SolveStats {
         nodes: pool.nodes,
         leaves: pool.leaves,
-        pruned: pool.pruned,
         pruned_infeasible: pool.pruned_infeasible,
         pruned_bound: pool.pruned_bound,
         pruned_incumbent: pool.pruned_incumbent,
@@ -799,21 +789,6 @@ mod tests {
         let (a, c) = sol.best.unwrap();
         assert_eq!(a, opt.0);
         assert_eq!(c.to_bits(), opt.1.to_bits());
-    }
-
-    #[test]
-    fn bound_guided_mode_matches_cost() {
-        let m = instance(21, 9);
-        let seq = solve(&m, SolveOptions::default()).best.unwrap().1;
-        let par = solve_parallel_with(
-            &m,
-            SolveOptions {
-                bound_guided_values: true,
-                ..Default::default()
-            },
-            &with_threads(4),
-        );
-        assert!((par.best.unwrap().1 - seq).abs() < 1e-12);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! batch, B&B node expansion, LNS repair — are documented as
 //! allocation-free. Documentation rots; this module makes the claim
 //! machine-checkable. When the workspace is built with the
-//! `alloc-truth` cargo feature, a [`CountingAllocator`] wrapping
+//! `alloc-truth` cargo feature, a `CountingAllocator` wrapping
 //! [`std::alloc::System`] is installed as the `#[global_allocator]`.
 //! It increments two thread-local counters (allocation count and bytes
 //! requested) on every `alloc`/`realloc`/`alloc_zeroed`; `dealloc` is

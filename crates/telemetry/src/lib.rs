@@ -2,15 +2,15 @@
 
 //! Unified telemetry for the HaX-CoNN stack.
 //!
-//! The paper's evaluation hinges on numbers the rest of the workspace
-//! produces in six different ad-hoc stats structs: EMC utilization and
-//! bandwidth shares (`soc::concurrent`), B&B search effort (`solver::bb`),
-//! schedule-cache hit rates (`core::cache`), re-solve latencies
-//! (`core::dynamic`), queueing behaviour (`des`), and stream/arbiter
-//! occupancy (`runtime`). This crate gives them one write-side: a small
-//! set of instrument kinds recorded into one process-global
-//! [`MemoryRecorder`], created on first use, and a deterministic
-//! [`Snapshot`] with a documented JSON schema (see [`Snapshot::to_json`]).
+//! The paper's evaluation hinges on numbers produced all over the
+//! workspace: EMC utilization and bandwidth shares (`soc::replay`), B&B
+//! search effort (`solver::bb`), schedule-cache hit rates and re-solve
+//! latencies (`core::arrival`, `core::dynamic`), queueing behaviour
+//! (`des`), and stream/fleet occupancy (`runtime`). This crate gives them
+//! one write-side: a small set of instrument kinds recorded into one
+//! process-global [`MemoryRecorder`], created on first use, and a
+//! deterministic [`Snapshot`] with a documented JSON schema (see
+//! [`Snapshot::to_json`]).
 //!
 //! # Instruments
 //!
@@ -243,7 +243,7 @@ const SERIES_CAP: usize = 2048;
 #[derive(Debug, Clone, Default)]
 pub struct Series {
     /// Retained `(t_ms, value)` points (a deterministic subsample once
-    /// more than [`SERIES_CAP`] samples arrive).
+    /// more than `SERIES_CAP` samples arrive).
     pub points: Vec<(f64, f64)>,
     /// Total samples ever recorded (including decimated-away ones).
     pub samples: u64,
@@ -366,7 +366,7 @@ pub struct Snapshot {
     pub series: BTreeMap<String, Series>,
     /// Completed spans, in recording order.
     pub spans: Vec<SpanEvent>,
-    /// Spans dropped once [`SPAN_CAP`] was reached.
+    /// Spans dropped once `SPAN_CAP` was reached.
     pub spans_dropped: u64,
 }
 

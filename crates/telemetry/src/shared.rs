@@ -1,6 +1,6 @@
 //! A lock-free, thread-shareable histogram for hot serving paths.
 //!
-//! [`Histogram`](crate::Histogram) is single-owner (`&mut self` record);
+//! [`Histogram`] is single-owner (`&mut self` record);
 //! a server recording request latency from many worker threads needs a
 //! shared counterpart that never takes a lock on the record path.
 //! [`SharedHistogram`] keeps the exact same log₂ bucket layout (so

@@ -10,7 +10,7 @@
 //!
 //! ## Quickstart
 //!
-//! The [`Session`](session::Session) builder is the one-stop entry point;
+//! The [`Session`] builder is the one-stop entry point;
 //! every fallible step returns a [`HaxError`](core::HaxError) instead of
 //! panicking:
 //!
@@ -56,7 +56,7 @@ pub use haxconn_solver as solver;
 pub use haxconn_telemetry as telemetry;
 
 pub use serve::{serve, ServeOptions, ServerHandle};
-pub use session::{ModelSpec, PlatformSpec, ScheduledSession, Session};
+pub use session::{ScheduledSession, Session};
 
 /// The most common imports, in one place.
 pub mod prelude {

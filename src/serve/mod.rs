@@ -244,9 +244,8 @@ pub fn serve(options: ServeOptions) -> Result<ServerHandle, HaxError> {
         max_body_bytes: options.max_body_bytes,
         started: Instant::now(),
     });
-    // The memory recorder (installed on first use) reads this server's
-    // counters until the reactor and the solve pool drop `ctx`. A foreign
-    // recorder installed earlier keeps precedence: /v1/telemetry is 503.
+    // The process-wide memory recorder (created on first use) reads this
+    // server's counters until the reactor and the solve pool drop `ctx`.
     if let Some(recorder) = haxconn_telemetry::memory_recorder() {
         recorder.register(Arc::downgrade(&ctx) as Weak<dyn Source>);
     }

@@ -22,95 +22,30 @@
 use haxconn_contention::ContentionModel;
 use haxconn_core::arrival::{ArrivalTrace, ReplayOptions, ResolvePolicy, TenantReport};
 use haxconn_core::engine::{Engine, EngineOptions};
-use haxconn_core::problem::{DnnTask, Objective, SchedulerConfig, Workload};
-use haxconn_core::scheduler::{HaxConn, Schedule};
+use haxconn_core::problem::{Objective, SchedulerConfig, Workload};
+use haxconn_core::scheduler::Schedule;
 use haxconn_core::spec::WorkloadSpec;
-use haxconn_core::{chrome_trace_json, parse_model, parse_platform, HaxError};
-use haxconn_dnn::Model;
-use haxconn_profiler::NetworkProfile;
+use haxconn_core::{chrome_trace_json, parse_platform, HaxError};
 use haxconn_runtime::{evaluate_fleet, execute, ExecutionReport, FleetOptions, FleetScenario};
-use haxconn_soc::PuId;
-use haxconn_soc::{Platform, PlatformId};
+use haxconn_soc::{Platform, PuId};
 
-/// A platform given as a value, a built-in id, or a name to be parsed.
-#[derive(Debug, Clone)]
-pub enum PlatformSpec {
-    /// A fully constructed platform (possibly user-defined).
-    Ready(Platform),
-    /// One of the built-in SoCs.
-    Id(PlatformId),
-    /// A platform name (`"orin-agx"`, `"xavier-agx"`, `"sd865"`), parsed
-    /// when the session schedules.
-    Name(String),
-}
-
-impl From<Platform> for PlatformSpec {
-    fn from(p: Platform) -> Self {
-        PlatformSpec::Ready(p)
-    }
-}
-
-impl From<PlatformId> for PlatformSpec {
-    fn from(id: PlatformId) -> Self {
-        PlatformSpec::Id(id)
-    }
-}
-
-impl From<&str> for PlatformSpec {
-    fn from(name: &str) -> Self {
-        PlatformSpec::Name(name.to_string())
-    }
-}
-
-impl From<String> for PlatformSpec {
-    fn from(name: String) -> Self {
-        PlatformSpec::Name(name)
-    }
-}
-
-/// A model given as a value or a name to be parsed.
-#[derive(Debug, Clone)]
-pub enum ModelSpec {
-    /// A built-in model.
-    Ready(Model),
-    /// A model name (see `haxconn models`), parsed when the session
-    /// schedules.
-    Name(String),
-}
-
-impl From<Model> for ModelSpec {
-    fn from(m: Model) -> Self {
-        ModelSpec::Ready(m)
-    }
-}
-
-impl From<&str> for ModelSpec {
-    fn from(name: &str) -> Self {
-        ModelSpec::Name(name.to_string())
-    }
-}
-
-/// Builder for a scheduling session: platform + tasks + objective.
+/// Builder for a scheduling session on a built-in platform: a
+/// [`WorkloadSpec`] being built, plus the pipeline flag that lowers into
+/// its dependencies. A custom [`Platform`] value has no spec spelling;
+/// schedule it with [`haxconn_core::scheduler::HaxConn`] directly.
 pub struct Session {
-    platform: PlatformSpec,
-    tasks: Vec<(ModelSpec, usize)>,
-    deps: Vec<(usize, usize)>,
-    ties: Vec<(usize, usize)>,
+    spec: WorkloadSpec,
     pipeline: bool,
-    config: SchedulerConfig,
 }
 
 impl Session {
-    /// Starts a session on `platform` — a [`Platform`], a [`PlatformId`],
-    /// or a platform name (parsed at [`Session::schedule`] time).
-    pub fn on(platform: impl Into<PlatformSpec>) -> Self {
+    /// Starts a session on `platform`: a [`haxconn_soc::PlatformId`] or a
+    /// platform name (`"orin-agx"`, `"xavier-agx"`, `"sd865"` or any
+    /// alias), parsed at [`Session::schedule`] time.
+    pub fn on(platform: impl Into<String>) -> Self {
         Session {
-            platform: platform.into(),
-            tasks: Vec::new(),
-            deps: Vec::new(),
-            ties: Vec::new(),
+            spec: WorkloadSpec::new(platform),
             pipeline: false,
-            config: SchedulerConfig::default(),
         }
     }
 
@@ -118,38 +53,32 @@ impl Session {
     /// request type `haxconn serve` accepts over HTTP, so a request
     /// replayed from a file or built in code schedules identically.
     pub fn from_spec(spec: &WorkloadSpec) -> Session {
-        let mut session = Session::on(spec.platform.clone());
-        for t in &spec.tasks {
-            session = session.task(t.model.as_str(), t.groups);
+        Session {
+            spec: spec.clone(),
+            pipeline: false,
         }
-        for d in &spec.deps {
-            session = session.dep(d.from, d.to);
-        }
-        for (t, tie) in spec.ties.iter().enumerate() {
-            if let Some(r) = tie {
-                session = session.tie(t, *r);
-            }
-        }
-        session.config(spec.effective_config())
     }
 
-    /// Adds a DNN task: `model` (a [`Model`] or a name) profiled into
-    /// `groups` layer groups.
-    pub fn task(mut self, model: impl Into<ModelSpec>, groups: usize) -> Self {
-        self.tasks.push((model.into(), groups));
+    /// Adds a DNN task: `model` (a [`haxconn_dnn::Model`] or a name, see
+    /// `haxconn models`) profiled into `groups` layer groups.
+    pub fn task(mut self, model: impl Into<String>, groups: usize) -> Self {
+        self.spec = self.spec.task(model, groups);
         self
     }
 
     /// Sets the optimization objective (default: minimize max latency).
     pub fn objective(mut self, objective: Objective) -> Self {
-        self.config.objective = objective;
+        self.spec
+            .config
+            .get_or_insert_with(Default::default)
+            .objective = objective;
         self
     }
 
     /// Replaces the whole scheduler configuration (node budgets, epsilon,
     /// contention awareness, ...).
     pub fn config(mut self, config: SchedulerConfig) -> Self {
-        self.config = config;
+        self.spec = self.spec.with_config(config);
         self
     }
 
@@ -161,80 +90,53 @@ impl Session {
 
     /// Adds a streaming dependency: task `to` starts after task `from`.
     pub fn dep(mut self, from: usize, to: usize) -> Self {
-        self.deps.push((from, to));
+        self.spec = self.spec.dep(from, to);
         self
     }
 
     /// Ties task `task`'s assignment to task `representative`'s (they
     /// share one assignment row in the solved schedule).
     pub fn tie(mut self, task: usize, representative: usize) -> Self {
-        self.ties.push((task, representative));
+        self.spec = self.spec.tie(task, representative);
         self
-    }
-
-    /// The session as a serializable [`WorkloadSpec`], when it can be
-    /// expressed as one: the platform must be a built-in id or name (a
-    /// custom [`Platform`] value has no canonical spelling). A pipeline
-    /// lowers into explicit consecutive dependencies.
-    pub fn to_spec(&self) -> Option<WorkloadSpec> {
-        let platform = match &self.platform {
-            PlatformSpec::Ready(_) => return None,
-            PlatformSpec::Id(id) => id.slug().to_string(),
-            PlatformSpec::Name(name) => name.clone(),
-        };
-        let mut spec = WorkloadSpec::new(platform).with_config(self.config);
-        for (model, groups) in &self.tasks {
-            let name = match model {
-                ModelSpec::Ready(m) => m.name().to_string(),
-                ModelSpec::Name(n) => n.clone(),
-            };
-            spec = spec.task(name, *groups);
-        }
-        if self.pipeline {
-            for i in 1..self.tasks.len() {
-                spec = spec.dep(i - 1, i);
-            }
-        }
-        for &(from, to) in &self.deps {
-            spec = spec.dep(from, to);
-        }
-        for &(task, rep) in &self.ties {
-            spec = spec.tie(task, rep);
-        }
-        Some(spec)
     }
 
     /// Resolves the platform and models, profiles the workload, calibrates
     /// the contention model and solves for the optimal schedule.
     ///
-    /// A thin wrapper over the [`Engine`]: built-in platforms route
-    /// through the same spec → canonicalize → solve path the server
-    /// uses (so an HTTP schedule for the same [`WorkloadSpec`] is
-    /// bit-identical), through a private engine so each call still
-    /// performs a full solve — the facade's documented behavior, which
-    /// telemetry contracts rely on. Custom [`Platform`] values keep the
-    /// direct path.
+    /// A thin wrapper over the [`Engine`]: the spec goes through the same
+    /// canonicalize → solve path the server uses (so an HTTP schedule for
+    /// the same [`WorkloadSpec`] is bit-identical), through a private
+    /// engine so each call still performs a full solve — the facade's
+    /// documented behavior, which telemetry contracts rely on. A pipeline
+    /// lowers into explicit consecutive dependencies first.
     pub fn schedule(self) -> Result<ScheduledSession, HaxError> {
-        if self.tasks.is_empty() {
-            return Err(HaxError::InvalidWorkload(
-                "a session needs at least one task (use .task(model, groups))".into(),
-            ));
+        let mut spec = self.spec;
+        if self.pipeline {
+            let n = spec.tasks.len();
+            if n < 2 {
+                return Err(HaxError::InvalidWorkload(format!(
+                    "a pipeline needs at least 2 tasks, got {n}"
+                )));
+            }
+            for i in 1..n {
+                spec = spec.dep(i - 1, i);
+            }
         }
-        if self.tasks.iter().any(|(_, groups)| *groups == 0) {
-            return Err(HaxError::InvalidWorkload(
-                "a task needs at least one layer group".into(),
-            ));
-        }
-        if self.pipeline && self.tasks.len() < 2 {
-            return Err(HaxError::InvalidWorkload(format!(
-                "a pipeline needs at least 2 tasks, got {}",
-                self.tasks.len()
-            )));
-        }
-        match self.to_spec() {
-            Some(spec) => Session::schedule_spec(&spec),
-            None => self.schedule_direct(),
-        }
+        let canonical = spec.canonicalize()?;
+        let key = canonical.to_json()?;
+        let engine = Engine::new(EngineOptions::default());
+        let out = engine.schedule_canonical(key, &canonical)?;
+        let ctx = engine.context(&canonical.platform)?;
+        let (_, workload) = canonical.resolve()?;
+        Ok(ScheduledSession {
+            platform: ctx.platform.clone(),
+            workload,
+            contention: ctx.contention.clone(),
+            schedule: out.entry.schedule.clone(),
+            config: canonical.effective_config(),
+            spec: canonical,
+        })
     }
 
     /// Replays a multi-tenant arrival trace on this session's platform
@@ -249,78 +151,15 @@ impl Session {
         trace: &ArrivalTrace,
         policy: ResolvePolicy,
     ) -> Result<TenantReport, HaxError> {
-        let platform = match self.platform {
-            PlatformSpec::Ready(p) => p,
-            PlatformSpec::Id(id) => id.platform(),
-            PlatformSpec::Name(name) => parse_platform(&name)?.platform(),
-        };
+        let platform = parse_platform(&self.spec.platform)?.platform();
         let contention = ContentionModel::calibrate(&platform);
         let options = ReplayOptions {
             policy,
-            config: self.config,
+            config: self.spec.effective_config(),
             validate: true,
             ..Default::default()
         };
         haxconn_core::arrival::replay(&platform, &contention, trace, &options)
-    }
-
-    /// The engine-routed path shared with `haxconn serve`.
-    fn schedule_spec(spec: &WorkloadSpec) -> Result<ScheduledSession, HaxError> {
-        let canonical = spec.canonicalize()?;
-        let key = canonical.to_json()?;
-        let engine = Engine::new(EngineOptions::default());
-        let out = engine.schedule_canonical(key, &canonical)?;
-        let ctx = engine.context(&canonical.platform)?;
-        let (_, workload) = canonical.resolve()?;
-        Ok(ScheduledSession {
-            platform: ctx.platform.clone(),
-            workload,
-            contention: ctx.contention.clone(),
-            schedule: out.entry.schedule.clone(),
-            config: canonical.effective_config(),
-            spec: Some(canonical),
-        })
-    }
-
-    /// The legacy direct path for user-constructed [`Platform`] values.
-    fn schedule_direct(self) -> Result<ScheduledSession, HaxError> {
-        let platform = match self.platform {
-            PlatformSpec::Ready(p) => p,
-            PlatformSpec::Id(id) => id.platform(),
-            PlatformSpec::Name(name) => parse_platform(&name)?.platform(),
-        };
-        let mut tasks = Vec::with_capacity(self.tasks.len());
-        for (spec, groups) in self.tasks {
-            let model = match spec {
-                ModelSpec::Ready(m) => m,
-                ModelSpec::Name(name) => parse_model(&name)?,
-            };
-            tasks.push(DnnTask::new(
-                model.name(),
-                NetworkProfile::profile(&platform, model, groups),
-            ));
-        }
-        let mut workload = if self.pipeline {
-            Workload::try_pipeline(tasks)?
-        } else {
-            Workload::concurrent(tasks)
-        };
-        for (from, to) in self.deps {
-            workload = workload.try_with_dep(from, to)?;
-        }
-        for (task, rep) in self.ties {
-            workload = workload.try_with_tie(task, rep)?;
-        }
-        let contention = ContentionModel::calibrate(&platform);
-        let schedule = HaxConn::try_schedule(&platform, &workload, &contention, self.config)?;
-        Ok(ScheduledSession {
-            platform,
-            workload,
-            contention,
-            schedule,
-            config: self.config,
-            spec: None,
-        })
     }
 }
 
@@ -367,18 +206,17 @@ pub struct ScheduledSession {
     /// The configuration the schedule was solved under (validation re-uses
     /// its objective and transition budget).
     pub config: SchedulerConfig,
-    /// The canonical spec this session was solved from, when it came
-    /// from one (private: set by [`Session::schedule`]).
-    spec: Option<WorkloadSpec>,
+    /// The canonical spec this session was solved from (private: set by
+    /// [`Session::schedule`]).
+    spec: WorkloadSpec,
 }
 
 impl ScheduledSession {
     /// The canonical [`WorkloadSpec`] this schedule was solved from —
     /// serialize it to replay the exact problem later or submit it to
-    /// `haxconn serve`. `None` when the session was built on a custom
-    /// [`Platform`] value (no canonical spelling exists).
-    pub fn spec(&self) -> Option<&WorkloadSpec> {
-        self.spec.as_ref()
+    /// `haxconn serve`.
+    pub fn spec(&self) -> &WorkloadSpec {
+        &self.spec
     }
 
     /// Checks that every assigned PU actually supports its layer group
@@ -453,6 +291,8 @@ impl ScheduledSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use haxconn_dnn::Model;
+    use haxconn_soc::PlatformId;
 
     fn expect_err(result: Result<ScheduledSession, HaxError>, what: &str) -> HaxError {
         match result {
@@ -507,6 +347,18 @@ mod tests {
     #[test]
     fn session_reports_empty_workload() {
         let err = expect_err(Session::on(PlatformId::OrinAgx).schedule(), "no tasks");
+        assert!(matches!(err, HaxError::InvalidWorkload(_)), "{err}");
+    }
+
+    #[test]
+    fn one_task_pipeline_is_rejected() {
+        let err = expect_err(
+            Session::on(PlatformId::OrinAgx)
+                .task(Model::GoogleNet, 6)
+                .pipelined()
+                .schedule(),
+            "one-task pipeline",
+        );
         assert!(matches!(err, HaxError::InvalidWorkload(_)), "{err}");
     }
 
@@ -608,19 +460,9 @@ mod tests {
         );
         // Both report the same canonical spec.
         assert_eq!(via_spec.spec(), via_builder.spec());
-        let canonical = via_spec.spec().expect("built-in platform has a spec");
+        let canonical = via_spec.spec();
         assert_eq!(canonical.platform, "orin-agx");
         assert_eq!(canonical.tasks.len(), 2);
-    }
-
-    #[test]
-    fn custom_platform_session_has_no_spec() {
-        let s = Session::on(PlatformId::OrinAgx.platform())
-            .task(Model::GoogleNet, 6)
-            .schedule()
-            .expect("schedulable");
-        assert!(s.spec().is_none());
-        assert!(s.measure().is_ok());
     }
 
     #[test]
@@ -635,8 +477,7 @@ mod tests {
         // shared; a never-worse baseline may still win the scorer loop)
         // and the canonical spec round-trips it.
         assert_eq!(s.workload.ties[1], Some(0));
-        let spec = s.spec().expect("built-in platform has a spec");
-        assert_eq!(spec.ties, vec![None, Some(0)]);
+        assert_eq!(s.spec().ties, vec![None, Some(0)]);
         assert!(s.measure().is_ok());
     }
 

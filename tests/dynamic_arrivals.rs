@@ -216,5 +216,9 @@ fn replay_cache_is_pinned_under_eviction() {
         r.cache_misses
     );
     assert_eq!((r.cache_hits, r.cache_misses), (66, 139));
+    // Under `Immediate` no event outlives the trace: the horizon is the
+    // last event's time, to the bit.
+    let last = trace.events.last().expect("non-empty trace");
+    assert_eq!(r.horizon_ms.to_bits(), last.at_ms.to_bits());
     assert_eq!(fnv1a64(r.to_json().as_bytes()), 0x8618_e8d5_7814_4da8);
 }

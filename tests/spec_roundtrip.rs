@@ -51,7 +51,7 @@ fn session_spec_survives_the_wire() {
         .objective(Objective::MinMaxLatency)
         .schedule()
         .expect("schedulable");
-    let spec = first.spec().expect("built-in platform has a spec");
+    let spec = first.spec();
     let json = spec.to_json().expect("serializes");
     let replayed = Session::from_spec(&WorkloadSpec::from_json(&json).expect("parses"))
         .schedule()
@@ -61,7 +61,7 @@ fn session_spec_survives_the_wire() {
         first.schedule.cost.to_bits(),
         replayed.schedule.cost.to_bits()
     );
-    assert_eq!(replayed.spec(), Some(spec));
+    assert_eq!(replayed.spec(), spec);
 }
 
 /// A body written against the old wire format, which let a request pick
