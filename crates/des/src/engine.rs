@@ -79,11 +79,6 @@ impl<M: SimModel> Engine<M> {
         &self.model
     }
 
-    /// Mutable access to the model (e.g. to inject initial state).
-    pub fn model_mut(&mut self) -> &mut M {
-        &mut self.model
-    }
-
     /// Consumes the engine, returning the model.
     pub fn into_model(self) -> M {
         self.model

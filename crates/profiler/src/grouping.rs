@@ -81,14 +81,6 @@ impl GroupedNetwork {
             .sum()
     }
 
-    /// Total unamplified shared-memory traffic of group `idx` in bytes.
-    pub fn group_bytes(&self, idx: usize) -> u64 {
-        let g = &self.groups[idx];
-        (g.start..=g.end)
-            .map(|i| self.network.layers[i].total_bytes())
-            .sum()
-    }
-
     /// Whether there are no groups (never true for a valid network).
     pub fn is_empty(&self) -> bool {
         self.groups.is_empty()

@@ -549,25 +549,27 @@ fn schedule_encoding_incremental_walk() {
 
 /// Solving with the incremental path enabled returns the bit-identical
 /// optimum of the from-scratch path (`NonIncremental` hides the hooks),
-/// sequentially and across parallel configurations.
+/// sequentially and across parallel configurations. The two sequential
+/// searches also visit the same nodes and leaves: the incremental hooks
+/// change what a node costs, never which nodes the DFS reaches.
 #[test]
 fn incremental_solver_equals_nonincremental() {
-    let mut rng = Rng::new(1618);
-    for case in 0..24 {
-        let inst = arb_instance(&mut rng);
-        let inc = solve(&inst, SolveOptions::default());
-        let scratch = solve(&NonIncremental(&inst), SolveOptions::default());
+    fn check<M: CostModel + Sync>(inst: &M, case: &str) {
+        let inc = solve(inst, SolveOptions::default());
+        let scratch = solve(&NonIncremental(inst), SolveOptions::default());
         match (&inc.best, &scratch.best) {
             (Some((a_inc, c_inc)), Some((a_fs, c_fs))) => {
-                assert_eq!(c_inc.to_bits(), c_fs.to_bits(), "case {case}");
-                assert_eq!(a_inc, a_fs, "case {case}");
+                assert_eq!(c_inc.to_bits(), c_fs.to_bits(), "{case}");
+                assert_eq!(a_inc, a_fs, "{case}");
             }
             (None, None) => {}
-            other => panic!("case {case}: {other:?}"),
+            other => panic!("{case}: {other:?}"),
         }
+        assert_eq!(inc.stats.nodes, scratch.stats.nodes, "{case}: nodes");
+        assert_eq!(inc.stats.leaves, scratch.stats.leaves, "{case}: leaves");
         for threads in [2, 8] {
             let par = solve_parallel_with(
-                &NonIncremental(&inst),
+                &NonIncremental(inst),
                 SolveOptions::default(),
                 &ParallelOptions {
                     threads,
@@ -576,14 +578,40 @@ fn incremental_solver_equals_nonincremental() {
             );
             match (&inc.best, &par.best) {
                 (Some((a_inc, c_inc)), Some((a_par, c_par))) => {
-                    assert_eq!(c_inc.to_bits(), c_par.to_bits(), "case {case} t{threads}");
-                    assert_eq!(a_inc, a_par, "case {case} t{threads}");
+                    assert_eq!(c_inc.to_bits(), c_par.to_bits(), "{case} t{threads}");
+                    assert_eq!(a_inc, a_par, "{case} t{threads}");
                 }
                 (None, None) => {}
-                other => panic!("case {case} t{threads}: {other:?}"),
+                other => panic!("{case} t{threads}: {other:?}"),
             }
         }
     }
+
+    let mut rng = Rng::new(1618);
+    for case in 0..24 {
+        check(&arb_instance(&mut rng), &format!("case {case}"));
+    }
+
+    // solver_scaling's 3-DNN scenario, whose wall ratio gates the
+    // incremental protocol on the premise checked here: equal search trees.
+    let p = orin_agx();
+    let cm = ContentionModel::calibrate(&p);
+    let workload = Workload::concurrent(
+        [Model::GoogleNet, Model::ResNet50, Model::ResNet101]
+            .iter()
+            .map(|&m| DnnTask::new(m.name(), NetworkProfile::profile(&p, m, 6)))
+            .collect(),
+    );
+    let enc = ScheduleEncoding::new(
+        &workload,
+        &cm,
+        SchedulerConfig {
+            epsilon_ms: None,
+            max_transitions_per_task: 1,
+            ..Default::default()
+        },
+    );
+    check(&enc, "3-DNN encoding");
 }
 
 /// Layer grouping invariants hold for every model at every budget:
