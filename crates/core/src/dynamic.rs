@@ -122,10 +122,13 @@ impl DHaxConn {
         // 2. Background solve with anytime incumbents, warm-started from
         // the naive cost so only genuine improvements surface. The
         // parallel solver delivers callbacks on this thread, serialized
-        // through a channel: costs strictly decrease and timestamps are
-        // monotone, exactly like the sequential solver's trace — but which
-        // intermediate incumbents surface depends on thread timing, so a
-        // virtual clock asks for one thread, which solves sequentially.
+        // through a channel and handed over between this thread's own
+        // work items and after its helpers finish: costs strictly
+        // decrease and each `at` is stamped when the improvement was
+        // found, not delivered, exactly like the sequential solver's
+        // trace. Which intermediate incumbents surface depends on thread
+        // timing, so a virtual clock asks for one thread, which solves
+        // sequentially.
         let relaxed = SchedulerConfig {
             epsilon_ms: None,
             ..config

@@ -12,8 +12,12 @@
 //!   a reproducible final answer (D-HaX-CoNN's virtual clock). `0` means
 //!   one worker per CPU, so on a one-CPU host it also runs sequentially
 //!   rather than paying for a pool of one;
-//! * below [`PARALLEL_MIN_VARS`] variables a solve finishes in tens of
-//!   microseconds, less than spawning a worker pool costs.
+//! * below [`PARALLEL_MIN_VARS`] variables a solve finishes in about
+//!   20 µs, and the pool's fixed cost eats any gain. On a 2-vCPU host,
+//!   waking a parked helper and joining it costs 10–12 µs at p50 (a
+//!   fresh two-thread spawn, which the pool no longer does, cost
+//!   44–50 µs); on ≤10-variable specs the pool at two workers took
+//!   27–28 µs at p50 against 18–20 µs sequentially.
 //!
 //! The pool's LNS workers (`ParallelOptions::lns_workers`) are never
 //! started here: they race for an anytime answer under a time budget and,
@@ -22,6 +26,7 @@
 use crate::bb::{solve, Solution, SolveOptions};
 use crate::model::CostModel;
 use crate::parallel::{solve_parallel_with, ParallelOptions};
+use crate::pool::cpus;
 
 /// Models with fewer decision variables than this solve sequentially.
 pub const PARALLEL_MIN_VARS: usize = 12;
@@ -37,7 +42,7 @@ pub fn solve_auto<M: CostModel + Sync>(
     threads: usize,
 ) -> Solution {
     let threads = match threads {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        0 => cpus(),
         n => n,
     };
     if opts.node_budget.is_some() || threads <= 1 || model.num_vars() < PARALLEL_MIN_VARS {

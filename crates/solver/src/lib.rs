@@ -37,6 +37,7 @@ pub mod bb;
 pub mod lns;
 pub mod model;
 pub mod parallel;
+mod pool;
 
 pub use auto::{solve_auto, PARALLEL_MIN_VARS};
 pub use bb::{

@@ -23,6 +23,25 @@
 //! shared by all workers (see [`SolveOptions`]), so `node_budget: 1000`
 //! means one thousand nodes total, never per subtree.
 //!
+//! # Execution model
+//!
+//! The calling thread is B&B worker 0. The other `threads - 1` B&B
+//! workers and any LNS workers run on helper threads from one
+//! process-wide set (`crate::pool`): spawned on the first parallel solve
+//! that finds too few idle, parked on a condvar between solves, and
+//! claimed by one solve at a time, so concurrent solves never wait on
+//! each other's helpers. A solve therefore pays a wake per helper, not a
+//! thread spawn, and a solve at `threads: 1` without LNS workers touches
+//! no other thread at all.
+//!
+//! Helpers run a closure that borrows the caller's stack (the model, the
+//! incumbent, the injector). The pool erases that borrow's lifetime with
+//! one `unsafe` transmute. Its invariant: the caller does not return or
+//! unwind past the borrow until every helper it handed the closure to
+//! has finished with it — a guard waits for them on both paths. A helper
+//! runs under `catch_unwind` and stays parked for the next solve; the
+//! caller re-raises the first panic once all of them are done.
+//!
 //! # Determinism
 //!
 //! Incumbents are ordered by exact cost, then lexicographically by
@@ -50,10 +69,12 @@
 //!
 //! # Anytime callbacks
 //!
-//! Unlike the root-splitting predecessor, `on_incumbent` is supported:
-//! workers send strict global improvements through a channel (from inside
-//! the incumbent lock, so costs strictly decrease and timestamps are
-//! monotone) and the caller's thread delivers them while the workers run.
+//! `on_incumbent` is supported: workers send strict global improvements
+//! through a channel, from inside the incumbent lock, so costs strictly
+//! decrease and each `at` is stamped when the improvement was offered.
+//! The caller delivers them on its own thread, between its own work items
+//! and once more after every helper has finished; a delivery may lag the
+//! offer, but the sequence and its timestamps are the offers'.
 //!
 //! # LNS workers
 //!
@@ -64,7 +85,7 @@
 //! alone decides exactness, and the last B&B worker to exit stops the LNS
 //! workers. A proven result is the same `(cost, assignment)` minimum as
 //! without them, since the order above does not care who offered a leaf.
-//! With `lns_workers == 0` nothing of the race is spawned or recorded.
+//! With `lns_workers == 0` nothing of the race is started or recorded.
 
 use crate::bb::{
     flush_solve_telemetry, solve, Engine, SharedState, Solution, SolveOptions, SolveStats, Winner,
@@ -72,6 +93,7 @@ use crate::bb::{
 };
 use crate::lns::{flush_lns_telemetry, lns_worker, LnsStats};
 use crate::model::{Assignment, CostModel};
+use crate::pool::{cpus, Pool, POOL};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
@@ -86,8 +108,8 @@ const ITEMS_PER_WORKER: usize = 8;
 /// Knobs of the worker pool.
 #[derive(Debug, Clone, Default)]
 pub struct ParallelOptions {
-    /// B&B worker threads; `0` means one per available CPU minus
-    /// `lns_workers` (at least one).
+    /// B&B workers, counting the calling thread; `0` means one per
+    /// available CPU minus `lns_workers` (at least one).
     pub threads: usize,
     /// Split the tree at this depth (number of leading variables fixed
     /// per work item). `None` picks the smallest depth yielding at least
@@ -228,7 +250,8 @@ fn decode_prefix<M: CostModel>(model: &M, depth: usize, mut k: usize, prefix: &m
 
 /// One B&B worker's run: claims prefixes from the shared injector until
 /// the frontier drains or the solve stops, accumulating its counters into
-/// `stats`.
+/// the solve's stats. `between` runs before each claim; the caller's
+/// worker delivers queued callbacks there.
 ///
 /// Each work item starts by *adopting* the shared incumbent — assignment
 /// and cost, not just the bound. A leaf beats the adopted incumbent in
@@ -236,28 +259,24 @@ fn decode_prefix<M: CostModel>(model: &M, depth: usize, mut k: usize, prefix: &m
 /// adoption saves doomed clones and makes the incumbent's assignment
 /// available for budget-stopped items, without perturbing the
 /// deterministic result.
-#[allow(clippy::too_many_arguments)]
-fn bb_worker<M: CostModel + Sync>(
-    model: &M,
-    state: &SharedState,
-    incumbent: &SharedIncumbent<'_>,
-    injector: &AtomicUsize,
-    tx: &mpsc::Sender<(Assignment, f64, Duration)>,
-    depth: usize,
-    total_items: usize,
-    initial_ub: Option<f64>,
-    known: &[Assignment],
-    stats: &Mutex<PoolStats>,
-) {
+fn bb_worker<M: CostModel + Sync>(model: &M, shared: &Shared<'_>, mut between: impl FnMut()) {
+    let state = shared.incumbent.state;
+    // Counted out even by a panic, so a racing LNS worker always stops.
+    let _out = LastOut(shared);
     let mut ws = Workspace::new(model);
     let mut engine = Engine::new(
         model,
         state,
         &mut ws,
-        initial_ub,
-        |a: &Assignment, c: f64| incumbent.offer(a, c, Winner::BranchAndBound, tx),
+        shared.initial_ub,
+        |a: &Assignment, c: f64| {
+            shared
+                .incumbent
+                .offer(a, c, Winner::BranchAndBound, &shared.tx)
+        },
     );
-    engine.known = known.to_vec();
+    engine.known = shared.known.to_vec();
+    let depth = shared.depth;
     let mut prefix = vec![0u32; depth];
     // Worker-local cache of the last adopted incumbent, refreshed only
     // when the lock-free shared cost says something better exists.
@@ -267,11 +286,12 @@ fn bb_worker<M: CostModel + Sync>(
     // Per-thread drain: allocation counters are thread-local, so each
     // worker accounts its own search traffic under the solve phase.
     haxconn_telemetry::alloc::phase(haxconn_telemetry::alloc::PHASE_SOLVE, || loop {
+        between();
         if state.stopped() {
             break;
         }
-        let k = injector.fetch_add(1, Ordering::Relaxed);
-        if k >= total_items {
+        let k = shared.injector.fetch_add(1, Ordering::Relaxed);
+        if k >= shared.total_items {
             break;
         }
         items_claimed += 1;
@@ -299,7 +319,7 @@ fn bb_worker<M: CostModel + Sync>(
                 None => true,
             };
             if stale {
-                if let Some(snap) = incumbent.snapshot() {
+                if let Some(snap) = shared.incumbent.snapshot() {
                     adopted = Some(snap);
                 }
             }
@@ -309,7 +329,7 @@ fn bb_worker<M: CostModel + Sync>(
             break; // budget exhausted or solve stopped
         }
     });
-    let mut st = stats.lock().expect("stats lock");
+    let mut st = shared.stats.lock().expect("stats lock");
     st.nodes += engine.nodes;
     st.leaves += engine.leaves;
     st.pruned_infeasible += engine.pruned_infeasible;
@@ -320,13 +340,52 @@ fn bb_worker<M: CostModel + Sync>(
         .push((items_claimed, worker_started.elapsed().as_secs_f64() * 1e3));
 }
 
+/// What the workers of one solve share: the incumbent, the injector over
+/// the frontier, the settled warm start and the totals they add to.
+struct Shared<'a> {
+    incumbent: SharedIncumbent<'a>,
+    tx: mpsc::Sender<(Assignment, f64, Duration)>,
+    injector: AtomicUsize,
+    depth: usize,
+    total_items: usize,
+    initial_ub: Option<f64>,
+    known: Vec<Assignment>,
+    /// B&B workers still searching; the last one out stops the LNS
+    /// workers: either the tree is exhausted (the result is proven,
+    /// nothing is left to find) or a budget tripped (stop already raised).
+    live_bb: AtomicUsize,
+    stats: Mutex<PoolStats>,
+    lns: Mutex<LnsStats>,
+}
+
+/// Counts one B&B worker out of [`Shared::live_bb`] when dropped.
+struct LastOut<'s, 'a>(&'s Shared<'a>);
+
+impl Drop for LastOut<'_, '_> {
+    fn drop(&mut self) {
+        if self.0.live_bb.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.0.incumbent.state.request_stop();
+        }
+    }
+}
+
 /// Minimizes `model` with a work-stealing worker pool over a depth-`d`
 /// frontier (see the module docs for the execution and determinism
 /// model), with `par.lns_workers` LNS workers racing beside it. Budgets
 /// in `opts` are global across all workers, and `on_incumbent` sees every
 /// strict global improvement from either side, delivered on the calling
-/// thread while workers run.
+/// thread.
 pub fn solve_parallel_with<M: CostModel + Sync>(
+    model: &M,
+    opts: SolveOptions<'_>,
+    par: &ParallelOptions,
+) -> Solution {
+    solve_in(&POOL, model, opts, par)
+}
+
+/// [`solve_parallel_with`] on the helpers of `helpers`.
+fn solve_in<M: CostModel + Sync>(
+    helpers: &Pool,
     model: &M,
     mut opts: SolveOptions<'_>,
     par: &ParallelOptions,
@@ -338,14 +397,9 @@ pub fn solve_parallel_with<M: CostModel + Sync>(
     if n == 0 {
         return solve(model, opts);
     }
-    let threads = if par.threads == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4)
-            .saturating_sub(par.lns_workers)
-            .max(1)
-    } else {
-        par.threads
+    let threads = match par.threads {
+        0 => cpus().saturating_sub(par.lns_workers).max(1),
+        t => t,
     };
     let depth = choose_depth(model, threads, par.split_depth);
     let total_items = frontier_size(model, depth);
@@ -376,64 +430,38 @@ pub fn solve_parallel_with<M: CostModel + Sync>(
         }
         known = std::mem::take(&mut engine.known);
     }
-    let injector = AtomicUsize::new(0);
-    let stats = Mutex::new(pool);
-    let lns_total = Mutex::new(LnsStats::default());
-    let live_bb = AtomicUsize::new(bb_workers);
     let (tx, rx) = mpsc::channel::<(Assignment, f64, Duration)>();
+    let shared = Shared {
+        incumbent,
+        tx,
+        injector: AtomicUsize::new(0),
+        depth,
+        total_items,
+        initial_ub: opts.initial_upper_bound,
+        known,
+        live_bb: AtomicUsize::new(bb_workers),
+        stats: Mutex::new(pool),
+        lns: Mutex::default(),
+    };
 
-    std::thread::scope(|scope| {
-        for _ in 0..bb_workers {
-            let tx = tx.clone();
-            let state = &state;
-            let incumbent = &incumbent;
-            let injector = &injector;
-            let stats = &stats;
-            let live_bb = &live_bb;
-            let initial_ub = opts.initial_upper_bound;
-            let known = &known;
-            scope.spawn(move || {
-                bb_worker(
-                    model,
-                    state,
-                    incumbent,
-                    injector,
-                    &tx,
-                    depth,
-                    total_items,
-                    initial_ub,
-                    known,
-                    stats,
-                );
-                // The last B&B worker out stops the LNS workers: either
-                // the tree is exhausted (the result is proven, nothing is
-                // left to find) or a budget tripped (stop already raised).
-                if racing && live_bb.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    state.request_stop();
-                }
-            });
+    // Helper `i` runs B&B worker `i + 1` (the caller is worker 0), then
+    // come the LNS workers.
+    let task = |i: usize| match (i + 1).checked_sub(bb_workers) {
+        None => bb_worker(model, &shared, || {}),
+        Some(k) => {
+            let lns = lns_worker(model, &shared.incumbent, &shared.tx, k);
+            shared.lns.lock().expect("lns stats lock").merge(&lns);
         }
-        for k in 0..par.lns_workers {
-            let tx = tx.clone();
-            let incumbent = &incumbent;
-            let lns_total = &lns_total;
-            scope.spawn(move || {
-                let stats = lns_worker(model, incumbent, &tx, k);
-                lns_total.lock().expect("lns stats lock").merge(&stats);
-            });
-        }
-        // The workers hold the only remaining senders: once they finish,
-        // the channel disconnects and this drain loop ends. Meanwhile it
-        // delivers strict improvements to the caller as they happen, and
-        // records a race's incumbent timeline for telemetry.
-        drop(tx);
-        let series = racing && haxconn_telemetry::enabled();
-        let mut cb = opts.on_incumbent.take();
-        if cb.is_none() && !series {
-            drop(rx);
-            return;
-        }
-        for (a, c, at) in rx {
+    };
+    // Improvements queue in the channel; the caller delivers them between
+    // its own work items and once more after every helper has finished,
+    // and records a race's incumbent timeline for telemetry.
+    let series = racing && haxconn_telemetry::enabled();
+    let mut cb = opts.on_incumbent.take();
+    // With nobody listening the receiver goes now, so sends fail fast.
+    let rx = (cb.is_some() || series).then_some(rx);
+    let mut deliver = || {
+        for (a, c, at) in rx.iter().flat_map(|rx| rx.try_iter()) {
             if series {
                 haxconn_telemetry::series_record(
                     "solver.portfolio.incumbent",
@@ -445,11 +473,15 @@ pub fn solve_parallel_with<M: CostModel + Sync>(
                 cb(&a, c, at);
             }
         }
+    };
+    helpers.run(bb_workers - 1 + par.lns_workers, &task, || {
+        bb_worker(model, &shared, &mut deliver)
     });
+    deliver();
 
-    let pool = stats.into_inner().expect("stats lock");
-    let lns = lns_total.into_inner().expect("lns stats lock");
-    let (best, winner) = incumbent.into_best();
+    let pool = shared.stats.into_inner().expect("stats lock");
+    let lns = shared.lns.into_inner().expect("lns stats lock");
+    let (best, winner) = shared.incumbent.into_best();
     let stats = SolveStats {
         nodes: pool.nodes,
         leaves: pool.leaves,
@@ -491,6 +523,7 @@ mod tests {
     use super::*;
     use crate::bb::BudgetState;
     use crate::model::{brute_force, PartialAssignment};
+    use std::panic::AssertUnwindSafe;
 
     struct Wap {
         weights: Vec<Vec<f64>>,
@@ -976,6 +1009,78 @@ mod tests {
             assert_eq!(times(&opt.0), 1, "threads {threads}");
             assert_eq!(times(&pattern(0)), 1, "threads {threads}");
             assert!(times(&pattern(1)) <= 1, "threads {threads}");
+        }
+    }
+
+    /// [`Wap`] whose `cost` panics on any thread but `caller`. The
+    /// caller's first `cost` call waits (up to 10 s) for a helper to get
+    /// that far, so a helper surely panics even on one CPU.
+    struct PanicsOffCaller {
+        inner: Wap,
+        caller: std::thread::ThreadId,
+        helper_in: std::sync::atomic::AtomicBool,
+    }
+
+    impl CostModel for PanicsOffCaller {
+        type Scratch = ();
+        fn num_vars(&self) -> usize {
+            self.inner.num_vars()
+        }
+        fn domain(&self, var: usize) -> &[u32] {
+            self.inner.domain(var)
+        }
+        fn cost(&self, a: &Assignment) -> Option<f64> {
+            if std::thread::current().id() != self.caller {
+                self.helper_in.store(true, Ordering::Release);
+                panic!("cost model panics off the calling thread");
+            }
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !self.helper_in.load(Ordering::Acquire) && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            self.inner.cost(a)
+        }
+        fn bound(&self, partial: &PartialAssignment) -> f64 {
+            self.inner.bound(partial)
+        }
+    }
+
+    /// A helper's panic reaches the caller, and the helper survives it:
+    /// the next solve reuses it and returns the sequential optimum.
+    #[test]
+    fn a_helper_panic_is_raised_in_the_caller_and_the_pool_survives() {
+        let pool = Pool::new();
+        let m = PanicsOffCaller {
+            inner: instance(11, 10),
+            caller: std::thread::current().id(),
+            helper_in: Default::default(),
+        };
+        let raised = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            solve_in(&pool, &m, SolveOptions::default(), &with_threads(2))
+        }));
+        assert!(raised.is_err(), "the helper's panic must reach the caller");
+        assert!(m.helper_in.load(Ordering::Acquire));
+        let seq = solve(&m.inner, SolveOptions::default()).best.unwrap();
+        let (a, c) = solve_in(&pool, &m.inner, SolveOptions::default(), &with_threads(2))
+            .best
+            .unwrap();
+        assert_eq!((a, c.to_bits()), (seq.0, seq.1.to_bits()));
+        assert_eq!(pool.spawned(), 1, "the panicked helper is reused");
+    }
+
+    /// Back-to-back solves wake the parked helper the first one spawned:
+    /// no later solve starts a thread.
+    #[test]
+    fn back_to_back_parallel_solves_spawn_no_thread_after_the_first() {
+        let pool = Pool::new();
+        let m = instance(13, 10);
+        let seq = solve(&m, SolveOptions::default()).best.unwrap();
+        for i in 0..500 {
+            let (a, c) = solve_in(&pool, &m, SolveOptions::default(), &with_threads(2))
+                .best
+                .unwrap();
+            assert_eq!((&a, c.to_bits()), (&seq.0, seq.1.to_bits()), "solve {i}");
+            assert_eq!(pool.spawned(), 1, "solve {i}");
         }
     }
 

@@ -417,6 +417,56 @@ fn parallel_budget_is_global_and_sound() {
     }
 }
 
+/// Parallel solves started side by side from several OS threads share
+/// one set of helper threads without sharing a helper: each returns the
+/// sequential optimum to the bit, and each callback sequence strictly
+/// decreases, with and without a callback and an LNS worker.
+#[test]
+fn concurrent_callers_each_get_the_sequential_optimum() {
+    std::thread::scope(|scope| {
+        for caller in 0..4u64 {
+            scope.spawn(move || {
+                let mut rng = Rng::new(1000 + caller);
+                for solve_no in 0..25 {
+                    let inst = arb_instance(&mut rng);
+                    let seq = solve(&inst, SolveOptions::default());
+                    let listen = solve_no % 2 == 0;
+                    let lns_workers = (solve_no / 2) % 2;
+                    let why = format!("caller {caller} solve {solve_no} lns {lns_workers}");
+                    let mut seen: Vec<f64> = Vec::new();
+                    let par = solve_parallel_with(
+                        &inst,
+                        SolveOptions {
+                            on_incumbent: match listen {
+                                true => Some(Box::new(|_, c, _| seen.push(c))),
+                                false => None,
+                            },
+                            ..Default::default()
+                        },
+                        &ParallelOptions {
+                            threads: 2,
+                            lns_workers,
+                            ..Default::default()
+                        },
+                    );
+                    assert!(par.proven_optimal(), "{why}");
+                    let bits = |s: &Option<(Assignment, f64)>| {
+                        s.as_ref().map(|(a, c)| (a.clone(), c.to_bits()))
+                    };
+                    assert_eq!(bits(&par.best), bits(&seq.best), "{why}");
+                    for w in seen.windows(2) {
+                        assert!(w[1] < w[0], "{why}: callbacks must strictly decrease");
+                    }
+                    if listen {
+                        let last = seen.last().map(|c| c.to_bits());
+                        assert_eq!(last, par.best.map(|(_, c)| c.to_bits()), "{why}");
+                    }
+                }
+            });
+        }
+    });
+}
+
 /// A node budget never yields a *better* cost than the full solve, and
 /// any incumbent it returns is feasible (sequential path).
 #[test]
