@@ -323,13 +323,11 @@ fn run_anytime<M: CostModel + Sync>(
     lns_workers: usize,
 ) -> (Trajectory, Solution) {
     let started = Instant::now();
-    let mut timeline: Vec<(f64, Duration)> = Vec::new();
     let out = solve_parallel_with(
         model,
         SolveOptions {
             time_budget: Some(time_budget),
             initial_incumbent: Some(seed_inc.clone()),
-            on_incumbent: Some(Box::new(|_, c, at| timeline.push((c, at)))),
             ..Default::default()
         },
         &ParallelOptions {
@@ -342,6 +340,7 @@ fn run_anytime<M: CostModel + Sync>(
     // only meaningful up to the shared wall.
     let wall = started.elapsed().max(time_budget);
     let final_cost = out.best.as_ref().map(|b| b.1).unwrap_or(f64::NAN);
+    let timeline = out.trace.iter().map(|&(_, c, at)| (c, at)).collect();
     (
         Trajectory {
             timeline,

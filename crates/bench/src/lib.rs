@@ -33,9 +33,10 @@ use haxconn_soc::Platform;
 /// groups for GoogleNet).
 pub const GROUPS: usize = 10;
 
-// The compat `par_map` pool (rayon stand-in for offline builds) now lives
-// in `haxconn-runtime` next to the fleet evaluator that shares it; the
-// experiment binaries keep using it through this re-export.
+// The `par_map` rayon stand-in for offline builds lives in
+// `haxconn-runtime` next to the fleet evaluator that shares it, and runs
+// on the solver's parked helper threads; the experiment binaries keep
+// using it through this re-export.
 pub use haxconn_runtime::{par_map, par_map_with};
 
 /// Profiles `model` on `platform` with the standard group budget.

@@ -400,15 +400,11 @@ pub fn run_large(seed: u64, instances: usize, node_budget: u64) -> FuzzReport {
             continue;
         };
 
-        let mut incumbents: Vec<(Vec<u32>, f64)> = Vec::new();
         let outcome = solve_parallel_with(
             &enc,
             SolveOptions {
                 node_budget: Some(node_budget),
                 initial_incumbent: Some((seed_a, seed_c)),
-                on_incumbent: Some(Box::new(|a: &Vec<u32>, c, _| {
-                    incumbents.push((a.clone(), c));
-                })),
                 ..Default::default()
             },
             &ParallelOptions {
@@ -418,7 +414,7 @@ pub fn run_large(seed: u64, instances: usize, node_budget: u64) -> FuzzReport {
         );
 
         let mut prev = f64::INFINITY;
-        for (a, c) in &incumbents {
+        for (a, c, _) in &outcome.trace {
             match haxconn_solver::CostModel::cost(&enc, a) {
                 Some(re) if re.to_bits() == c.to_bits() => {}
                 Some(re) => diverge(

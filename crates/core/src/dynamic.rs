@@ -37,10 +37,11 @@ pub struct Incumbent {
 
 /// Source of the timestamps stamped onto recorded incumbents.
 ///
-/// The solver reports each improvement with its wall-clock offset from the
-/// start of the solve. That is the honest number for Fig. 7-style plots,
-/// but it makes `schedule_at` checkpoints nondeterministic across runs and
-/// machines. Tests, the arrival-trace fuzzer, and the determinism gates use
+/// The solver stamps each improvement in its trace with the wall-clock
+/// offset from the start of the solve. That is the honest number for
+/// Fig. 7-style plots, but it makes `schedule_at` checkpoints
+/// nondeterministic across runs and machines. The arrival-replay test
+/// (`tests/dynamic_arrivals.rs`) uses
 /// [`IncumbentClock::Virtual`], which stamps the k-th improvement at
 /// `k * tick` of virtual time so replays are bit-identical; a virtual
 /// clock also routes the solve through the sequential B&B, whose incumbent
@@ -121,47 +122,36 @@ impl DHaxConn {
 
         // 2. Background solve with anytime incumbents, warm-started from
         // the naive cost so only genuine improvements surface. The
-        // parallel solver delivers callbacks on this thread, serialized
-        // through a channel and handed over between this thread's own
-        // work items and after its helpers finish: costs strictly
-        // decrease and each `at` is stamped when the improvement was
-        // found, not delivered, exactly like the sequential solver's
-        // trace. Which intermediate incumbents surface depends on thread
-        // timing, so a virtual clock asks for one thread, which solves
-        // sequentially.
+        // solver returns its trace of strict improvements, each stamped
+        // when it was found. Which intermediate incumbents the parallel
+        // solver finds depends on thread timing, so a virtual clock asks
+        // for one thread, which solves sequentially.
         let relaxed = SchedulerConfig {
             epsilon_ms: None,
             ..config
         };
         let enc = ScheduleEncoding::new(workload, model, relaxed);
-        let mut trace: Vec<Incumbent> = Vec::new();
-        let sol = {
-            let trace_ref = &mut trace;
-            let enc_ref = &enc;
-            let mut seen = 0u32;
-            let opts = SolveOptions {
-                node_budget: config.node_budget,
-                initial_upper_bound: Some(initial.cost),
-                on_incumbent: Some(Box::new(move |a, c, at| {
-                    seen += 1;
-                    let at = match clock {
-                        IncumbentClock::Solver => at,
-                        IncumbentClock::Virtual { tick } => tick * seen,
-                    };
-                    trace_ref.push(Incumbent {
-                        assignment: enc_ref.to_rows(a),
-                        cost: c,
-                        at,
-                    });
-                })),
-                ..Default::default()
-            };
-            let threads = match clock {
-                IncumbentClock::Solver => 0,
-                IncumbentClock::Virtual { .. } => 1,
-            };
-            solve_auto(&enc, opts, threads)
+        let opts = SolveOptions {
+            node_budget: config.node_budget,
+            initial_upper_bound: Some(initial.cost),
+            ..Default::default()
         };
+        let threads = match clock {
+            IncumbentClock::Solver => 0,
+            IncumbentClock::Virtual { .. } => 1,
+        };
+        let sol = solve_auto(&enc, opts, threads);
+        let trace: Vec<Incumbent> = (1u32..)
+            .zip(&sol.trace)
+            .map(|(k, (a, cost, at))| Incumbent {
+                assignment: enc.to_rows(a),
+                cost: *cost,
+                at: match clock {
+                    IncumbentClock::Solver => *at,
+                    IncumbentClock::Virtual { tick } => tick * k,
+                },
+            })
+            .collect();
         if haxconn_telemetry::enabled() {
             use haxconn_telemetry as t;
             let ms = run_started.elapsed().as_secs_f64() * 1e3;

@@ -1176,7 +1176,7 @@ mod tests {
     }
 
     /// `SolveOptions` of a re-solve warm-started from the GPU-only row.
-    fn gpu_seeded(enc: &ScheduleEncoding<'_>) -> SolveOptions<'static> {
+    fn gpu_seeded(enc: &ScheduleEncoding<'_>) -> SolveOptions {
         let gpu: Assignment = vec![orin_agx().gpu() as u32; enc.num_vars()];
         let cost = enc.cost(&gpu).expect("GPU-only is feasible when relaxed");
         SolveOptions {

@@ -76,14 +76,18 @@ pub fn parse_model(s: &str) -> Result<haxconn_dnn::Model, HaxError> {
     haxconn_dnn::Model::from_name(s).ok_or_else(|| HaxError::UnknownModel(s.to_string()))
 }
 
-/// Parses a platform name. Accepts the canonical ids plus the short
-/// aliases the CLI always took (`orin`, `xavier`, `sd865`).
+/// Parses a platform name, case-insensitively: the one alias table the
+/// CLI, [`crate::spec::WorkloadSpec`] and `/v1/schedule` share. Accepts
+/// the canonical ids plus short and vendor spellings (`orin`,
+/// `agx-orin`, `xavier`, `sd865`, `snapdragon`, `qualcomm`, ...).
 pub fn parse_platform(s: &str) -> Result<haxconn_soc::PlatformId, HaxError> {
     use haxconn_soc::PlatformId;
     match s.to_ascii_lowercase().as_str() {
-        "orin" | "orin-agx" | "orinagx" => Ok(PlatformId::OrinAgx),
-        "xavier" | "xavier-agx" | "xavieragx" => Ok(PlatformId::XavierAgx),
-        "sd865" | "snapdragon865" | "snapdragon-865" => Ok(PlatformId::Snapdragon865),
+        "orin" | "orin-agx" | "orinagx" | "agx-orin" => Ok(PlatformId::OrinAgx),
+        "xavier" | "xavier-agx" | "xavieragx" | "agx-xavier" => Ok(PlatformId::XavierAgx),
+        "sd865" | "snapdragon865" | "snapdragon-865" | "snapdragon" | "qualcomm" => {
+            Ok(PlatformId::Snapdragon865)
+        }
         _ => Err(HaxError::UnknownPlatform(s.to_string())),
     }
 }

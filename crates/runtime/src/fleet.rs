@@ -3,34 +3,32 @@
 //!
 //! The paper's evaluation — and D-HaX-CoNN in particular — needs cheap
 //! measurement of many candidate schedules under concurrent execution.
-//! Each pool worker owns a single [`DesRunner`] (a pooled contention
-//! replay plus its input staging) whose allocations are recycled across
-//! every scenario it pulls from the shared cursor. Each scenario's report
-//! is the one [`execute`](crate::execute) / [`execute_loop`](crate::execute_loop)
-//! returns, bit for bit and independent of the worker count, so fleet
-//! evaluation parallelism never changes reported numbers.
+//! The workers are the calling thread plus the solver's parked helper
+//! threads ([`haxconn_solver::pool::fork_join`]), so a batch spawns no
+//! thread once the helpers exist. Each worker owns a single [`DesRunner`]
+//! (a pooled contention replay plus its input staging) whose allocations
+//! are recycled across every scenario it pulls from the shared cursor.
+//! Each scenario's report is the one [`execute`](crate::execute) /
+//! [`execute_loop`](crate::execute_loop) returns, bit for bit and
+//! independent of the worker count, so fleet evaluation parallelism never
+//! changes reported numbers.
 
 use haxconn_core::measure::{DesRunner, ExecutionReport};
 use haxconn_core::problem::Workload;
 use haxconn_soc::{Platform, PuId};
+use haxconn_solver::pool::{cpus, fork_join};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Worker threads to use when the caller does not pin a count.
-fn available_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-}
-
-/// Maps `f` over `items` on up to `threads` worker threads, preserving
-/// order. Each worker builds its own state with `init` once and hands it
-/// to `f` for every item it takes. Workers pull indices from a shared
-/// atomic cursor, so long-running items load-balance just like a
+/// Maps `f` over `items` on up to `threads` workers, preserving order:
+/// the calling thread and `threads - 1` of the solver's parked helpers
+/// ([`fork_join`]). Each worker builds its own state with `init` once and
+/// hands it to `f` for every item it takes. Workers pull indices from a
+/// shared atomic cursor, so long-running items load-balance just like a
 /// work-stealing pool on these embarrassingly parallel sweeps. With one
-/// worker the map runs inline on the calling thread: no spawn, no slot
-/// locks, the same results.
+/// worker the map runs on the calling thread alone. A panic in `f` is
+/// re-raised here once every worker has stopped.
 pub fn par_map_with<T: Sync, S, R: Send>(
     items: &[T],
     threads: usize,
@@ -38,26 +36,19 @@ pub fn par_map_with<T: Sync, S, R: Send>(
     f: impl Fn(&mut S, &T) -> R + Sync,
 ) -> Vec<R> {
     let threads = threads.max(1).min(items.len().max(1));
-    if threads == 1 {
-        let mut state = init();
-        return items.iter().map(|item| f(&mut state, item)).collect();
-    }
     let cursor = AtomicUsize::new(0);
     let out: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut state = init();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    *out[i].lock().expect("slot lock") = Some(f(&mut state, &items[i]));
-                }
-            });
+    let worker = || {
+        let mut state = init();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= items.len() {
+                break;
+            }
+            *out[i].lock().expect("slot lock") = Some(f(&mut state, &items[i]));
         }
-    });
+    };
+    fork_join(threads - 1, &|_| worker(), worker);
     out.into_iter()
         .map(|slot| slot.into_inner().expect("slot lock").expect("slot filled"))
         .collect()
@@ -68,7 +59,7 @@ pub fn par_map_with<T: Sync, S, R: Send>(
 /// Stand-in for rayon's `par_iter().map().collect()` (the offline build
 /// cannot fetch rayon — README § Offline builds).
 pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    par_map_with(items, available_threads(), || (), |_, item| f(item))
+    par_map_with(items, cpus(), || (), |_, item| f(item))
 }
 
 /// One scenario of a fleet evaluation.
@@ -130,7 +121,7 @@ pub fn evaluate_fleet(
         let started = Instant::now();
         let workers = opts
             .threads
-            .unwrap_or_else(available_threads)
+            .unwrap_or_else(cpus)
             .max(1)
             .min(scenarios.len().max(1));
         let reports = par_map_with(scenarios, workers, DesRunner::new, |runner, sc| {
@@ -206,6 +197,27 @@ mod tests {
             let firsts = seen.iter().filter(|s| s.1 == 1).count();
             assert!((1..=workers).contains(&firsts), "one state per worker");
         }
+    }
+
+    /// A panic in `f` reaches the caller, wherever it ran, and leaves the
+    /// workers usable: the next map returns every result in order.
+    #[test]
+    fn a_panic_in_f_is_raised_in_the_caller() {
+        let items: Vec<usize> = (0..64).collect();
+        let raised = std::panic::catch_unwind(|| {
+            par_map_with(
+                &items,
+                2,
+                || (),
+                |_, &i| {
+                    assert_ne!(i, 40, "item 40 panics");
+                    i
+                },
+            )
+        });
+        assert!(raised.is_err(), "the panic must reach the caller");
+        let out = par_map_with(&items, 2, || (), |_, &i| i * 3);
+        assert_eq!(out, (0..64).map(|i| i * 3).collect::<Vec<_>>());
     }
 
     #[test]

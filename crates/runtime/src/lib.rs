@@ -16,9 +16,10 @@
 //!   the validated scheduler uses the same pooled runner) run one
 //!   schedule, single-shot or as a continuous frame loop.
 //! * [`fleet::evaluate_fleet`] fans batches of (workload, assignment,
-//!   iterations) scenarios across a [`par_map_with`] worker pool with one
-//!   reusable replay per worker — the fast measurement backend for
-//!   fleet-scale schedule evaluation.
+//!   iterations) scenarios across [`par_map_with`] — the calling thread
+//!   plus the solver's parked helper threads — with one reusable replay
+//!   per worker: the fast measurement backend for fleet-scale schedule
+//!   evaluation.
 //! * [`stream`] checks whether a schedule keeps up with a fixed-rate
 //!   camera stream.
 

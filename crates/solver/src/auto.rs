@@ -36,11 +36,7 @@ pub const PARALLEL_MIN_VARS: usize = 12;
 /// (`0` = one per CPU) comes to 1 or the model has fewer than
 /// [`PARALLEL_MIN_VARS`] variables, and with the work-stealing parallel
 /// branch & bound on `threads` workers otherwise.
-pub fn solve_auto<M: CostModel + Sync>(
-    model: &M,
-    opts: SolveOptions<'_>,
-    threads: usize,
-) -> Solution {
+pub fn solve_auto<M: CostModel + Sync>(model: &M, opts: SolveOptions, threads: usize) -> Solution {
     let threads = match threads {
         0 => cpus(),
         n => n,

@@ -39,20 +39,13 @@ const POLL_MASK: u64 = 63;
 
 /// Options controlling a solve.
 #[derive(Default)]
-pub struct SolveOptions<'a> {
+pub struct SolveOptions {
     /// Stop after exploring this many search nodes (leaves + internal).
     /// Applies to the *whole* solve: the parallel solver shares one
     /// atomic counter across all workers.
     pub node_budget: Option<u64>,
     /// Stop after this much wall time (also global).
     pub time_budget: Option<Duration>,
-    /// Invoked on every strictly improving incumbent with
-    /// `(assignment, cost, elapsed)`. Supported by both the sequential
-    /// and the parallel solver; the parallel solver serializes callbacks
-    /// through a channel so costs strictly decrease and timestamps are
-    /// monotone.
-    #[allow(clippy::type_complexity)]
-    pub on_incumbent: Option<Box<dyn FnMut(&Assignment, f64, Duration) + 'a>>,
     /// Start from a known incumbent (upper bound): candidates at or above
     /// this cost are pruned. Useful for warm restarts.
     pub initial_upper_bound: Option<f64>,
@@ -69,7 +62,7 @@ pub struct SolveOptions<'a> {
     /// reaches the pruning threshold is skipped unscored. The least
     /// scored candidate in `(cost, assignment)` order that the search
     /// would accept as a leaf, or [`SolveOptions::initial_incumbent`] if
-    /// that precedes it, is adopted like a seed, without a callback. A
+    /// that precedes it, is adopted like a seed, without a trace entry. A
     /// candidate is a leaf of the tree, so seeding never changes the
     /// answer of an unbudgeted solve; it only prunes earlier.
     pub seeds: Vec<Assignment>,
@@ -150,6 +143,17 @@ pub struct Solution {
     /// Totals summed over the pool's LNS workers (all zero unless
     /// [`crate::ParallelOptions::lns_workers`] is set).
     pub lns: LnsStats,
+    /// The anytime trace: every strictly improving incumbent as
+    /// `(assignment, cost, elapsed)`, stamped on the solve clock when it
+    /// was found, in discovery order. The sequential solver records each
+    /// leaf its search accepts (`stats.incumbents` of them); the pool
+    /// records the strict global improvements, B&B's and LNS's, in the
+    /// order the shared incumbent took them. Costs strictly decrease and
+    /// stamps are monotone. A seed adopted before the search is not an
+    /// entry, so sequentially the last entry is `best` unless
+    /// [`Winner::Seed`] won. The pool adds no entry for an equal-cost
+    /// assignment that replaces `best` by sorting first.
+    pub trace: Vec<(Assignment, f64, Duration)>,
 }
 
 impl Solution {
@@ -341,7 +345,7 @@ pub(crate) struct Engine<'a, M: CostModel, F: FnMut(&Assignment, f64)> {
     pub(crate) pruned_incumbent: u64,
     pub(crate) incumbents: u64,
     /// Called on every *local* improvement with the completed assignment
-    /// and its cost. The sequential solver forwards to the user callback;
+    /// and its cost. The sequential solver appends it to its trace;
     /// parallel workers offer to the shared incumbent.
     sink: F,
 }
@@ -550,7 +554,7 @@ impl<'a, M: CostModel, F: FnMut(&Assignment, f64)> Engine<'a, M, F> {
 }
 
 /// Minimizes `model` by exhaustive branch & bound (subject to budgets).
-pub fn solve<M: CostModel>(model: &M, opts: SolveOptions<'_>) -> Solution {
+pub fn solve<M: CostModel>(model: &M, opts: SolveOptions) -> Solution {
     let mut ws = Workspace::new(model);
     solve_with(model, opts, &mut ws)
 }
@@ -561,7 +565,7 @@ pub fn solve<M: CostModel>(model: &M, opts: SolveOptions<'_>) -> Solution {
 /// must have been built for `model` (same variable count and domains).
 pub fn solve_with<M: CostModel>(
     model: &M,
-    mut opts: SolveOptions<'_>,
+    mut opts: SolveOptions,
     ws: &mut Workspace<M>,
 ) -> Solution {
     let n = model.num_vars();
@@ -570,17 +574,13 @@ pub fn solve_with<M: CostModel>(
     }
     let started = Instant::now();
     let shared = SharedState::new(opts.node_budget, opts.time_budget, None);
-    let mut callback = opts.on_incumbent.take();
+    let mut trace = Vec::new();
     let mut engine = Engine::new(
         model,
         &shared,
         ws,
         opts.initial_upper_bound,
-        |a: &Assignment, c: f64| {
-            if let Some(cb) = callback.as_mut() {
-                cb(a, c, started.elapsed());
-            }
-        },
+        |a: &Assignment, c: f64| trace.push((a.clone(), c, started.elapsed())),
     );
     haxconn_telemetry::alloc::phase(haxconn_telemetry::alloc::PHASE_SOLVE, || {
         engine.start_from(opts.initial_incumbent.take(), &opts.seeds);
@@ -609,6 +609,7 @@ pub fn solve_with<M: CostModel>(
         winner,
         stats,
         lns: LnsStats::default(),
+        trace,
     }
 }
 
@@ -736,23 +737,18 @@ mod tests {
     #[test]
     fn anytime_incumbents_improve_monotonically() {
         let m = instance(3, 9, 3);
-        let mut costs: Vec<f64> = Vec::new();
-        {
-            let sol = solve(
-                &m,
-                SolveOptions {
-                    on_incumbent: Some(Box::new(|_, c, _| costs.push(c))),
-                    ..Default::default()
-                },
-            );
-            assert!(sol.proven_optimal());
+        let sol = solve(&m, SolveOptions::default());
+        assert!(sol.proven_optimal());
+        assert!(!sol.trace.is_empty());
+        assert_eq!(sol.trace.len() as u64, sol.stats.incumbents);
+        for w in sol.trace.windows(2) {
+            assert!(w[1].1 < w[0].1, "incumbents must strictly improve");
+            assert!(w[1].2 >= w[0].2, "stamps must be monotone");
         }
-        assert!(!costs.is_empty());
-        for w in costs.windows(2) {
-            assert!(w[1] < w[0], "incumbents must strictly improve");
-        }
+        let (a, c, _) = sol.trace.last().unwrap();
+        assert_eq!(Some((a, c)), sol.best.as_ref().map(|(a, c)| (a, c)));
         let bf = brute_force(&m).unwrap().1;
-        assert!((costs.last().unwrap() - bf).abs() < 1e-9);
+        assert!((c - bf).abs() < 1e-9);
     }
 
     #[test]

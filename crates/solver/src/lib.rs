@@ -23,11 +23,14 @@
 //!   one shared incumbent for an anytime answer on instances too large
 //!   to prove; the [`Solution`] reports which side won ([`Winner`]) and
 //!   the LNS totals ([`LnsStats`]),
-//! * an **anytime** interface: every strictly improving incumbent is
-//!   reported through a callback together with the solve clock, which is
+//! * an **anytime** interface: every strictly improving incumbent comes
+//!   back in [`Solution::trace`], stamped with the solve clock, which is
 //!   what D-HaX-CoNN uses to swap better schedules in mid-flight (paper
 //!   Fig. 7), and node/time budgets so a solve can be resumed
-//!   incrementally.
+//!   incrementally,
+//! * one set of parked helper threads ([`pool`]) that the worker pool
+//!   and any caller's [`pool::fork_join`] run on, so no parallel call
+//!   spawns threads per call.
 //!
 //! Determinism: variables are branched in index order and values in domain
 //! order, so equal-cost ties always resolve identically.
@@ -37,7 +40,7 @@ pub mod bb;
 pub mod lns;
 pub mod model;
 pub mod parallel;
-mod pool;
+pub mod pool;
 
 pub use auto::{solve_auto, PARALLEL_MIN_VARS};
 pub use bb::{

@@ -27,7 +27,6 @@
 use crate::bb::{SharedState, Winner, EPS};
 use crate::model::{Assignment, CostModel};
 use crate::parallel::SharedIncumbent;
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// Base RNG seed; LNS worker `k` runs with `SEED + k`.
@@ -329,7 +328,6 @@ fn rebuild<M: CostModel>(
 pub(crate) fn lns_worker<M: CostModel>(
     model: &M,
     incumbent: &SharedIncumbent<'_>,
-    tx: &mpsc::Sender<(Assignment, f64, Duration)>,
     k: usize,
 ) -> LnsStats {
     let state: &SharedState = incumbent.state;
@@ -389,7 +387,7 @@ pub(crate) fn lns_worker<M: CostModel>(
             {
                 if c < local_best - EPS {
                     local_best = c;
-                    incumbent.offer(&a, c, Winner::Lns, tx);
+                    incumbent.offer(&a, c, Winner::Lns);
                     stats.incumbents += 1;
                 }
                 t0 = init_temp(c);
@@ -407,7 +405,7 @@ pub(crate) fn lns_worker<M: CostModel>(
             Some((cand, c)) => {
                 if c < local_best - EPS {
                     local_best = c;
-                    incumbent.offer(&cand, c, Winner::Lns, tx);
+                    incumbent.offer(&cand, c, Winner::Lns);
                     stats.incumbents += 1;
                     non_improving = 0;
                 } else {

@@ -67,14 +67,13 @@
 //!   calling thread before any worker starts, so every worker starts
 //!   from the same incumbent and skips the same known leaves.
 //!
-//! # Anytime callbacks
+//! # Anytime trace
 //!
-//! `on_incumbent` is supported: workers send strict global improvements
-//! through a channel, from inside the incumbent lock, so costs strictly
-//! decrease and each `at` is stamped when the improvement was offered.
-//! The caller delivers them on its own thread, between its own work items
-//! and once more after every helper has finished; a delivery may lag the
-//! offer, but the sequence and its timestamps are the offers'.
+//! [`Solution::trace`] holds the strict global improvements, appended
+//! by the shared incumbent inside its lock, so costs strictly decrease
+//! and each entry is stamped when the improvement was offered. Which
+//! intermediate incumbents surface depends on thread timing; the last
+//! one, like the result, does not.
 //!
 //! # LNS workers
 //!
@@ -95,7 +94,7 @@ use crate::lns::{flush_lns_telemetry, lns_worker, LnsStats};
 use crate::model::{Assignment, CostModel};
 use crate::pool::{cpus, Pool, POOL};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Hard cap on frontier size when auto-choosing the split depth.
@@ -121,30 +120,40 @@ pub struct ParallelOptions {
     pub lns_workers: usize,
 }
 
-/// The shared incumbent: lock-free cost in [`SharedState`], full
-/// assignment and the strategy that produced it under this mutex (taken
-/// only on candidate improvements). Shared by the pool's B&B and LNS
-/// workers.
+/// The shared incumbent: lock-free cost in [`SharedState`]; the full
+/// assignment, the strategy that produced it and the trace of strict
+/// improvements under this mutex (taken only on candidate improvements).
+/// Shared by the pool's B&B and LNS workers.
 pub(crate) struct SharedIncumbent<'a> {
-    slot: Mutex<Option<(Assignment, f64, Winner)>>,
+    slot: Mutex<Slot>,
     pub(crate) state: &'a SharedState,
     started: Instant,
+}
+
+/// What [`SharedIncumbent`] keeps under its lock.
+#[derive(Default)]
+struct Slot {
+    best: Option<(Assignment, f64, Winner)>,
+    trace: Vec<(Assignment, f64, Duration)>,
 }
 
 impl<'a> SharedIncumbent<'a> {
     pub(crate) fn new(state: &'a SharedState, started: Instant) -> Self {
         SharedIncumbent {
-            slot: Mutex::new(None),
+            slot: Mutex::default(),
             state,
             started,
         }
     }
 
+    fn lock(&self) -> MutexGuard<'_, Slot> {
+        self.slot.lock().expect("incumbent lock")
+    }
+
     /// Installs a caller-provided incumbent before any worker starts. The
     /// cost is published so every worker prunes against it from node one.
     pub(crate) fn seed(&self, a: Assignment, c: f64) {
-        let mut slot = self.slot.lock().expect("incumbent lock");
-        *slot = Some((a, c, Winner::Seed));
+        self.lock().best = Some((a, c, Winner::Seed));
         self.state.publish_cost(c);
     }
 
@@ -152,32 +161,25 @@ impl<'a> SharedIncumbent<'a> {
     /// current incumbent in `(cost, assignment)` order: a strictly lower
     /// cost, or the exact same cost and a lexicographically smaller
     /// assignment. That is a total order, so the winner does not depend
-    /// on arrival order. Strict cost improvements are forwarded to the
-    /// callback channel from inside the lock, so the channel sees a
-    /// strictly-decreasing cost sequence with monotone timestamps.
-    pub(crate) fn offer(
-        &self,
-        a: &Assignment,
-        c: f64,
-        src: Winner,
-        tx: &mpsc::Sender<(Assignment, f64, Duration)>,
-    ) {
+    /// on arrival order. Strict cost improvements are appended to the
+    /// trace inside the lock, so it holds a strictly decreasing cost
+    /// sequence with monotone stamps.
+    pub(crate) fn offer(&self, a: &Assignment, c: f64, src: Winner) {
         // Lock-free fast reject: strictly worse candidates never touch
         // the mutex. Exact ties fall through for lex comparison.
         if c > self.state.best_cost() {
             return;
         }
-        let mut slot = self.slot.lock().expect("incumbent lock");
-        let (better, strict) = match &*slot {
+        let mut slot = self.lock();
+        let (better, strict) = match &slot.best {
             None => (true, true),
             Some((cur_a, cur_c, _)) => ((c, a) < (*cur_c, cur_a), c < *cur_c),
         };
         if better {
-            *slot = Some((a.clone(), c, src));
+            slot.best = Some((a.clone(), c, src));
             self.state.publish_cost(c);
             if strict {
-                // Receiver may have been dropped (no callback): ignore.
-                let _ = tx.send((a.clone(), c, self.started.elapsed()));
+                slot.trace.push((a.clone(), c, self.started.elapsed()));
             }
         }
     }
@@ -187,16 +189,7 @@ impl<'a> SharedIncumbent<'a> {
     /// [`SharedState::best_cost`] first so the lock is only taken when
     /// there is something new to fetch.
     pub(crate) fn snapshot(&self) -> Option<(Assignment, f64)> {
-        let slot = self.slot.lock().expect("incumbent lock");
-        slot.as_ref().map(|(a, c, _)| (a.clone(), *c))
-    }
-
-    /// Consumes the incumbent at the end of a solve.
-    fn into_best(self) -> (Option<(Assignment, f64)>, Option<Winner>) {
-        match self.slot.into_inner().expect("incumbent lock") {
-            Some((a, c, src)) => (Some((a, c)), Some(src)),
-            None => (None, None),
-        }
+        self.lock().best.as_ref().map(|(a, c, _)| (a.clone(), *c))
     }
 }
 
@@ -250,8 +243,7 @@ fn decode_prefix<M: CostModel>(model: &M, depth: usize, mut k: usize, prefix: &m
 
 /// One B&B worker's run: claims prefixes from the shared injector until
 /// the frontier drains or the solve stops, accumulating its counters into
-/// the solve's stats. `between` runs before each claim; the caller's
-/// worker delivers queued callbacks there.
+/// the solve's stats.
 ///
 /// Each work item starts by *adopting* the shared incumbent — assignment
 /// and cost, not just the bound. A leaf beats the adopted incumbent in
@@ -259,7 +251,7 @@ fn decode_prefix<M: CostModel>(model: &M, depth: usize, mut k: usize, prefix: &m
 /// adoption saves doomed clones and makes the incumbent's assignment
 /// available for budget-stopped items, without perturbing the
 /// deterministic result.
-fn bb_worker<M: CostModel + Sync>(model: &M, shared: &Shared<'_>, mut between: impl FnMut()) {
+fn bb_worker<M: CostModel + Sync>(model: &M, shared: &Shared<'_>) {
     let state = shared.incumbent.state;
     // Counted out even by a panic, so a racing LNS worker always stops.
     let _out = LastOut(shared);
@@ -269,11 +261,7 @@ fn bb_worker<M: CostModel + Sync>(model: &M, shared: &Shared<'_>, mut between: i
         state,
         &mut ws,
         shared.initial_ub,
-        |a: &Assignment, c: f64| {
-            shared
-                .incumbent
-                .offer(a, c, Winner::BranchAndBound, &shared.tx)
-        },
+        |a: &Assignment, c: f64| shared.incumbent.offer(a, c, Winner::BranchAndBound),
     );
     engine.known = shared.known.to_vec();
     let depth = shared.depth;
@@ -286,7 +274,6 @@ fn bb_worker<M: CostModel + Sync>(model: &M, shared: &Shared<'_>, mut between: i
     // Per-thread drain: allocation counters are thread-local, so each
     // worker accounts its own search traffic under the solve phase.
     haxconn_telemetry::alloc::phase(haxconn_telemetry::alloc::PHASE_SOLVE, || loop {
-        between();
         if state.stopped() {
             break;
         }
@@ -344,7 +331,6 @@ fn bb_worker<M: CostModel + Sync>(model: &M, shared: &Shared<'_>, mut between: i
 /// the frontier, the settled warm start and the totals they add to.
 struct Shared<'a> {
     incumbent: SharedIncumbent<'a>,
-    tx: mpsc::Sender<(Assignment, f64, Duration)>,
     injector: AtomicUsize,
     depth: usize,
     total_items: usize,
@@ -372,12 +358,11 @@ impl Drop for LastOut<'_, '_> {
 /// Minimizes `model` with a work-stealing worker pool over a depth-`d`
 /// frontier (see the module docs for the execution and determinism
 /// model), with `par.lns_workers` LNS workers racing beside it. Budgets
-/// in `opts` are global across all workers, and `on_incumbent` sees every
-/// strict global improvement from either side, delivered on the calling
-/// thread.
+/// in `opts` are global across all workers, and the returned trace holds
+/// every strict global improvement from either side.
 pub fn solve_parallel_with<M: CostModel + Sync>(
     model: &M,
-    opts: SolveOptions<'_>,
+    opts: SolveOptions,
     par: &ParallelOptions,
 ) -> Solution {
     solve_in(&POOL, model, opts, par)
@@ -387,7 +372,7 @@ pub fn solve_parallel_with<M: CostModel + Sync>(
 fn solve_in<M: CostModel + Sync>(
     helpers: &Pool,
     model: &M,
-    mut opts: SolveOptions<'_>,
+    mut opts: SolveOptions,
     par: &ParallelOptions,
 ) -> Solution {
     let n = model.num_vars();
@@ -430,10 +415,8 @@ fn solve_in<M: CostModel + Sync>(
         }
         known = std::mem::take(&mut engine.known);
     }
-    let (tx, rx) = mpsc::channel::<(Assignment, f64, Duration)>();
     let shared = Shared {
         incumbent,
-        tx,
         injector: AtomicUsize::new(0),
         depth,
         total_items,
@@ -447,41 +430,23 @@ fn solve_in<M: CostModel + Sync>(
     // Helper `i` runs B&B worker `i + 1` (the caller is worker 0), then
     // come the LNS workers.
     let task = |i: usize| match (i + 1).checked_sub(bb_workers) {
-        None => bb_worker(model, &shared, || {}),
+        None => bb_worker(model, &shared),
         Some(k) => {
-            let lns = lns_worker(model, &shared.incumbent, &shared.tx, k);
+            let lns = lns_worker(model, &shared.incumbent, k);
             shared.lns.lock().expect("lns stats lock").merge(&lns);
         }
     };
-    // Improvements queue in the channel; the caller delivers them between
-    // its own work items and once more after every helper has finished,
-    // and records a race's incumbent timeline for telemetry.
-    let series = racing && haxconn_telemetry::enabled();
-    let mut cb = opts.on_incumbent.take();
-    // With nobody listening the receiver goes now, so sends fail fast.
-    let rx = (cb.is_some() || series).then_some(rx);
-    let mut deliver = || {
-        for (a, c, at) in rx.iter().flat_map(|rx| rx.try_iter()) {
-            if series {
-                haxconn_telemetry::series_record(
-                    "solver.portfolio.incumbent",
-                    at.as_secs_f64() * 1e3,
-                    c,
-                );
-            }
-            if let Some(cb) = cb.as_mut() {
-                cb(&a, c, at);
-            }
-        }
-    };
     helpers.run(bb_workers - 1 + par.lns_workers, &task, || {
-        bb_worker(model, &shared, &mut deliver)
+        bb_worker(model, &shared)
     });
-    deliver();
 
     let pool = shared.stats.into_inner().expect("stats lock");
     let lns = shared.lns.into_inner().expect("lns stats lock");
-    let (best, winner) = shared.incumbent.into_best();
+    let Slot { best, trace } = shared.incumbent.slot.into_inner().expect("incumbent lock");
+    let (best, winner) = match best {
+        Some((a, c, src)) => (Some((a, c)), Some(src)),
+        None => (None, None),
+    };
     let stats = SolveStats {
         nodes: pool.nodes,
         leaves: pool.leaves,
@@ -508,6 +473,12 @@ fn solve_in<M: CostModel + Sync>(
         }
     }
     if racing {
+        if haxconn_telemetry::enabled() {
+            for (_, c, at) in &trace {
+                let at_ms = at.as_secs_f64() * 1e3;
+                haxconn_telemetry::series_record("solver.portfolio.incumbent", at_ms, *c);
+            }
+        }
         flush_lns_telemetry(&lns, winner);
     }
     Solution {
@@ -515,6 +486,7 @@ fn solve_in<M: CostModel + Sync>(
         winner,
         stats,
         lns,
+        trace,
     }
 }
 
@@ -689,20 +661,16 @@ mod tests {
         assert!(sol.stats.nodes <= 500, "spent {}", sol.stats.nodes);
     }
 
-    /// The callback sees strict global improvements from either side of
+    /// The trace holds strict global improvements from either side of
     /// the race, in order.
     #[test]
-    fn callbacks_are_monotone_and_reach_the_optimum() {
+    fn traces_are_monotone_and_reach_the_optimum() {
         let m = instance(3, 9);
         let bf = brute_force(&m).unwrap().1;
         for lns_workers in [0, 1] {
-            let mut seen: Vec<(f64, Duration)> = Vec::new();
             let sol = solve_parallel_with(
                 &m,
-                SolveOptions {
-                    on_incumbent: Some(Box::new(|_, c, at| seen.push((c, at)))),
-                    ..Default::default()
-                },
+                SolveOptions::default(),
                 &ParallelOptions {
                     threads: 4,
                     lns_workers,
@@ -711,12 +679,13 @@ mod tests {
             );
             assert!(sol.proven_optimal());
             let best = sol.best.unwrap().1;
+            let seen = &sol.trace;
             assert!(!seen.is_empty());
             for w in seen.windows(2) {
-                assert!(w[1].0 < w[0].0 - 1e-12, "costs must strictly decrease");
-                assert!(w[1].1 >= w[0].1, "timestamps must be monotone");
+                assert!(w[1].1 < w[0].1 - 1e-12, "costs must strictly decrease");
+                assert!(w[1].2 >= w[0].2, "timestamps must be monotone");
             }
-            assert_eq!(seen.last().unwrap().0.to_bits(), best.to_bits());
+            assert_eq!(seen.last().unwrap().1.to_bits(), best.to_bits());
             assert!((best - bf).abs() < 1e-9, "lns {lns_workers}");
         }
     }

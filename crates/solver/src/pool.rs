@@ -1,20 +1,23 @@
-//! Parked helper threads for the worker pool (`crate::parallel`).
+//! Parked helper threads: the one fork-join mechanism of the workspace.
+//! The solver's worker pool (`crate::parallel`) runs on them, and so does
+//! any other caller's fork-join through [`fork_join`] (the runtime's
+//! `par_map_with`, behind fleet evaluation and `/v1/batch`).
 //!
-//! Spawning a solve's workers afresh costs more than a median arrival
-//! re-solve can spare: on a 2-vCPU host a `thread::scope` with two spawned
-//! threads took 44–50 µs at p50. So the calling thread does a share of the
-//! work itself and hands the rest to helper threads that outlive the
-//! solve. Between solves they park on a condvar, and a solve pays a wake
-//! per helper instead (10–12 µs at p50 to wake one and join it).
+//! Spawning workers afresh costs more than a median arrival re-solve can
+//! spare: on a 2-vCPU host a `thread::scope` with two spawned threads
+//! took 44–50 µs at p50. So the calling thread does a share of the work
+//! itself and hands the rest to helper threads that outlive the call.
+//! Between calls they park on a condvar, and a call pays a wake per
+//! helper instead (10–12 µs at p50 to wake one and join it).
 //!
-//! * Helpers are spawned lazily, by the first solve that finds too few of
-//!   them idle, so a process that never runs a parallel solve starts none.
-//! * A solve *claims* idle helpers for its whole duration and returns
-//!   them when it ends. Concurrent solves never share a helper, so none
+//! * Helpers are spawned lazily, by the first call that finds too few of
+//!   them idle, so a process that never runs a fork-join starts none.
+//! * A call *claims* idle helpers for its whole duration and returns
+//!   them when it ends. Concurrent calls never share a helper, so none
 //!   waits on another's, and the pool grows to the peak number of
 //!   helpers claimed at once, never beyond.
 //! * A helper runs its task under `catch_unwind` and stays alive; the
-//!   claiming solve re-raises the first panic once every helper it claimed
+//!   claiming call re-raises the first panic once every helper it claimed
 //!   has finished, as `thread::scope` does.
 
 use std::any::Any;
@@ -29,19 +32,19 @@ type Task = &'static (dyn Fn(usize) + Sync);
 /// A caught panic's payload.
 type Panic = Box<dyn Any + Send>;
 
-/// What a helper is doing, as seen by it and by the solve that claimed it.
+/// What a helper is doing, as seen by it and by the call that claimed it.
 enum Slot {
     /// Parked, waiting for a task.
     Idle,
-    /// Handed `task`, to be called with this helper's index in the solve.
+    /// Handed `task`, to be called with this helper's index in the call.
     Run(Task, usize),
     /// The task returned, with its panic payload if it panicked.
     Done(Option<Panic>),
 }
 
-/// One helper thread's slot. The helper and the solve that claimed it take
+/// One helper thread's slot. The helper and the call that claimed it take
 /// turns waiting on `wake`: the helper while its slot is not `Run`, the
-/// solve while it is, so one `notify_one` always reaches the right side.
+/// call while it is, so one `notify_one` always reaches the right side.
 struct Helper {
     slot: Mutex<Slot>,
     wake: Condvar,
@@ -62,13 +65,25 @@ pub(crate) struct Pool {
     spawned: AtomicUsize,
 }
 
-/// The helpers every parallel solve draws from.
+/// The helpers every parallel solve and every [`fork_join`] draws from.
 pub(crate) static POOL: Pool = Pool::new();
 
-/// Available CPUs, or 1 where the count cannot be read: what `threads: 0`
-/// resolves to, for the pool and for `solve_auto` alike.
-pub(crate) fn cpus() -> usize {
+/// Available CPUs, or 1 where the count cannot be read: what "one worker
+/// per CPU" means everywhere, for the solver's `threads: 0`, the fleet's
+/// default worker count and the serve daemon's default alike.
+pub fn cpus() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Calls `task(i)` for every `i < helpers` on a parked helper thread
+/// while the calling thread runs `work`, and returns `work`'s result
+/// once every task has returned. With `helpers == 0` this is `work()`.
+/// A panic in `work` or in a task is re-raised here after every task has
+/// returned. If the OS refuses a new helper thread, fewer tasks run, so
+/// hand out work such that `work` alone could complete it (e.g. from a
+/// shared cursor).
+pub fn fork_join<R>(helpers: usize, task: &(dyn Fn(usize) + Sync), work: impl FnOnce() -> R) -> R {
+    POOL.run(helpers, task, work)
 }
 
 impl Pool {
@@ -79,12 +94,7 @@ impl Pool {
         }
     }
 
-    /// Calls `task(i)` for every `i < helpers` on its own helper thread
-    /// while the calling thread runs `work`, and returns `work`'s result
-    /// once every helper has returned. A panic in `work` or in any task is
-    /// re-raised here, after every helper has returned. If the OS refuses
-    /// a new thread, fewer tasks run: callers hand out work so that
-    /// `work` alone completes it.
+    /// [`fork_join`] on this pool's helpers.
     pub(crate) fn run<R>(
         &self,
         helpers: usize,
@@ -131,7 +141,7 @@ impl Pool {
             });
             let parked = Arc::clone(&helper);
             let spawned = std::thread::Builder::new()
-                .name("haxconn-solver".into())
+                .name("haxconn-helper".into())
                 .spawn(move || park(&parked));
             if spawned.is_err() {
                 break;

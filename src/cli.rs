@@ -196,16 +196,6 @@ fn cli_err(msg: impl Into<String>) -> HaxError {
     HaxError::Cli(msg.into())
 }
 
-fn parse_platform_arg(s: &str) -> Result<PlatformId, HaxError> {
-    // A few extra spellings on top of the library's canonical names.
-    match s.to_ascii_lowercase().as_str() {
-        "agx-orin" => Ok(PlatformId::OrinAgx),
-        "agx-xavier" => Ok(PlatformId::XavierAgx),
-        "snapdragon" | "qualcomm" => Ok(PlatformId::Snapdragon865),
-        _ => parse_platform(s),
-    }
-}
-
 fn parse_models(s: &str) -> Result<Vec<Model>, HaxError> {
     let models: Result<Vec<Model>, HaxError> = s.split(',').map(parse_model).collect();
     let models = models?;
@@ -337,7 +327,7 @@ pub fn parse(args: &[String]) -> Result<Command, HaxError> {
         "platforms" => Command::Platforms,
         "models" => Command::Models,
         "profile" => {
-            let platform = parse_platform_arg(a.require("--platform")?)?;
+            let platform = parse_platform(a.require("--platform")?)?;
             let model = parse_model(a.require("--model")?)?;
             let groups = match a.take_value("--groups")? {
                 Some(v) => v
@@ -352,7 +342,7 @@ pub fn parse(args: &[String]) -> Result<Command, HaxError> {
             }
         }
         "schedule" => {
-            let platform = parse_platform_arg(a.require("--platform")?)?;
+            let platform = parse_platform(a.require("--platform")?)?;
             let models = parse_models(a.require("--models")?)?;
             let objective = match a.take_value("--objective")? {
                 Some(v) => parse_objective(v)?,
@@ -373,7 +363,7 @@ pub fn parse(args: &[String]) -> Result<Command, HaxError> {
             }
         }
         "energy" => {
-            let platform = parse_platform_arg(a.require("--platform")?)?;
+            let platform = parse_platform(a.require("--platform")?)?;
             let models = parse_models(a.require("--models")?)?;
             let budget_ms = a
                 .require("--budget-ms")?
@@ -386,7 +376,7 @@ pub fn parse(args: &[String]) -> Result<Command, HaxError> {
             }
         }
         "dynamic" => {
-            let platform = parse_platform_arg(a.require("--platform")?)?;
+            let platform = parse_platform(a.require("--platform")?)?;
             let trace = a.take_value("--trace")?.map(str::to_string);
             let phases = match a.take_value("--phases")? {
                 Some(v) => v.split(';').map(parse_models).collect::<Result<_, _>>()?,
@@ -424,7 +414,7 @@ pub fn parse(args: &[String]) -> Result<Command, HaxError> {
             Command::Inspect { model, layers }
         }
         "stream" => {
-            let platform = parse_platform_arg(a.require("--platform")?)?;
+            let platform = parse_platform(a.require("--platform")?)?;
             let models = parse_models(a.require("--models")?)?;
             let fps = a
                 .require("--fps")?
@@ -445,7 +435,7 @@ pub fn parse(args: &[String]) -> Result<Command, HaxError> {
             file: a.require("--file")?.to_string(),
         },
         "fleet" => {
-            let platform = parse_platform_arg(a.require("--platform")?)?;
+            let platform = parse_platform(a.require("--platform")?)?;
             let models = parse_models(a.require("--models")?)?;
             let count = match a.take_value("--count")? {
                 Some(v) => v
@@ -563,7 +553,7 @@ pub fn parse(args: &[String]) -> Result<Command, HaxError> {
                     pipeline: false,
                 }
             } else {
-                let platform = parse_platform_arg(a.require("--platform")?)?;
+                let platform = parse_platform(a.require("--platform")?)?;
                 let models = parse_models(a.require("--models")?)?;
                 let objective = match a.take_value("--objective")? {
                     Some(v) => parse_objective(v)?,

@@ -74,9 +74,7 @@ impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
             addr: "127.0.0.1:0".to_string(),
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get().min(8))
-                .unwrap_or(4),
+            workers: haxconn_solver::pool::cpus().min(8),
             max_body_bytes: 1 << 20,
             max_conns: 1024,
             idle_timeout: Duration::from_secs(60),
@@ -328,6 +326,12 @@ pub(crate) enum Routed {
     /// A cache-hit schedule: the entry's rendered `200` body, shared
     /// with the engine cache.
     Hit(Arc<str>),
+    /// Work for [`route_slow`] on the solve pool.
+    Slow(SlowWork),
+}
+
+/// The CPU-bound requests [`route_fast`] hands to the solve pool.
+pub(crate) enum SlowWork {
     /// A cache-miss schedule: the full engine path must run.
     Solve {
         key: String,
@@ -387,12 +391,12 @@ pub(crate) fn route_fast(ctx: &ServerCtx, req: &Request) -> Routed {
                     ctx.engine.alias(&req.body, &key);
                     routed_hit(ctx, hit)
                 }
-                None => Routed::Solve { key, canonical },
+                None => Routed::Slow(SlowWork::Solve { key, canonical }),
             }
         }
-        ("POST", "/v1/batch") => Routed::Batch {
+        ("POST", "/v1/batch") => Routed::Slow(SlowWork::Batch {
             body: req.body.clone(),
-        },
+        }),
         ("GET", "/v1/telemetry") => {
             let (s, b) = handle_telemetry(ctx);
             Routed::Done(s, b)
@@ -441,15 +445,15 @@ fn routed_hit(ctx: &ServerCtx, hit: Result<Arc<str>, serde_json::Error>) -> Rout
 
 /// Routing stage 2 — the CPU-bound work [`route_fast`] deferred. Runs
 /// on the solve pool.
-pub(crate) fn route_slow(ctx: &ServerCtx, routed: Routed) -> (u16, String) {
-    match routed {
-        Routed::Done(status, body) => (status, body),
-        Routed::Hit(body) => (200, body.to_string()),
-        Routed::Solve { key, canonical } => match ctx.engine.schedule_canonical(key, &canonical) {
-            Ok(out) => respond(&ctx.stats, 200, &ScheduleResponse::from_engine(&out)),
-            Err(e) => error_response(ctx, &e),
-        },
-        Routed::Batch { body } => handle_batch(ctx, &body),
+pub(crate) fn route_slow(ctx: &ServerCtx, work: SlowWork) -> (u16, String) {
+    match work {
+        SlowWork::Solve { key, canonical } => {
+            match ctx.engine.schedule_canonical(key, &canonical) {
+                Ok(out) => respond(&ctx.stats, 200, &ScheduleResponse::from_engine(&out)),
+                Err(e) => error_response(ctx, &e),
+            }
+        }
+        SlowWork::Batch { body } => handle_batch(ctx, &body),
     }
 }
 

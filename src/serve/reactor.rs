@@ -39,7 +39,7 @@ use super::http::HttpReadError;
 use super::sys::{self, Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLRDHUP};
 use super::{
     finish_request, overloaded_body, respond, response_keep_alive, route_fast, route_slow, Routed,
-    ServeOptions, ServerCtx,
+    ServeOptions, ServerCtx, SlowWork,
 };
 use crate::api::ErrorBody;
 use haxconn_core::HaxError;
@@ -61,7 +61,7 @@ struct Job {
     gen: u32,
     keep_alive: bool,
     started: Instant,
-    work: Routed,
+    work: SlowWork,
 }
 
 /// A finished response traveling back to the reactor.
@@ -297,7 +297,7 @@ impl Reactor {
                             self.answer(idx, status, &body, req.keep_alive, started);
                         }
                         Routed::Hit(body) => self.answer(idx, 200, &body, req.keep_alive, started),
-                        work => {
+                        Routed::Slow(work) => {
                             let conn = self.slots[idx].conn.as_mut().expect("still open");
                             conn.in_flight = true;
                             let job = Job {

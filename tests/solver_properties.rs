@@ -13,7 +13,7 @@ use haxconn::prelude::*;
 use haxconn::profiler::grouping::{partition, valid_cuts};
 use haxconn::solver::{
     brute_force, solve, solve_parallel_with, Assignment, BudgetState, CostModel, NonIncremental,
-    ParallelOptions, SolveOptions,
+    ParallelOptions, Solution, SolveOptions, Winner,
 };
 
 /// Deterministic xorshift64* generator for property sampling.
@@ -419,8 +419,8 @@ fn parallel_budget_is_global_and_sound() {
 
 /// Parallel solves started side by side from several OS threads share
 /// one set of helper threads without sharing a helper: each returns the
-/// sequential optimum to the bit, and each callback sequence strictly
-/// decreases, with and without a callback and an LNS worker.
+/// sequential optimum to the bit, and each trace strictly decreases to
+/// it, with and without an LNS worker.
 #[test]
 fn concurrent_callers_each_get_the_sequential_optimum() {
     std::thread::scope(|scope| {
@@ -430,19 +430,11 @@ fn concurrent_callers_each_get_the_sequential_optimum() {
                 for solve_no in 0..25 {
                     let inst = arb_instance(&mut rng);
                     let seq = solve(&inst, SolveOptions::default());
-                    let listen = solve_no % 2 == 0;
-                    let lns_workers = (solve_no / 2) % 2;
+                    let lns_workers = solve_no % 2;
                     let why = format!("caller {caller} solve {solve_no} lns {lns_workers}");
-                    let mut seen: Vec<f64> = Vec::new();
                     let par = solve_parallel_with(
                         &inst,
-                        SolveOptions {
-                            on_incumbent: match listen {
-                                true => Some(Box::new(|_, c, _| seen.push(c))),
-                                false => None,
-                            },
-                            ..Default::default()
-                        },
+                        SolveOptions::default(),
                         &ParallelOptions {
                             threads: 2,
                             lns_workers,
@@ -454,17 +446,89 @@ fn concurrent_callers_each_get_the_sequential_optimum() {
                         s.as_ref().map(|(a, c)| (a.clone(), c.to_bits()))
                     };
                     assert_eq!(bits(&par.best), bits(&seq.best), "{why}");
-                    for w in seen.windows(2) {
-                        assert!(w[1] < w[0], "{why}: callbacks must strictly decrease");
+                    for w in par.trace.windows(2) {
+                        assert!(w[1].1 < w[0].1, "{why}: the trace must strictly decrease");
                     }
-                    if listen {
-                        let last = seen.last().map(|c| c.to_bits());
-                        assert_eq!(last, par.best.map(|(_, c)| c.to_bits()), "{why}");
-                    }
+                    let last = par.trace.last().map(|e| e.1.to_bits());
+                    assert_eq!(last, par.best.map(|(_, c)| c.to_bits()), "{why}");
                 }
             });
         }
     });
+}
+
+/// The invariants of a solve's anytime trace on either driver: costs
+/// strictly decrease, every entry re-evaluates to its cost bit for bit,
+/// stamps are monotone and inside the solve clock, and unless the seed
+/// won, the last entry has the answer's cost.
+fn check_trace<M: CostModel>(model: &M, sol: &Solution, why: &str) {
+    for w in sol.trace.windows(2) {
+        assert!(w[1].1 < w[0].1, "{why}: costs must strictly decrease");
+        assert!(w[1].2 >= w[0].2, "{why}: stamps must be monotone");
+    }
+    for (a, c, at) in &sol.trace {
+        let re = model.cost(a).map(f64::to_bits);
+        assert_eq!(re, Some(c.to_bits()), "{why}: entry re-evaluates");
+        assert!(*at <= sol.stats.elapsed, "{why}: stamp past the solve");
+    }
+    if sol.winner != Some(Winner::Seed) {
+        let last = sol.trace.last().map(|e| e.1.to_bits());
+        assert_eq!(last, sol.best.as_ref().map(|b| b.1.to_bits()), "{why}");
+    }
+}
+
+/// Sequentially the trace is every leaf the search accepted, and unless
+/// the seed won its last entry is the answer, assignment and cost. The
+/// pool's trace (1, 2 and 4 B&B workers, with and without an LNS
+/// worker) keeps the same invariants; there an exact-cost tie can move
+/// the answer's assignment without a new entry, so only costs compare.
+/// Every third case starts from a seed: the optimum or a budgeted
+/// solve's incumbent, so the seed both wins and loses.
+#[test]
+fn traces_improve_strictly_and_end_at_the_answer() {
+    let mut rng = Rng::new(77);
+    for case in 0..24 {
+        let inst = arb_instance(&mut rng);
+        let seed = match case % 6 {
+            0 => solve(&inst, SolveOptions::default()).best,
+            3 => {
+                let budget = SolveOptions {
+                    node_budget: Some(16),
+                    ..Default::default()
+                };
+                solve(&inst, budget).best
+            }
+            _ => None,
+        };
+        let opts = || SolveOptions {
+            initial_incumbent: seed.clone(),
+            ..Default::default()
+        };
+        let seq = solve(&inst, opts());
+        let why = format!("case {case} sequential");
+        check_trace(&inst, &seq, &why);
+        assert_eq!(seq.trace.len() as u64, seq.stats.incumbents, "{why}");
+        if seq.winner != Some(Winner::Seed) {
+            let last = seq.trace.last().map(|(a, c, _)| (a, c.to_bits()));
+            let best = seq.best.as_ref().map(|(a, c)| (a, c.to_bits()));
+            assert_eq!(last, best, "{why}");
+        }
+        for threads in [1, 2, 4] {
+            for lns_workers in [0, 1] {
+                let par = solve_parallel_with(
+                    &inst,
+                    opts(),
+                    &ParallelOptions {
+                        threads,
+                        lns_workers,
+                        ..Default::default()
+                    },
+                );
+                let why = format!("case {case} t{threads} lns {lns_workers}");
+                check_trace(&inst, &par, &why);
+            }
+        }
+    }
 }
 
 /// A node budget never yields a *better* cost than the full solve, and

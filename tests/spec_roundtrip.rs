@@ -92,3 +92,35 @@ fn retired_solver_knobs_are_ignored_on_the_wire() {
         direct.schedule.cost.to_bits()
     );
 }
+
+/// The CLI and the wire share one platform alias table: every spelling
+/// `haxconn schedule --platform` takes canonicalizes through a
+/// `WorkloadSpec` (what a `/v1/schedule` body goes through) to the slug
+/// of the platform the CLI picks for it.
+#[test]
+fn cli_platform_spellings_canonicalize_on_the_wire() {
+    use haxconn::cli::{parse, Command};
+    for spelling in [
+        "orin",
+        "ORIN-AGX",
+        "agx-orin",
+        "xavier",
+        "agx-xavier",
+        "sd865",
+        "snapdragon-865",
+        "snapdragon",
+        "qualcomm",
+    ] {
+        let args = ["schedule", "--platform", spelling, "--models", "googlenet"];
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        let platform = match parse(&args).expect("the CLI takes the spelling") {
+            Command::Schedule { platform, .. } => platform,
+            _ => panic!("{spelling}: not a schedule command"),
+        };
+        let canonical = WorkloadSpec::new(spelling)
+            .task("googlenet", 6)
+            .canonicalize()
+            .unwrap_or_else(|e| panic!("{spelling}: {e}"));
+        assert_eq!(canonical.platform, platform.slug(), "{spelling}");
+    }
+}
